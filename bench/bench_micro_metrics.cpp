@@ -39,12 +39,16 @@ void BM_ComputeAllMetrics(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeAllMetrics);
 
+/// Args: container count, distinct capacities. 200 distinct values is the
+/// spread of processor gaps; a few values with many copies each is the
+/// shape of the bus, whose slot occurrences share a handful of lengths.
 void BM_BestFitPacking(benchmark::State& state) {
   const std::int64_t containerCount = state.range(0);
+  const std::int64_t distinct = state.range(1);
   std::vector<std::int64_t> containers;
   containers.reserve(static_cast<std::size_t>(containerCount));
   for (std::int64_t i = 0; i < containerCount; ++i) {
-    containers.push_back(40 + (i * 37) % 200);
+    containers.push_back(40 + ((i % distinct) * 37) % 200);
   }
   std::int64_t total = 0;
   for (auto c : containers) total += c;
@@ -55,7 +59,11 @@ void BM_BestFitPacking(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(items.size()));
 }
-BENCHMARK(BM_BestFitPacking)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_BestFitPacking)
+    ->Args({64, 200})
+    ->Args({256, 200})
+    ->Args({1024, 200})
+    ->Args({2048, 8});  // bus-shaped: 8 sizes x 256 copies
 
 void BM_DeterministicStream(benchmark::State& state) {
   const DiscreteDistribution d = paperWcetDistribution();

@@ -43,6 +43,23 @@ void demandRunsInto(const DiscreteDistribution& dist, std::int64_t totalSlack,
   }
 }
 
+/// First entry of an ascending run-length list whose value is >= v.
+ValueCounts::iterator lowerBound(ValueCounts& counts, std::int64_t v) {
+  return std::lower_bound(
+      counts.begin(), counts.end(), v,
+      [](const auto& entry, std::int64_t x) { return entry.first < x; });
+}
+
+/// Append (value, n) to a sorted run-length list, merging an equal last
+/// value.
+void pushCount(ValueCounts& counts, std::int64_t value, std::int64_t n) {
+  if (!counts.empty() && counts.back().first == value) {
+    counts.back().second += n;
+  } else {
+    counts.emplace_back(value, n);
+  }
+}
+
 /// Flat ordered multiset of container capacities: (capacity, count) pairs,
 /// ascending, reusing the caller's scratch. Only the multiset matters for
 /// the unpacked total, never container identity.
@@ -53,53 +70,78 @@ void capacityCountsInto(std::vector<std::int64_t>& capacities,
   std::sort(capacities.begin(), capacities.end());
   counts.clear();
   for (const std::int64_t c : capacities) {
-    if (c <= 0) continue;
-    if (!counts.empty() && counts.back().first == c) {
-      counts.back().second += 1;
-    } else {
-      counts.emplace_back(c, 1);
-    }
+    if (c > 0) pushCount(counts, c, 1);
   }
 }
+
+/// Splice buffers of bestFitUnpackedRuns, reused across runs and calls.
+struct PackBuffers {
+  CapacityCounts rests;   ///< remainders left by the containers one run used
+  CapacityCounts merged;  ///< the capacity multiset being rebuilt
+};
 
 /// Best-fit-decreasing over run-length-encoded items and capacity counts.
 /// Equivalent to placing the items one by one into the fullest container
 /// that still takes them: after placing v into the smallest capacity
 /// c >= v, the remainder c - v is strictly smaller than every other
 /// candidate, so the same container keeps absorbing items of the run until
-/// it drops below v. The C1 histograms have ~4 distinct values over ~10^3
-/// items, which makes this effectively linear where a per-item multiset
-/// was the hottest spot of the whole evaluation pipeline.
+/// it drops below v. Each copy of capacity c therefore takes floor(c / v)
+/// items and leaves c mod v, which no later item of the run fits, so a run
+/// consumes whole (capacity, count) entries in ascending order; only the
+/// copy it ends in keeps a partly used leftover >= v. The remainders and
+/// that leftover are spliced back with one merge per run: the cost is
+/// O(K + d log d) per run, for K distinct capacities of which d are
+/// consumed, instead of one O(K) erase and insert per container consumed.
 std::int64_t bestFitUnpackedRuns(const DemandRuns& runs,
-                                 CapacityCounts& counts) {
+                                 CapacityCounts& counts, PackBuffers& buf) {
   std::int64_t unpacked = 0;
   for (const auto& [item, runLength] : runs) {
     if (item <= 0) continue;
     std::int64_t remaining = runLength;
-    while (remaining > 0) {
-      const auto it = std::lower_bound(
-          counts.begin(), counts.end(), item,
-          [](const auto& entry, std::int64_t v) { return entry.first < v; });
-      if (it == counts.end()) {
-        unpacked += item * remaining;
-        break;
+    const auto first = lowerBound(counts, item);
+    auto last = first;
+    buf.rests.clear();
+    std::int64_t leftover = 0;
+    for (; last != counts.end() && remaining > 0; ++last) {
+      const auto [capacity, copies] = *last;
+      const std::int64_t perCopy = capacity / item;
+      const std::int64_t rest = capacity % item;
+      if (remaining >= copies * perCopy) {
+        remaining -= copies * perCopy;
+        if (rest > 0) buf.rests.emplace_back(rest, copies);
+        continue;
       }
-      const std::int64_t capacity = it->first;
-      const std::int64_t absorbed = std::min(remaining, capacity / item);
-      const std::int64_t rest = capacity - absorbed * item;
-      if (--(it->second) == 0) counts.erase(it);
-      if (rest > 0) {
-        const auto pos = std::lower_bound(
-            counts.begin(), counts.end(), rest,
-            [](const auto& entry, std::int64_t v) { return entry.first < v; });
-        if (pos != counts.end() && pos->first == rest) {
-          pos->second += 1;
-        } else {
-          counts.insert(pos, {rest, 1});
-        }
-      }
-      remaining -= absorbed;
+      // The run ends inside this entry: `full` copies are used up and one
+      // more takes the last `remaining % perCopy` items.
+      const std::int64_t full = remaining / perCopy;
+      const std::int64_t partial = remaining % perCopy;
+      if (rest > 0 && full > 0) buf.rests.emplace_back(rest, full);
+      if (partial > 0) leftover = capacity - partial * item;
+      last->second -= full + (partial > 0 ? 1 : 0);
+      remaining = 0;
+      if (last->second > 0) break;  // the entry keeps untouched copies
     }
+    unpacked += item * remaining;
+    if (first == last && buf.rests.empty() && leftover == 0) continue;
+
+    // Splice: remainders (< item) merge into the prefix below `first`, the
+    // leftover (>= item, below every capacity still at `last`) replaces
+    // the consumed entries.
+    std::sort(buf.rests.begin(), buf.rests.end());
+    buf.merged.clear();
+    auto next = buf.rests.begin();
+    for (auto it = counts.begin(); it != first; ++it) {
+      for (; next != buf.rests.end() && next->first <= it->first; ++next) {
+        pushCount(buf.merged, next->first, next->second);
+      }
+      pushCount(buf.merged, it->first, it->second);
+    }
+    for (; next != buf.rests.end(); ++next) {
+      pushCount(buf.merged, next->first, next->second);
+    }
+    if (leftover > 0) buf.merged.emplace_back(leftover, 1);
+    buf.merged.insert(buf.merged.end(), last, counts.end());
+    std::swap(counts, buf.merged);
   }
   return unpacked;
 }
@@ -120,16 +162,11 @@ std::vector<std::int64_t> largestFutureDemand(const DiscreteDistribution& dist,
 std::int64_t bestFitUnpacked(const std::vector<std::int64_t>& itemsDesc,
                              std::vector<std::int64_t> containers) {
   DemandRuns runs;
-  for (const std::int64_t item : itemsDesc) {
-    if (!runs.empty() && runs.back().first == item) {
-      runs.back().second += 1;
-    } else {
-      runs.emplace_back(item, 1);
-    }
-  }
+  for (const std::int64_t item : itemsDesc) pushCount(runs, item, 1);
   CapacityCounts counts;
   capacityCountsInto(containers, counts);
-  return bestFitUnpackedRuns(runs, counts);
+  PackBuffers buf;
+  return bestFitUnpackedRuns(runs, counts, buf);
 }
 
 namespace {
@@ -141,6 +178,7 @@ struct C1Scratch {
   std::vector<std::int64_t> containers;
   DemandRuns runs;
   CapacityCounts counts;
+  PackBuffers pack;
 };
 
 C1Scratch& c1Scratch() {
@@ -148,22 +186,22 @@ C1Scratch& c1Scratch() {
   return scratch;
 }
 
-/// C1 for one resource class from the capacity multiset and its total.
-/// Consumes `counts`. Only the multiset enters the packing, so any producer
-/// that maintains the same multiset (notably IncrementalMetrics) gets the
-/// exact same doubles as a fresh extraction.
-double c1PercentFromCounts(CapacityCounts& counts, std::int64_t total,
-                           const DiscreteDistribution& dist,
-                           DemandRuns& runs) {
-  demandRunsInto(dist, total, runs);
+/// C1 for one resource class from the capacity multiset in scratch.counts
+/// and its total. Consumes scratch.counts. Only the multiset enters the
+/// packing, so any producer that maintains the same multiset (notably
+/// IncrementalMetrics) gets the exact same doubles as a fresh extraction.
+double c1PercentFromCounts(C1Scratch& scratch, std::int64_t total,
+                           const DiscreteDistribution& dist) {
+  demandRunsInto(dist, total, scratch.runs);
   std::int64_t demand = 0;
-  for (const auto& [value, count] : runs) demand += value * count;
+  for (const auto& [value, count] : scratch.runs) demand += value * count;
   if (demand == 0) {
     // No future item fits even in contiguous slack: the design alternative
     // leaves no usable slack at all.
     return total > 0 ? 0.0 : 100.0;
   }
-  const std::int64_t unpacked = bestFitUnpackedRuns(runs, counts);
+  const std::int64_t unpacked =
+      bestFitUnpackedRuns(scratch.runs, scratch.counts, scratch.pack);
   return 100.0 * static_cast<double>(unpacked) / static_cast<double>(demand);
 }
 
@@ -174,7 +212,7 @@ double c1Percent(C1Scratch& scratch, const DiscreteDistribution& dist) {
   std::int64_t total = 0;
   for (std::int64_t c : scratch.containers) total += c;
   capacityCountsInto(scratch.containers, scratch.counts);
-  return c1PercentFromCounts(scratch.counts, total, dist, scratch.runs);
+  return c1PercentFromCounts(scratch, total, dist);
 }
 
 }  // namespace
@@ -233,9 +271,7 @@ namespace {
 /// Insert one value into the ordered (value, count) multiset.
 void countsAdd(ValueCounts& counts, std::int64_t value) {
   if (value <= 0) return;
-  const auto it = std::lower_bound(
-      counts.begin(), counts.end(), value,
-      [](const auto& entry, std::int64_t v) { return entry.first < v; });
+  const auto it = lowerBound(counts, value);
   if (it != counts.end() && it->first == value) {
     it->second += 1;
   } else {
@@ -247,9 +283,7 @@ void countsAdd(ValueCounts& counts, std::int64_t value) {
 /// value is always present.
 void countsRemove(ValueCounts& counts, std::int64_t value) {
   if (value <= 0) return;
-  const auto it = std::lower_bound(
-      counts.begin(), counts.end(), value,
-      [](const auto& entry, std::int64_t v) { return entry.first < v; });
+  const auto it = lowerBound(counts, value);
   if (--(it->second) == 0) counts.erase(it);
 }
 
@@ -264,15 +298,36 @@ void IncrementalMetrics::refreshNode(const PlatformState& state,
   state.nodeBusy(id).complementWithinInto({0, horizon_}, scratchSet_);
   IntervalSet& free = nodeFree_[n];
   if (scratchSet_ == free) return;
-  for (const Interval& iv : free.intervals()) {
+  // One sorted pass over both sets (each ordered by start, starts unique):
+  // an interval present in both keeps its container, so only the gaps the
+  // move split, merged, shrank or grew touch the multiset.
+  const auto remove = [this](const Interval& iv) {
     countsRemove(c1pCounts_, iv.length());
     c1pTotal_ -= iv.length();
-  }
-  std::swap(free, scratchSet_);
-  for (const Interval& iv : free.intervals()) {
+  };
+  const auto add = [this](const Interval& iv) {
     countsAdd(c1pCounts_, iv.length());
     c1pTotal_ += iv.length();
+  };
+  const std::vector<Interval>& before = free.intervals();
+  const std::vector<Interval>& after = scratchSet_.intervals();
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    if (a == after.end() || (b != before.end() && b->start < a->start)) {
+      remove(*b++);
+    } else if (b == before.end() || a->start < b->start) {
+      add(*a++);
+    } else {
+      if (b->end != a->end) {
+        remove(*b);
+        add(*a);
+      }
+      ++b;
+      ++a;
+    }
   }
+  std::swap(free, scratchSet_);
   if (windows_ > 0) {
     Time rowMin = kTimeMax;
     for (std::int64_t w = 0; w < windows_; ++w) {
@@ -402,8 +457,7 @@ DesignMetrics IncrementalMetrics::metrics(const FutureProfile& profile) {
     m.c1p = c1pMemoValue_;
   } else {
     scratch.counts = c1pCounts_;
-    m.c1p = c1PercentFromCounts(scratch.counts, c1pTotal_,
-                                profile.wcetDistribution, scratch.runs);
+    m.c1p = c1PercentFromCounts(scratch, c1pTotal_, profile.wcetDistribution);
     c1pMemoCounts_ = c1pCounts_;
     c1pMemoValue_ = m.c1p;
   }
@@ -411,8 +465,8 @@ DesignMetrics IncrementalMetrics::metrics(const FutureProfile& profile) {
     m.c1m = c1mMemoValue_;
   } else {
     scratch.counts = c1mCounts_;
-    m.c1m = c1PercentFromCounts(scratch.counts, c1mTotal_,
-                                profile.messageSizeDistribution, scratch.runs);
+    m.c1m = c1PercentFromCounts(scratch, c1mTotal_,
+                                profile.messageSizeDistribution);
     c1mMemoCounts_ = c1mCounts_;
     c1mMemoValue_ = m.c1m;
   }

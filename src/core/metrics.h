@@ -77,7 +77,9 @@ using ValueCounts = std::vector<std::pair<std::int64_t, std::int64_t>>;
 /// per-node per-window free ticks with row minima, and per-window bus free
 /// ticks — and re-derives only the nodes / slot occurrences named dirty (by
 /// the platform journal, see PlatformState::journal) since the last
-/// evaluation. Every maintained quantity is integral and order-independent
+/// evaluation. Within a dirty node, only the free intervals that differ from
+/// the snapshot enter or leave the C1 multiset. Every maintained quantity
+/// is integral and order-independent
 /// (a multiset or a sum), so metrics() is bit-identical to
 /// computeMetrics(extractSlack(state), profile) by construction; the
 /// property suites assert exactly that equality.
@@ -120,7 +122,7 @@ class IncrementalMetrics {
   std::vector<Time> nodeMin_;          ///< per node: min in-window slack
   std::vector<Time> slotUsed_;         ///< [slot * roundCount_ + round]
   std::vector<Time> busWin_;           ///< per window: bus free ticks
-  IntervalSet scratchSet_;             ///< unchanged-node early-out buffer
+  IntervalSet scratchSet_;             ///< a node's new free set, to diff
 
   ValueCounts c1pCounts_;  ///< node free interval lengths, ascending
   std::int64_t c1pTotal_ = 0;

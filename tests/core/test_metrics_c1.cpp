@@ -3,7 +3,12 @@
 // 75% when fragmented.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+
 #include "core/metrics.h"
+#include "util/rng.h"
 
 namespace ides {
 namespace {
@@ -55,6 +60,117 @@ TEST(BestFit, ReusesResidualCapacity) {
 TEST(BestFit, EmptyInputs) {
   EXPECT_EQ(bestFitUnpacked({}, {10, 20}), 0);
   EXPECT_EQ(bestFitUnpacked({5, 5}, {}), 10);
+}
+
+TEST(BestFit, RunEndingInsideAContainerKeepsItsLeftover) {
+  // Two 30s end inside the 100; its 40 leftover takes two 20s, not three.
+  EXPECT_EQ(bestFitUnpacked({30, 30, 20, 20}, {100}), 0);
+  EXPECT_EQ(bestFitUnpacked({30, 30, 20, 20, 20}, {100}), 20);
+  // Bus-shaped: four 30s use up one 100 (leaving 10) and end inside the
+  // next (leaving 70); seven 25s fill the 70 down to 20, then the last 100,
+  // and the seventh fits nowhere.
+  std::vector<std::int64_t> items(4, 30);
+  items.insert(items.end(), 7, 25);
+  EXPECT_EQ(bestFitUnpacked(items, {100, 100, 100}), 25);
+}
+
+TEST(BestFit, NonPositiveCapacitiesHoldNothing) {
+  EXPECT_EQ(bestFitUnpacked({5, 5}, {0, -10, 5}), 5);
+  EXPECT_EQ(bestFitUnpacked({1}, {0, 0, -1}), 1);
+}
+
+/// Reference: place the items one by one into the smallest container that
+/// still takes them, over a per-item std::multiset. Also counts the runs
+/// of equal items that end part-way through a container (one that could
+/// still take another item of the run).
+struct ReferenceFit {
+  std::int64_t unpacked = 0;
+  int partialRuns = 0;
+};
+
+ReferenceFit referenceBestFit(const std::vector<std::int64_t>& itemsDesc,
+                              const std::vector<std::int64_t>& containers) {
+  std::multiset<std::int64_t> open(containers.begin(), containers.end());
+  ReferenceFit out;
+  for (std::size_t i = 0; i < itemsDesc.size(); ++i) {
+    const std::int64_t item = itemsDesc[i];
+    std::int64_t rest = -1;
+    const auto it = open.lower_bound(item);
+    if (it == open.end()) {
+      out.unpacked += item;
+    } else {
+      rest = *it - item;
+      open.erase(it);
+      open.insert(rest);
+    }
+    const bool runEnds = i + 1 == itemsDesc.size() || itemsDesc[i + 1] != item;
+    if (runEnds && rest >= item) out.partialRuns += 1;
+  }
+  return out;
+}
+
+TEST(BestFit, MatchesPerItemMultisetOnRandomCases) {
+  // Four shapes, 2500 seeded cases each: bus-shaped (a few capacities,
+  // many copies), spread capacities with zeros and negatives mixed in, an
+  // item larger than every container, and few large containers that the
+  // runs end part-way through.
+  Rng rng(20240611);
+  int busShaped = 0;
+  int nonPositive = 0;
+  int biggerItem = 0;
+  int partialRun = 0;
+  for (int c = 0; c < 10000; ++c) {
+    const int shape = c % 4;
+    std::vector<std::int64_t> containers;
+    if (shape == 0) {
+      const std::int64_t copies = rng.uniformInt(1, 96);
+      for (std::int64_t d = rng.uniformInt(1, 8); d > 0; --d) {
+        const std::int64_t size = rng.uniformInt(1, 64);
+        containers.insert(containers.end(), copies, size);
+      }
+    } else if (shape == 1) {
+      for (std::int64_t i = rng.uniformInt(0, 120); i > 0; --i) {
+        containers.push_back(rng.uniformInt(-20, 300));
+      }
+    } else if (shape == 2) {
+      for (std::int64_t i = rng.uniformInt(1, 60); i > 0; --i) {
+        containers.push_back(rng.uniformInt(1, 150));
+      }
+    } else {
+      for (std::int64_t i = rng.uniformInt(1, 4); i > 0; --i) {
+        containers.push_back(rng.uniformInt(200, 2000));
+      }
+    }
+    rng.shuffle(containers);
+
+    std::vector<std::int64_t> items;
+    for (std::int64_t r = rng.uniformInt(1, 6); r > 0; --r) {
+      const std::int64_t length = rng.uniformInt(1, 80);
+      const std::int64_t value = rng.uniformInt(1, shape == 0 ? 40 : 160);
+      items.insert(items.end(), length, value);
+    }
+    if (shape == 2) items.push_back(151);  // larger than every container
+    std::sort(items.begin(), items.end(), std::greater<>());
+
+    const ReferenceFit expected = referenceBestFit(items, containers);
+    ASSERT_EQ(bestFitUnpacked(items, containers), expected.unpacked)
+        << "case " << c << " (shape " << shape << ")";
+    std::int64_t largest = 0;
+    bool hasNonPositive = false;
+    for (const std::int64_t v : containers) {
+      largest = std::max(largest, v);
+      hasNonPositive = hasNonPositive || v <= 0;
+    }
+    if (shape == 0 && containers.size() >= 64) busShaped += 1;
+    if (hasNonPositive && largest > 0) nonPositive += 1;
+    if (items.front() > largest) biggerItem += 1;
+    if (expected.partialRuns > 0) partialRun += 1;
+  }
+  // Every feature the batched packing special-cases was exercised often.
+  EXPECT_GT(busShaped, 1000);
+  EXPECT_GT(nonPositive, 1000);
+  EXPECT_GE(biggerItem, 2500);
+  EXPECT_GT(partialRun, 1000);
 }
 
 TEST(LargestFutureDemand, FillsUpToTotalSlack) {
