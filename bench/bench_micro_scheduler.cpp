@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "arch/architecture.h"
 #include "core/evaluator.h"
@@ -71,6 +72,35 @@ void BM_ScheduleCurrentApplication(benchmark::State& state) {
                           static_cast<std::int64_t>(state.range(0)));
 }
 BENCHMARK(BM_ScheduleCurrentApplication)->Arg(40)->Arg(80)->Arg(160)->Arg(320);
+
+// The EvalContext rewind in isolation: the current application's schedule
+// is committed onto a journaled copy of the frozen base once, then every
+// iteration rolls it back to the floor (arg 0, a full-pass rewind) or to the
+// journal's midpoint (arg 1, a mid-graph mark) and re-applies the undone
+// records untimed. Only rollbackTo is on the clock.
+void BM_JournalRollback(benchmark::State& state) {
+  Instance& inst = instanceFor(320);
+  const SystemModel& sys = inst.suite.system;
+  ScheduleRequest req;
+  req.graphs = sys.graphsOfKind(AppKind::Current);
+  req.mapping = &inst.mapping;
+  PlatformState journaled = inst.frozen.state;
+  journaled.setJournaling(true);
+  scheduleGraphs(sys, req, journaled);
+  const std::vector<PlatformState::JournalEntry> records = journaled.journal();
+  const PlatformState::Mark target =
+      state.range(0) == 0 ? 0 : records.size() / 2;
+  for (auto _ : state) {
+    journaled.rollbackTo(target);
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    journaled.replay(records.data() + target, records.data() + records.size());
+    state.ResumeTiming();
+  }
+  state.SetLabel(state.range(0) == 0 ? "floor" : "mid-graph");
+  state.counters["undone"] = static_cast<double>(records.size() - target);
+}
+BENCHMARK(BM_JournalRollback)->Arg(0)->Arg(1);
 
 void BM_SlackExtraction(benchmark::State& state) {
   Instance& inst = instanceFor(80);

@@ -61,6 +61,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include <chrono>
@@ -85,6 +86,7 @@
 #include "tgen/benchmark_suite.h"
 #include "tgen/profile_presets.h"
 #include "util/log.h"
+#include "util/parse_number.h"
 #include "util/provenance.h"
 #include "util/stop_token.h"
 
@@ -204,7 +206,9 @@ void usage() {
       "  --tmin T --tneed T --bneed B  future profile for --model runs");
 }
 
-bool parse(int argc, char** argv, CliArgs& args) {
+/// Numeric flag values parse strictly (util/parse_number.h): a bad one is
+/// reported by name and fails the parse, so main exits 2.
+bool parse(int argc, char** argv, CliArgs& args) try {
   if (argc < 2) return false;
   args.command = argv[1];
   int i = 2;
@@ -258,29 +262,29 @@ bool parse(int argc, char** argv, CliArgs& args) {
     const std::string value = argv[i + 1];
     i += 2;
     if (flag == "--nodes") {
-      args.nodes = std::stoul(value);
+      args.nodes = parseNumber<std::size_t>(flag, value, 1);
     } else if (flag == "--existing") {
-      args.existing = std::stoul(value);
+      args.existing = parseNumber<std::size_t>(flag, value);
     } else if (flag == "--current") {
-      args.current = std::stoul(value);
+      args.current = parseNumber<std::size_t>(flag, value);
     } else if (flag == "--seed") {
-      args.seed = std::stoull(value);
+      args.seed = parseNumber<std::uint64_t>(flag, value);
     } else if (flag == "--strategy") {
       args.strategy = value;
     } else if (flag == "--sa-iters") {
-      args.saIterations = std::stoi(value);
+      args.saIterations = parseNumber(flag, value, 0);
     } else if (flag == "--restarts") {
-      args.restarts = std::stoi(value);
+      args.restarts = parseNumber(flag, value, 0);
     } else if (flag == "--threads") {
-      args.threads = std::stoi(value);
+      args.threads = parseNumber(flag, value, 0);
     } else if (flag == "--spec-workers") {
-      args.specWorkers = std::stoi(value);
+      args.specWorkers = parseNumber(flag, value, 0);
     } else if (flag == "--spec-depth") {
-      args.specDepth = std::stoi(value);
+      args.specDepth = parseNumber(flag, value, 0);
     } else if (flag == "--suite") {
       args.suiteName = value;
     } else if (flag == "--shards") {
-      args.shards = std::stoi(value);
+      args.shards = parseNumber(flag, value, 0);
     } else if (flag == "--scale") {
       args.scaleName = value;
     } else if (flag == "--store-dir") {
@@ -290,21 +294,21 @@ bool parse(int argc, char** argv, CliArgs& args) {
     } else if (flag == "--worker") {
       args.workerDir = value;
     } else if (flag == "--lease-seconds") {
-      args.leaseSeconds = std::stod(value);
+      args.leaseSeconds = parseNumber(flag, value, 0.0);
     } else if (flag == "--cancel-after") {
-      args.cancelAfter = std::stoi(value);
+      args.cancelAfter = parseNumber(flag, value, 0);
     } else if (flag == "--epoch") {
-      args.gcEpoch = std::stoll(value);
+      args.gcEpoch = parseNumber<std::int64_t>(flag, value, 0);
     } else if (flag == "--older-than") {
       args.olderThan = value;
     } else if (flag == "--deadline") {
-      args.deadlineSeconds = std::stod(value);
+      args.deadlineSeconds = parseNumber(flag, value, 0.0);
     } else if (flag == "--scenario") {
       args.scenarioFile = value;
     } else if (flag == "--scenario-out") {
       args.scenarioOut = value;
     } else if (flag == "--steps") {
-      args.steps = std::stoi(value);
+      args.steps = parseNumber(flag, value, 0);
     } else if (flag == "--policy") {
       args.policyName = value;
     } else if (flag == "--log-level") {
@@ -317,23 +321,26 @@ bool parse(int argc, char** argv, CliArgs& args) {
       }
       args.logLevel = value;
     } else if (flag == "--step-deadline") {
-      args.stepDeadlineSeconds = std::stod(value);
+      args.stepDeadlineSeconds = parseNumber(flag, value, 0.0);
     } else if (flag == "--out") {
       args.outFile = value;
     } else if (flag == "--model") {
       args.modelFile = value;
     } else if (flag == "--tmin") {
-      args.tmin = std::stoll(value);
+      args.tmin = parseNumber<Time>(flag, value, 0);
     } else if (flag == "--tneed") {
-      args.tneed = std::stoll(value);
+      args.tneed = parseNumber<Time>(flag, value, 0);
     } else if (flag == "--bneed") {
-      args.bneed = std::stoll(value);
+      args.bneed = parseNumber<std::int64_t>(flag, value, 0);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
     }
   }
   return true;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return false;
 }
 
 Suite makeSuite(const CliArgs& args) {

@@ -114,17 +114,13 @@ void PlatformState::rollbackTo(Mark m) {
   if (m > journal_.size()) {
     throw std::logic_error("rollbackTo: mark ahead of the journal");
   }
-  // The undone occupies are pairwise disjoint (each saw the range free), so
-  // order does not matter: bus ticks subtract directly, and each touched
-  // node gets one batched subtraction pass instead of a per-interval
-  // rewrite. Transmissions pack from the slot front, so freeing the ticks
-  // restores exactly the position the next findBusSlot would hand out.
-  static thread_local std::vector<std::pair<std::uint32_t, Interval>> undo;
-  undo.clear();
-  for (std::size_t i = m; i < journal_.size(); ++i) {
+  // Newest-first, so every undo lands on the state just before its record
+  // was committed. Transmissions pack from the slot front, so freeing the
+  // ticks restores exactly the position the next findBusSlot would hand out.
+  for (std::size_t i = journal_.size(); i-- > m;) {
     const JournalEntry& e = journal_[i];
     if (e.kind == JournalEntry::Kind::Node) {
-      undo.emplace_back(e.index, e.iv);
+      nodeBusy_[e.index].subtract(e.iv);
     } else {
       slotUsed_[e.index][static_cast<std::size_t>(e.round)] -= e.txTicks;
       // The freed ticks reopen this round: lower the cursor so findBusSlot
@@ -133,20 +129,6 @@ void PlatformState::rollbackTo(Mark m) {
     }
   }
   journal_.resize(m);
-  std::sort(undo.begin(), undo.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second.start < b.second.start;
-            });
-  static thread_local std::vector<Interval> run;
-  for (std::size_t i = 0; i < undo.size();) {
-    const std::uint32_t node = undo[i].first;
-    run.clear();
-    for (; i < undo.size() && undo[i].first == node; ++i) {
-      run.push_back(undo[i].second);
-    }
-    nodeBusy_[node].subtractSorted(run.data(), run.data() + run.size());
-  }
 }
 
 void PlatformState::replay(const JournalEntry* first,

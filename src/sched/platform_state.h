@@ -5,10 +5,12 @@
 // each candidate mapping of the current application is then scheduled on
 // top. Historically every evaluation copied the whole baseline; the journal
 // (see setJournaling/mark/rollbackTo) turns that into checkpoint + undo:
-// every occupy is recorded, and rolling back to a mark replays the records
-// in reverse. EvalContext keeps ONE journaled state per thread and rewinds
-// it to the checkpoint before the first graph a move affects, which is what
-// makes incremental re-evaluation cheap.
+// every occupy is recorded, and rolling back to a mark undoes the records
+// newest-first, each by its exact inverse (the node interval is subtracted,
+// the bus ticks are handed back). A rewind therefore costs what it undoes,
+// not what the state holds. EvalContext keeps ONE journaled state per
+// thread and rewinds it to the checkpoint before the first graph a move
+// affects, which is what makes incremental re-evaluation cheap.
 #pragma once
 
 #include <cstdint>
@@ -102,9 +104,13 @@ class PlatformState {
   /// Current journal position. Only meaningful while journaling.
   [[nodiscard]] Mark mark() const { return journal_.size(); }
 
-  /// Undo every occupy recorded after `m`, restoring the exact occupancy
-  /// the state had when mark() returned `m`. Throws std::logic_error if
-  /// `m` is ahead of the journal or journaling is off.
+  /// Undo every occupy recorded after `m`, newest-first, each by its exact
+  /// inverse: records never overlap each other or the floor, so
+  /// subtracting a node record's interval removes exactly the ticks its
+  /// occupy added, and a bus record gives its ticks back and lowers the
+  /// slot cursor. Restores the exact occupancy the state had when mark()
+  /// returned `m`, in time linear in the records undone. Throws
+  /// std::logic_error if `m` is ahead of the journal or journaling is off.
   void rollbackTo(Mark m);
 
   struct JournalEntry {

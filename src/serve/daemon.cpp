@@ -10,6 +10,7 @@
 #include "obs/telemetry.h"
 #include "util/json_reader.h"
 #include "util/log.h"
+#include "util/parse_number.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -26,26 +27,26 @@ bool applyOption(std::string_view key, const std::string& value,
     if (key == "bind") {
       options.bindAddress = value;
     } else if (key == "port") {
-      options.port = std::stoi(value);
+      options.port = parseNumber<int>(key, value);
       if (options.port < 0 || options.port > 65535) {
         error = "port out of range: " + value;
         return false;
       }
     } else if (key == "workers") {
-      options.workers = std::stoi(value);
+      options.workers = parseNumber<int>(key, value);
       if (options.workers < 1) {
         error = "workers must be >= 1";
         return false;
       }
     } else if (key == "max-queued") {
-      const int queued = std::stoi(value);
+      const int queued = parseNumber<int>(key, value);
       if (queued < 1) {
         error = "max-queued must be >= 1";
         return false;
       }
       options.maxQueued = static_cast<std::size_t>(queued);
     } else if (key == "retain-finished") {
-      options.retainFinished = std::stoi(value);
+      options.retainFinished = parseNumber<int>(key, value);
       if (options.retainFinished < 0) {
         error = "retain-finished must be >= 0";
         return false;
@@ -68,8 +69,8 @@ bool applyOption(std::string_view key, const std::string& value,
       error = "unknown option \"" + std::string(key) + "\"";
       return false;
     }
-  } catch (const std::exception&) {
-    error = "bad value for " + std::string(key) + ": " + value;
+  } catch (const std::exception& e) {
+    error = std::string("bad value for ") + e.what();
     return false;
   }
   return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <ostream>
 
 namespace ides {
@@ -18,26 +19,28 @@ void IntervalSet::add(Interval iv) {
   if (iv.empty()) return;
   // Find the first member that ends at or after iv.start (touching counts,
   // so adjacent intervals coalesce into one).
-  auto first = std::lower_bound(
+  const auto first = std::lower_bound(
       intervals_.begin(), intervals_.end(), iv,
       [](const Interval& a, const Interval& b) { return a.end < b.start; });
-  // Find one past the last member that starts at or before iv.end.
-  auto last = first;
-  while (last != intervals_.end() && last->start <= iv.end) {
-    iv.start = std::min(iv.start, last->start);
-    iv.end = std::max(iv.end, last->end);
-    ++last;
+  if (first == intervals_.end() || first->start > iv.end) {
+    intervals_.insert(first, iv);  // touches nothing
+    checkInvariant();
+    return;
   }
-  auto pos = intervals_.erase(first, last);
-  intervals_.insert(pos, iv);
+  // Coalesce into the first absorbed member in place; only a bridge across
+  // further members shifts the vector, once.
+  auto last = std::next(first);
+  while (last != intervals_.end() && last->start <= iv.end) ++last;
+  first->start = std::min(first->start, iv.start);
+  first->end = std::max(std::prev(last)->end, iv.end);
+  intervals_.erase(std::next(first), last);
   checkInvariant();
 }
 
 void IntervalSet::subtract(Interval iv) {
   if (iv.empty() || intervals_.empty()) return;
-  // Locate the overlapping run with binary search and rewrite only it; the
-  // journal rollback path subtracts one interval at a time from large sets,
-  // where rebuilding the whole vector per call dominated.
+  // Locate the overlapping run with binary search and rewrite only it: the
+  // journal rollback subtracts one record at a time from large sets.
   const auto first = std::lower_bound(
       intervals_.begin(), intervals_.end(), iv,
       [](const Interval& a, const Interval& b) { return a.end <= b.start; });
@@ -45,38 +48,22 @@ void IntervalSet::subtract(Interval iv) {
   while (last != intervals_.end() && last->start < iv.end) ++last;
   if (first == last) return;  // no overlap
 
-  // Clipped edges of the outermost overlapped members survive.
+  // Clipped edges of the outermost overlapped members survive; they are
+  // written into the run's own slots, so only a split (one member, both
+  // edges left) inserts, and only a run wider than its survivors erases.
   const Interval head{first->start, iv.start};
   const Interval tail{iv.end, std::prev(last)->end};
-  auto pos = intervals_.erase(first, last);
-  if (!tail.empty()) pos = intervals_.insert(pos, tail);
-  if (!head.empty()) intervals_.insert(pos, head);
-  checkInvariant();
-}
-
-void IntervalSet::subtractSorted(const Interval* begin, const Interval* end) {
-  if (begin == end || intervals_.empty()) return;
-  if (std::next(begin) == end) {
-    subtract(*begin);
-    return;
-  }
-  // Build the survivor list in a reused buffer, then copy back into the
-  // member vector's existing capacity — the rollback hot path stays
-  // allocation-free after warm-up.
-  static thread_local std::vector<Interval> buffer;
-  buffer.clear();
-  const Interval* cut = begin;
-  for (const Interval& member : intervals_) {
-    Time cursor = member.start;
-    while (cut != end && cut->end <= cursor) ++cut;
-    const Interval* c = cut;
-    for (; c != end && c->start < member.end; ++c) {
-      if (c->start > cursor) buffer.push_back({cursor, c->start});
-      cursor = std::max(cursor, c->end);
+  auto out = first;
+  if (!head.empty()) *out++ = head;
+  if (!tail.empty()) {
+    if (out == last) {
+      intervals_.insert(out, tail);
+      checkInvariant();
+      return;
     }
-    if (cursor < member.end) buffer.push_back({cursor, member.end});
+    *out++ = tail;
   }
-  intervals_.assign(buffer.begin(), buffer.end());
+  intervals_.erase(out, last);
   checkInvariant();
 }
 

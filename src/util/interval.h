@@ -46,16 +46,17 @@ class IntervalSet {
   explicit IntervalSet(std::vector<Interval> intervals);
 
   /// Insert an interval, merging with any overlapping/touching members.
+  /// Coalesces into the first absorbed member in place: the vector shifts
+  /// only when nothing touches (one insert) or the interval bridges
+  /// members (one erase).
   void add(Interval iv);
 
   /// Remove [iv.start, iv.end) from the set, splitting members as needed.
+  /// The surviving edges are written into the slots of the members they
+  /// come from. Subtracting an interval that add() just coalesced in is
+  /// therefore a shrink, one erase or one insert (a split): the journal
+  /// rollback undoes every node occupy this way.
   void subtract(Interval iv);
-
-  /// Remove every interval of [begin, end) — sorted by start, pairwise
-  /// non-overlapping — in one linear pass. Equivalent to subtracting them
-  /// one by one; the journal rollback undoes whole scheduling suffixes this
-  /// way instead of paying a per-interval rewrite.
-  void subtractSorted(const Interval* begin, const Interval* end);
 
   /// Total covered length.
   [[nodiscard]] Time totalLength() const;

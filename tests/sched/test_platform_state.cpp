@@ -310,5 +310,118 @@ TEST(PlatformStateCursor, MatchesLinearScanUnderRandomChurn) {
   }
 }
 
+// ---- exact-inverse rollback under node + bus churn -----------------------
+// rollbackTo undoes each record by its inverse, newest first. Whatever the
+// interleaving of coalescing node occupies, bus occupies and rollbacks, the
+// result must equal the floor with the surviving journal records
+// re-occupied onto it.
+
+/// A free interval on `node` that touches a busy neighbour when possible
+/// (so the occupy coalesces), else a random free fit; nullopt if none.
+std::optional<Interval> pickNodeInterval(Rng& rng, const PlatformState& st,
+                                         NodeId node) {
+  const std::vector<Interval>& busy = st.nodeBusy(node).intervals();
+  if (!busy.empty() && rng.chance(0.75)) {
+    const std::size_t k = rng.index(busy.size());
+    if (rng.chance(0.5)) {
+      // Grow member k to the right, up to (and sometimes onto) the next.
+      const Time gapEnd =
+          k + 1 < busy.size() ? busy[k + 1].start : st.horizon();
+      const Time gap = gapEnd - busy[k].end;
+      if (gap > 0) {
+        const Time len = rng.chance(0.3) ? gap : rng.uniformInt(1, gap);
+        return Interval{busy[k].end, busy[k].end + len};
+      }
+    } else {
+      // Grow member k to the left, down to (and sometimes onto) the last.
+      const Time gapStart = k > 0 ? busy[k - 1].end : 0;
+      const Time gap = busy[k].start - gapStart;
+      if (gap > 0) {
+        const Time len = rng.chance(0.3) ? gap : rng.uniformInt(1, gap);
+        return Interval{busy[k].start - len, busy[k].start};
+      }
+    }
+  }
+  const Time duration = rng.uniformInt(1, 12);
+  const Time start =
+      st.earliestFit(node, rng.uniformInt(0, st.horizon() - 1), duration);
+  if (start == kNoTime) return std::nullopt;
+  return Interval{start, start + duration};
+}
+
+TEST(PlatformStateJournal, RollbackMatchesReoccupiedSurvivorsUnderChurn) {
+  PlatformState st = makeState(800);  // 40 rounds, 2 nodes, 2 slots
+  // A non-empty floor that rollbacks must leave alone.
+  st.occupyNode(NodeId{0}, {0, 40});
+  st.occupyNode(NodeId{1}, {100, 130});
+  st.occupyBus(0, 0, 10);
+  st.occupyBus(1, 3, 4);
+  const PlatformState floor = st;
+  st.setJournaling(true);
+
+  Rng rng(2024);
+  int rollbacks = 0;
+  int coalescing = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double op = rng.uniform01();
+    if (op < 0.55) {
+      const NodeId node{static_cast<std::int32_t>(rng.index(2))};
+      const auto iv = pickNodeInterval(rng, st, node);
+      if (!iv.has_value()) continue;
+      const std::size_t before = st.nodeBusy(node).size();
+      st.occupyNode(node, *iv);
+      if (st.nodeBusy(node).size() <= before) ++coalescing;
+      continue;
+    }
+    if (op < 0.85) {
+      // Half the messages are ready at 0, so they fill rounds from the
+      // front and move the first-free-round cursor that rollbacks lower.
+      const std::size_t slot = rng.index(st.bus().slotCount());
+      const Time tx = rng.uniformInt(1, 10);
+      const Time ready =
+          rng.chance(0.5) ? 0 : rng.uniformInt(0, st.horizon() - 1);
+      const auto hit = st.findBusSlot(slot, ready, tx);
+      if (hit.has_value()) st.occupyBus(slot, hit->round, tx);
+      continue;
+    }
+    st.rollbackTo(static_cast<PlatformState::Mark>(
+        rng.uniformInt(0, static_cast<std::int64_t>(st.mark()))));
+    ++rollbacks;
+
+    PlatformState ref = floor;
+    for (const PlatformState::JournalEntry& e : st.journal()) {
+      if (e.kind == PlatformState::JournalEntry::Kind::Node) {
+        ref.occupyNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
+      } else {
+        ref.occupyBus(e.index, e.round, e.txTicks);
+      }
+    }
+    for (std::int32_t n = 0; n < 2; ++n) {
+      ASSERT_EQ(st.nodeBusy(NodeId{n}), ref.nodeBusy(NodeId{n}))
+          << "step " << step << ", node " << n;
+    }
+    for (std::size_t slot = 0; slot < st.bus().slotCount(); ++slot) {
+      for (std::int64_t r = 0; r < st.roundCount(); ++r) {
+        ASSERT_EQ(st.slotUsedTicks(slot, r), ref.slotUsedTicks(slot, r))
+            << "step " << step << ", slot " << slot << ", round " << r;
+      }
+      for (Time ready = 0; ready < st.horizon(); ready += 170) {
+        for (Time tx = 1; tx <= 10; tx += 3) {
+          const auto got = st.findBusSlot(slot, ready, tx);
+          const auto want = ref.findBusSlot(slot, ready, tx);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+          if (got.has_value()) {
+            EXPECT_EQ(got->round, want->round) << "step " << step;
+            EXPECT_EQ(got->start, want->start) << "step " << step;
+          }
+        }
+      }
+    }
+  }
+  // The churn must exercise what it claims to.
+  EXPECT_GT(rollbacks, 100);
+  EXPECT_GT(coalescing, 500);
+}
+
 }  // namespace
 }  // namespace ides

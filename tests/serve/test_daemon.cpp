@@ -368,6 +368,9 @@ TEST(ServeConfig, RejectsUnknownKeysAndBadValues) {
   EXPECT_NE(error.find("unknown option"), std::string::npos);
   EXPECT_FALSE(parseServeConfig("port zero\n", options, error));
   EXPECT_NE(error.find("bad value"), std::string::npos);
+  EXPECT_FALSE(parseServeConfig("port 8080x\n", options, error));
+  EXPECT_NE(error.find("bad value for port"), std::string::npos);
+  EXPECT_FALSE(parseServeConfig("workers 2.5\n", options, error));
   EXPECT_FALSE(parseServeConfig("port 70000\n", options, error));
   EXPECT_NE(error.find("out of range"), std::string::npos);
   EXPECT_FALSE(parseServeConfig("workers 0\n", options, error));

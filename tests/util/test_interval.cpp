@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace ides {
 namespace {
@@ -212,6 +219,130 @@ TEST_P(IntervalSetProperty, ComplementRoundTripsAndPartitions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty, ::testing::Range(0, 25));
+
+// ---- in-place add/subtract against a per-tick reference -------------------
+// add() coalesces into the first absorbed member and subtract() writes the
+// surviving edges into the slots it overlapped. These checks pin both
+// against a boolean per-tick model after every step, and count the shapes
+// the in-place paths tell apart so a generator drift cannot hide one.
+
+/// Maximal runs of set ticks: the only valid IntervalSet for `ticks`.
+std::vector<Interval> runsOf(const std::vector<bool>& ticks) {
+  std::vector<Interval> runs;
+  for (Time t = 0; t < static_cast<Time>(ticks.size()); ++t) {
+    if (!ticks[static_cast<std::size_t>(t)]) continue;
+    if (!runs.empty() && runs.back().end == t) {
+      ++runs.back().end;
+    } else {
+      runs.push_back({t, t + 1});
+    }
+  }
+  return runs;
+}
+
+/// Shape of add(iv) against the members before it.
+std::string addShape(const std::vector<Interval>& members, Interval iv) {
+  std::vector<Interval> touched;
+  for (const Interval& m : members) {
+    if (m.end >= iv.start && m.start <= iv.end) touched.push_back(m);
+  }
+  if (touched.empty()) return "add: isolated";
+  if (touched.size() == 1) {
+    if (touched[0].end == iv.start) return "add: touches left";
+    if (touched[0].start == iv.end) return "add: touches right";
+    return "add: overlaps one";
+  }
+  if (touched.size() == 2 && touched[0].end == iv.start &&
+      touched[1].start == iv.end) {
+    return "add: touches both sides";
+  }
+  return touched.size() >= 3 ? "add: bridges several" : "add: joins two";
+}
+
+/// Shape of subtract(iv) against the members before it.
+std::string subtractShape(const std::vector<Interval>& members, Interval iv) {
+  std::vector<Interval> hit;
+  for (const Interval& m : members) {
+    if (m.overlaps(iv)) hit.push_back(m);
+  }
+  if (hit.empty()) return "subtract: misses";
+  if (hit.size() > 1) return "subtract: spans members";
+  const bool head = hit[0].start < iv.start;
+  const bool tail = iv.end < hit[0].end;
+  if (head && tail) return "subtract: splits";
+  return head || tail ? "subtract: shrinks" : "subtract: erases";
+}
+
+/// Random interval in [0, horizon). Most are drawn against a member: ending
+/// on its left edge, starting on its right edge, inside it, running from
+/// inside it to another member's end, or filling the gap after it, so exact
+/// touches, gap fills, edge trims, splits and spans all come up.
+Interval randomInterval(Rng& rng, const IntervalSet& set, Time horizon) {
+  const std::vector<Interval>& members = set.intervals();
+  Time a = rng.uniformInt(0, horizon - 1);
+  Time b = a + rng.uniformInt(1, 24);
+  if (!members.empty() && rng.chance(0.7)) {
+    const std::size_t k = rng.index(members.size());
+    const Interval& m = members[k];
+    const auto inside = [&] { return rng.uniformInt(m.start, m.end); };
+    const std::size_t shape = rng.index(5);
+    if (shape == 0) {
+      b = m.start;
+      a = b - rng.uniformInt(1, 24);
+    } else if (shape == 1) {
+      a = m.end;
+      b = a + rng.uniformInt(1, 24);
+    } else if (shape == 2) {
+      a = inside();
+      b = inside();
+    } else if (shape == 3) {
+      a = inside();
+      b = rng.pick(members).end;
+    } else {
+      a = m.end;
+      b = k + 1 < members.size() ? members[k + 1].start : horizon;
+    }
+    if (a > b) std::swap(a, b);
+  }
+  a = std::clamp<Time>(a, 0, horizon - 1);
+  b = std::clamp<Time>(b, a + 1, horizon);
+  return {a, b};
+}
+
+TEST(IntervalSetInPlace, AddAndSubtractMatchPerTickReference) {
+  constexpr Time kHorizon = 300;
+  std::map<std::string, int> shapes;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    IntervalSet set;
+    std::vector<bool> ticks(kHorizon, false);
+    for (int step = 0; step < 400; ++step) {
+      const Interval iv = randomInterval(rng, set, kHorizon);
+      // Lean towards adds so the set stays populated.
+      const bool isAdd = rng.chance(0.55);
+      if (isAdd) {
+        ++shapes[addShape(set.intervals(), iv)];
+        set.add(iv);
+      } else {
+        ++shapes[subtractShape(set.intervals(), iv)];
+        set.subtract(iv);
+      }
+      for (Time t = iv.start; t < iv.end; ++t) {
+        ticks[static_cast<std::size_t>(t)] = isAdd;
+      }
+      ASSERT_EQ(set.intervals(), runsOf(ticks))
+          << "seed " << seed << ", step " << step << ", " << iv;
+    }
+  }
+  EXPECT_GT(shapes["add: touches left"], 0);
+  EXPECT_GT(shapes["add: touches right"], 0);
+  EXPECT_GT(shapes["add: touches both sides"], 0);
+  EXPECT_GT(shapes["add: bridges several"], 0);
+  EXPECT_GT(shapes["subtract: erases"], 0);
+  EXPECT_GT(shapes["subtract: shrinks"], 0);
+  EXPECT_GT(shapes["subtract: splits"], 0);
+  EXPECT_GT(shapes["subtract: spans members"], 0);
+}
 
 }  // namespace
 }  // namespace ides
