@@ -1,6 +1,7 @@
 #include "core/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -11,7 +12,7 @@ namespace {
 /// (value, count) runs of the trimmed largest-future-demand stream,
 /// descending by value — the compact form of largestFutureDemand that the
 /// hot path consumes without materializing one element per item.
-using DemandRuns = ValueCounts;
+using DemandRuns = std::vector<std::pair<std::int64_t, std::int64_t>>;
 
 /// Fills `runs` with the demand stream for `totalSlack`. The deterministic
 /// stream is runs of identical values in descending order (largest-
@@ -43,41 +44,11 @@ void demandRunsInto(const DiscreteDistribution& dist, std::int64_t totalSlack,
   }
 }
 
-/// First entry of an ascending run-length list whose value is >= v.
-ValueCounts::iterator lowerBound(ValueCounts& counts, std::int64_t v) {
-  return std::lower_bound(
-      counts.begin(), counts.end(), v,
-      [](const auto& entry, std::int64_t x) { return entry.first < x; });
-}
-
-/// Append (value, n) to a sorted run-length list, merging an equal last
-/// value.
-void pushCount(ValueCounts& counts, std::int64_t value, std::int64_t n) {
-  if (!counts.empty() && counts.back().first == value) {
-    counts.back().second += n;
-  } else {
-    counts.emplace_back(value, n);
-  }
-}
-
-/// Flat ordered multiset of container capacities: (capacity, count) pairs,
-/// ascending, reusing the caller's scratch. Only the multiset matters for
-/// the unpacked total, never container identity.
-using CapacityCounts = ValueCounts;
-
-void capacityCountsInto(std::vector<std::int64_t>& capacities,
-                        CapacityCounts& counts) {
-  std::sort(capacities.begin(), capacities.end());
-  counts.clear();
-  for (const std::int64_t c : capacities) {
-    if (c > 0) pushCount(counts, c, 1);
-  }
-}
-
-/// Splice buffers of bestFitUnpackedRuns, reused across runs and calls.
-struct PackBuffers {
-  CapacityCounts rests;   ///< remainders left by the containers one run used
-  CapacityCounts merged;  ///< the capacity multiset being rebuilt
+/// One edit the packing made to the capacity counts: `copies` containers
+/// of capacity `value` added (negative: removed).
+struct CountEdit {
+  std::int64_t value = 0;
+  std::int32_t copies = 0;
 };
 
 /// Best-fit-decreasing over run-length-encoded items and capacity counts.
@@ -87,66 +58,94 @@ struct PackBuffers {
 /// candidate, so the same container keeps absorbing items of the run until
 /// it drops below v. Each copy of capacity c therefore takes floor(c / v)
 /// items and leaves c mod v, which no later item of the run fits, so a run
-/// consumes whole (capacity, count) entries in ascending order; only the
-/// copy it ends in keeps a partly used leftover >= v. The remainders and
-/// that leftover are spliced back with one merge per run: the cost is
-/// O(K + d log d) per run, for K distinct capacities of which d are
-/// consumed, instead of one O(K) erase and insert per container consumed.
+/// consumes whole capacity classes, walking the present capacities upward
+/// from v; only the copy it ends in keeps a partly used leftover >= v. The
+/// remainders (< v) and the leftover (< c, and the run ends there) land
+/// below the walk, so they are written into the same counts as it goes:
+/// no copy of the multiset, no sort, no merge. Every edit is logged and the
+/// log is undone before returning, so `counts` comes back unchanged.
 std::int64_t bestFitUnpackedRuns(const DemandRuns& runs,
-                                 CapacityCounts& counts, PackBuffers& buf) {
+                                 CapacityCounts& counts,
+                                 std::vector<CountEdit>& log) {
+  log.clear();
+  const auto edit = [&](std::int64_t value, std::int64_t copies) {
+    const auto n = static_cast<std::int32_t>(copies);
+    if (n > 0) {
+      counts.add(value, n);
+    } else {
+      counts.remove(value, -n);
+    }
+    log.push_back({value, n});
+  };
   std::int64_t unpacked = 0;
   for (const auto& [item, runLength] : runs) {
     if (item <= 0) continue;
     std::int64_t remaining = runLength;
-    const auto first = lowerBound(counts, item);
-    auto last = first;
-    buf.rests.clear();
-    std::int64_t leftover = 0;
-    for (; last != counts.end() && remaining > 0; ++last) {
-      const auto [capacity, copies] = *last;
+    for (std::int64_t capacity = counts.firstAtLeast(item);
+         capacity >= 0 && remaining > 0;
+         capacity = counts.firstAtLeast(capacity + 1)) {
+      const std::int64_t copies = counts.count(capacity);
       const std::int64_t perCopy = capacity / item;
       const std::int64_t rest = capacity % item;
       if (remaining >= copies * perCopy) {
         remaining -= copies * perCopy;
-        if (rest > 0) buf.rests.emplace_back(rest, copies);
+        edit(capacity, -copies);
+        if (rest > 0) edit(rest, copies);
         continue;
       }
-      // The run ends inside this entry: `full` copies are used up and one
+      // The run ends inside this class: `full` copies are used up and one
       // more takes the last `remaining % perCopy` items.
       const std::int64_t full = remaining / perCopy;
       const std::int64_t partial = remaining % perCopy;
-      if (rest > 0 && full > 0) buf.rests.emplace_back(rest, full);
-      if (partial > 0) leftover = capacity - partial * item;
-      last->second -= full + (partial > 0 ? 1 : 0);
+      edit(capacity, -(full + (partial > 0 ? 1 : 0)));
+      if (rest > 0 && full > 0) edit(rest, full);
+      if (partial > 0) edit(capacity - partial * item, 1);
       remaining = 0;
-      if (last->second > 0) break;  // the entry keeps untouched copies
+      break;
     }
     unpacked += item * remaining;
-    if (first == last && buf.rests.empty() && leftover == 0) continue;
-
-    // Splice: remainders (< item) merge into the prefix below `first`, the
-    // leftover (>= item, below every capacity still at `last`) replaces
-    // the consumed entries.
-    std::sort(buf.rests.begin(), buf.rests.end());
-    buf.merged.clear();
-    auto next = buf.rests.begin();
-    for (auto it = counts.begin(); it != first; ++it) {
-      for (; next != buf.rests.end() && next->first <= it->first; ++next) {
-        pushCount(buf.merged, next->first, next->second);
-      }
-      pushCount(buf.merged, it->first, it->second);
+  }
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    if (it->copies > 0) {
+      counts.remove(it->value, it->copies);
+    } else {
+      counts.add(it->value, -it->copies);
     }
-    for (; next != buf.rests.end(); ++next) {
-      pushCount(buf.merged, next->first, next->second);
-    }
-    if (leftover > 0) buf.merged.emplace_back(leftover, 1);
-    buf.merged.insert(buf.merged.end(), last, counts.end());
-    std::swap(counts, buf.merged);
   }
   return unpacked;
 }
 
 }  // namespace
+
+std::int64_t CapacityCounts::firstAtLeast(std::int64_t value) const {
+  const auto v = static_cast<std::size_t>(std::max<std::int64_t>(value, 0));
+  if (v >= counts_.size()) return -1;
+  std::size_t w = v >> 6;
+  std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (v & 63));
+  if (bits == 0) {
+    // The next non-empty word, found through the summary: one read skips
+    // 64 words.
+    ++w;
+    std::size_t s = w >> 6;
+    if (s >= summary_.size()) return -1;
+    std::uint64_t present = summary_[s] & (~std::uint64_t{0} << (w & 63));
+    while (present == 0) {
+      if (++s == summary_.size()) return -1;
+      present = summary_[s];
+    }
+    w = (s << 6) + static_cast<std::size_t>(std::countr_zero(present));
+    bits = words_[w];
+  }
+  return static_cast<std::int64_t>(
+      (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+}
+
+void CapacityCounts::reset(std::int64_t maxValue) {
+  const auto size = static_cast<std::size_t>(maxValue) + 1;
+  counts_.assign(size, 0);
+  words_.assign((size + 63) / 64, 0);
+  summary_.assign((words_.size() + 63) / 64, 0);
+}
 
 std::vector<std::int64_t> largestFutureDemand(const DiscreteDistribution& dist,
                                               std::int64_t totalSlack) {
@@ -160,25 +159,37 @@ std::vector<std::int64_t> largestFutureDemand(const DiscreteDistribution& dist,
 }
 
 std::int64_t bestFitUnpacked(const std::vector<std::int64_t>& itemsDesc,
-                             std::vector<std::int64_t> containers) {
+                             const std::vector<std::int64_t>& containers) {
   DemandRuns runs;
-  for (const std::int64_t item : itemsDesc) pushCount(runs, item, 1);
+  for (const std::int64_t item : itemsDesc) {
+    if (!runs.empty() && runs.back().first == item) {
+      runs.back().second += 1;
+    } else {
+      runs.emplace_back(item, 1);
+    }
+  }
+  std::int64_t largest = 0;
+  for (const std::int64_t c : containers) largest = std::max(largest, c);
   CapacityCounts counts;
-  capacityCountsInto(containers, counts);
-  PackBuffers buf;
-  return bestFitUnpackedRuns(runs, counts, buf);
+  counts.reset(largest);
+  for (const std::int64_t c : containers) {
+    if (c > 0) counts.add(c);
+  }
+  std::vector<CountEdit> log;
+  return bestFitUnpackedRuns(runs, counts, log);
 }
 
 namespace {
 
 /// Per-thread scratch for the C1 computation: evaluated once per candidate
 /// solution, the container/demand buffers would otherwise be re-allocated
-/// thousands of times per optimization run.
+/// thousands of times per optimization run. `counts` is empty between
+/// calls.
 struct C1Scratch {
   std::vector<std::int64_t> containers;
   DemandRuns runs;
   CapacityCounts counts;
-  PackBuffers pack;
+  std::vector<CountEdit> log;
 };
 
 C1Scratch& c1Scratch() {
@@ -186,11 +197,12 @@ C1Scratch& c1Scratch() {
   return scratch;
 }
 
-/// C1 for one resource class from the capacity multiset in scratch.counts
-/// and its total. Consumes scratch.counts. Only the multiset enters the
-/// packing, so any producer that maintains the same multiset (notably
-/// IncrementalMetrics) gets the exact same doubles as a fresh extraction.
-double c1PercentFromCounts(C1Scratch& scratch, std::int64_t total,
+/// C1 for one resource class from its capacity counts and their total.
+/// Only the multiset enters the packing, so any producer that maintains
+/// the same multiset (notably IncrementalMetrics) gets the exact same
+/// doubles as a fresh extraction. `counts` comes back unchanged.
+double c1PercentFromCounts(C1Scratch& scratch, CapacityCounts& counts,
+                           std::int64_t total,
                            const DiscreteDistribution& dist) {
   demandRunsInto(dist, total, scratch.runs);
   std::int64_t demand = 0;
@@ -201,18 +213,30 @@ double c1PercentFromCounts(C1Scratch& scratch, std::int64_t total,
     return total > 0 ? 0.0 : 100.0;
   }
   const std::int64_t unpacked =
-      bestFitUnpackedRuns(scratch.runs, scratch.counts, scratch.pack);
+      bestFitUnpackedRuns(scratch.runs, counts, scratch.log);
   return 100.0 * static_cast<double>(unpacked) / static_cast<double>(demand);
 }
 
 /// C1 for one resource class: slack containers vs. the deterministic
-/// largest-future-application demand. Returns percent unpacked. Consumes
-/// scratch.containers.
+/// largest-future-application demand. Returns percent unpacked. The
+/// containers pass through scratch.counts, which is left empty again.
 double c1Percent(C1Scratch& scratch, const DiscreteDistribution& dist) {
   std::int64_t total = 0;
-  for (std::int64_t c : scratch.containers) total += c;
-  capacityCountsInto(scratch.containers, scratch.counts);
-  return c1PercentFromCounts(scratch, total, dist);
+  std::int64_t largest = 0;
+  for (const std::int64_t c : scratch.containers) {
+    total += c;
+    largest = std::max(largest, c);
+  }
+  CapacityCounts& counts = scratch.counts;
+  if (counts.maxValue() < largest) counts.reset(largest);
+  for (const std::int64_t c : scratch.containers) {
+    if (c > 0) counts.add(c);
+  }
+  const double percent = c1PercentFromCounts(scratch, counts, total, dist);
+  for (const std::int64_t c : scratch.containers) {
+    if (c > 0) counts.remove(c);
+  }
+  return percent;
 }
 
 }  // namespace
@@ -266,47 +290,25 @@ DesignMetrics computeMetrics(const SlackInfo& slack,
 
 // ---- IncrementalMetrics ---------------------------------------------------
 
-namespace {
-
-/// Insert one value into the ordered (value, count) multiset.
-void countsAdd(ValueCounts& counts, std::int64_t value) {
-  if (value <= 0) return;
-  const auto it = lowerBound(counts, value);
-  if (it != counts.end() && it->first == value) {
-    it->second += 1;
-  } else {
-    counts.insert(it, {value, 1});
-  }
-}
-
-/// Remove one value. The cache only ever removes what it added, so the
-/// value is always present.
-void countsRemove(ValueCounts& counts, std::int64_t value) {
-  if (value <= 0) return;
-  const auto it = lowerBound(counts, value);
-  if (--(it->second) == 0) counts.erase(it);
-}
-
-}  // namespace
-
 void IncrementalMetrics::refreshNode(const PlatformState& state,
                                      std::size_t n) {
   const NodeId id{static_cast<std::int32_t>(n)};
   // Rollback + replay commonly restores the exact occupancy (a rejected
   // move, or the untouched part of a partial rewind); recompute the free
-  // set first and bail before touching the multiset when nothing changed.
+  // set first and bail before touching the counts when nothing changed.
   state.nodeBusy(id).complementWithinInto({0, horizon_}, scratchSet_);
   IntervalSet& free = nodeFree_[n];
   if (scratchSet_ == free) return;
   // One sorted pass over both sets (each ordered by start, starts unique):
   // an interval present in both keeps its container, so only the gaps the
-  // move split, merged, shrank or grew touch the multiset.
+  // move split, merged, shrank or grew touch the counts. Members are
+  // non-empty, so every length is a valid capacity.
   const auto remove = [this](const Interval& iv) {
-    countsRemove(c1pCounts_, iv.length());
+    c1pCounts_.remove(iv.length());
     c1pTotal_ -= iv.length();
   };
   const auto add = [this](const Interval& iv) {
-    countsAdd(c1pCounts_, iv.length());
+    c1pCounts_.add(iv.length());
     c1pTotal_ += iv.length();
   };
   const std::vector<Interval>& before = free.intervals();
@@ -349,10 +351,11 @@ void IncrementalMetrics::refreshOccurrence(const PlatformState& state,
   if (oldUsed == newUsed) return;
   const TdmaBus& bus = state.bus();
   const Time len = bus.slot(slot).length;
-  countsRemove(c1mCounts_, (len - oldUsed) * bytesPerTick_);
-  c1mTotal_ -= (len - oldUsed) * bytesPerTick_;
-  countsAdd(c1mCounts_, (len - newUsed) * bytesPerTick_);
-  c1mTotal_ += (len - newUsed) * bytesPerTick_;
+  const std::int64_t oldBytes = (len - oldUsed) * bytesPerTick_;
+  const std::int64_t newBytes = (len - newUsed) * bytesPerTick_;
+  if (oldBytes > 0) c1mCounts_.remove(oldBytes);
+  if (newBytes > 0) c1mCounts_.add(newBytes);
+  c1mTotal_ += newBytes - oldBytes;
   if (windows_ > 0) {
     // The occurrence's free chunk is [slotStart + used, slotStart + len);
     // only the span between the two used marks flips state.
@@ -382,14 +385,13 @@ void IncrementalMetrics::rebuild(const PlatformState& state,
   const std::size_t nodes = state.nodeCount();
   nodeFree_.resize(nodes);
   nodeMin_.assign(nodes, 0);
-  C1Scratch& scratch = c1Scratch();
-  scratch.containers.clear();
+  c1pCounts_.reset(horizon_);
   c1pTotal_ = 0;
   for (std::size_t n = 0; n < nodes; ++n) {
     const NodeId id{static_cast<std::int32_t>(n)};
     state.nodeBusy(id).complementWithinInto({0, horizon_}, nodeFree_[n]);
     for (const Interval& iv : nodeFree_[n].intervals()) {
-      scratch.containers.push_back(iv.length());
+      c1pCounts_.add(iv.length());
       c1pTotal_ += iv.length();
     }
     if (windows_ > 0) {
@@ -401,12 +403,15 @@ void IncrementalMetrics::rebuild(const PlatformState& state,
       nodeMin_[n] = rowMin;
     }
   }
-  capacityCountsInto(scratch.containers, c1pCounts_);
 
   slotUsed_.assign(bus.slotCount() * static_cast<std::size_t>(roundCount_),
                    0);
   busWin_.assign(static_cast<std::size_t>(windows_), 0);
-  scratch.containers.clear();
+  Time longestSlot = 0;
+  for (std::size_t s = 0; s < bus.slotCount(); ++s) {
+    longestSlot = std::max(longestSlot, bus.slot(s).length);
+  }
+  c1mCounts_.reset(longestSlot * bytesPerTick_);
   c1mTotal_ = 0;
   for (std::size_t s = 0; s < bus.slotCount(); ++s) {
     const Time len = bus.slot(s).length;
@@ -416,7 +421,7 @@ void IncrementalMetrics::rebuild(const PlatformState& state,
                 static_cast<std::size_t>(r)] = used;
       const Time freeTicks = len - used;
       if (freeTicks <= 0) continue;
-      scratch.containers.push_back(freeTicks * bytesPerTick_);
+      c1mCounts_.add(freeTicks * bytesPerTick_);
       c1mTotal_ += freeTicks * bytesPerTick_;
       if (windows_ > 0) {
         const Time lo = bus.slotStart(r, s) + used;
@@ -431,8 +436,6 @@ void IncrementalMetrics::rebuild(const PlatformState& state,
       }
     }
   }
-  capacityCountsInto(scratch.containers, c1mCounts_);
-  memoValid_ = false;  // a rebuild may come with a different profile
   valid_ = true;
 }
 
@@ -453,24 +456,10 @@ DesignMetrics IncrementalMetrics::metrics(const FutureProfile& profile) {
   profile.validate();
   DesignMetrics m;
   C1Scratch& scratch = c1Scratch();
-  if (memoValid_ && c1pCounts_ == c1pMemoCounts_) {
-    m.c1p = c1pMemoValue_;
-  } else {
-    scratch.counts = c1pCounts_;
-    m.c1p = c1PercentFromCounts(scratch, c1pTotal_, profile.wcetDistribution);
-    c1pMemoCounts_ = c1pCounts_;
-    c1pMemoValue_ = m.c1p;
-  }
-  if (memoValid_ && c1mCounts_ == c1mMemoCounts_) {
-    m.c1m = c1mMemoValue_;
-  } else {
-    scratch.counts = c1mCounts_;
-    m.c1m = c1PercentFromCounts(scratch, c1mTotal_,
-                                profile.messageSizeDistribution);
-    c1mMemoCounts_ = c1mCounts_;
-    c1mMemoValue_ = m.c1m;
-  }
-  memoValid_ = true;
+  m.c1p = c1PercentFromCounts(scratch, c1pCounts_, c1pTotal_,
+                              profile.wcetDistribution);
+  m.c1m = c1PercentFromCounts(scratch, c1mCounts_, c1mTotal_,
+                              profile.messageSizeDistribution);
   if (windows_ > 0) {
     Time sumOfMins = 0;
     for (const Time v : nodeMin_) sumOfMins += v;

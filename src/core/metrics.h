@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/future_profile.h"
@@ -56,8 +55,9 @@ double objectiveValue(const DesignMetrics& metrics,
 /// C1 building block, exposed for tests and the ablation benches:
 /// best-fit-decreasing packing of `items` into `containers`; returns the
 /// total size of items that do not fit. Items must be sorted descending.
+/// Runs the same in-place packing as the metrics.
 std::int64_t bestFitUnpacked(const std::vector<std::int64_t>& itemsDesc,
-                             std::vector<std::int64_t> containers);
+                             const std::vector<std::int64_t>& containers);
 
 /// The deterministic "largest future application" demand stream for a given
 /// amount of total slack: values drawn from `dist` whose sum does not exceed
@@ -65,22 +65,65 @@ std::int64_t bestFitUnpacked(const std::vector<std::int64_t>& itemsDesc,
 std::vector<std::int64_t> largestFutureDemand(const DiscreteDistribution& dist,
                                               std::int64_t totalSlack);
 
-/// Ordered (value, count) multiset in run-length form — the compact
-/// container/demand representation shared by the packing helpers and the
-/// incremental metrics cache.
-using ValueCounts = std::vector<std::pair<std::int64_t, std::int64_t>>;
+/// Multiset of C1 container capacities over [0, max] in dense form: an
+/// int32 count per capacity, plus a presence bitmap with a summary bit per
+/// 64-value word. Adding or removing one container is O(1), and
+/// firstAtLeast reads one word per 64 absent values, one summary word per
+/// 4096. Memory is 4 bytes per value: 64 KB at the paper's 16 000-tick
+/// horizon.
+class CapacityCounts {
+ public:
+  /// Empty multiset over [0, maxValue].
+  void reset(std::int64_t maxValue);
+  /// -1 until the first reset.
+  [[nodiscard]] std::int64_t maxValue() const {
+    return static_cast<std::int64_t>(counts_.size()) - 1;
+  }
+
+  /// Add `copies` > 0 containers of capacity `value` in [0, maxValue()].
+  void add(std::int64_t value, std::int32_t copies = 1) {
+    const auto v = static_cast<std::size_t>(value);
+    if (counts_[v] == 0) {
+      words_[v >> 6] |= std::uint64_t{1} << (v & 63);
+      summary_[v >> 12] |= std::uint64_t{1} << ((v >> 6) & 63);
+    }
+    counts_[v] += copies;
+  }
+  /// Remove `copies` of `value`, which must hold at least that many; the
+  /// last copy clears the value's presence.
+  void remove(std::int64_t value, std::int32_t copies = 1) {
+    const auto v = static_cast<std::size_t>(value);
+    if ((counts_[v] -= copies) != 0) return;
+    std::uint64_t& word = words_[v >> 6];
+    word &= ~(std::uint64_t{1} << (v & 63));
+    if (word == 0) {
+      summary_[v >> 12] &= ~(std::uint64_t{1} << ((v >> 6) & 63));
+    }
+  }
+  [[nodiscard]] std::int32_t count(std::int64_t value) const {
+    return counts_[static_cast<std::size_t>(value)];
+  }
+
+  /// Smallest present capacity >= `value`, or -1 if there is none.
+  [[nodiscard]] std::int64_t firstAtLeast(std::int64_t value) const;
+
+ private:
+  std::vector<std::int32_t> counts_;
+  std::vector<std::uint64_t> words_;    ///< bit v: counts_[v] > 0
+  std::vector<std::uint64_t> summary_;  ///< bit w: words_[w] != 0
+};
 
 /// Incrementally maintained DesignMetrics over a journaled PlatformState.
 ///
 /// Keeps a snapshot of every occupancy-derived quantity the metrics read —
-/// per-node free IntervalSets, the C1 capacity multisets with their totals,
+/// per-node free IntervalSets, the C1 capacity counts with their totals,
 /// per-node per-window free ticks with row minima, and per-window bus free
 /// ticks — and re-derives only the nodes / slot occurrences named dirty (by
 /// the platform journal, see PlatformState::journal) since the last
 /// evaluation. Within a dirty node, only the free intervals that differ from
-/// the snapshot enter or leave the C1 multiset. Every maintained quantity
-/// is integral and order-independent
-/// (a multiset or a sum), so metrics() is bit-identical to
+/// the snapshot enter or leave the C1 counts, one O(1) counter update each.
+/// Every maintained quantity is integral and order-independent (a multiset
+/// or a sum), so metrics() is bit-identical to
 /// computeMetrics(extractSlack(state), profile) by construction; the
 /// property suites assert exactly that equality.
 class IncrementalMetrics {
@@ -101,9 +144,8 @@ class IncrementalMetrics {
               const std::vector<std::uint64_t>& dirtyOccurrences);
 
   /// Metrics of the snapshot occupancy. Requires valid(). Non-const: the
-  /// C1 packing result is memoized per capacity multiset, so evaluations
-  /// that left a class's multiset untouched (common for the bus under
-  /// process-only moves) skip the packing entirely.
+  /// C1 packing edits the capacity counts in place and undoes its edits
+  /// before it returns.
   [[nodiscard]] DesignMetrics metrics(const FutureProfile& profile);
 
  private:
@@ -124,20 +166,10 @@ class IncrementalMetrics {
   std::vector<Time> busWin_;           ///< per window: bus free ticks
   IntervalSet scratchSet_;             ///< a node's new free set, to diff
 
-  ValueCounts c1pCounts_;  ///< node free interval lengths, ascending
+  CapacityCounts c1pCounts_;  ///< node free interval lengths, [0, horizon]
   std::int64_t c1pTotal_ = 0;
-  ValueCounts c1mCounts_;  ///< occurrence free bytes, ascending
+  CapacityCounts c1mCounts_;  ///< occurrence free bytes, [0, longest slot]
   std::int64_t c1mTotal_ = 0;
-
-  /// Packing memo per C1 class: the percent for the exact multiset last
-  /// packed. The packing is a pure function of (multiset, distribution) and
-  /// the distribution is fixed per run, so equality of the multiset gives
-  /// the identical double without re-packing.
-  bool memoValid_ = false;
-  ValueCounts c1pMemoCounts_;
-  double c1pMemoValue_ = 0.0;
-  ValueCounts c1mMemoCounts_;
-  double c1mMemoValue_ = 0.0;
 };
 
 }  // namespace ides

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/json_reader.h"
+#include "util/parse_number.h"
 #include "util/rng.h"
 
 namespace ides {
@@ -34,13 +35,13 @@ std::string u64Quoted(std::uint64_t value) {
 }
 
 std::uint64_t u64At(const JsonValue& obj, std::string_view key) {
-  const std::string& text = obj.stringAt(key);
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
+  try {
+    return parseNumber<std::uint64_t>(key, obj.stringAt(key));
+  } catch (const std::invalid_argument& e) {
     throw std::runtime_error("lifecycle scenario: field \"" +
-                             std::string(key) + "\" is not a u64 string");
+                             std::string(key) + "\" is not a u64 string (" +
+                             e.what() + ")");
   }
-  return std::stoull(text);
 }
 
 std::size_t sizeAt(const JsonValue& obj, std::string_view key) {

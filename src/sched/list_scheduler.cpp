@@ -233,7 +233,8 @@ SchedulerSession::GraphResult SchedulerSession::run(
     }
 
     // Commit on the chosen node. Bus commits are sequential, so recompute
-    // each placement against the occupancy left by the previous commit.
+    // each placement against the occupancy left by the previous commit;
+    // the job itself goes in with one first-fit insert (occupyEarliest).
     const NodeId n = bestNode;
     Time est = hintedRelease;
     bool ok = true;
@@ -262,13 +263,12 @@ SchedulerSession::GraphResult SchedulerSession::run(
       out.placed = false;
       return out;
     }
-    const Time start = state.earliestFit(n, est, proc.wcetOn(n));
+    const Time start = state.occupyEarliest(n, est, proc.wcetOn(n));
     if (start == kNoTime) {
       out.placed = false;
       return out;
     }
     const Time end = start + proc.wcetOn(n);
-    state.occupyNode(n, {start, end});
     processesOut.push_back({job.pid, job.instance, n, start, end});
     job.end = end;
     if (chooseNodes) chosen->setNode(job.pid, n);
@@ -376,7 +376,8 @@ SchedulerSession::GraphResult SchedulerSession::scheduleGraphResume(
   // Commit-only loop over the static order. The heap path's candidate
   // pre-pass is redundant in mapping mode (one candidate, and a candidate
   // failure implies a commit failure against the same occupancy), so each
-  // placement is computed exactly once here. Failure leaves partial commits
+  // placement is computed exactly once here, and each job is committed by
+  // one first-fit insert on its node. Failure leaves partial commits
   // of the failing position in the state/outputs; the caller rewinds to a
   // mark, exactly as with scheduleGraph.
   for (std::size_t pos = resumeAt; pos < order.jobCount(); ++pos) {
@@ -424,13 +425,12 @@ SchedulerSession::GraphResult SchedulerSession::scheduleGraphResume(
     const Time est =
         std::max(arrival, static_cast<Time>(job.instance) * graph.period +
                               mapping.startHint(job.pid));
-    const Time start = state.earliestFit(n, est, proc.wcetOn(n));
+    const Time start = state.occupyEarliest(n, est, proc.wcetOn(n));
     if (start == kNoTime) {
       out.placed = false;
       return out;
     }
     const Time end = start + proc.wcetOn(n);
-    state.occupyNode(n, {start, end});
     processesOut.push_back({job.pid, job.instance, n, start, end});
     if (arrivalsOut != nullptr) {
       arrivalsOut->resize(processesOut.size());

@@ -20,22 +20,8 @@ PlatformState::PlatformState(const Architecture& arch, Time horizon)
 }
 
 Time PlatformState::earliestFit(NodeId node, Time after, Time duration) const {
-  if (after < 0) after = 0;
-  if (duration <= 0) throw std::invalid_argument("earliestFit: duration <= 0");
-  const auto& busy = nodeBusy_[node.index()].intervals();
-  Time cursor = after;
-  // Skip straight to the first busy interval that can constrain the cursor
-  // (end > after); everything before it is history. The evaluation inner
-  // loop calls this once per job against node sets holding the whole frozen
-  // base, so the scan start matters more than the scan itself.
-  auto it = std::upper_bound(
-      busy.begin(), busy.end(), after,
-      [](Time t, const Interval& iv) { return t < iv.end; });
-  for (; it != busy.end(); ++it) {
-    if (it->start >= cursor + duration) break;  // gap before it is big enough
-    cursor = std::max(cursor, it->end);
-  }
-  return cursor + duration <= horizon_ ? cursor : kNoTime;
+  return nodeBusy_[node.index()].earliestFit(std::max<Time>(after, 0),
+                                             duration, horizon_);
 }
 
 void PlatformState::occupyNode(NodeId node, Interval iv) {
@@ -51,6 +37,17 @@ void PlatformState::occupyNode(NodeId node, Interval iv) {
     journal_.push_back({JournalEntry::Kind::Node,
                         static_cast<std::uint32_t>(node.index()), iv, 0, 0});
   }
+}
+
+Time PlatformState::occupyEarliest(NodeId node, Time after, Time duration) {
+  const Time start = nodeBusy_[node.index()].insertFirstFit(
+      std::max<Time>(after, 0), duration, horizon_);
+  if (start != kNoTime && journaling_) {
+    journal_.push_back({JournalEntry::Kind::Node,
+                        static_cast<std::uint32_t>(node.index()),
+                        {start, start + duration}, 0, 0});
+  }
+  return start;
 }
 
 std::optional<PlatformState::BusPlacement> PlatformState::findBusSlot(

@@ -5,12 +5,13 @@
 // each candidate mapping of the current application is then scheduled on
 // top. Historically every evaluation copied the whole baseline; the journal
 // (see setJournaling/mark/rollbackTo) turns that into checkpoint + undo:
-// every occupy is recorded, and rolling back to a mark undoes the records
-// newest-first, each by its exact inverse (the node interval is subtracted,
-// the bus ticks are handed back). A rewind therefore costs what it undoes,
-// not what the state holds. EvalContext keeps ONE journaled state per
-// thread and rewinds it to the checkpoint before the first graph a move
-// affects, which is what makes incremental re-evaluation cheap.
+// every occupy (occupyNode, occupyEarliest, occupyBus) is recorded, and
+// rolling back to a mark undoes the records newest-first, each by its exact
+// inverse (the node interval is subtracted, the bus ticks are handed back).
+// A rewind therefore costs what it undoes, not what the state holds.
+// EvalContext keeps ONE journaled state per thread and rewinds it to the
+// checkpoint before the first graph a move affects, which is what makes
+// incremental re-evaluation cheap.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +36,22 @@ class PlatformState {
   // ---- processor occupancy ------------------------------------------------
 
   /// Earliest start s >= after such that [s, s+duration) is free on the node
-  /// and s+duration <= horizon. Returns kNoTime if no gap exists.
+  /// and s+duration <= horizon. Returns kNoTime if no gap exists. Read-only:
+  /// HCP's candidate pre-pass compares nodes with it before committing.
   [[nodiscard]] Time earliestFit(NodeId node, Time after, Time duration) const;
 
   /// Mark [iv.start, iv.end) busy. The range must be free and within the
-  /// horizon (throws std::logic_error otherwise — a scheduler bug).
+  /// horizon (throws std::logic_error otherwise — a scheduler bug). For
+  /// callers that bring their own interval: journal replay, the frozen
+  /// base, tests.
   void occupyNode(NodeId node, Interval iv);
+
+  /// Occupy the earliestFit(node, after, duration) slot and return its
+  /// start, or kNoTime (state unchanged) if nothing fits. Journaled exactly
+  /// like occupyNode. The scheduling loops commit every job through this:
+  /// the scan's stopping point is where the interval goes, so a commit
+  /// costs one binary search on the node's busy set, not three.
+  Time occupyEarliest(NodeId node, Time after, Time duration);
 
   [[nodiscard]] const IntervalSet& nodeBusy(NodeId node) const {
     return nodeBusy_[node.index()];

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/batch_runner.h"
 #include "core/batch_suites.h"
@@ -137,16 +140,33 @@ double optionalNumber(const JsonValue& root, std::string_view key,
   return v->numberValue;
 }
 
-long long optionalInt(const JsonValue& root, std::string_view key,
-                      long long fallback) {
-  const double value = optionalNumber(
-      root, key, static_cast<double>(fallback));
-  const long long asInt = static_cast<long long>(value);
-  if (static_cast<double>(asInt) != value) {
+/// An optional integer field of type T within [lo, hi], range-checked
+/// before the cast: a JSON number is a double, and casting one that does
+/// not fit T wraps (-5 into a size_t) or is undefined (1e300 into any
+/// integer). The upper bound is also capped at 2^53 - 1: below 2^53 a
+/// double holds every integer exactly, while 2^53 is also what 2^53 + 1
+/// reads as, so a value the JSON reader rounded is refused instead of
+/// silently changed.
+template <typename T>
+T optionalInt(const JsonValue& root, std::string_view key, T fallback, T lo,
+              T hi = std::numeric_limits<T>::max()) {
+  const double value =
+      optionalNumber(root, key, static_cast<double>(fallback));
+  if (std::trunc(value) != value) {
     throw std::invalid_argument("field \"" + std::string(key) +
                                 "\" must be an integer");
   }
-  return asInt;
+  constexpr double kExactLimit = 9007199254740991.0;  // 2^53 - 1
+  const double top = std::min(static_cast<double>(hi), kExactLimit);
+  if (value < static_cast<double>(lo)) {
+    throw std::invalid_argument(std::string(key) + " must be >= " +
+                                std::to_string(lo));
+  }
+  if (value > top) {
+    throw std::invalid_argument(std::string(key) + " must be <= " +
+                                std::to_string(static_cast<std::int64_t>(top)));
+  }
+  return static_cast<T>(value);
 }
 
 void rejectUnknownKeys(const JsonValue& root,
@@ -185,18 +205,17 @@ JobSpec parseJobSpec(std::string_view body) {
                        "current", "seed", "strategy", "sa_iters", "restarts",
                        "threads", "spec_workers", "spec_depth"});
     DesignJobSpec& d = spec.design;
-    d.nodes = static_cast<std::size_t>(optionalInt(root, "nodes", 10));
-    d.existing =
-        static_cast<std::size_t>(optionalInt(root, "existing", 400));
-    d.current = static_cast<std::size_t>(optionalInt(root, "current", 160));
-    d.seed = static_cast<std::uint64_t>(optionalInt(root, "seed", 1));
+    // The same bounds as ides_cli's flags, except nodes >= 2.
+    d.nodes = optionalInt<std::size_t>(root, "nodes", 10, 2);
+    d.existing = optionalInt<std::size_t>(root, "existing", 400, 0);
+    d.current = optionalInt<std::size_t>(root, "current", 160, 0);
+    d.seed = optionalInt<std::uint64_t>(root, "seed", 1, 0);
     d.strategy = optionalString(root, "strategy", "MH");
-    d.saIterations = static_cast<int>(optionalInt(root, "sa_iters", 0));
-    d.restarts = static_cast<int>(optionalInt(root, "restarts", 4));
-    d.threads = static_cast<int>(optionalInt(root, "threads", 0));
-    d.specWorkers = static_cast<int>(optionalInt(root, "spec_workers", 0));
-    d.specDepth = static_cast<int>(optionalInt(root, "spec_depth", 0));
-    if (d.nodes < 2) throw std::invalid_argument("nodes must be >= 2");
+    d.saIterations = optionalInt(root, "sa_iters", 0, 0);
+    d.restarts = optionalInt(root, "restarts", 4, 0);
+    d.threads = optionalInt(root, "threads", 0, 0);
+    d.specWorkers = optionalInt(root, "spec_workers", 0, 0);
+    d.specDepth = optionalInt(root, "spec_depth", 0, 0);
     if (!StrategyRegistry::builtin().contains(d.strategy)) {
       std::string known;
       for (const std::string& n : StrategyRegistry::builtin().names()) {
@@ -218,8 +237,7 @@ JobSpec parseJobSpec(std::string_view body) {
     SweepJobSpec& s = spec.sweep;
     s.sweep = requireString(root, "sweep");
     s.scaleName = optionalString(root, "scale", "smoke");
-    s.shards = static_cast<int>(optionalInt(root, "shards", 1));
-    if (s.shards < 0) throw std::invalid_argument("shards must be >= 0");
+    s.shards = optionalInt(root, "shards", 1, 0);
     const std::vector<std::string> names = sweepNames();
     if (std::find(names.begin(), names.end(), s.sweep) == names.end()) {
       std::string known;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <ostream>
+#include <stdexcept>
 
 namespace ides {
 
@@ -91,6 +92,59 @@ bool IntervalSet::intersects(Interval iv) const {
       intervals_.begin(), intervals_.end(), iv,
       [](const Interval& a, const Interval& b) { return a.end <= b.start; });
   return it != intervals_.end() && it->overlaps(iv);
+}
+
+IntervalSet::Gap IntervalSet::firstFit(Time after, Time duration) const {
+  if (duration <= 0) {
+    throw std::invalid_argument("IntervalSet: first-fit duration <= 0");
+  }
+  // Skip straight to the first member that can constrain the cursor
+  // (end > after); everything before it is history. The evaluation inner
+  // loop scans once per job against node sets holding the whole frozen
+  // base, so the scan start matters more than the scan itself.
+  auto it = std::upper_bound(
+      intervals_.begin(), intervals_.end(), after,
+      [](Time t, const Interval& iv) { return t < iv.end; });
+  Time cursor = after;
+  for (; it != intervals_.end(); ++it) {
+    if (it->start >= cursor + duration) break;  // the gap before it fits
+    cursor = std::max(cursor, it->end);
+  }
+  return {cursor, static_cast<std::size_t>(it - intervals_.begin())};
+}
+
+Time IntervalSet::earliestFit(Time after, Time duration, Time limit) const {
+  const Time start = firstFit(after, duration).start;
+  return start + duration <= limit ? start : kNoTime;
+}
+
+Time IntervalSet::insertFirstFit(Time after, Time duration, Time limit) {
+  const Gap gap = firstFit(after, duration);
+  const Time end = gap.start + duration;
+  if (end > limit) return kNoTime;
+  // The scan stopped at the first member starting at or after `end`; the
+  // member before it ends at or before the gap start.
+  const auto next = intervals_.begin() + static_cast<std::ptrdiff_t>(gap.next);
+  const bool hasPrev = next != intervals_.begin();
+  const bool hasNext = next != intervals_.end();
+  if ((hasPrev && std::prev(next)->end > gap.start) ||
+      (hasNext && next->start < end)) {
+    throw std::logic_error("insertFirstFit: double booking");
+  }
+  const bool touchesPrev = hasPrev && std::prev(next)->end == gap.start;
+  const bool touchesNext = hasNext && next->start == end;
+  if (touchesPrev && touchesNext) {
+    std::prev(next)->end = next->end;
+    intervals_.erase(next);
+  } else if (touchesPrev) {
+    std::prev(next)->end = end;
+  } else if (touchesNext) {
+    next->start = gap.start;
+  } else {
+    intervals_.insert(next, {gap.start, end});
+  }
+  checkInvariant();
+  return gap.start;
 }
 
 IntervalSet IntervalSet::complementWithin(Interval horizon) const {

@@ -2,9 +2,10 @@
 //
 // The scheduler represents processor busy time as a sorted set of disjoint
 // [start, end) intervals; the slack (free) intervals are the complement
-// within the hyperperiod. The design metrics (C1, C2) operate directly on
-// these interval sets, so correctness of the gap arithmetic here is
-// load-bearing for the whole reproduction.
+// within the hyperperiod. It commits each job with insertFirstFit, whose
+// earliest-fit scan stops exactly where the job goes. The design metrics
+// (C1, C2) operate directly on these interval sets, so correctness of the
+// gap arithmetic here is load-bearing for the whole reproduction.
 #pragma once
 
 #include <iosfwd>
@@ -67,6 +68,19 @@ class IntervalSet {
   /// True if the interval overlaps any member.
   [[nodiscard]] bool intersects(Interval iv) const;
 
+  /// Earliest start s >= after such that [s, s + duration) overlaps no
+  /// member and s + duration <= limit; kNoTime if there is none. Requires
+  /// duration > 0 (throws std::invalid_argument otherwise).
+  [[nodiscard]] Time earliestFit(Time after, Time duration, Time limit) const;
+
+  /// earliestFit, then insert [s, s + duration) where the scan stopped: the
+  /// interval extends the member on its left, the member on its right,
+  /// bridges both, or goes in between them. One binary search per insert,
+  /// where earliestFit + intersects + add cost three. Returns s, or kNoTime
+  /// with the set unchanged. Throws std::logic_error if a neighbour of the
+  /// found gap overlaps it (a double booking; the scan never yields one).
+  Time insertFirstFit(Time after, Time duration, Time limit);
+
   /// Complement of this set within [horizon.start, horizon.end).
   [[nodiscard]] IntervalSet complementWithin(Interval horizon) const;
 
@@ -93,6 +107,14 @@ class IntervalSet {
   friend bool operator==(const IntervalSet&, const IntervalSet&) = default;
 
  private:
+  /// The first-fit scan earliestFit and insertFirstFit share: the gap's
+  /// start and the index of the first member after the gap.
+  struct Gap {
+    Time start = 0;
+    std::size_t next = 0;
+  };
+  [[nodiscard]] Gap firstFit(Time after, Time duration) const;
+
   void checkInvariant() const;
 
   std::vector<Interval> intervals_;

@@ -110,17 +110,19 @@ ReferenceFit referenceBestFit(const std::vector<std::int64_t>& itemsDesc,
 }
 
 TEST(BestFit, MatchesPerItemMultisetOnRandomCases) {
-  // Four shapes, 2500 seeded cases each: bus-shaped (a few capacities,
+  // Five shapes, 2500 seeded cases each: bus-shaped (a few capacities,
   // many copies), spread capacities with zeros and negatives mixed in, an
-  // item larger than every container, and few large containers that the
-  // runs end part-way through.
+  // item larger than every container, few large containers that the runs
+  // end part-way through, and a few containers spread over a 16000-tick
+  // horizon, so the walk between capacities crosses many bitmap words.
   Rng rng(20240611);
   int busShaped = 0;
   int nonPositive = 0;
   int biggerItem = 0;
   int partialRun = 0;
-  for (int c = 0; c < 10000; ++c) {
-    const int shape = c % 4;
+  int wideSpread = 0;
+  for (int c = 0; c < 12500; ++c) {
+    const int shape = c % 5;
     std::vector<std::int64_t> containers;
     if (shape == 0) {
       const std::int64_t copies = rng.uniformInt(1, 96);
@@ -136,17 +138,22 @@ TEST(BestFit, MatchesPerItemMultisetOnRandomCases) {
       for (std::int64_t i = rng.uniformInt(1, 60); i > 0; --i) {
         containers.push_back(rng.uniformInt(1, 150));
       }
-    } else {
+    } else if (shape == 3) {
       for (std::int64_t i = rng.uniformInt(1, 4); i > 0; --i) {
         containers.push_back(rng.uniformInt(200, 2000));
+      }
+    } else {
+      for (std::int64_t i = rng.uniformInt(1, 40); i > 0; --i) {
+        containers.push_back(rng.uniformInt(1, 16000));
       }
     }
     rng.shuffle(containers);
 
     std::vector<std::int64_t> items;
+    const std::int64_t maxItem = shape == 0 ? 40 : shape == 4 ? 8000 : 160;
     for (std::int64_t r = rng.uniformInt(1, 6); r > 0; --r) {
       const std::int64_t length = rng.uniformInt(1, 80);
-      const std::int64_t value = rng.uniformInt(1, shape == 0 ? 40 : 160);
+      const std::int64_t value = rng.uniformInt(1, maxItem);
       items.insert(items.end(), length, value);
     }
     if (shape == 2) items.push_back(151);  // larger than every container
@@ -156,12 +163,15 @@ TEST(BestFit, MatchesPerItemMultisetOnRandomCases) {
     ASSERT_EQ(bestFitUnpacked(items, containers), expected.unpacked)
         << "case " << c << " (shape " << shape << ")";
     std::int64_t largest = 0;
+    std::int64_t smallest = 16000;
     bool hasNonPositive = false;
     for (const std::int64_t v : containers) {
       largest = std::max(largest, v);
+      smallest = std::min(smallest, v);
       hasNonPositive = hasNonPositive || v <= 0;
     }
     if (shape == 0 && containers.size() >= 64) busShaped += 1;
+    if (largest - smallest > 4096) wideSpread += 1;
     if (hasNonPositive && largest > 0) nonPositive += 1;
     if (items.front() > largest) biggerItem += 1;
     if (expected.partialRuns > 0) partialRun += 1;
@@ -171,6 +181,51 @@ TEST(BestFit, MatchesPerItemMultisetOnRandomCases) {
   EXPECT_GT(nonPositive, 1000);
   EXPECT_GE(biggerItem, 2500);
   EXPECT_GT(partialRun, 1000);
+  EXPECT_GT(wideSpread, 1000);
+}
+
+TEST(CapacityCounts, FirstAtLeastCrossesWordAndSummaryBoundaries) {
+  // A bitmap word covers 64 values and a summary word 4096.
+  constexpr std::int64_t kMax = 3 * 4096 + 100;
+  const std::vector<std::int64_t> edges = {63,   64,   65,  4095,
+                                           4096, 4097, kMax};
+  for (const std::int64_t v : edges) {
+    CapacityCounts counts;
+    counts.reset(kMax);
+    EXPECT_EQ(counts.firstAtLeast(0), -1);
+    counts.add(v);
+    EXPECT_EQ(counts.firstAtLeast(0), v);
+    EXPECT_EQ(counts.firstAtLeast(v - 1), v);
+    EXPECT_EQ(counts.firstAtLeast(v), v);
+    EXPECT_EQ(counts.firstAtLeast(v + 1), -1);
+  }
+
+  CapacityCounts counts;
+  counts.reset(kMax);
+  std::set<std::int64_t> present;
+  for (const std::int64_t v : edges) {
+    counts.add(v, 2);
+    present.insert(v);
+  }
+  const auto expectScan = [&] {
+    for (std::int64_t v = 0; v <= kMax + 1; ++v) {
+      const auto it = present.lower_bound(v);
+      ASSERT_EQ(counts.firstAtLeast(v), it == present.end() ? -1 : *it)
+          << "from " << v;
+    }
+  };
+  expectScan();
+  // One of two copies leaves the value present; the last copy clears it.
+  for (const std::int64_t v : edges) {
+    counts.remove(v);
+    EXPECT_EQ(counts.count(v), 1);
+    EXPECT_EQ(counts.firstAtLeast(v), v);
+    counts.remove(v);
+    present.erase(v);
+    EXPECT_EQ(counts.count(v), 0);
+    expectScan();
+  }
+  EXPECT_EQ(counts.firstAtLeast(0), -1);
 }
 
 TEST(LargestFutureDemand, FillsUpToTotalSlack) {

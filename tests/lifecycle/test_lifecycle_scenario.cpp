@@ -150,6 +150,24 @@ TEST(LifecycleScenario, ParseRejectsMalformedText) {
   EXPECT_THROW((void)parseScenario("[1, 2]"), std::runtime_error);
 }
 
+TEST(LifecycleScenario, ParseNamesAnOutOfRangeU64Field) {
+  // Digits only, but past 2^64 - 1: the error names the field instead of
+  // surfacing the bare "stoull" of a library call.
+  std::string json = scenarioJson(generateScenario(smallConfig(3)));
+  const std::string seed = "\"seed\": \"3\"";
+  const std::size_t at = json.find(seed);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, seed.size(), "\"seed\": \"99999999999999999999\"");
+  try {
+    (void)parseScenario(json);
+    FAIL() << "accepted an out-of-range seed";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("field \"seed\""), std::string::npos) << what;
+    EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+  }
+}
+
 TEST(LifecycleScenario, ConfigValidationNamesTheOffendingKnob) {
   const auto rejects = [](void (*tweak)(ScenarioConfig&),
                           const char* expected) {

@@ -210,6 +210,46 @@ TEST(PlatformStateJournal, RollbackReopensGapsForEarliestFit) {
   EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 10), 0);
 }
 
+TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
+  // Twin states: one commits through earliestFit + occupyNode, the other
+  // through occupyEarliest. Same starts, busy sets and journal records.
+  PlatformState fused = makeState(400);
+  fused.occupyNode(NodeId{0}, {30, 60});
+  fused.setJournaling(true);
+  PlatformState split = fused;
+  Rng rng(17);
+  int misses = 0;
+  for (int i = 0; i < 200; ++i) {
+    const NodeId node{static_cast<std::int32_t>(rng.index(2))};
+    const Time after = rng.uniformInt(-10, 399);
+    const Time duration = rng.uniformInt(1, 40);
+    const Time start = split.earliestFit(node, after, duration);
+    if (start == kNoTime) {
+      ++misses;
+    } else {
+      split.occupyNode(node, {start, start + duration});
+    }
+    ASSERT_EQ(fused.occupyEarliest(node, after, duration), start) << i;
+  }
+  EXPECT_GT(misses, 0);
+  for (std::int32_t n = 0; n < 2; ++n) {
+    EXPECT_EQ(fused.nodeBusy(NodeId{n}), split.nodeBusy(NodeId{n}));
+  }
+  ASSERT_EQ(fused.journal().size(), split.journal().size());
+  for (std::size_t i = 0; i < fused.journal().size(); ++i) {
+    const PlatformState::JournalEntry& a = fused.journal()[i];
+    const PlatformState::JournalEntry& b = split.journal()[i];
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.index, b.index);
+    EXPECT_EQ(a.iv, b.iv);
+  }
+  fused.rollbackTo(0);
+  EXPECT_EQ(fused.nodeBusy(NodeId{0}), IntervalSet({{30, 60}}));
+  EXPECT_TRUE(fused.nodeBusy(NodeId{1}).empty());
+  EXPECT_THROW((void)fused.occupyEarliest(NodeId{0}, 0, 0),
+               std::invalid_argument);
+}
+
 TEST(PlatformStateJournal, RollbackGuards) {
   PlatformState st = makeState();
   EXPECT_THROW(st.rollbackTo(0), std::logic_error);  // journaling off

@@ -86,6 +86,16 @@ TEST(ParseJobSpec, DesignFieldsRoundTrip) {
   EXPECT_DOUBLE_EQ(spec.deadlineSeconds, 2.5);
 }
 
+TEST(ParseJobSpec, IntegerFieldsAcceptTheirBounds) {
+  const JobSpec spec = parseJobSpec(
+      "{\"type\": \"design\", \"nodes\": 2, \"existing\": 0, "
+      "\"seed\": 9007199254740991, \"sa_iters\": 2147483647}");
+  EXPECT_EQ(spec.design.nodes, 2u);
+  EXPECT_EQ(spec.design.existing, 0u);
+  EXPECT_EQ(spec.design.seed, 9007199254740991u);
+  EXPECT_EQ(spec.design.saIterations, 2147483647);
+}
+
 TEST(ParseJobSpec, SweepDefaults) {
   const JobSpec spec =
       parseJobSpec("{\"type\": \"sweep\", \"sweep\": \"quality\"}");
@@ -114,6 +124,32 @@ TEST(ParseJobSpec, RejectsBadSpecs) {
        "unknown scale"},
       {"{\"type\": \"sweep\", \"sweep\": \"quality\", \"shards\": -1}",
        "shards must be >= 0"},
+      // Integers that do not fit their field are refused before the cast,
+      // not wrapped or rounded into a different job.
+      {"{\"type\": \"design\", \"current\": -5}", "current must be >= 0"},
+      {"{\"type\": \"design\", \"existing\": -1}", "existing must be >= 0"},
+      {"{\"type\": \"design\", \"nodes\": -3}", "nodes must be >= 2"},
+      {"{\"type\": \"design\", \"nodes\": 1e20}",
+       "nodes must be <= 9007199254740991"},
+      {"{\"type\": \"design\", \"sa_iters\": 1e10}",
+       "sa_iters must be <= 2147483647"},
+      {"{\"type\": \"design\", \"sa_iters\": 1e300}",
+       "sa_iters must be <= 2147483647"},
+      {"{\"type\": \"design\", \"sa_iters\": -1}", "sa_iters must be >= 0"},
+      {"{\"type\": \"design\", \"seed\": 9007199254740993}",
+       "seed must be <= 9007199254740991"},
+      {"{\"type\": \"design\", \"seed\": 9007199254740992}",
+       "seed must be <= 9007199254740991"},
+      {"{\"type\": \"design\", \"seed\": -1}", "seed must be >= 0"},
+      {"{\"type\": \"design\", \"restarts\": -2}", "restarts must be >= 0"},
+      {"{\"type\": \"design\", \"threads\": 3e9}",
+       "threads must be <= 2147483647"},
+      {"{\"type\": \"design\", \"spec_workers\": -1}",
+       "spec_workers must be >= 0"},
+      {"{\"type\": \"design\", \"spec_depth\": -1e300}",
+       "spec_depth must be >= 0"},
+      {"{\"type\": \"sweep\", \"sweep\": \"quality\", \"shards\": 1e10}",
+       "shards must be <= 2147483647"},
   };
   for (const auto& [body, expected] : cases) {
     try {

@@ -6,6 +6,7 @@
 #include <map>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -342,6 +343,86 @@ TEST(IntervalSetInPlace, AddAndSubtractMatchPerTickReference) {
   EXPECT_GT(shapes["subtract: shrinks"], 0);
   EXPECT_GT(shapes["subtract: splits"], 0);
   EXPECT_GT(shapes["subtract: spans members"], 0);
+}
+
+// ---- fused first-fit insert against scan + add ------------------------------
+// insertFirstFit inserts where its earliest-fit scan stopped. Every step
+// compares it with a per-tick earliest-fit scan followed by add() on a copy,
+// and counts where the placed interval landed relative to its neighbours.
+
+/// Earliest s >= after with [s, s + duration) clear in `ticks` and
+/// s + duration <= limit, by walking ticks; kNoTime if none.
+Time perTickEarliestFit(const std::vector<bool>& ticks, Time after,
+                        Time duration, Time limit) {
+  Time run = 0;
+  for (Time t = after; t < limit; ++t) {
+    run = ticks[static_cast<std::size_t>(t)] ? 0 : run + 1;
+    if (run == duration) return t + 1 - duration;
+  }
+  return kNoTime;
+}
+
+TEST(IntervalSetFirstFit, InsertMatchesScanThenAddOnACopy) {
+  constexpr Time kHorizon = 400;
+  std::map<std::string, int> shapes;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    IntervalSet set;
+    std::vector<bool> ticks(kHorizon, false);
+    for (int step = 0; step < 300; ++step) {
+      if (!set.empty() && rng.chance(0.3)) {
+        // Free a range now and then so the set keeps gaps of every size.
+        const Interval iv = randomInterval(rng, set, kHorizon);
+        set.subtract(iv);
+        for (Time t = iv.start; t < iv.end; ++t) {
+          ticks[static_cast<std::size_t>(t)] = false;
+        }
+        continue;
+      }
+      const Time after = rng.uniformInt(0, kHorizon - 1);
+      const Time duration = rng.uniformInt(1, 30);
+      const Time limit =
+          rng.chance(0.25) ? rng.uniformInt(after, kHorizon) : kHorizon;
+      const Time expected = perTickEarliestFit(ticks, after, duration, limit);
+      IntervalSet reference = set;
+      std::string shape = "no fit before limit";
+      if (expected != kNoTime) {
+        const Time end = expected + duration;
+        const bool left =
+            expected > 0 && ticks[static_cast<std::size_t>(expected - 1)];
+        const bool right =
+            end < kHorizon && ticks[static_cast<std::size_t>(end)];
+        shape = left && right ? "touches both"
+                : left        ? "touches left"
+                : right       ? "touches right"
+                              : "touches neither";
+        reference.add({expected, end});
+        for (Time t = expected; t < end; ++t) {
+          ticks[static_cast<std::size_t>(t)] = true;
+        }
+      }
+      ++shapes[shape];
+      ASSERT_EQ(set.earliestFit(after, duration, limit), expected)
+          << "seed " << seed << ", step " << step;
+      ASSERT_EQ(set.insertFirstFit(after, duration, limit), expected)
+          << "seed " << seed << ", step " << step;
+      ASSERT_EQ(set, reference) << "seed " << seed << ", step " << step;
+      ASSERT_EQ(set.intervals(), runsOf(ticks))
+          << "seed " << seed << ", step " << step;
+    }
+  }
+  EXPECT_GT(shapes["touches left"], 0);
+  EXPECT_GT(shapes["touches right"], 0);
+  EXPECT_GT(shapes["touches both"], 0);
+  EXPECT_GT(shapes["touches neither"], 0);
+  EXPECT_GT(shapes["no fit before limit"], 0);
+}
+
+TEST(IntervalSetFirstFit, RejectsNonPositiveDuration) {
+  IntervalSet set({{10, 20}});
+  EXPECT_THROW((void)set.earliestFit(0, 0, 100), std::invalid_argument);
+  EXPECT_THROW((void)set.insertFirstFit(0, -1, 100), std::invalid_argument);
+  EXPECT_EQ(set, IntervalSet({{10, 20}}));
 }
 
 }  // namespace
