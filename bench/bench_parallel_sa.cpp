@@ -58,7 +58,7 @@ int main() {
       DesignerOptions opts = designerOptions(scale, 1);
       IncrementalDesigner designer(suite.system, suite.profile, opts);
       const MappingSolution im =
-          designer.run(Strategy::AdHoc).mapping;  // shared IM start
+          designer.run("AH").mapping;  // shared IM start
 
       auto t0 = std::chrono::steady_clock::now();
       const SaResult one =

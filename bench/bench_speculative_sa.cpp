@@ -7,7 +7,7 @@
 // parallel and replayed through the Metropolis decisions. The bench pins
 // the chain into that phase with a cold schedule, measures the median
 // wall-clock over repeats, and asserts the speculative results bit-equal
-// the sequential chain (solution, cost, acceptance count) — speed is the
+// the one-worker chain (solution, cost, acceptance count) — speed is the
 // only thing allowed to change.
 //
 // Expect ~min(workers, 1/acceptance-rate)x minus sync overhead on idle
@@ -191,7 +191,7 @@ int main() {
   printTableAndCsv(table);
   json.write();
   std::printf(
-      "\nmismatches must be 0: the speculative chain is bit-identical to\n"
-      "the sequential chain (also enforced by core.SpeculativeSa tests).\n");
+      "\nmismatches must be 0: the chain is bit-identical at every worker\n"
+      "count (also enforced by core.SpeculativeSa tests).\n");
   return 0;
 }

@@ -4,7 +4,7 @@
 //   stats    [--nodes N --existing E --current C --seed S]
 //            generate a suite and print its statistics report
 //   design   [--strategy NAME] [--sa-iters N] [--restarts K] [--threads T]
-//            [--spec-workers W] [--spec-depth D] [--deadline S] [suite flags]
+//            [--spec-workers W] [--deadline S] [suite flags]
 //            run one registered strategy, print metrics and validation
 //   schedule [--out FILE] [suite flags]
 //            run MH and dump the merged schedule (CSV form, stdout or file)
@@ -110,7 +110,6 @@ struct CliArgs {
   int threads = 0;       // PSA: 0 = hardware concurrency
   int restarts = 4;      // PSA: chains
   int specWorkers = 0;   // SA: speculative eval workers (0 = off; PSA: auto)
-  int specDepth = 0;     // max speculation depth (0 = 4 * workers)
   bool listStrategies = false;
   std::string suiteName;   // sweep: which paper sweep to run
   std::string scaleName;   // sweep: explicit scale (else IDES_BENCH_SCALE)
@@ -157,7 +156,6 @@ void usage() {
       "  --threads T    PSA threads, 0 = all cores (default 0)\n"
       "  --spec-workers W  speculative eval workers per SA chain\n"
       "                 (SA default 1 = off; PSA default 0 = auto split)\n"
-      "  --spec-depth D max speculation depth (default 4 * workers)\n"
       "  --deadline S   cooperative wall-clock budget in seconds; the run\n"
       "                 stops early with its best solution so far\n"
       "  --json         design: print the deterministic result JSON (the\n"
@@ -279,8 +277,6 @@ bool parse(int argc, char** argv, CliArgs& args) try {
       args.threads = parseNumber(flag, value, 0);
     } else if (flag == "--spec-workers") {
       args.specWorkers = parseNumber(flag, value, 0);
-    } else if (flag == "--spec-depth") {
-      args.specDepth = parseNumber(flag, value, 0);
     } else if (flag == "--suite") {
       args.suiteName = value;
     } else if (flag == "--shards") {
@@ -379,7 +375,6 @@ DesignerOptions designerOptions(const CliArgs& args) {
   // SA reads the chain-level speculation knobs; PSA auto-splits its thread
   // budget unless --spec-workers pins the per-chain worker count.
   if (args.specWorkers > 0) opts.sa.speculation.workers = args.specWorkers;
-  if (args.specDepth > 0) opts.sa.speculation.maxDepth = args.specDepth;
   opts.psa.speculativeWorkers = args.specWorkers;
   return opts;
 }
@@ -430,7 +425,6 @@ int cmdDesignJson(const CliArgs& args) {
   spec.restarts = args.restarts;
   spec.threads = args.threads;
   spec.specWorkers = args.specWorkers;
-  spec.specDepth = args.specDepth;
 
   StopToken stop;
   RunContext context;

@@ -48,15 +48,14 @@ int main() {
   const ApplicationId futureApp =
       sys.applicationsOfKind(AppKind::Future).front();
 
-  for (Strategy s : {Strategy::AdHoc, Strategy::MappingHeuristic,
-                     Strategy::SimulatedAnnealing}) {
+  for (const char* s : {"AH", "MH", "SA"}) {
     const DesignResult r = designer.run(s);
     const FutureFitResult fit =
         tryMapFutureApplication(sys, futureApp, designer.stateWith(r));
     std::printf(
         "%-2s: feasible=%d  C=%8.2f  C1P=%5.1f%%  C1m=%5.1f%%  C2P=%6lld  "
         "C2m=%5lldB  evals=%-6zu  %.3fs  future-fits=%d\n",
-        toString(s), r.feasible, r.objective, r.metrics.c1p, r.metrics.c1m,
+        s, r.feasible, r.objective, r.metrics.c1p, r.metrics.c1m,
         static_cast<long long>(r.metrics.c2p),
         static_cast<long long>(r.metrics.c2mBytes), r.evaluations, r.seconds,
         fit.fits);

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
       "\n%-3s %10s %8s %8s %10s %10s %9s %10s %8s\n", "", "C", "C1P%",
       "C1m%", "C2P", "C2m[B]", "evals", "seconds", "fut-fit");
 
-  for (Strategy s : {Strategy::AdHoc, Strategy::MappingHeuristic,
-                     Strategy::SimulatedAnnealing}) {
+  for (const char* s : {"AH", "MH", "SA"}) {
     const DesignResult r = designer.run(s);
     int fits = 0, total = 0;
     const PlatformState after = designer.stateWith(r);
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
       ++total;
     }
     std::printf("%-3s %10.2f %8.2f %8.2f %10lld %10lld %9zu %10.3f %5d/%d\n",
-                toString(s), r.objective, r.metrics.c1p, r.metrics.c1m,
+                s, r.objective, r.metrics.c1p, r.metrics.c1m,
                 static_cast<long long>(r.metrics.c2p),
                 static_cast<long long>(r.metrics.c2mBytes), r.evaluations,
                 r.seconds, fits, total);

@@ -205,9 +205,8 @@ InstanceSuite incrementsSweep(const SweepScale& scale) {
         queue.insert(queue.end(), futures.begin(), futures.end());
 
         MultiIncrementOptions options;
-        options.strategy = inst.strategy == "MH"
-                               ? Strategy::MappingHeuristic
-                               : Strategy::AdHoc;
+        options.strategy = inst.strategy;
+        options.designer = inst.options;
         options.stop = stop;
         const MultiIncrementResult result = runIncrementSequence(
             generated.system, generated.profile, queue, options);
@@ -294,9 +293,9 @@ void hashDesignerOptions(Fnv1aHasher& h, const DesignerOptions& opts) {
   h.f64(opts.tabu.probRemap);
   h.f64(opts.tabu.probProcessHint);
   // Excluded by design (bit-identical results across all values, asserted
-  // by the optimizer/speculation test suites): sa.incrementalEval,
-  // sa.recordCostTrace, sa.speculation.*, psa.threads,
-  // psa.speculativeWorkers, tabu.incrementalEval, and the stop tokens.
+  // by the optimizer/speculation test suites): sa.recordCostTrace,
+  // sa.speculation.workers, psa.threads, psa.speculativeWorkers, and the
+  // stop tokens.
 }
 
 }  // namespace

@@ -83,8 +83,8 @@ inline constexpr std::uint64_t kSweepFingerprintEpoch = 2;
 /// every result-relevant option, plus kSweepFingerprintEpoch. This is the
 /// sweep store's record key. Deliberately EXCLUDED are the knobs whose
 /// result-neutrality the test suite defends — thread/shard counts,
-/// speculation shape, incremental-eval toggles, trace recording — so a
-/// record computed at any parallelism serves every other (the stored
+/// speculation workers, trace recording — so a record computed at any
+/// parallelism serves every other (the stored
 /// wall-clock seconds refer to the recording run). Custom probes/jobs are
 /// code and cannot be hashed; their presence is fingerprinted and their
 /// identity is covered by the suite name + epoch.

@@ -566,11 +566,4 @@ EvalContextPool::EvalContextPool(const SolutionEvaluator& evaluator,
   }
 }
 
-void EvalContextPool::resync(const MappingSolution& solution,
-                             const MoveHint& hint) {
-  for (EvalContext& ctx : contexts_) {
-    ctx.evaluate(solution, hint);
-  }
-}
-
 }  // namespace ides

@@ -1,4 +1,4 @@
-// The evaluation pipeline shared by AH, MH, SA and PSA.
+// The evaluation pipeline shared by AH, MH, SA, PSA and tabu.
 //
 // SolutionEvaluator holds the frozen baseline (existing applications already
 // committed to the platform) and, for a candidate MappingSolution of the
@@ -336,16 +336,11 @@ class EvalContext {
 };
 
 /// Fixed-size pool of per-worker EvalContexts over one shared evaluator —
-/// the substrate of speculative execution (core/speculative_eval.h). Each
-/// parallel evaluation worker owns context [w] exclusively; after a move
-/// commits, resync() re-aligns every context with the committed solution,
-/// each rewinding to its checkpoint before the first graph its own
-/// reference disagrees on and re-scheduling only from there.
-///
-/// resync() runs the contexts sequentially on the calling thread. The
-/// speculative engine does not even need the explicit call: a context
-/// re-aligns on its next evaluate (the verified hint triggers the same
-/// checkpoint rewind), overlapping the catch-up with useful work.
+/// the substrate of speculative evaluation (core/speculative_eval.h) and of
+/// RunContext leases. Each worker owns context [w] exclusively. A context
+/// whose reference falls behind the committed solution re-aligns on its
+/// next evaluate: the verified hint triggers a rewind to its checkpoint
+/// before the first graph its own reference disagrees on.
 class EvalContextPool {
  public:
   EvalContextPool(const SolutionEvaluator& evaluator, std::size_t size);
@@ -357,12 +352,6 @@ class EvalContextPool {
   [[nodiscard]] EvalContext& operator[](std::size_t w) {
     return contexts_[w];
   }
-
-  /// Bring every context's checkpoints in line with `solution`. The hint
-  /// names the graph of the committing move; each context verifies it
-  /// against its own reference, so a context that had evaluated a different
-  /// speculation restarts earlier automatically.
-  void resync(const MappingSolution& solution, const MoveHint& hint);
 
  private:
   std::deque<EvalContext> contexts_;  // deque: EvalContext is pinned

@@ -7,32 +7,11 @@
 
 namespace ides {
 
-const char* toString(Strategy s) {
-  switch (s) {
-    case Strategy::AdHoc: return "AH";
-    case Strategy::MappingHeuristic: return "MH";
-    case Strategy::SimulatedAnnealing: return "SA";
-    case Strategy::ParallelAnnealing: return "PSA";
-  }
-  return "?";
-}
-
 namespace {
-
-/// Enum value for a registry name, for DesignResult's deprecated shim
-/// field. Custom strategies fall back to AdHoc (strategyName is
-/// authoritative).
-Strategy strategyEnumFor(const std::string& name) {
-  if (name == "MH") return Strategy::MappingHeuristic;
-  if (name == "SA") return Strategy::SimulatedAnnealing;
-  if (name == "PSA") return Strategy::ParallelAnnealing;
-  return Strategy::AdHoc;
-}
 
 DesignResult toDesignResult(RunReport&& report) {
   DesignResult result;
   result.strategyName = report.strategy;
-  result.strategy = strategyEnumFor(report.strategy);
   result.feasible = report.feasible;
   result.mapping = std::move(report.mapping);
   result.schedule = std::move(report.schedule);
@@ -89,10 +68,6 @@ DesignResult IncrementalDesigner::run(const Optimizer& optimizer,
                                       RunContext& context,
                                       const MappingSolution* warmStart) {
   return toDesignResult(optimizer.run(*evaluator_, context, warmStart));
-}
-
-DesignResult IncrementalDesigner::run(Strategy strategy) {
-  return run(std::string(toString(strategy)));
 }
 
 }  // namespace ides

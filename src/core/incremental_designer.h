@@ -10,10 +10,7 @@
 // Strategies resolve through the pluggable optimizer API (core/optimizer.h):
 // run("SA") looks the name up in StrategyRegistry::builtin() and executes
 // the optimizer with this designer's options and a shared RunContext (one
-// EvalContextPool lease across successive runs). The Strategy enum overload
-// is a deprecated shim kept for source compatibility — it forwards to the
-// name-based path and produces bit-identical results; new code should use
-// the registry names (see README "Optimizer API").
+// EvalContextPool lease across successive runs).
 #pragma once
 
 #include <memory>
@@ -30,26 +27,9 @@ namespace ides {
 
 class SystemModel;
 
-/// Deprecated shim: the closed strategy set predating the registry. Kept
-/// so existing callers (and the multi-increment simulation) compile
-/// unchanged; internally every value maps onto its registry name.
-enum class Strategy {
-  AdHoc,               ///< AH: stop at the first valid solution (IM)
-  MappingHeuristic,    ///< MH: the paper's iterative improvement
-  SimulatedAnnealing,  ///< SA: near-optimal reference
-  ParallelAnnealing,   ///< PSA: best-of-K multi-start SA on a thread pool
-};
-
-/// Registry name of a legacy enum value ("AH", "MH", "SA", "PSA").
-const char* toString(Strategy s);
-
 struct DesignResult {
   /// Registry name of the strategy that produced this result.
   std::string strategyName = "AH";
-  /// Deprecated shim: enum value when the strategy is one of the four
-  /// built-ins (left at AdHoc for custom registry strategies —
-  /// `strategyName` is authoritative).
-  Strategy strategy = Strategy::AdHoc;
   bool feasible = false;
   MappingSolution mapping;
   /// Schedule of the current application only (frozen part excluded).
@@ -95,8 +75,6 @@ class IncrementalDesigner {
                    const MappingSolution* warmStart);
   DesignResult run(const Optimizer& optimizer, RunContext& context,
                    const MappingSolution* warmStart);
-  /// Deprecated shim: enum-based dispatch, forwards to run(toString(s)).
-  DesignResult run(Strategy strategy);
 
   [[nodiscard]] const SystemModel& system() const { return *sys_; }
   [[nodiscard]] const DesignerOptions& options() const { return options_; }

@@ -1,7 +1,7 @@
 #include "core/mapping_heuristic.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -216,27 +216,12 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
   // One journaled scratch state for the whole run; the refresh after an
   // applied move re-reads the cached state instead of re-scheduling. A
   // caller-provided context (the RunContext pool lease) is reused verbatim.
-  EvalContext* ctx = scratch;
-  std::unique_ptr<EvalContext> owned;
-  if (ctx == nullptr && options.incrementalEval) {
-    owned = std::make_unique<EvalContext>(evaluator);
-    ctx = owned.get();
-  }
-  auto evaluateTrial = [&](const MappingSolution& s,
-                           const MoveHint& hint) -> EvalResult {
-    return options.incrementalEval ? ctx->evaluate(s, hint)
-                                   : evaluator.evaluate(s);
-  };
-  auto evaluateWithOutputs = [&](const MappingSolution& s,
-                                 ScheduleOutcome* o,
-                                 SlackInfo* sl) -> EvalResult {
-    return options.incrementalEval ? ctx->evaluate(s, o, sl)
-                                   : evaluator.evaluate(s, o, sl);
-  };
+  std::optional<EvalContext> owned;
+  EvalContext& ctx = scratch != nullptr ? *scratch : owned.emplace(evaluator);
 
   ScheduleOutcome outcome;
   SlackInfo slack;
-  result.eval = evaluateWithOutputs(result.solution, &outcome, &slack);
+  result.eval = ctx.evaluate(result.solution, &outcome, &slack);
   result.evaluations = 1;
   if (!result.eval.feasible) {
     throw std::invalid_argument("runMappingHeuristic: initial not feasible");
@@ -291,7 +276,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
         hint.graph = sys.message(move.message).graph;
         hint.message = move.message;
       }
-      const EvalResult r = evaluateTrial(trial, hint);
+      const EvalResult r = ctx.evaluate(trial, hint);
       ++result.evaluations;
       if (r.cost < result.eval.cost - kEps) {
         result.solution = std::move(trial);
@@ -362,7 +347,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
 
     if (budgetExhausted || !applied) break;  // minimum or out of budget
 
-    result.eval = evaluateWithOutputs(result.solution, &outcome, &slack);
+    result.eval = ctx.evaluate(result.solution, &outcome, &slack);
     ++result.evaluations;
     result.iterations = iter + 1;
     IDES_LOG_AT(LogLevel::Debug)

@@ -44,11 +44,6 @@ struct MhOptions {
   /// Hard cap on schedule evaluations (0 = unlimited). Used by budgeted
   /// comparisons; normal runs stop at the local minimum instead.
   std::size_t maxEvaluations = 0;
-  /// Evaluate candidate moves through the delta-aware EvalContext
-  /// (re-schedule only the graphs a move touches). Off = full pass per
-  /// evaluation; results are bit-identical either way (asserted by the
-  /// property tests).
-  bool incrementalEval = true;
   /// Cooperative cancellation, polled once per improvement round. When it
   /// fires MH stops at the current (always valid) incumbent and sets
   /// MhResult::stopped. Null = run to the local minimum.

@@ -1,8 +1,8 @@
 #include "core/multi_increment.h"
 
+#include <memory>
+
 #include "core/initial_mapping.h"
-#include "core/mapping_heuristic.h"
-#include "core/simulated_annealing.h"
 #include "model/system_model.h"
 #include "util/log.h"
 
@@ -18,6 +18,8 @@ MultiIncrementResult runIncrementSequence(
         "runIncrementSequence: existing base not schedulable");
   }
 
+  const std::unique_ptr<Optimizer> optimizer =
+      StrategyRegistry::builtin().create(options.strategy, options.designer);
   MultiIncrementResult result{{}, 0, base.state};
 
   for (const ApplicationId appId : increments) {
@@ -38,26 +40,18 @@ MultiIncrementResult runIncrementSequence(
 
     if (im.feasible) {
       // Optimize the increment with the chosen policy, then commit.
-      MappingSolution solution = im.mapping;
-      if (options.strategy != Strategy::AdHoc) {
-        const SolutionEvaluator evaluator(sys, result.finalState, profile,
-                                          options.weights, app.graphs);
-        if (options.strategy == Strategy::MappingHeuristic) {
-          MhOptions mh = options.mh;
-          if (mh.stop == nullptr) mh.stop = options.stop;
-          solution = runMappingHeuristic(evaluator, solution, mh).solution;
-        } else {
-          SaOptions sa = options.sa;
-          if (sa.stop == nullptr) sa.stop = options.stop;
-          solution = runSimulatedAnnealing(evaluator, solution, sa).solution;
-        }
-        // A token that fired mid-optimization left `solution` at whatever
-        // quality the cut-short search reached; committing it would
-        // silently bias the lifetime result, so discard the increment.
-        if (options.stop != nullptr && options.stop->stopRequested()) {
-          result.stopped = true;
-          break;
-        }
+      const SolutionEvaluator evaluator(sys, result.finalState, profile,
+                                        options.designer.weights, app.graphs);
+      RunContext context;
+      context.stop = options.stop;
+      const MappingSolution solution =
+          optimizer->run(evaluator, context, &im.mapping).mapping;
+      // A token that fired mid-optimization left `solution` at whatever
+      // quality the cut-short search reached; committing it would silently
+      // bias the lifetime result, so discard the increment.
+      if (options.stop != nullptr && options.stop->stopRequested()) {
+        result.stopped = true;
+        break;
       }
       // Commit the optimized mapping.
       PlatformState committed = result.finalState;
@@ -73,7 +67,7 @@ MultiIncrementResult runIncrementSequence(
         const SlackInfo slack = extractSlack(result.finalState);
         step.metrics = computeMetrics(slack, profile);
         step.objective =
-            objectiveValue(step.metrics, profile, options.weights);
+            objectiveValue(step.metrics, profile, options.designer.weights);
         IDES_LOG_AT(LogLevel::Debug)
             << "increment " << app.name << " accepted, C=" << step.objective;
       }

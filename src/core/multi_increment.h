@@ -11,11 +11,12 @@
 // is the lifetime of the platform under that design policy.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/future_profile.h"
-#include "core/incremental_designer.h"
 #include "core/metrics.h"
+#include "core/optimizer.h"
 #include "sched/platform_state.h"
 #include "util/ids.h"
 #include "util/stop_token.h"
@@ -46,10 +47,11 @@ struct MultiIncrementResult {
 };
 
 struct MultiIncrementOptions {
-  Strategy strategy = Strategy::MappingHeuristic;
-  MetricWeights weights;
-  MhOptions mh;
-  SaOptions sa;
+  /// Registry name of the strategy that optimizes each increment
+  /// (StrategyRegistry::builtin()).
+  std::string strategy = "MH";
+  /// Metric weights and per-strategy options, as in LifecycleOptions.
+  DesignerOptions designer;
   /// If false, a rejected increment is skipped and the next one is tried
   /// (product management picks another feature); if true the simulation
   /// stops at the first rejection.
@@ -63,8 +65,10 @@ struct MultiIncrementOptions {
 
 /// Implement the applications in `increments` (any kind; they are treated
 /// as successive current applications) on top of the frozen
-/// AppKind::Existing base of `sys`, one version at a time, re-optimizing
-/// each increment with the chosen strategy before freezing it.
+/// AppKind::Existing base of `sys`, one version at a time, optimizing each
+/// increment with the chosen strategy, warm-started from the increment's
+/// IM, before freezing it. Throws std::invalid_argument for an unknown
+/// strategy name (listing the registered names) or invalid options.
 MultiIncrementResult runIncrementSequence(
     const SystemModel& sys, const FutureProfile& profile,
     const std::vector<ApplicationId>& increments,

@@ -84,8 +84,7 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
   const TraceSpan span("optimizer:" + report.strategy, "core");
 
   // Every strategy starts from the same Initial Mapping on the frozen
-  // baseline — exactly the legacy IncrementalDesigner::run flow, so
-  // reports through this interface are bit-identical to the old enum path.
+  // baseline.
   PlatformState state = evaluator.baseline();
   const ScheduleOutcome im = initialMapping(evaluator.system(), state);
   report.evaluations = 1;
@@ -188,10 +187,8 @@ std::size_t MappingHeuristicOptimizer::improve(
     RunContext& context, RunReport& report) const {
   MhOptions options = options_;
   if (options.stop == nullptr) options.stop = context.stop;
-  EvalContext* scratch = options.incrementalEval
-                             ? &context.leasePool(evaluator, 1)[0]
-                             : nullptr;
-  MhResult mh = runMappingHeuristic(evaluator, solution, options, scratch);
+  MhResult mh = runMappingHeuristic(evaluator, solution, options,
+                                    &context.leasePool(evaluator, 1)[0]);
   solution = std::move(mh.solution);
   report.stopped = mh.stopped;
   context.report({"MH", "improve", mh.evaluations, 0, mh.eval.cost});
@@ -208,13 +205,9 @@ std::size_t SimulatedAnnealingOptimizer::improve(
     RunContext& context, RunReport& report) const {
   SaOptions options = options_;
   if (options.stop == nullptr) options.stop = context.stop;
-  // The speculative engine owns its worker contexts; only the sequential
-  // chain borrows the leased scratch.
-  EvalContext* scratch =
-      options.incrementalEval && options.speculation.workers <= 1
-          ? &context.leasePool(evaluator, 1)[0]
-          : nullptr;
-  SaResult sa = runSimulatedAnnealing(evaluator, solution, options, scratch);
+  // Worker 0 of the chain borrows the leased scratch.
+  SaResult sa = runSimulatedAnnealing(evaluator, solution, options,
+                                      &context.leasePool(evaluator, 1)[0]);
   solution = std::move(sa.solution);
   report.stopped = sa.stopped;
   report.proposals = sa.proposals;
@@ -256,10 +249,8 @@ std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
                                          RunReport& report) const {
   TabuOptions options = options_;
   if (options.stop == nullptr) options.stop = context.stop;
-  EvalContext* scratch = options.incrementalEval
-                             ? &context.leasePool(evaluator, 1)[0]
-                             : nullptr;
-  TabuResult tabu = runTabuSearch(evaluator, solution, options, scratch);
+  TabuResult tabu = runTabuSearch(evaluator, solution, options,
+                                  &context.leasePool(evaluator, 1)[0]);
   solution = std::move(tabu.solution);
   report.stopped = tabu.stopped;
   report.proposals = tabu.proposals;

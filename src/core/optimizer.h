@@ -136,7 +136,7 @@ struct RunReport {
   /// annealing chain the strategy ran (all zero for AH and MH, which do not
   /// draw from a proposal stream): proposals drawn, moves accepted, and the
   /// subset of proposals the gap-fingerprint zero-delta filter replayed
-  /// without any evaluation (always 0 when incrementalEval is off).
+  /// without any evaluation.
   std::size_t proposals = 0;
   std::size_t accepted = 0;
   std::size_t zeroDeltaSkips = 0;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -36,17 +37,23 @@ SaOptions chainOptionsFor(const SaOptions& base, int index) {
 }  // namespace
 
 void validateOptions(const ParallelSaOptions& options) {
-  const auto check = [](const char* field, int value, int min) {
-    if (value < min) {
+  const auto check = [](const char* field, int value, int min,
+                        int max = std::numeric_limits<int>::max()) {
+    if (value < min || value > max) {
+      const bool low = value < min;
       throw std::invalid_argument(
-          std::string("ParallelSaOptions: ") + field + " must be >= " +
-          std::to_string(min) + " (got " + std::to_string(value) + ")");
+          std::string("ParallelSaOptions: ") + field +
+          (low ? " must be >= " : " must be <= ") +
+          std::to_string(low ? min : max) + " (got " +
+          std::to_string(value) + ")");
     }
   };
   check("restarts", options.restarts, 1);
-  check("threads", options.threads, 0);  // 0 = hardware concurrency
+  check("threads", options.threads, 0,  // 0 = hardware concurrency
+        kMaxAnnealingThreads);
   check("perChainIterations", options.perChainIterations, 0);
-  check("speculativeWorkers", options.speculativeWorkers, 0);
+  check("speculativeWorkers", options.speculativeWorkers, 0,
+        kMaxAnnealingThreads);
   validateOptions(options.base);
 }
 
@@ -120,7 +127,16 @@ ParallelSaResult runParallelAnnealing(const SolutionEvaluator& evaluator,
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
+    try {
+      for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
+    } catch (...) {
+      // A thread failed to start: hand out no further chains, let the
+      // started threads finish the chain they hold, then report the
+      // failure instead of destroying joinable threads.
+      next.store(chains, std::memory_order_relaxed);
+      for (std::thread& t : pool) t.join();
+      throw;
+    }
     for (std::thread& t : pool) t.join();
   }
 

@@ -17,9 +17,10 @@
 // Two-level parallelism: when the chain count cannot saturate the thread
 // budget, the leftover threads become per-chain speculative evaluation
 // workers (core/speculative_eval.h) — chains across the pool, speculative
-// move evaluations within each chain. Speculation is bit-identical to the
-// sequential chain for any worker count, so the PSA result stays
-// independent of the thread budget and of how it is split.
+// move evaluations within each chain. A chain's result does not depend on
+// its worker count, so the PSA result stays independent of the thread
+// budget and of how it is split. Thread counts are capped at
+// kMaxAnnealingThreads.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,8 @@ struct ParallelSaOptions {
   /// Per-chain SA configuration; `base.seed` seeds the whole ensemble and
   /// `base.iterations` is the per-chain default.
   SaOptions base;
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
+  /// Worker threads; 0 means std::thread::hardware_concurrency(). At most
+  /// kMaxAnnealingThreads.
   int threads = 0;
   /// Number of independent chains (K). Must be >= 1.
   int restarts = 4;
@@ -42,16 +44,16 @@ struct ParallelSaOptions {
   /// Speculative evaluation workers per chain
   /// (SpeculationOptions::workers for every chain). 0 = auto: divide the
   /// thread budget evenly over the chains that run concurrently, so e.g. 2
-  /// chains on 8 threads each get 4 workers. 1 = speculation off. Results
-  /// are identical for every value — this splits the thread budget, not
-  /// the search.
+  /// chains on 8 threads each get 4 workers. 1 = speculation off; at most
+  /// kMaxAnnealingThreads. Results are identical for every value — this
+  /// splits the thread budget, not the search.
   int speculativeWorkers = 0;
 };
 
-/// Range-checks every knob (restarts >= 1, non-negative thread/iteration
-/// budgets) including the embedded base SaOptions; throws
-/// std::invalid_argument naming the offending field. Called on entry of
-/// runParallelAnnealing.
+/// Range-checks every knob (restarts >= 1, non-negative iteration budgets,
+/// thread counts in [0, kMaxAnnealingThreads]) including the embedded base
+/// SaOptions; throws std::invalid_argument naming the offending field.
+/// Called on entry of runParallelAnnealing.
 void validateOptions(const ParallelSaOptions& options);
 
 /// Seed of chain `index` for a given ensemble seed: chain 0 keeps the base
@@ -82,7 +84,9 @@ struct ParallelSaResult {
 
 /// Requires `initial` to be feasible (same contract as
 /// runSimulatedAnnealing); throws std::invalid_argument otherwise or when
-/// options.restarts < 1.
+/// options.restarts < 1. If a thread fails to start, the threads already
+/// started finish their current chain and are joined before the
+/// std::system_error propagates.
 ParallelSaResult runParallelAnnealing(const SolutionEvaluator& evaluator,
                                       const MappingSolution& initial,
                                       const ParallelSaOptions& options = {});

@@ -1,22 +1,70 @@
 #include "core/simulated_annealing.h"
 
+#include <array>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "core/speculative_eval.h"
 #include "model/system_model.h"
+#include "obs/telemetry.h"
 #include "util/log.h"
 
 namespace ides {
 
 namespace {
 
+// Speculation shape. A batch starts at `workers` moves, doubles after a
+// fully rejected batch and halves after an acceptance, within
+// [workers, kSpeculationDepthPerWorker * workers]. The chain speculates only
+// while the acceptance rate over the last kSpeculationWindow Metropolis
+// decisions is below kSpeculationThreshold: above it most batches would
+// commit their first move and throw the pre-evaluated tail away. The floor
+// of the observed rate is the zero-delta rate (hint moves that leave the
+// schedule untouched are always accepted, and still invalidate later
+// speculations), ~0.4 on loaded instances; a batch of K still replays
+// sum (1-p)^i > 1 iterations per parallel round below ~0.55.
+constexpr int kSpeculationDepthPerWorker = 4;
+constexpr double kSpeculationThreshold = 0.55;
+constexpr std::size_t kSpeculationWindow = 48;
+
 [[noreturn]] void invalidOption(const char* field, const std::string& detail) {
   throw std::invalid_argument(std::string("SaOptions: ") + field + " " +
                               detail);
 }
+
+/// Ring buffer over the last kSpeculationWindow Metropolis decisions.
+/// rate() is 1.0 until the first decision lands — the chain starts hot, so
+/// defaulting to "high acceptance" keeps the warm-up inline. Deterministic
+/// by construction: the content is a pure function of the decision
+/// sequence.
+class AcceptanceWindow {
+ public:
+  void push(bool accepted) {
+    const char value = accepted ? 1 : 0;
+    if (size_ == ring_.size()) {
+      accepted_ += value - ring_[head_];
+      ring_[head_] = value;
+      head_ = (head_ + 1) % ring_.size();
+    } else {
+      ring_[(head_ + size_) % ring_.size()] = value;
+      accepted_ += value;
+      ++size_;
+    }
+  }
+
+  [[nodiscard]] double rate() const {
+    return size_ == 0 ? 1.0
+                      : static_cast<double>(accepted_) /
+                            static_cast<double>(size_);
+  }
+
+ private:
+  std::array<char, kSpeculationWindow> ring_{};
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  int accepted_ = 0;
+};
 
 }  // namespace
 
@@ -43,24 +91,11 @@ void validateOptions(const SaOptions& options) {
                   "probRemap and probProcessHint must each lie in [0, 1] "
                   "and sum to at most 1");
   }
-  const SpeculationOptions& spec = options.speculation;
-  if (spec.workers < 0) {
+  const int workers = options.speculation.workers;
+  if (workers < 0 || workers > kMaxAnnealingThreads) {
     invalidOption("speculation.workers",
-                  "must be >= 0 (got " + std::to_string(spec.workers) + ")");
-  }
-  if (spec.maxDepth < 0) {
-    invalidOption("speculation.maxDepth",
-                  "must be >= 0 (got " + std::to_string(spec.maxDepth) + ")");
-  }
-  if (!(spec.acceptanceThreshold >= 0.0) ||
-      !std::isfinite(spec.acceptanceThreshold)) {
-    invalidOption("speculation.acceptanceThreshold",
-                  "must be finite and >= 0 (0 disables speculation, values "
-                  "above 1 force it)");
-  }
-  if (spec.window < 1) {
-    invalidOption("speculation.window",
-                  "must be >= 1 (got " + std::to_string(spec.window) + ")");
+                  "must lie in [0, " + std::to_string(kMaxAnnealingThreads) +
+                      "] (got " + std::to_string(workers) + ")");
   }
 }
 
@@ -243,87 +278,130 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
                                const SaOptions& options,
                                EvalContext* scratch) {
   validateOptions(options);
-  if (options.speculation.workers > 1) {
-    // The speculative engine replays the exact same two-stream chain with
-    // batches of moves pre-evaluated on parallel workers.
-    return runSpeculativeAnnealing(evaluator, initial, options);
-  }
   if (scratch != nullptr && &scratch->evaluator() != &evaluator) {
     throw std::invalid_argument(
         "runSimulatedAnnealing: scratch context bound to another evaluator");
   }
+  const int workers = std::max(1, options.speculation.workers);
+  const int maxDepth = kSpeculationDepthPerWorker * workers;
 
   const SaMoveProposer proposer(evaluator, options);
+  SpeculativeEvalPool pool(evaluator, workers, scratch);
+  EvalContext& ctx = pool.context0();
   Rng proposalRng(rngStreamSeed(options.seed, kSaProposalStream));
   Rng acceptanceRng(rngStreamSeed(options.seed, kSaAcceptanceStream));
 
-  // One journaled scratch state for the whole chain: each move re-schedules
-  // only the graphs it touches (full pass when incrementalEval is off). A
-  // caller-provided context (the RunContext pool lease) is reused verbatim —
-  // its checkpoints are verified, never trusted, so results are identical.
-  EvalContext* ctx = scratch;
-  std::unique_ptr<EvalContext> owned;
-  if (ctx == nullptr && options.incrementalEval) {
-    owned = std::make_unique<EvalContext>(evaluator);
-    ctx = owned.get();
-  }
-  auto evaluateMove = [&](const MappingSolution& s,
-                          const MoveHint& hint) -> EvalResult {
-    return options.incrementalEval ? ctx->evaluate(s, hint)
-                                   : evaluator.evaluate(s);
-  };
-
   SaResult result;
   result.solution = initial;
-  result.eval =
-      options.incrementalEval ? ctx->evaluate(initial)
-                              : evaluator.evaluate(initial);
+  result.eval = ctx.evaluate(initial);
   result.evaluations = 1;
   if (!result.eval.feasible) {
     throw std::invalid_argument("runSimulatedAnnealing: initial not feasible");
   }
-  // Gap-fingerprint filter: replay provably schedule-identical hint moves
-  // without evaluating them (incremental mode only — the fingerprint comes
-  // from the context's committed schedule).
-  const bool useFilter = options.incrementalEval;
+  // Gap-fingerprint filter: provably schedule-identical hint moves are
+  // replayed without evaluation. Their acceptance is certain, so a batch
+  // stops proposing at the first one — everything after it would be
+  // discarded anyway.
   ZeroDeltaFilter filter(evaluator);
-  if (useFilter) filter.captureAccepted(*ctx, result.eval);
+  filter.captureAccepted(ctx, result.eval);
   if (options.recordCostTrace) {
     result.costTrace.reserve(static_cast<std::size_t>(options.iterations));
   }
 
   MappingSolution current = initial;
   double currentCost = result.eval.cost;
-
   const SaSchedule schedule = saSchedule(options, result.eval.cost);
   double temp = schedule.t0;
+  AcceptanceWindow window;
+  int depth = workers;
 
-  MappingSolution trial;
-  for (int it = 0; it < options.iterations; ++it, temp *= schedule.alpha) {
+  // Per-batch scratch, reused across batches.
+  std::vector<SaMove> moves;
+  std::vector<Rng> proposalAfter;  // stream state after each proposal
+  std::vector<MappingSolution> trials;
+  std::vector<SpeculativeEvalPool::Item> items;
+
+  int it = 0;
+  while (it < options.iterations) {
+    // Cooperative stop, polled once per batch. The poll never touches the
+    // RNG streams, so an unfired token leaves the trajectory bit-identical.
     if (options.stop != nullptr && options.stop->stopRequested()) {
       result.stopped = true;
       break;
     }
-    const SaMove move = proposer.propose(current, proposalRng);
-    ++result.proposals;
-    if (move.kind != SaMove::Kind::None) {
-      if (useFilter && filter.zeroDelta(move, current)) {
-        // The evaluation would return exactly currentCost: delta == 0
-        // accepts without an acceptance draw, and the incumbent cannot
-        // improve. Replay the certain acceptance without evaluating; the
-        // fingerprint stays valid (the schedule is unchanged).
+    // A batch of one move, or `depth` moves that each assume every earlier
+    // one in the batch is rejected (they all perturb `current`).
+    const bool speculate =
+        workers > 1 && window.rate() < kSpeculationThreshold;
+    const int batchSize =
+        speculate ? std::min(depth, options.iterations - it) : 1;
+    const auto size = static_cast<std::size_t>(batchSize);
+    moves.clear();
+    proposalAfter.clear();
+    if (trials.size() < size) trials.resize(size);
+    if (items.size() < size) items.resize(size);
+    int generated = 0;
+    int skipIndex = -1;  // first zero-delta proposal; never evaluated
+    for (int j = 0; j < batchSize; ++j) {
+      const auto idx = static_cast<std::size_t>(j);
+      const SaMove move = proposer.propose(current, proposalRng);
+      moves.push_back(move);
+      if (speculate) proposalAfter.push_back(proposalRng);
+      ++generated;
+      items[idx].trial = nullptr;
+      if (move.kind == SaMove::Kind::None) continue;
+      if (filter.zeroDelta(move, current)) {
+        skipIndex = j;
+        break;
+      }
+      trials[idx] = current;
+      SaMoveProposer::apply(move, trials[idx]);
+      items[idx].trial = &trials[idx];
+      items[idx].hint = move.evalHint;
+    }
+    if (speculate) {
+      pool.evaluate(items.data(), static_cast<std::size_t>(generated));
+      ++result.speculativeBatches;
+      // Batch shape telemetry (write-only; the adaptive depth never reads
+      // it): how deep the speculation window actually ran.
+      static Histogram& batchDepth = telemetry().histogram(
+          "ides_sa_speculation_batch_depth",
+          "Moves dispatched per speculative evaluation batch",
+          {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+      batchDepth.observe(static_cast<double>(generated));
+    } else if (items[0].trial != nullptr) {
+      items[0].result = ctx.evaluate(*items[0].trial, items[0].hint);
+    }
+
+    // Replay the Metropolis decisions in chain order, up to the first
+    // acceptance.
+    bool acceptedInBatch = false;
+    for (int j = 0; j < generated && !acceptedInBatch; ++j) {
+      const auto idx = static_cast<std::size_t>(j);
+      const SaMove& move = moves[idx];
+      // Counted at replay, not at proposal: proposals rewound after an
+      // acceptance are re-drawn by the next batch.
+      ++result.proposals;
+      if (j == skipIndex) {
+        // Zero-delta: the evaluation would return exactly currentCost, so
+        // delta == 0 accepts without an acceptance draw and the incumbent
+        // cannot improve. The window is not pushed — these auto-accepts say
+        // nothing about the real acceptance rate — and the fingerprint
+        // stays valid (the schedule is unchanged).
         SaMoveProposer::apply(move, current);
         ++result.evaluations;
         ++result.zeroDeltaSkips;
         ++result.accepted;
-      } else {
-        trial = current;
-        SaMoveProposer::apply(move, trial);
-        const EvalResult r = evaluateMove(trial, move.evalHint);
+        acceptedInBatch = true;
+      } else if (move.kind != SaMove::Kind::None) {
+        const SpeculativeEvalPool::Item& item = items[idx];
+        const EvalResult& r = item.result;
         ++result.evaluations;
-        const double delta = r.cost - currentCost;
-        if (metropolisAccept(delta, temp, acceptanceRng)) {
-          current = std::move(trial);
+        acceptedInBatch =
+            metropolisAccept(r.cost - currentCost, temp, acceptanceRng);
+        window.push(acceptedInBatch);
+        if (acceptedInBatch) {
+          current = std::move(trials[idx]);
           currentCost = r.cost;
           ++result.accepted;
           if (r.feasible && r.cost < result.eval.cost) {
@@ -332,11 +410,35 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
             IDES_LOG_AT(LogLevel::Debug)
                 << "SA iter " << it << ": best C=" << r.cost << " T=" << temp;
           }
-          if (useFilter) filter.captureAccepted(*ctx, r);
+          if (!speculate) {
+            filter.captureAccepted(ctx, r);
+          } else if (r.feasible) {
+            filter.capture(item.arrivals, item.ends);
+          } else {
+            filter.invalidate();
+          }
         }
       }
+      if (options.recordCostTrace) result.costTrace.push_back(currentCost);
+      ++it;
+      temp *= schedule.alpha;
+      if (acceptedInBatch && speculate) {
+        // The acceptance invalidates the later speculations: discard them
+        // and rewind the proposal stream to its state right after the
+        // winning proposal. The worker contexts re-align with `current`
+        // lazily, on their next evaluation.
+        for (int k = j + 1; k < generated; ++k) {
+          if (items[static_cast<std::size_t>(k)].trial != nullptr) {
+            ++result.discardedEvaluations;
+          }
+        }
+        proposalRng = proposalAfter[idx];
+      }
     }
-    if (options.recordCostTrace) result.costTrace.push_back(currentCost);
+    if (speculate) {
+      depth = acceptedInBatch ? std::max(workers, depth / 2)
+                              : std::min(depth * 2, maxDepth);
+    }
   }
   return result;
 }

@@ -14,13 +14,12 @@
 //   * kSaProposalStream  — every draw that shapes a candidate move,
 //   * kSaAcceptanceStream — the Metropolis draw for uphill moves.
 // Splitting them makes the proposal sequence independent of the accept /
-// reject outcomes, which is what lets the speculative engine
-// (core/speculative_eval.h) pre-generate a batch of K moves, evaluate them
-// on parallel workers, and replay the acceptance decisions sequentially —
-// bit-identical to this sequential chain by construction. The chain
-// trajectory is a function of (options, evaluator, initial) only; the
-// speculation knobs (workers, depth, threshold) change the wall-clock, not
-// the result.
+// reject outcomes. That is what lets the chain speculate: propose a batch
+// of K moves against the same current solution, evaluate them on parallel
+// workers (core/speculative_eval.h), and replay the acceptance decisions in
+// chain order, rewinding the proposal stream after the first acceptance.
+// The trajectory is a function of (options, evaluator, initial) only; the
+// worker count changes the wall-clock, not the result.
 #pragma once
 
 #include <algorithm>
@@ -40,27 +39,19 @@ namespace ides {
 inline constexpr std::uint64_t kSaProposalStream = 0;
 inline constexpr std::uint64_t kSaAcceptanceStream = 1;
 
-/// Speculative execution inside one chain (core/speculative_eval.h). All
-/// knobs are performance-only: the chain result is bit-identical for every
-/// configuration, including workers = 1.
+/// Upper bound on every thread count an annealing run accepts
+/// (SpeculationOptions::workers, ParallelSaOptions::threads and
+/// speculativeWorkers). Results never depend on these counts, so the cap
+/// only keeps one request from fanning out into thousands of threads.
+inline constexpr int kMaxAnnealingThreads = 256;
+
+/// Speculative execution inside one chain. Performance only: the chain
+/// result is bit-identical for every worker count.
 struct SpeculationOptions {
   /// Parallel evaluation workers for one chain; worker 0 is the calling
-  /// thread, so `workers` is the total thread count. <= 1 disables
-  /// speculation and runs the plain sequential chain.
+  /// thread, so `workers` is the total thread count, at most
+  /// kMaxAnnealingThreads. <= 1 evaluates every move inline.
   int workers = 1;
-  /// Upper bound on the adaptive speculation depth (pre-generated moves per
-  /// batch). 0 = 4 * workers.
-  int maxDepth = 0;
-  /// Speculate only while the windowed acceptance rate is below this; above
-  /// it most batches would commit their first move and the pre-evaluated
-  /// tail would be thrown away. Note the floor of the observed rate is the
-  /// zero-delta rate (hint moves that leave the schedule untouched are
-  /// always accepted — and still invalidate later speculations), ~0.4 on
-  /// loaded instances; a batch of K still replays sum (1-p)^i > 1
-  /// iterations per parallel round below ~0.55, hence the default.
-  double acceptanceThreshold = 0.55;
-  /// Number of recent Metropolis decisions in the acceptance-rate window.
-  int window = 48;
 };
 
 struct SaOptions {
@@ -75,23 +66,18 @@ struct SaOptions {
   double probProcessHint = 0.35; ///< move process to another slack
   // remaining probability: move message to another bus slack
 
-  /// Evaluate moves through the delta-aware EvalContext (re-schedule only
-  /// the graphs a move touches). Off = full pass per evaluation; results
-  /// are bit-identical either way (asserted by the property tests), so this
-  /// is a pure performance switch kept for comparison and testing.
-  bool incrementalEval = true;
-
   /// Record the cost of the walk's current state after every iteration into
-  /// SaResult::costTrace (the determinism suite diffs the trace of the
-  /// speculative engine against the sequential chain).
+  /// SaResult::costTrace (the determinism suite diffs the trace against a
+  /// plain reference chain at every worker count).
   bool recordCostTrace = false;
 
   /// Speculative parallel move evaluation inside this chain.
   SpeculationOptions speculation;
 
-  /// Cooperative cancellation: polled once per iteration (per batch in the
-  /// speculative engine). When it fires the chain stops, keeps its best
-  /// incumbent so far and sets SaResult::stopped. Null = never stops early.
+  /// Cooperative cancellation: polled once per proposal batch (once per
+  /// iteration outside speculation). When it fires the chain stops, keeps
+  /// its best incumbent so far and sets SaResult::stopped. Null = never
+  /// stops early.
   /// The token does not perturb the trajectory while unfired, so two runs
   /// that both finish their budget are bit-identical with or without it.
   const StopToken* stop = nullptr;
@@ -99,32 +85,30 @@ struct SaOptions {
 
 /// Range-checks every knob; throws std::invalid_argument with a message
 /// naming the offending field (e.g. negative iterations, probabilities
-/// outside [0, 1] or summing past 1). Called on entry of both SA engines.
+/// outside [0, 1] or summing past 1, more than kMaxAnnealingThreads
+/// workers). Called on entry of runSimulatedAnnealing.
 void validateOptions(const SaOptions& options);
 
 struct SaResult {
   MappingSolution solution;  ///< best feasible solution seen
   EvalResult eval;
   /// Evaluations consumed by the chain (initial + one per non-None
-  /// iteration) — identical for the sequential and speculative engines.
-  /// Proposals the zero-delta filter replayed without computing are still
-  /// counted here (their result is known exactly), so the counter stays
-  /// invariant across incrementalEval on/off and across engines.
+  /// iteration), identical at every worker count. Proposals the zero-delta
+  /// filter replayed without computing are still counted here (their result
+  /// is known exactly), so the counter matches a chain without the filter.
   std::size_t evaluations = 0;
   std::size_t accepted = 0;
   /// Move-generation telemetry: proposals consumed by the chain (None
   /// moves included; speculative proposals rewound after an acceptance are
   /// not — they are re-drawn by the next batch) and the subset the
   /// gap-fingerprint filter proved schedule-identical and replayed without
-  /// any evaluation (always 0 when incrementalEval is off). Both are pure
-  /// functions of the trajectory: identical across engines, and
-  /// zeroDeltaSkips is 0 when incrementalEval is off while proposals is
-  /// invariant to it.
+  /// any evaluation. Both are pure functions of the trajectory, identical
+  /// at every worker count.
   std::size_t proposals = 0;
   std::size_t zeroDeltaSkips = 0;
   /// Speculative telemetry: evaluations computed ahead of an acceptance and
   /// then thrown away, and the number of speculation batches dispatched.
-  /// Always 0 for the sequential chain.
+  /// Always 0 at one worker.
   std::size_t discardedEvaluations = 0;
   std::size_t speculativeBatches = 0;
   /// True when SaOptions::stop ended the chain before its iteration budget.
@@ -135,8 +119,8 @@ struct SaResult {
 };
 
 /// One candidate design transformation, pre-drawn from the proposal stream
-/// and applied to a solution later (the speculative engine materializes a
-/// whole batch before any evaluation runs).
+/// and applied to a solution later (a speculation batch materializes all
+/// of its moves before any evaluation runs).
 struct SaMove {
   enum class Kind : std::uint8_t {
     None,         ///< skipped iteration (message move with no messages)
@@ -152,10 +136,9 @@ struct SaMove {
   MoveHint evalHint;
 };
 
-/// The move kernel shared by the sequential chain and the speculative
-/// engine: given the walk's current solution and the proposal stream,
-/// draws the next candidate move. Both engines go through this one
-/// implementation, so their proposal sequences agree draw for draw.
+/// The move kernel of the chain (and of tabu search): given the walk's
+/// current solution and the proposal stream, draws the next candidate
+/// move.
 class SaMoveProposer {
  public:
   /// Collects the movable processes / messages of the evaluator's current
@@ -184,8 +167,8 @@ class SaMoveProposer {
 };
 
 /// Gap-fingerprint zero-delta filter — detects hint moves that provably
-/// reproduce the current schedule and lets both engines replay them
-/// without any evaluation (performance only; the trajectory is untouched).
+/// reproduce the current schedule and lets the chain replay them without
+/// any evaluation (performance only; the trajectory is untouched).
 ///
 /// The fingerprint is a snapshot of two hint-independent quantities of the
 /// chain's current schedule, indexed by SolutionEvaluator::jobIndexOf:
@@ -219,7 +202,7 @@ class ZeroDeltaFilter {
   /// snapshots when the result is feasible, invalidates otherwise.
   void captureAccepted(const EvalContext& ctx, const EvalResult& result);
 
-  /// Re-arm from a pre-copied fingerprint (the speculative pool snapshots
+  /// Re-arm from a pre-copied fingerprint (a speculation batch snapshots
   /// each feasible item on its worker, since a worker's context may have
   /// moved past the accepted item by replay time).
   void capture(const std::vector<Time>& arrivals,
@@ -240,8 +223,7 @@ class ZeroDeltaFilter {
   std::vector<std::int32_t> instances_;  ///< by ProcessId::index()
 };
 
-/// Geometric cooling schedule of one chain, shared verbatim by both
-/// engines so their temperature sequences are bit-identical.
+/// Geometric cooling schedule of one chain.
 struct SaSchedule {
   double t0 = 1.0;
   double alpha = 1.0;
@@ -249,24 +231,24 @@ struct SaSchedule {
 [[nodiscard]] SaSchedule saSchedule(const SaOptions& options,
                                     double initialCost);
 
-/// The Metropolis criterion, shared verbatim by both engines. The
-/// acceptance stream is consumed only for uphill moves (delta > 0), so the
-/// draw pattern is a pure function of the decision sequence.
+/// The Metropolis criterion. The acceptance stream is consumed only for
+/// uphill moves (delta > 0), so the draw pattern is a pure function of the
+/// decision sequence.
 [[nodiscard]] inline bool metropolisAccept(double delta, double temp,
                                            Rng& acceptanceRng) {
   return delta <= 0.0 ||
          acceptanceRng.uniform01() < std::exp(-delta / std::max(temp, 1e-12));
 }
 
-/// Requires `initial` to be feasible; throws otherwise. Routes through the
-/// speculative engine when options.speculation.workers > 1 (bit-identical
-/// result, K moves evaluated in parallel).
+/// Requires `initial` to be feasible; throws otherwise. With
+/// options.speculation.workers > 1, batches of moves are evaluated in
+/// parallel while the windowed acceptance rate is low (bit-identical
+/// result).
 ///
 /// `scratch`, when given, is a caller-owned EvalContext bound to the same
-/// evaluator (e.g. one leased from a RunContext pool) that the sequential
-/// chain uses instead of constructing its own — a pure reuse optimization;
-/// results are bit-identical either way. Ignored by the speculative engine
-/// (its workers own a pool of contexts already).
+/// evaluator (e.g. one leased from a RunContext pool) that worker 0 uses
+/// instead of constructing its own — a pure reuse optimization; results
+/// are bit-identical either way.
 SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
                                const MappingSolution& initial,
                                const SaOptions& options = {},

@@ -1,91 +1,54 @@
 #include "core/speculative_eval.h"
 
-#include <stdexcept>
+#include <algorithm>
 #include <utility>
-
-#include "obs/telemetry.h"
-#include "util/log.h"
 
 namespace ides {
 
-namespace {
-
-/// Ring buffer over the last N Metropolis decisions. rate() is 1.0 until
-/// the first decision lands — the chain starts hot, so defaulting to "high
-/// acceptance" keeps the warm-up sequential. Deterministic by construction:
-/// the content is a pure function of the decision sequence.
-class AcceptanceWindow {
- public:
-  explicit AcceptanceWindow(int capacity)
-      : ring_(static_cast<std::size_t>(std::max(1, capacity)), 0) {}
-
-  void push(bool accepted) {
-    const char value = accepted ? 1 : 0;
-    if (size_ == ring_.size()) {
-      accepted_ += value - ring_[head_];
-      ring_[head_] = value;
-      head_ = (head_ + 1) % ring_.size();
-    } else {
-      ring_[(head_ + size_) % ring_.size()] = value;
-      accepted_ += value;
-      ++size_;
-    }
-  }
-
-  [[nodiscard]] double rate() const {
-    return size_ == 0 ? 1.0
-                      : static_cast<double>(accepted_) /
-                            static_cast<double>(size_);
-  }
-
- private:
-  std::vector<char> ring_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  int accepted_ = 0;
-};
-
-}  // namespace
-
-// ---- SpeculativeEvalPool --------------------------------------------------
-
 SpeculativeEvalPool::SpeculativeEvalPool(const SolutionEvaluator& evaluator,
-                                         int workers, bool incremental)
-    : ev_(&evaluator),
-      workers_(std::max(1, workers)),
-      incremental_(incremental),
-      contexts_(evaluator,
-                incremental ? static_cast<std::size_t>(workers_) : 0),
+                                         int workers, EvalContext* context0)
+    : workers_(std::max(1, workers)),
+      owned_(evaluator, static_cast<std::size_t>(workers_) -
+                            (context0 != nullptr ? 1 : 0)),
       errors_(static_cast<std::size_t>(workers_)) {
+  if (context0 != nullptr) contexts_.push_back(context0);
+  for (std::size_t i = 0; i < owned_.size(); ++i) {
+    contexts_.push_back(&owned_[i]);
+  }
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
-  for (int w = 1; w < workers_; ++w) {
-    threads_.emplace_back([this, w] { workerLoop(w); });
+  try {
+    for (int w = 1; w < workers_; ++w) {
+      threads_.emplace_back([this, w] { workerLoop(w); });
+    }
+  } catch (...) {
+    stopWorkers();
+    throw;
   }
 }
 
-SpeculativeEvalPool::~SpeculativeEvalPool() {
-  if (!threads_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      job_ = Job::Stop;
-      ++epoch_;
-    }
-    start_.notify_all();
-    for (std::thread& t : threads_) t.join();
+SpeculativeEvalPool::~SpeculativeEvalPool() { stopWorkers(); }
+
+void SpeculativeEvalPool::stopWorkers() {
+  if (threads_.empty()) return;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+    ++epoch_;
   }
+  start_.notify_all();
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
 }
 
 void SpeculativeEvalPool::workerLoop(int w) {
   std::uint64_t seen = 0;
   while (true) {
-    Job job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       start_.wait(lock, [&] { return epoch_ != seen; });
       seen = epoch_;
-      job = job_;
+      if (stopping_) return;
     }
-    if (job == Job::Stop) return;
     runShare(w);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -97,26 +60,22 @@ void SpeculativeEvalPool::workerLoop(int w) {
 
 void SpeculativeEvalPool::runShare(int w) {
   try {
+    EvalContext& ctx = *contexts_[static_cast<std::size_t>(w)];
     for (std::size_t i = static_cast<std::size_t>(w); i < itemCount_;
          i += static_cast<std::size_t>(workers_)) {
       Item& item = items_[i];
       if (item.trial == nullptr) continue;
-      if (incremental_) {
-        EvalContext& ctx = contexts_[static_cast<std::size_t>(w)];
-        item.result = ctx.evaluate(*item.trial, item.hint);
-        if (item.result.feasible) {
-          // Fingerprint for the zero-delta filter, taken now: this context
-          // moves on to the worker's next item before the replay decides
-          // which item the chain accepts.
-          item.arrivals = ctx.arrivalBounds();
-          const std::vector<ScheduledProcess>& procs = ctx.processes();
-          item.ends.resize(procs.size());
-          for (std::size_t p = 0; p < procs.size(); ++p) {
-            item.ends[p] = procs[p].end;
-          }
+      item.result = ctx.evaluate(*item.trial, item.hint);
+      if (item.result.feasible) {
+        // Fingerprint for the zero-delta filter, taken now: this context
+        // moves on to the worker's next item before the replay decides
+        // which item the chain accepts.
+        item.arrivals = ctx.arrivalBounds();
+        const std::vector<ScheduledProcess>& procs = ctx.processes();
+        item.ends.resize(procs.size());
+        for (std::size_t p = 0; p < procs.size(); ++p) {
+          item.ends[p] = procs[p].end;
         }
-      } else {
-        item.result = ev_->evaluate(*item.trial);
       }
     }
   } catch (...) {
@@ -124,267 +83,23 @@ void SpeculativeEvalPool::runShare(int w) {
   }
 }
 
-void SpeculativeEvalPool::dispatch(Job job) {
-  if (threads_.empty()) {
-    job_ = job;
-    runShare(0);
-  } else {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      job_ = job;
-      running_ = workers_ - 1;
-      ++epoch_;
-    }
-    start_.notify_all();
-    runShare(0);
+void SpeculativeEvalPool::evaluate(Item* items, std::size_t count) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    items_ = items;
+    itemCount_ = count;
+    running_ = workers_ - 1;
+    ++epoch_;
+  }
+  start_.notify_all();
+  runShare(0);
+  {
     std::unique_lock<std::mutex> lock(mutex_);
     done_.wait(lock, [&] { return running_ == 0; });
   }
   for (std::exception_ptr& e : errors_) {
-    if (e) {
-      const std::exception_ptr err = std::exchange(e, nullptr);
-      std::rethrow_exception(err);
-    }
+    if (e) std::rethrow_exception(std::exchange(e, nullptr));
   }
-}
-
-void SpeculativeEvalPool::evaluate(Item* items, std::size_t count) {
-  items_ = items;
-  itemCount_ = count;
-  dispatch(Job::Evaluate);
-}
-
-EvalResult SpeculativeEvalPool::evaluateOne(const MappingSolution& solution,
-                                            const MoveHint& hint) {
-  return incremental_ ? contexts_[0].evaluate(solution, hint)
-                      : ev_->evaluate(solution);
-}
-
-// ---- the speculative chain ------------------------------------------------
-
-SaResult runSpeculativeAnnealing(const SolutionEvaluator& evaluator,
-                                 const MappingSolution& initial,
-                                 const SaOptions& options) {
-  validateOptions(options);
-  const SpeculationOptions& spec = options.speculation;
-  const int workers = std::max(1, spec.workers);
-  const int maxDepth =
-      std::max(workers, spec.maxDepth > 0 ? spec.maxDepth : 4 * workers);
-
-  const SaMoveProposer proposer(evaluator, options);
-  SpeculativeEvalPool pool(evaluator, workers, options.incrementalEval);
-  Rng proposalRng(rngStreamSeed(options.seed, kSaProposalStream));
-  Rng acceptanceRng(rngStreamSeed(options.seed, kSaAcceptanceStream));
-
-  SaResult result;
-  result.solution = initial;
-  result.eval = pool.evaluateOne(initial, MoveHint{});
-  result.evaluations = 1;
-  if (!result.eval.feasible) {
-    throw std::invalid_argument("runSimulatedAnnealing: initial not feasible");
-  }
-  if (options.recordCostTrace) {
-    result.costTrace.reserve(static_cast<std::size_t>(options.iterations));
-  }
-
-  MappingSolution current = initial;
-  double currentCost = result.eval.cost;
-
-  // Gap-fingerprint filter (incremental mode only): provably
-  // schedule-identical hint moves are replayed without evaluation. Their
-  // acceptance is certain, so a batch stops generating at the first one —
-  // everything after it would be discarded anyway — which is what pushes
-  // the within-chain speedup toward workers-x on hint-heavy phases.
-  const bool useFilter = options.incrementalEval;
-  ZeroDeltaFilter filter(evaluator);
-  if (useFilter) {
-    filter.captureAccepted(pool.sequentialContext(), result.eval);
-  }
-
-  const SaSchedule schedule = saSchedule(options, result.eval.cost);
-  double temp = schedule.t0;
-
-  AcceptanceWindow window(spec.window);
-  int depth = workers;
-
-  // Per-batch scratch, reused across batches.
-  std::vector<SaMove> moves;
-  std::vector<Rng> proposalAfter;  // stream state after each proposal
-  std::vector<MappingSolution> trials;
-  std::vector<SpeculativeEvalPool::Item> items;
-  MappingSolution trialScratch;
-
-  int it = 0;
-  while (it < options.iterations) {
-    // Cooperative stop, polled once per sequential step / speculation
-    // batch. The poll never touches the RNG streams, so an unfired token
-    // leaves the trajectory bit-identical.
-    if (options.stop != nullptr && options.stop->stopRequested()) {
-      result.stopped = true;
-      break;
-    }
-    const bool speculate =
-        workers > 1 && window.rate() < spec.acceptanceThreshold;
-
-    if (!speculate) {
-      // Sequential stepping on worker 0's context — draw for draw the
-      // plain chain of runSimulatedAnnealing.
-      const SaMove move = proposer.propose(current, proposalRng);
-      ++result.proposals;
-      if (move.kind != SaMove::Kind::None) {
-        if (useFilter && filter.zeroDelta(move, current)) {
-          // Certain acceptance at delta == 0: no evaluation, no acceptance
-          // draw, no incumbent change. The window is not pushed either —
-          // these auto-accepts say nothing about the real acceptance rate,
-          // and counting them would disengage speculation exactly on the
-          // hint-heavy phases it speeds up.
-          SaMoveProposer::apply(move, current);
-          ++result.evaluations;
-          ++result.zeroDeltaSkips;
-          ++result.accepted;
-        } else {
-          trialScratch = current;
-          SaMoveProposer::apply(move, trialScratch);
-          const EvalResult r = pool.evaluateOne(trialScratch, move.evalHint);
-          ++result.evaluations;
-          const double delta = r.cost - currentCost;
-          const bool accepted = metropolisAccept(delta, temp, acceptanceRng);
-          window.push(accepted);
-          if (accepted) {
-            current = std::move(trialScratch);
-            currentCost = r.cost;
-            ++result.accepted;
-            if (r.feasible && r.cost < result.eval.cost) {
-              result.solution = current;
-              result.eval = r;
-              IDES_LOG_AT(LogLevel::Debug)
-                  << "SA iter " << it << ": best C=" << r.cost
-                  << " T=" << temp;
-            }
-            if (useFilter) {
-              filter.captureAccepted(pool.sequentialContext(), r);
-            }
-          }
-        }
-      }
-      if (options.recordCostTrace) result.costTrace.push_back(currentCost);
-      ++it;
-      temp *= schedule.alpha;
-      continue;
-    }
-
-    // Speculation batch: K moves, each proposed as if every earlier one in
-    // the batch gets rejected (they perturb the same `current`).
-    const int batchSize =
-        std::min(depth, options.iterations - it);
-    moves.clear();
-    proposalAfter.clear();
-    trials.resize(static_cast<std::size_t>(batchSize));
-    if (items.size() < static_cast<std::size_t>(batchSize)) {
-      items.resize(static_cast<std::size_t>(batchSize));
-    }
-    int generated = 0;
-    int skipIndex = -1;  // first zero-delta proposal; never dispatched
-    for (int j = 0; j < batchSize; ++j) {
-      const SaMove move = proposer.propose(current, proposalRng);
-      moves.push_back(move);
-      proposalAfter.push_back(proposalRng);
-      ++generated;
-      const auto idx = static_cast<std::size_t>(j);
-      items[idx].trial = nullptr;
-      if (move.kind == SaMove::Kind::None) continue;
-      trials[idx] = current;
-      SaMoveProposer::apply(move, trials[idx]);
-      if (useFilter && filter.zeroDelta(move, current)) {
-        // Certain acceptance: every later speculation would be discarded,
-        // so stop the batch here and leave this item undispatched.
-        skipIndex = j;
-        break;
-      }
-      items[idx].trial = &trials[idx];
-      items[idx].hint = move.evalHint;
-    }
-    pool.evaluate(items.data(), static_cast<std::size_t>(generated));
-    ++result.speculativeBatches;
-    // Batch shape telemetry (write-only; the adaptive depth below never
-    // reads it): how deep the speculation window actually ran.
-    static Histogram& batchDepth = telemetry().histogram(
-        "ides_sa_speculation_batch_depth",
-        "Moves dispatched per speculative evaluation batch",
-        {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-    batchDepth.observe(static_cast<double>(generated));
-
-    // Replay the Metropolis decisions in chain order. Identical draw
-    // consumption and floating-point sequence as the sequential path.
-    bool acceptedInBatch = false;
-    for (int j = 0; j < generated; ++j) {
-      const SaMove& move = moves[static_cast<std::size_t>(j)];
-      // Counted at replay, not at generation: proposals rewound after an
-      // acceptance are re-drawn by the next batch, so counting consumed
-      // iterations keeps the counter identical to the sequential chain.
-      ++result.proposals;
-      bool accepted = false;
-      if (j == skipIndex) {
-        // Zero-delta replay: certain acceptance at exactly currentCost,
-        // no acceptance draw, no incumbent change, window untouched.
-        ++result.evaluations;
-        ++result.zeroDeltaSkips;
-        accepted = true;
-        current = std::move(trials[static_cast<std::size_t>(j)]);
-        ++result.accepted;
-      } else if (move.kind != SaMove::Kind::None) {
-        const EvalResult& r = items[static_cast<std::size_t>(j)].result;
-        ++result.evaluations;
-        const double delta = r.cost - currentCost;
-        accepted = metropolisAccept(delta, temp, acceptanceRng);
-        window.push(accepted);
-        if (accepted) {
-          current = std::move(trials[static_cast<std::size_t>(j)]);
-          currentCost = r.cost;
-          ++result.accepted;
-          if (r.feasible && r.cost < result.eval.cost) {
-            result.solution = current;
-            result.eval = r;
-            IDES_LOG_AT(LogLevel::Debug)
-                << "SA iter " << it << ": best C=" << r.cost << " T=" << temp
-                << " (speculative batch of " << batchSize << ")";
-          }
-          if (useFilter) {
-            const SpeculativeEvalPool::Item& item =
-                items[static_cast<std::size_t>(j)];
-            if (r.feasible) {
-              filter.capture(item.arrivals, item.ends);
-            } else {
-              filter.invalidate();
-            }
-          }
-        }
-      }
-      if (options.recordCostTrace) result.costTrace.push_back(currentCost);
-      ++it;
-      temp *= schedule.alpha;
-      if (accepted) {
-        // The first acceptance invalidates the later speculations: discard
-        // them and rewind the proposal stream to its state right after the
-        // winning proposal. The worker contexts re-align with `current`
-        // lazily, on their next evaluation (checkpoint rewind + committed
-        // move), so the catch-up overlaps the next batch instead of
-        // costing a dedicated round.
-        for (int k = j + 1; k < generated; ++k) {
-          if (k != skipIndex && moves[static_cast<std::size_t>(k)].kind !=
-                                    SaMove::Kind::None) {
-            ++result.discardedEvaluations;
-          }
-        }
-        proposalRng = proposalAfter[static_cast<std::size_t>(j)];
-        depth = std::max(workers, depth / 2);
-        acceptedInBatch = true;
-        break;
-      }
-    }
-    if (!acceptedInBatch) depth = std::min(depth * 2, maxDepth);
-  }
-  return result;
 }
 
 }  // namespace ides

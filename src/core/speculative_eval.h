@@ -1,34 +1,17 @@
-// Speculative parallel move evaluation inside ONE simulated-annealing chain.
+// Parallel move evaluation inside ONE simulated-annealing chain.
 //
-// PSA (core/parallel_annealing.h) parallelizes across chains; this engine
-// parallelizes within a chain. The observation: at low temperatures most
-// proposals are rejected, so consecutive iterations perturb the same
-// current solution and their evaluations are independent. Because the chain
-// draws moves and Metropolis decisions from two split RNG streams
-// (core/simulated_annealing.h), a batch of K candidate moves can be
-// pre-generated — each speculating that every earlier move in the batch is
-// rejected — evaluated concurrently on a pool of per-worker EvalContexts,
-// and then replayed through the acceptance decisions sequentially. The
-// first accepted move invalidates the later speculations: they are
-// discarded, the proposal stream rewinds to its state right after the
-// winning proposal, and every worker context resyncs on its next
-// evaluation — rewinding to its per-graph checkpoints and applying the
-// committed move (the EvalContext verifies hints against its own
-// reference, so the catch-up is demand-driven and overlaps the next
-// batch's useful work instead of costing a dedicated barrier round). The
-// replay consumes exactly the draws the sequential chain would, in the
-// same order, so the result is bit-identical by construction — for every
-// worker count, speculation depth, and threshold (the determinism suite
-// asserts this).
-//
-// Speculation depth adapts to the observed acceptance rate: the engine
-// speculates only while the windowed rate is below
-// SpeculationOptions::acceptanceThreshold (sequential stepping above it,
-// where batches would mostly be thrown away), starts at `workers` moves per
-// batch, doubles after a fully-rejected batch and halves after an
-// acceptance, bounded by [workers, maxDepth]. The depth trajectory is a
-// pure function of the decision history, never of timing — another
-// determinism invariant.
+// PSA (core/parallel_annealing.h) parallelizes across chains; this pool
+// parallelizes within a chain. At low temperatures most proposals are
+// rejected, so consecutive iterations perturb the same current solution and
+// their evaluations are independent. runSimulatedAnnealing
+// (core/simulated_annealing.h) proposes a batch of K such moves, this pool
+// evaluates them concurrently on per-worker EvalContexts, and the chain
+// replays the Metropolis decisions in order. After an acceptance the
+// worker contexts hold stale speculations; each re-aligns on its next
+// evaluation — the EvalContext verifies hints against its own reference,
+// rewinds to its per-graph checkpoints and applies the committed move — so
+// the catch-up overlaps the next batch's useful work instead of costing a
+// dedicated barrier round.
 #pragma once
 
 #include <condition_variable>
@@ -40,17 +23,14 @@
 #include <vector>
 
 #include "core/evaluator.h"
-#include "core/simulated_annealing.h"
 #include "sched/mapping.h"
 
 namespace ides {
 
 /// Persistent fork-join pool of evaluation workers for one chain. Worker 0
-/// is the calling thread (workers == 1 spawns nothing and degenerates to
-/// plain sequential evaluation); workers 1..W-1 are std::threads parked on
-/// a condition variable between batches. Each worker owns one EvalContext
-/// of an EvalContextPool; in full-pass mode (incremental == false) the
-/// workers run the stateless SolutionEvaluator instead.
+/// is the calling thread; workers 1..W-1 are std::threads parked on a
+/// condition variable between batches. Each worker owns one EvalContext;
+/// worker 0 may borrow a caller-owned one instead.
 class SpeculativeEvalPool {
  public:
   struct Item {
@@ -58,23 +38,30 @@ class SpeculativeEvalPool {
     MoveHint hint;
     EvalResult result;
     /// Gap-fingerprint of the evaluated schedule (filled for feasible
-    /// results in incremental mode): hint-independent arrival bound and
-    /// committed end per job, in global job-index order. The chain's
-    /// ZeroDeltaFilter re-arms from the accepted item — a worker's context
-    /// may already hold a later speculation by replay time, so the
-    /// snapshot is taken on the worker, right after the evaluation.
+    /// results): hint-independent arrival bound and committed end per job,
+    /// in global job-index order. The chain's ZeroDeltaFilter re-arms from
+    /// the accepted item — a worker's context may already hold a later
+    /// speculation by replay time, so the snapshot is taken on the worker,
+    /// right after the evaluation.
     std::vector<Time> arrivals;
     std::vector<Time> ends;
   };
 
+  /// Starts `workers - 1` threads. `context0`, when given, is a caller-owned
+  /// EvalContext bound to `evaluator` that worker 0 uses instead of its own.
+  /// If a thread fails to start, the threads already started are stopped
+  /// and joined before the std::system_error propagates.
   SpeculativeEvalPool(const SolutionEvaluator& evaluator, int workers,
-                      bool incremental);
+                      EvalContext* context0 = nullptr);
   ~SpeculativeEvalPool();
 
   SpeculativeEvalPool(const SpeculativeEvalPool&) = delete;
   SpeculativeEvalPool& operator=(const SpeculativeEvalPool&) = delete;
 
   [[nodiscard]] int workers() const { return workers_; }
+
+  /// Worker 0's context, free for the calling thread between batches.
+  [[nodiscard]] EvalContext& context0() { return *contexts_[0]; }
 
   /// Evaluates every non-null item, item i on worker i % workers. Results
   /// are bit-identical to a full pass no matter which worker ran them (the
@@ -83,48 +70,28 @@ class SpeculativeEvalPool {
   /// exception.
   void evaluate(Item* items, std::size_t count);
 
-  /// One evaluation on the calling thread (worker 0's context): the
-  /// sequential stepping path of the chain, and the initial evaluation.
-  EvalResult evaluateOne(const MappingSolution& solution,
-                         const MoveHint& hint);
-
-  /// Worker 0's context — the one evaluateOne just ran on (incremental
-  /// mode only; the chain's zero-delta filter re-arms from it).
-  [[nodiscard]] const EvalContext& sequentialContext() {
-    return contexts_[0];
-  }
-
  private:
-  enum class Job : std::uint8_t { None, Evaluate, Stop };
-
   void workerLoop(int w);
   void runShare(int w);
-  void dispatch(Job job);
+  void stopWorkers();
 
-  const SolutionEvaluator* ev_;
   int workers_;
-  bool incremental_;
-  EvalContextPool contexts_;
-  std::vector<std::thread> threads_;
+  EvalContextPool owned_;
+  std::vector<EvalContext*> contexts_;      // by worker
   std::vector<std::exception_ptr> errors_;  // by worker
 
-  std::mutex mutex_;
+  std::mutex mutex_;  // guards the dispatch state below
   std::condition_variable start_;
   std::condition_variable done_;
   std::uint64_t epoch_ = 0;  // bumped per dispatch; workers wait on it
   int running_ = 0;
-  Job job_ = Job::None;
-  // Current job payload (stable for the whole epoch).
+  bool stopping_ = false;
+  // Current batch (stable for the whole epoch).
   Item* items_ = nullptr;
   std::size_t itemCount_ = 0;
-};
 
-/// The speculative chain. Public entry point is runSimulatedAnnealing,
-/// which routes here when options.speculation.workers > 1; calling this
-/// directly with workers <= 1 runs the same loop with sequential stepping
-/// only (used by the determinism suite as a second reference).
-SaResult runSpeculativeAnnealing(const SolutionEvaluator& evaluator,
-                                 const MappingSolution& initial,
-                                 const SaOptions& options);
+  // Declared last: the workers use every member above.
+  std::vector<std::thread> threads_;
+};
 
 }  // namespace ides

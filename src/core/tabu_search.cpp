@@ -42,15 +42,11 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
   const SaMoveProposer proposer(evaluator, kernel);
 
   std::optional<EvalContext> owned;
-  EvalContext* ctx = nullptr;
-  if (options.incrementalEval) {
-    ctx = scratch != nullptr ? scratch : &owned.emplace(evaluator);
-  }
+  EvalContext& ctx = scratch != nullptr ? *scratch : owned.emplace(evaluator);
 
   TabuResult result;
   MappingSolution current = initial;
-  EvalResult curEval =
-      ctx != nullptr ? ctx->evaluate(current) : evaluator.evaluate(current);
+  EvalResult curEval = ctx.evaluate(current);
   result.evaluations = 1;
   if (!curEval.feasible) {
     throw std::invalid_argument(
@@ -109,9 +105,7 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
       if (move.kind == SaMove::Kind::None) continue;
       candidate = current;
       SaMoveProposer::apply(move, candidate);
-      const EvalResult eval = ctx != nullptr
-                                  ? ctx->evaluate(candidate, move.evalHint)
-                                  : evaluator.evaluate(candidate);
+      const EvalResult eval = ctx.evaluate(candidate, move.evalHint);
       ++result.evaluations;
       // Aspiration: a tabu move that beats the incumbent is admissible.
       const bool admissible = !isTabu(move, iter) ||

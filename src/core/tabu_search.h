@@ -12,9 +12,7 @@
 // determines the trajectory.
 //
 // Determinism: the result is a pure function of (evaluator, initial,
-// options); incrementalEval only switches the evaluation engine
-// (bit-identical by EvalContext's verified-hint contract), and an unfired
-// stop token leaves the trajectory untouched.
+// options); an unfired stop token leaves the trajectory untouched.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +34,6 @@ struct TabuOptions {
   /// Move mix, as in SaOptions (remainder: message-hint moves).
   double probRemap = 0.5;
   double probProcessHint = 0.35;
-  /// Evaluate candidates through the delta-aware EvalContext; results are
-  /// bit-identical either way (pure performance switch, like SA's).
-  bool incrementalEval = true;
   /// Polled once per iteration; a fired token keeps the incumbent and sets
   /// TabuResult::stopped.
   const StopToken* stop = nullptr;

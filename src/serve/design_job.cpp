@@ -26,15 +26,14 @@ DesignerOptions designJobOptions(const DesignJobSpec& spec) {
   opts.psa.threads = spec.threads;
   opts.psa.restarts = spec.restarts;
   if (spec.specWorkers > 0) opts.sa.speculation.workers = spec.specWorkers;
-  if (spec.specDepth > 0) opts.sa.speculation.maxDepth = spec.specDepth;
   opts.psa.speculativeWorkers = spec.specWorkers;
   return opts;
 }
 
 std::string designJobFingerprint(const DesignJobSpec& spec) {
   // Two independently-seeded FNV lanes over the same field stream, the
-  // sweep-store convention (see instanceFingerprint). threads, specWorkers
-  // and specDepth are deliberately absent: they reshape the search's
+  // sweep-store convention (see instanceFingerprint). threads and
+  // specWorkers are deliberately absent: they reshape the search's
   // parallelism, never its result.
   Fnv1aHasher lanes[2] = {Fnv1aHasher(Fnv1aHasher::kDefaultBasis),
                           Fnv1aHasher(0x9e3779b97f4a7c15ULL)};

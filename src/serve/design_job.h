@@ -28,7 +28,6 @@ struct DesignJobSpec {
   int restarts = 4;      ///< PSA chains
   int threads = 0;       ///< PSA threads, 0 = all cores
   int specWorkers = 0;   ///< speculative eval workers (0 = off / PSA auto)
-  int specDepth = 0;     ///< max speculation depth (0 = 4 * workers)
 };
 
 /// DesignerOptions derivation, identical to the CLI's flag mapping.
@@ -43,8 +42,9 @@ inline constexpr std::uint64_t kDesignFingerprintEpoch = 1;
 /// Stable 128-bit content fingerprint (32 hex chars) of one design job:
 /// every result-relevant spec field plus kDesignFingerprintEpoch, hashed
 /// the same two-lane FNV way as sweep instances. Deliberately EXCLUDED are
-/// the result-neutral knobs the test suite defends — threads, specWorkers,
-/// specDepth — so a result computed at any parallelism serves every other.
+/// the result-neutral knobs the test suite defends — threads and
+/// specWorkers — so a result computed at any parallelism serves every
+/// other.
 std::string designJobFingerprint(const DesignJobSpec& spec);
 
 struct DesignJobResult {

@@ -203,9 +203,10 @@ JobSpec parseJobSpec(std::string_view body) {
     rejectUnknownKeys(root,
                       {"type", "deadline_seconds", "nodes", "existing",
                        "current", "seed", "strategy", "sa_iters", "restarts",
-                       "threads", "spec_workers", "spec_depth"});
+                       "threads", "spec_workers"});
     DesignJobSpec& d = spec.design;
-    // The same bounds as ides_cli's flags, except nodes >= 2.
+    // The same bounds as ides_cli's flags, except nodes >= 2; the thread
+    // counts stop at the cap validateOptions enforces.
     d.nodes = optionalInt<std::size_t>(root, "nodes", 10, 2);
     d.existing = optionalInt<std::size_t>(root, "existing", 400, 0);
     d.current = optionalInt<std::size_t>(root, "current", 160, 0);
@@ -213,9 +214,9 @@ JobSpec parseJobSpec(std::string_view body) {
     d.strategy = optionalString(root, "strategy", "MH");
     d.saIterations = optionalInt(root, "sa_iters", 0, 0);
     d.restarts = optionalInt(root, "restarts", 4, 0);
-    d.threads = optionalInt(root, "threads", 0, 0);
-    d.specWorkers = optionalInt(root, "spec_workers", 0, 0);
-    d.specDepth = optionalInt(root, "spec_depth", 0, 0);
+    d.threads = optionalInt(root, "threads", 0, 0, kMaxAnnealingThreads);
+    d.specWorkers =
+        optionalInt(root, "spec_workers", 0, 0, kMaxAnnealingThreads);
     if (!StrategyRegistry::builtin().contains(d.strategy)) {
       std::string known;
       for (const std::string& n : StrategyRegistry::builtin().names()) {

@@ -1,15 +1,16 @@
 // EvalContext: the delta-aware evaluation engine must be bit-identical to
 // the stateless full-pass evaluator — for arbitrary move sequences (with
-// rejected moves, i.e. stale checkpoints), and end to end through SA / PSA /
-// MH with incremental evaluation toggled on and off.
+// rejected moves, i.e. stale checkpoints, and MH's schedule/slack refresh
+// after accepted ones), and end to end through SA / PSA against the plain
+// full-pass reference chain.
 #include <gtest/gtest.h>
 
 #include "core/evaluator.h"
 #include "core/initial_mapping.h"
-#include "core/mapping_heuristic.h"
 #include "core/parallel_annealing.h"
 #include "core/simulated_annealing.h"
 #include "model/system_model.h"
+#include "reference_annealing.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -97,6 +98,31 @@ class EvalContextTest : public ::testing::Test {
     EXPECT_EQ(a.metrics.c2mBytes, b.metrics.c2mBytes);
   }
 
+  /// Schedule and slack outputs agree entry for entry.
+  static void expectSameOutputs(const ScheduleOutcome& co,
+                                const SlackInfo& cs,
+                                const ScheduleOutcome& eo,
+                                const SlackInfo& es) {
+    EXPECT_EQ(co.feasible, eo.feasible);
+    ASSERT_EQ(co.schedule.processEntryCount(),
+              eo.schedule.processEntryCount());
+    for (const ScheduledProcess& sp : eo.schedule.processes()) {
+      EXPECT_TRUE(co.schedule.processEntry(sp.pid, sp.instance) == sp);
+    }
+    ASSERT_EQ(co.schedule.messages().size(), eo.schedule.messages().size());
+    for (const ScheduledMessage& sm : eo.schedule.messages()) {
+      EXPECT_TRUE(co.schedule.messageEntry(sm.mid, sm.instance) == sm);
+    }
+    EXPECT_EQ(cs.nodeFree, es.nodeFree);
+    ASSERT_EQ(cs.busChunks.size(), es.busChunks.size());
+    for (std::size_t i = 0; i < es.busChunks.size(); ++i) {
+      EXPECT_EQ(cs.busChunks[i].slotIndex, es.busChunks[i].slotIndex);
+      EXPECT_EQ(cs.busChunks[i].round, es.busChunks[i].round);
+      EXPECT_EQ(cs.busChunks[i].start, es.busChunks[i].start);
+      EXPECT_EQ(cs.busChunks[i].freeTicks, es.busChunks[i].freeTicks);
+    }
+  }
+
   std::unique_ptr<Suite> suite_;
   std::unique_ptr<FrozenBase> frozen_;
   std::unique_ptr<SolutionEvaluator> evaluator_;
@@ -111,20 +137,34 @@ TEST_F(EvalContextTest, FullPassMatchesSolutionEvaluator) {
 TEST_F(EvalContextTest, RandomizedMoveSequenceIsBitIdentical) {
   // Metropolis-style walk with rejections: the context's reference drifts
   // away from the accepted solution, which is exactly the stale-checkpoint
-  // case the prefix verification must catch.
+  // case the prefix verification must catch. Every feasible accept also
+  // re-reads the accepted solution with its schedule and slack, as MH does
+  // after an applied move.
   EvalContext ctx(*evaluator_);
   Rng rng(99);
   MappingSolution current = initial_;
   ASSERT_TRUE(ctx.evaluate(current).feasible);
 
+  int refreshes = 0;
   for (int step = 0; step < 250; ++step) {
     MappingSolution trial = current;
     const MoveHint hint = randomMove(trial, rng);
     const EvalResult incremental = ctx.evaluate(trial, hint);
     const EvalResult reference = evaluator_->evaluate(trial);
     expectBitIdentical(incremental, reference);
-    if (rng.chance(0.4)) current = std::move(trial);  // accept sometimes
+    if (!rng.chance(0.4)) continue;  // reject
+    current = std::move(trial);
+    // MH's incumbent is always feasible, so that is where its refresh runs
+    // (an unplaced pass keeps only the graphs before the failed one).
+    if (!reference.feasible) continue;
+    ScheduleOutcome co, eo;
+    SlackInfo cs, es;
+    expectBitIdentical(ctx.evaluate(current, &co, &cs),
+                       evaluator_->evaluate(current, &eo, &es));
+    expectSameOutputs(co, cs, eo, es);
+    ++refreshes;
   }
+  EXPECT_GT(refreshes, 0);
   // The delta engine must have actually skipped work, not silently done
   // full passes — including whole evaluations served from the cached
   // result when a hint move left the schedule entry-identical.
@@ -195,17 +235,24 @@ TEST_F(EvalContextTest, ZeroDeltaHintMoveIsServedByJournalReplay) {
 }
 
 TEST_F(EvalContextTest, PoolResyncAfterPartialRewindIsBitIdentical) {
-  // The speculative engine's substrate: several contexts share one
+  // The speculative pool's substrate: several contexts share one
   // evaluator, each evaluates a rotating subset of trials against its own
-  // (stale) reference, and re-aligns lazily — or via resync() — after a
-  // move commits. Every context must stay bit-identical to the stateless
-  // evaluator through randomized accept/reject sequences, including
-  // resyncs that land mid-graph (partial rewind).
+  // (stale) reference, and re-aligns lazily — or eagerly, by evaluating
+  // the committed move — after a move commits. Every context must stay
+  // bit-identical to the stateless evaluator through randomized
+  // accept/reject sequences, including re-alignments that land mid-graph
+  // (partial rewind).
   for (const std::size_t workers : {std::size_t{2}, std::size_t{3},
                                     std::size_t{4}}) {
     EvalContextPool pool(*evaluator_, workers);
     ASSERT_EQ(pool.size(), workers);
-    pool.resync(initial_, MoveHint{});  // invalid hint degrades to full pass
+    const auto realign = [&pool](const MappingSolution& solution,
+                                 const MoveHint& hint) {
+      for (std::size_t w = 0; w < pool.size(); ++w) {
+        pool[w].evaluate(solution, hint);
+      }
+    };
+    realign(initial_, MoveHint{});  // invalid hint degrades to full pass
 
     Rng rng(4100 + workers);
     MappingSolution current = initial_;
@@ -222,7 +269,7 @@ TEST_F(EvalContextTest, PoolResyncAfterPartialRewindIsBitIdentical) {
         // Sometimes re-align the whole pool eagerly (the hint describes
         // the committed move, so unchanged-prefix contexts rewind only the
         // affected suffix); otherwise leave the catch-up lazy.
-        if (rng.chance(0.3)) pool.resync(current, hint);
+        if (rng.chance(0.3)) realign(current, hint);
       }
     }
     // After the walk every context — however stale — must converge on the
@@ -279,23 +326,22 @@ TEST_F(EvalContextTest, StaleHintIsCorrectedNotTrusted) {
 }
 
 TEST_F(EvalContextTest, SaIncrementalMatchesFullPass) {
+  // The chain on delta evaluation (plus the zero-delta filter) against the
+  // plain chain on the stateless full pass.
   SaOptions opts;
   opts.seed = 5;
   opts.iterations = 1200;
-  opts.incrementalEval = true;
   const SaResult fast = runSimulatedAnnealing(*evaluator_, initial_, opts);
-  opts.incrementalEval = false;
-  const SaResult slow = runSimulatedAnnealing(*evaluator_, initial_, opts);
+  const SaResult slow =
+      ides::testing::referenceAnnealing(*evaluator_, initial_, opts);
   EXPECT_EQ(fast.eval.cost, slow.eval.cost);
   EXPECT_EQ(fast.evaluations, slow.evaluations);
   EXPECT_EQ(fast.accepted, slow.accepted);
   EXPECT_TRUE(fast.solution == slow.solution);
   // The zero-delta filter replays proposals without evaluating — but the
-  // evaluation/acceptance counters above must stay invariant to it, and
-  // full-pass mode (no fingerprint) never skips.
+  // evaluation/acceptance counters above must stay invariant to it.
   EXPECT_EQ(fast.proposals, slow.proposals);
   EXPECT_GT(fast.zeroDeltaSkips, 0u);
-  EXPECT_EQ(slow.zeroDeltaSkips, 0u);
 }
 
 TEST_F(EvalContextTest, PsaIncrementalMatchesFullPass) {
@@ -304,29 +350,19 @@ TEST_F(EvalContextTest, PsaIncrementalMatchesFullPass) {
   opts.base.iterations = 400;
   opts.restarts = 3;
   opts.threads = 2;
-  opts.base.incrementalEval = true;
   const ParallelSaResult fast =
       runParallelAnnealing(*evaluator_, initial_, opts);
-  opts.base.incrementalEval = false;
-  const ParallelSaResult slow =
-      runParallelAnnealing(*evaluator_, initial_, opts);
-  EXPECT_EQ(fast.eval.cost, slow.eval.cost);
-  EXPECT_EQ(fast.bestChain, slow.bestChain);
-  EXPECT_EQ(fast.chainCosts, slow.chainCosts);
-  EXPECT_TRUE(fast.solution == slow.solution);
-}
-
-TEST_F(EvalContextTest, MhIncrementalMatchesFullPass) {
-  MhOptions opts;
-  opts.maxIterations = 64;
-  opts.incrementalEval = true;
-  const MhResult fast = runMappingHeuristic(*evaluator_, initial_, opts);
-  opts.incrementalEval = false;
-  const MhResult slow = runMappingHeuristic(*evaluator_, initial_, opts);
-  EXPECT_EQ(fast.eval.cost, slow.eval.cost);
-  EXPECT_EQ(fast.evaluations, slow.evaluations);
-  EXPECT_EQ(fast.iterations, slow.iterations);
-  EXPECT_TRUE(fast.solution == slow.solution);
+  // Chain 0 runs the base options verbatim, so it must match the plain
+  // full-pass chain; the winner's incumbent must re-evaluate to the
+  // reported result on the full pass.
+  const SaResult chain0 =
+      ides::testing::referenceAnnealing(*evaluator_, initial_, opts.base);
+  ASSERT_EQ(fast.chainCosts.size(), 3u);
+  EXPECT_EQ(fast.chainCosts[0], chain0.eval.cost);
+  expectBitIdentical(fast.eval, evaluator_->evaluate(fast.solution));
+  if (fast.bestChain == 0) {
+    EXPECT_TRUE(fast.solution == chain0.solution);
+  }
 }
 
 }  // namespace

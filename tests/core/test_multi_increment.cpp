@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "core/initial_mapping.h"
 #include "model/system_model.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
@@ -88,9 +92,9 @@ TEST_F(MultiIncrementTest, OccupancyGrowsMonotonically) {
 
 TEST_F(MultiIncrementTest, FutureAwarePolicyAbsorbsAtLeastAsMany) {
   MultiIncrementOptions ahOpts;
-  ahOpts.strategy = Strategy::AdHoc;
+  ahOpts.strategy = "AH";
   MultiIncrementOptions mhOpts;
-  mhOpts.strategy = Strategy::MappingHeuristic;
+  mhOpts.strategy = "MH";
   const MultiIncrementResult ah = runIncrementSequence(
       suite_->system, suite_->profile, increments_, ahOpts);
   const MultiIncrementResult mh = runIncrementSequence(
@@ -120,6 +124,42 @@ TEST_F(MultiIncrementTest, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
     EXPECT_EQ(a.steps[i].accepted, b.steps[i].accepted);
     EXPECT_DOUBLE_EQ(a.steps[i].objective, b.steps[i].objective);
+  }
+}
+
+TEST_F(MultiIncrementTest, PsaRunsTheEnsembleNotASingleChain) {
+  // One increment, so the step objective is the optimized design's C.
+  // PSA's chain 0 replays the SA chain, so the ensemble can only improve
+  // on it; on this seed another chain wins, so the two must differ.
+  const std::vector<ApplicationId> queue = {increments_.front()};
+  MultiIncrementOptions options;
+  options.designer.sa.seed = 1;
+  options.designer.sa.iterations = 300;
+  options.designer.psa.restarts = 4;
+  options.designer.psa.threads = 2;
+  options.strategy = "SA";
+  const MultiIncrementResult sa =
+      runIncrementSequence(suite_->system, suite_->profile, queue, options);
+  options.strategy = "PSA";
+  const MultiIncrementResult psa =
+      runIncrementSequence(suite_->system, suite_->profile, queue, options);
+  ASSERT_TRUE(sa.steps.at(0).accepted);
+  ASSERT_TRUE(psa.steps.at(0).accepted);
+  EXPECT_LE(psa.steps[0].objective, sa.steps[0].objective);
+  EXPECT_NE(psa.steps[0].objective, sa.steps[0].objective);
+}
+
+TEST_F(MultiIncrementTest, UnknownStrategyThrowsListingTheRegisteredNames) {
+  MultiIncrementOptions options;
+  options.strategy = "annealing";
+  try {
+    (void)runIncrementSequence(suite_->system, suite_->profile, increments_,
+                               options);
+    FAIL() << "unknown strategy accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("AH, MH, SA, PSA, tabu"),
+              std::string::npos)
+        << e.what();
   }
 }
 

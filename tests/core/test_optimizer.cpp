@@ -106,19 +106,6 @@ TEST_F(OptimizerTest, PsaThroughInterfaceIsBitIdenticalToDirectCall) {
   EXPECT_EQ(viaName.objective, direct.eval.cost);
 }
 
-TEST_F(OptimizerTest, EnumShimMatchesNameBasedRuns) {
-  for (const Strategy s : {Strategy::AdHoc, Strategy::MappingHeuristic,
-                           Strategy::SimulatedAnnealing}) {
-    const DesignResult byEnum = designer_->run(s);
-    const DesignResult byName = designer_->run(std::string(toString(s)));
-    EXPECT_EQ(byEnum.mapping, byName.mapping) << toString(s);
-    EXPECT_EQ(byEnum.objective, byName.objective) << toString(s);
-    EXPECT_EQ(byEnum.evaluations, byName.evaluations) << toString(s);
-    EXPECT_EQ(byEnum.strategy, s);
-    EXPECT_EQ(byEnum.strategyName, toString(s));
-  }
-}
-
 TEST_F(OptimizerTest, RepeatedRunsThroughSharedContextAreRepeatable) {
   // The designer's RunContext keeps one pool lease across runs; reusing
   // warm checkpoints must not change any result.
@@ -211,17 +198,11 @@ TEST(OptimizerValidation, SpeculationKnobsAreRangeChecked) {
   SaOptions opts;
   opts.speculation.workers = -1;
   EXPECT_THROW(validateOptions(opts), std::invalid_argument);
-  opts = SaOptions{};
-  opts.speculation.window = 0;
+  opts.speculation.workers = kMaxAnnealingThreads + 1;
   EXPECT_THROW(validateOptions(opts), std::invalid_argument);
-  opts = SaOptions{};
-  opts.speculation.acceptanceThreshold = -0.1;
-  EXPECT_THROW(validateOptions(opts), std::invalid_argument);
-  // The determinism suite's extremes stay legal: 0 disables, 2 forces.
-  opts = SaOptions{};
-  opts.speculation.acceptanceThreshold = 0.0;
+  opts.speculation.workers = kMaxAnnealingThreads;
   EXPECT_NO_THROW(validateOptions(opts));
-  opts.speculation.acceptanceThreshold = 2.0;
+  opts.speculation.workers = 0;
   EXPECT_NO_THROW(validateOptions(opts));
 }
 
@@ -244,6 +225,15 @@ TEST(OptimizerValidation, PsaShapeIsRangeChecked) {
   opts = ParallelSaOptions{};
   opts.perChainIterations = -1;
   EXPECT_THROW(validateOptions(opts), std::invalid_argument);
+  // Thread counts stop at one shared cap.
+  opts = ParallelSaOptions{};
+  opts.threads = kMaxAnnealingThreads + 1;
+  EXPECT_THROW(validateOptions(opts), std::invalid_argument);
+  opts = ParallelSaOptions{};
+  opts.speculativeWorkers = kMaxAnnealingThreads + 1;
+  EXPECT_THROW(validateOptions(opts), std::invalid_argument);
+  opts.speculativeWorkers = kMaxAnnealingThreads;
+  EXPECT_NO_THROW(validateOptions(opts));
   // 0 threads = hardware concurrency, a legal auto value.
   opts = ParallelSaOptions{};
   opts.threads = 0;

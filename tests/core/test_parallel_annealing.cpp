@@ -121,9 +121,9 @@ TEST_F(ParallelSaTest, PerChainIterationsOverridesBase) {
 }
 
 TEST_F(ParallelSaTest, SpeculativeWorkersDoNotChangeAnyChain) {
-  // Two-level parallelism: chains x per-chain speculative workers. The
-  // speculation is bit-identical to the sequential chain, so every split of
-  // the thread budget — including the auto split (0) that hands leftover
+  // Two-level parallelism: chains x per-chain speculative workers. A
+  // chain is bit-identical at every worker count, so every split of the
+  // thread budget — including the auto split (0) that hands leftover
   // threads to speculation — must reproduce the same ensemble.
   ParallelSaOptions plain = fastOptions(13, 2, 2);
   plain.speculativeWorkers = 1;
@@ -131,8 +131,12 @@ TEST_F(ParallelSaTest, SpeculativeWorkersDoNotChangeAnyChain) {
   spec.speculativeWorkers = 3;
   ParallelSaOptions autoSplit = fastOptions(13, 2, 6);  // 6 threads, 2 chains
   autoSplit.speculativeWorkers = 0;                     // -> 3 workers each
-  autoSplit.base.speculation.acceptanceThreshold = 2.0;  // force batches
-  spec.base.speculation.acceptanceThreshold = 2.0;
+  // A glacial schedule keeps the acceptance rate low, so the speculative
+  // chains actually run batches.
+  for (ParallelSaOptions* opts : {&plain, &spec, &autoSplit}) {
+    opts->base.initialTempFactor = 1e-6;
+    opts->base.finalTemp = 1e-6;
+  }
   const ParallelSaResult a = runParallelAnnealing(*eval_, im_.mapping, plain);
   const ParallelSaResult b = runParallelAnnealing(*eval_, im_.mapping, spec);
   const ParallelSaResult c =

@@ -1,25 +1,44 @@
-// Determinism suite for the speculative engine: for every tested
-// configuration of workers × depth × threshold, the speculative chain must
-// be bit-identical to the sequential chain — same final solution, same
-// incumbent cost, same acceptance count, same per-iteration cost trace.
-// The sequential reference is runSimulatedAnnealing's own loop (a separate
-// implementation from the engine's replay), so a divergence in either
-// shows up as a diff here.
+// Determinism suite for the SA chain: at every worker count, under hot,
+// cold and mid-run-transition schedules, runSimulatedAnnealing must be
+// bit-identical to the plain reference chain (reference_annealing.h) — same
+// final solution, same incumbent cost, same evaluation / acceptance /
+// proposal counts, same per-iteration cost trace. The reference shares no
+// evaluation code with the chain under test (full pass, no context, no
+// filter, no pool), so a divergence in either shows up as a diff here.
 #include "core/speculative_eval.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <system_error>
 
 #include "core/initial_mapping.h"
+#include "core/parallel_annealing.h"
 #include "core/simulated_annealing.h"
 #include "model/system_model.h"
+#include "reference_annealing.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define IDES_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define IDES_TEST_SANITIZED 1
+#endif
+#endif
+
 namespace ides {
 namespace {
+
+using ides::testing::referenceAnnealing;
 
 struct Instance {
   Suite suite;
@@ -57,48 +76,95 @@ SaOptions baseOptions(std::uint64_t seed = 1, int iterations = 900) {
   return opts;
 }
 
-void expectIdentical(const SaResult& a, const SaResult& b,
+/// The default schedule: mostly above the speculation threshold, with
+/// batches forming only late in the run.
+SaOptions hotSchedule(std::uint64_t seed = 1) { return baseOptions(seed); }
+
+/// A constant temperature far above any feasible cost delta: only
+/// infeasible proposals are rejected, so the acceptance rate never drops
+/// below the threshold.
+SaOptions scorchingSchedule(std::uint64_t seed = 1) {
+  SaOptions opts = baseOptions(seed);
+  opts.initialTempFactor = 1e3;
+  opts.finalTemp = 1e3;
+  return opts;
+}
+
+/// Glacial from the first iteration: only downhill and zero-delta moves are
+/// accepted, the acceptance rate sits below the threshold, and nearly every
+/// iteration runs inside a speculation batch.
+SaOptions coldSchedule(std::uint64_t seed = 1) {
+  SaOptions opts = baseOptions(seed);
+  opts.initialTempFactor = 1e-6;
+  opts.finalTemp = 1e-6;
+  return opts;
+}
+
+/// Hot start cooling to a glacial end, so the chain crosses the threshold
+/// mid-run in the direction SA actually does.
+SaOptions transitionSchedule(std::uint64_t seed = 7) {
+  SaOptions opts = baseOptions(seed, 1200);
+  opts.initialTempFactor = 1.0;
+  opts.finalTemp = 1e-6;
+  return opts;
+}
+
+SaResult runWith(const Instance& inst, SaOptions opts, int workers) {
+  opts.speculation.workers = workers;
+  return runSimulatedAnnealing(inst.evaluator, inst.im.mapping, opts);
+}
+
+void expectIdentical(const SaResult& reference, const SaResult& run,
                      const std::string& what) {
-  EXPECT_EQ(a.solution, b.solution) << what;
-  EXPECT_DOUBLE_EQ(a.eval.cost, b.eval.cost) << what;
-  EXPECT_EQ(a.eval.feasible, b.eval.feasible) << what;
-  EXPECT_EQ(a.evaluations, b.evaluations) << what;
-  EXPECT_EQ(a.accepted, b.accepted) << what;
-  // Pure functions of the trajectory, so invariant across engines — the
-  // zero-delta filter must skip exactly the same proposals everywhere.
-  EXPECT_EQ(a.proposals, b.proposals) << what;
-  EXPECT_EQ(a.zeroDeltaSkips, b.zeroDeltaSkips) << what;
-  ASSERT_EQ(a.costTrace.size(), b.costTrace.size()) << what;
-  for (std::size_t i = 0; i < a.costTrace.size(); ++i) {
-    ASSERT_EQ(a.costTrace[i], b.costTrace[i])
+  EXPECT_EQ(reference.solution, run.solution) << what;
+  EXPECT_EQ(reference.eval.cost, run.eval.cost) << what;
+  EXPECT_EQ(reference.eval.feasible, run.eval.feasible) << what;
+  EXPECT_EQ(reference.evaluations, run.evaluations) << what;
+  EXPECT_EQ(reference.accepted, run.accepted) << what;
+  EXPECT_EQ(reference.proposals, run.proposals) << what;
+  ASSERT_EQ(reference.costTrace.size(), run.costTrace.size()) << what;
+  for (std::size_t i = 0; i < reference.costTrace.size(); ++i) {
+    ASSERT_EQ(reference.costTrace[i], run.costTrace[i])
         << what << " diverges at iteration " << i;
   }
 }
 
 TEST(SpeculativeSaTest, BitIdenticalAcrossPresetsWorkersAndDepths) {
+  // The batch depth adapts within [workers, 4 * workers]: the cold and
+  // transition schedules walk it through its whole range.
+  const struct {
+    const char* name;
+    SaOptions options;
+  } schedules[] = {{"hot", hotSchedule()},
+                   {"cold", coldSchedule()},
+                   {"transition", transitionSchedule()}};
   for (int preset = 0; preset < 2; ++preset) {
     const auto inst = makePreset(preset);
     ASSERT_TRUE(inst->frozen.feasible);
     ASSERT_TRUE(inst->im.feasible);
-    const SaResult reference = runSimulatedAnnealing(
-        inst->evaluator, inst->im.mapping, baseOptions());
-    // One proposal per iteration; on these loaded presets the
-    // gap-fingerprint filter must have replayed some of them for free.
-    EXPECT_EQ(reference.proposals,
-              static_cast<std::size_t>(baseOptions().iterations));
-    EXPECT_GT(reference.zeroDeltaSkips, 0u);
-    for (const int workers : {2, 3, 4}) {
-      for (const int depth : {2, 8}) {
-        SaOptions opts = baseOptions();
-        opts.speculation.workers = workers;
-        opts.speculation.maxDepth = depth;
-        const SaResult spec =
-            runSimulatedAnnealing(inst->evaluator, inst->im.mapping, opts);
-        expectIdentical(reference, spec,
-                        "preset " + std::to_string(preset) + " workers " +
-                            std::to_string(workers) + " depth " +
-                            std::to_string(depth));
+    for (const auto& schedule : schedules) {
+      const SaResult reference = referenceAnnealing(
+          inst->evaluator, inst->im.mapping, schedule.options);
+      // One proposal per iteration.
+      EXPECT_EQ(reference.proposals,
+                static_cast<std::size_t>(schedule.options.iterations));
+      const SaResult single = runWith(*inst, schedule.options, 1);
+      for (int workers = 1; workers <= 4; ++workers) {
+        const std::string what = "preset " + std::to_string(preset) + " " +
+                                 schedule.name + " workers " +
+                                 std::to_string(workers);
+        const SaResult run = runWith(*inst, schedule.options, workers);
+        expectIdentical(reference, run, what);
+        // The filter's skips are a pure function of the trajectory.
+        EXPECT_EQ(single.zeroDeltaSkips, run.zeroDeltaSkips) << what;
+        if (workers == 1) {
+          EXPECT_EQ(run.speculativeBatches, 0u) << what;
+        }
       }
+      // On these loaded presets the gap-fingerprint filter must have
+      // replayed some proposals for free.
+      EXPECT_GT(single.zeroDeltaSkips, 0u)
+          << "preset " << preset << " " << schedule.name;
     }
   }
 }
@@ -106,98 +172,49 @@ TEST(SpeculativeSaTest, BitIdenticalAcrossPresetsWorkersAndDepths) {
 TEST(SpeculativeSaTest, ThresholdExtremesDoNotChangeTheTrajectory) {
   const auto inst = makePreset(0);
   ASSERT_TRUE(inst->im.feasible);
-  const SaResult reference =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, baseOptions());
 
-  // threshold 0: never speculate (pure sequential stepping on the pool).
-  SaOptions never = baseOptions();
-  never.speculation.workers = 4;
-  never.speculation.acceptanceThreshold = 0.0;
-  const SaResult neverR =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, never);
-  EXPECT_EQ(neverR.speculativeBatches, 0u);
-  expectIdentical(reference, neverR, "threshold 0");
+  // Acceptance above the threshold throughout: every batch is one move.
+  const SaResult hot = runWith(*inst, scorchingSchedule(), 4);
+  EXPECT_EQ(hot.speculativeBatches, 0u);
+  expectIdentical(referenceAnnealing(inst->evaluator, inst->im.mapping,
+                                     scorchingSchedule()),
+                  hot, "scorching");
 
-  // threshold 2: every iteration runs inside a speculation batch (the rate
-  // can never reach 2), exercising rejected-batch resync throughout.
-  SaOptions always = baseOptions();
-  always.speculation.workers = 4;
-  always.speculation.acceptanceThreshold = 2.0;
-  const SaResult alwaysR =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, always);
-  EXPECT_GT(alwaysR.speculativeBatches, 0u);
-  expectIdentical(reference, alwaysR, "threshold 2");
+  // Acceptance below the threshold from the first rejection on: the chain
+  // speculates nearly everywhere.
+  const SaResult cold = runWith(*inst, coldSchedule(), 4);
+  EXPECT_GT(cold.speculativeBatches, 0u);
+  expectIdentical(
+      referenceAnnealing(inst->evaluator, inst->im.mapping, coldSchedule()),
+      cold, "cold");
 }
 
 TEST(SpeculativeSaTest, MidRunAcceptanceTransitionEngagesSpeculation) {
   const auto inst = makePreset(0);
   ASSERT_TRUE(inst->im.feasible);
-  // Hot start (acceptance near 1 -> sequential stepping) cooling to a
-  // glacial final temperature (acceptance near 0 -> speculation), so the
-  // run crosses the threshold mid-chain in the direction SA actually does.
-  SaOptions opts = baseOptions(7, 1200);
-  opts.initialTempFactor = 1.0;
-  opts.finalTemp = 1e-6;
-  const SaResult reference =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, opts);
-
-  SaOptions spec = opts;
-  spec.speculation.workers = 4;
-  const SaResult specR =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, spec);
+  const SaResult reference = referenceAnnealing(
+      inst->evaluator, inst->im.mapping, transitionSchedule());
+  const SaResult spec = runWith(*inst, transitionSchedule(), 4);
   // The run must actually have speculated — and still match bit for bit.
-  EXPECT_GT(specR.speculativeBatches, 0u);
-  expectIdentical(reference, specR, "mid-run transition");
+  EXPECT_GT(spec.speculativeBatches, 0u);
+  expectIdentical(reference, spec, "mid-run transition");
 }
 
 TEST(SpeculativeSaTest, AcceptedBatchesRewindAndResync) {
   const auto inst = makePreset(0);
   ASSERT_TRUE(inst->im.feasible);
-  // Force speculation from iteration 0 at a temperature where acceptances
-  // still happen regularly: every acceptance lands mid-batch, discarding
-  // the speculated tail and resyncing the worker contexts.
+  // Cold enough to speculate, warm enough that uphill moves still get
+  // accepted: acceptances land mid-batch, discarding the speculated tail,
+  // rewinding the proposal stream and leaving the worker contexts stale.
   SaOptions opts = baseOptions(3, 700);
-  opts.initialTempFactor = 0.05;
-  opts.speculation.workers = 3;
-  opts.speculation.acceptanceThreshold = 2.0;
-  const SaResult specR =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, opts);
-  EXPECT_GT(specR.accepted, 0u);
-  EXPECT_GT(specR.discardedEvaluations, 0u);
-
-  opts.speculation.workers = 1;
-  const SaResult reference =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, opts);
-  expectIdentical(reference, specR, "accepted batches");
-}
-
-TEST(SpeculativeSaTest, FullPassModeIsAlsoIdentical) {
-  const auto inst = makePreset(0);
-  ASSERT_TRUE(inst->im.feasible);
-  SaOptions opts = baseOptions(5, 400);
-  opts.incrementalEval = false;
-  const SaResult reference =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, opts);
-  // The filter needs the incremental context's fingerprint; full-pass mode
-  // must never skip.
-  EXPECT_EQ(reference.zeroDeltaSkips, 0u);
-  opts.speculation.workers = 4;
-  opts.speculation.acceptanceThreshold = 2.0;
-  const SaResult specR =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, opts);
-  expectIdentical(reference, specR, "full-pass mode");
-}
-
-TEST(SpeculativeSaTest, EngineEntryPointMatchesRouting) {
-  const auto inst = makePreset(0);
-  ASSERT_TRUE(inst->im.feasible);
-  SaOptions opts = baseOptions(9, 300);
-  opts.speculation.workers = 2;
-  const SaResult viaRouting =
-      runSimulatedAnnealing(inst->evaluator, inst->im.mapping, opts);
-  const SaResult direct =
-      runSpeculativeAnnealing(inst->evaluator, inst->im.mapping, opts);
-  expectIdentical(viaRouting, direct, "routing");
+  opts.initialTempFactor = 0.01;
+  opts.finalTemp = 0.002;
+  const SaResult spec = runWith(*inst, opts, 3);
+  EXPECT_GT(spec.speculativeBatches, 0u);
+  EXPECT_GT(spec.accepted, spec.zeroDeltaSkips);
+  EXPECT_GT(spec.discardedEvaluations, 0u);
+  expectIdentical(referenceAnnealing(inst->evaluator, inst->im.mapping, opts),
+                  spec, "accepted batches");
 }
 
 TEST(SpeculativeSaTest, ThrowsOnInfeasibleInitial) {
@@ -222,7 +239,7 @@ TEST(SpeculativeSaTest, ContextPoolResyncAlignsEveryContext) {
   EvalContextPool pool(inst->evaluator, 3);
   ASSERT_EQ(pool.size(), 3u);
 
-  // Drift every context to a different solution, then resync to one move.
+  // Drift every context to a different solution.
   const std::vector<GraphId>& graphs = inst->evaluator.currentGraphs();
   for (std::size_t w = 0; w < pool.size(); ++w) {
     MappingSolution drift = inst->im.mapping;
@@ -236,6 +253,9 @@ TEST(SpeculativeSaTest, ContextPoolResyncAlignsEveryContext) {
     pool[w].evaluate(drift, hint);
   }
 
+  // One evaluation of the committed move re-aligns each context, however
+  // stale: the hint names the move's graph, and each context verifies it
+  // against its own reference and restarts earlier where they disagree.
   MappingSolution committed = inst->im.mapping;
   const ProcessId p = inst->suite.system.graph(graphs.back())
                           .processes.back();
@@ -244,17 +264,95 @@ TEST(SpeculativeSaTest, ContextPoolResyncAlignsEveryContext) {
   hint.graph = graphs.back();
   hint.process = p;
   const EvalResult want = inst->evaluator.evaluate(committed);
-  pool.resync(committed, hint);
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool[w].evaluate(committed, hint);
+  }
 
-  // After resync every context serves the committed solution from its
+  // After that every context serves the committed solution from its
   // checkpoints: re-reading it is pure reuse (no graph re-scheduled) and
   // bit-identical to the full pass.
   for (std::size_t w = 0; w < pool.size(); ++w) {
     const std::size_t before = pool[w].graphsScheduled();
     const EvalResult again = pool[w].evaluate(committed, nullptr, nullptr);
     EXPECT_EQ(pool[w].graphsScheduled(), before) << "context " << w;
-    EXPECT_DOUBLE_EQ(again.cost, want.cost) << "context " << w;
+    EXPECT_EQ(again.cost, want.cost) << "context " << w;
     EXPECT_EQ(again.feasible, want.feasible) << "context " << w;
+  }
+}
+
+/// How one capped run ended, as bits of the child's exit code.
+enum ChildOutcome : int {
+  kThrewSystemError = 0,  ///< the expected outcome
+  kThrewOther = 1,
+  kFinished = 2,  ///< every thread started: the cap did not bite
+};
+
+template <typename Run>
+int outcomeOf(Run run) {
+  try {
+    run();
+    return kFinished;
+  } catch (const std::system_error&) {
+    return kThrewSystemError;
+  } catch (...) {
+    return kThrewOther;
+  }
+}
+
+/// Child half of FailedThreadStartsThrowInsteadOfHanging: caps the address
+/// space a little above the current size, so only a few of the 200 threads
+/// get a stack, and exits with the SA outcome in bits 0-1 and the PSA
+/// outcome in bits 2-3 (16 = setrlimit failed).
+[[noreturn]] void runCappedChild(const Instance& inst) {
+  alarm(60);  // a hang ends in SIGALRM
+  long pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap = static_cast<rlim_t>(pages) *
+                         static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                     (256u << 20);
+  const rlimit limit{cap, cap};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(16);
+
+  const int sa = outcomeOf([&] {
+    SaOptions opts;
+    opts.iterations = 50;
+    opts.speculation.workers = 200;
+    (void)runSimulatedAnnealing(inst.evaluator, inst.im.mapping, opts);
+  });
+  const int psa = outcomeOf([&] {
+    ParallelSaOptions opts;
+    opts.base.iterations = 50;
+    opts.threads = 200;
+    opts.restarts = 200;
+    (void)runParallelAnnealing(inst.evaluator, inst.im.mapping, opts);
+  });
+  _exit(sa | psa << 2);
+}
+
+TEST(ThreadFanOutTest, FailedThreadStartsThrowInsteadOfHanging) {
+#ifdef IDES_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes reserve large address ranges";
+#endif
+  const auto inst = makePreset(1);
+  ASSERT_TRUE(inst->im.feasible);
+  std::fflush(nullptr);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) runCappedChild(*inst);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "child died on signal " << WTERMSIG(status)
+      << " (SIGALRM = a run hung, SIGABRT = joinable threads destroyed)";
+  const int code = WEXITSTATUS(status);
+  ASSERT_NE(code, 16) << "setrlimit failed";
+  const int sa = code & 3;
+  const int psa = code >> 2;
+  EXPECT_NE(sa, kThrewOther) << "SA failed with another exception";
+  EXPECT_NE(psa, kThrewOther) << "PSA failed with another exception";
+  if (sa == kFinished || psa == kFinished) {
+    GTEST_SKIP() << "every thread got a stack under the cap (SA " << sa
+                 << ", PSA " << psa << "); the failure path was not reached";
   }
 }
 

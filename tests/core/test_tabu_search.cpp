@@ -56,21 +56,6 @@ TEST_F(TabuSearchTest, RunsAreDeterministicAndNeverWorseThanTheInitial) {
   EXPECT_EQ(first.accepted, second.accepted);
 }
 
-TEST_F(TabuSearchTest, IncrementalEvalIsAPurePerformanceSwitch) {
-  TabuOptions incremental = options_.tabu;
-  incremental.incrementalEval = true;
-  TabuOptions stateless = options_.tabu;
-  stateless.incrementalEval = false;
-  const TabuResult fast =
-      runTabuSearch(designer_->evaluator(), initial_, incremental);
-  const TabuResult slow =
-      runTabuSearch(designer_->evaluator(), initial_, stateless);
-  EXPECT_EQ(fast.solution, slow.solution);
-  EXPECT_EQ(fast.eval.cost, slow.eval.cost);
-  EXPECT_EQ(fast.evaluations, slow.evaluations);
-  EXPECT_EQ(fast.accepted, slow.accepted);
-}
-
 TEST_F(TabuSearchTest, RegistryRunIsBitIdenticalToTheDirectCall) {
   const TabuResult direct =
       runTabuSearch(designer_->evaluator(), initial_, options_.tabu);

@@ -50,16 +50,15 @@ TEST_P(FuzzValidation, EveryStrategyProducesAValidatedSchedule) {
   const auto cur = suite.system.graphsOfKind(AppKind::Current);
   graphs.insert(graphs.end(), cur.begin(), cur.end());
 
-  for (Strategy s : {Strategy::AdHoc, Strategy::MappingHeuristic,
-                     Strategy::SimulatedAnnealing}) {
+  for (const char* s : {"AH", "MH", "SA"}) {
     const DesignResult r = designer.run(s);
-    ASSERT_TRUE(r.feasible) << toString(s);
+    ASSERT_TRUE(r.feasible) << s;
     Schedule all;
     all.merge(designer.frozenSchedule());
     all.merge(r.schedule);
     const ValidationReport report =
         validateSchedule(suite.system, all, graphs);
-    EXPECT_TRUE(report.ok()) << toString(s) << ": " << report.summary();
+    EXPECT_TRUE(report.ok()) << s << ": " << report.summary();
   }
 }
 

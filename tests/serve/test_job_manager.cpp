@@ -142,12 +142,18 @@ TEST(ParseJobSpec, RejectsBadSpecs) {
        "seed must be <= 9007199254740991"},
       {"{\"type\": \"design\", \"seed\": -1}", "seed must be >= 0"},
       {"{\"type\": \"design\", \"restarts\": -2}", "restarts must be >= 0"},
+      // Thread fan-out stops at kMaxAnnealingThreads.
       {"{\"type\": \"design\", \"threads\": 3e9}",
-       "threads must be <= 2147483647"},
+       "threads must be <= 256"},
+      {"{\"type\": \"design\", \"threads\": 257}",
+       "threads must be <= 256"},
+      {"{\"type\": \"design\", \"spec_workers\": 257}",
+       "spec_workers must be <= 256"},
       {"{\"type\": \"design\", \"spec_workers\": -1}",
        "spec_workers must be >= 0"},
-      {"{\"type\": \"design\", \"spec_depth\": -1e300}",
-       "spec_depth must be >= 0"},
+      // The speculation depth is a constant, not a field.
+      {"{\"type\": \"design\", \"spec_depth\": 4}",
+       "unknown field \"spec_depth\""},
       {"{\"type\": \"sweep\", \"sweep\": \"quality\", \"shards\": 1e10}",
        "shards must be <= 2147483647"},
   };
@@ -420,12 +426,11 @@ TEST(DesignJobFingerprint, IsStableAndIgnoresResultNeutralKnobs) {
   EXPECT_EQ(fp.size(), 32u);
   EXPECT_EQ(designJobFingerprint(spec), fp);
 
-  // threads / specWorkers / specDepth change how fast a job runs, never
-  // what it returns — identical fingerprint, shared cache slot.
+  // threads / specWorkers change how fast a job runs, never what it
+  // returns — identical fingerprint, shared cache slot.
   DesignJobSpec tuned = spec;
   tuned.threads = 8;
   tuned.specWorkers = 4;
-  tuned.specDepth = 3;
   EXPECT_EQ(designJobFingerprint(tuned), fp);
 
   DesignJobSpec other = spec;

@@ -215,8 +215,6 @@ TEST(InstanceFingerprintTest, StableAcrossCallsAndSensitiveToInputs) {
   // optimizer/speculation suites, so records are shareable across them).
   BatchInstance neutral = base;
   neutral.options.sa.speculation.workers = 4;
-  neutral.options.sa.speculation.maxDepth = 16;
-  neutral.options.sa.incrementalEval = false;
   neutral.options.sa.recordCostTrace = true;
   neutral.options.psa.threads = 8;
   neutral.options.psa.speculativeWorkers = 2;
