@@ -397,7 +397,7 @@ int cmdStats(const CliArgs& args) {
 }
 
 /// Registry-resolved strategy run with the optional --deadline stop token.
-DesignResult runStrategy(IncrementalDesigner& designer, const CliArgs& args) {
+RunReport runStrategy(IncrementalDesigner& designer, const CliArgs& args) {
   StopToken stop;
   RunContext context;
   if (args.deadlineSeconds > 0.0) {
@@ -442,9 +442,9 @@ int cmdDesign(const CliArgs& args) {
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
                                designerOptions(args));
-  const DesignResult r = runStrategy(designer, args);
+  const RunReport r = runStrategy(designer, args);
   std::printf("strategy: %s\nfeasible: %s\nobjective C: %.2f\n",
-              r.strategyName.c_str(), r.feasible ? "yes" : "no",
+              r.strategy.c_str(), r.feasible ? "yes" : "no",
               r.objective);
   if (r.stopped) std::puts("stopped: deadline/cancellation hit");
   std::printf("metrics: C1P=%.2f%% C1m=%.2f%% C2P=%lld C2m=%lldB\n",
@@ -471,7 +471,7 @@ int cmdSchedule(const CliArgs& args) {
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
                                designerOptions(args));
-  const DesignResult r = runStrategy(designer, args);
+  const RunReport r = runStrategy(designer, args);
   if (!r.feasible) {
     std::fputs("no feasible design\n", stderr);
     return 1;

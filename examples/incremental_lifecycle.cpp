@@ -67,8 +67,8 @@ int main() {
               designer.frozenSchedule().processEntryCount());
 
   std::printf("== Version N: map the current application ==\n");
-  const DesignResult ah = designer.run("AH");
-  const DesignResult mh = designer.run("MH");
+  const RunReport ah = designer.run("AH");
+  const RunReport mh = designer.run("MH");
   std::printf("  AH: C=%7.2f   guaranteed periodic slack C2P=%6lld "
               "(tneed=%lld)\n",
               ah.objective, static_cast<long long>(ah.metrics.c2p),

@@ -40,7 +40,7 @@ int main() {
 
   // 1. Strict incremental design.
   IncrementalDesigner designer(sys, suite.profile);
-  const DesignResult strict = designer.run("MH");
+  const RunReport strict = designer.run("MH");
   std::printf("\nstrict (no modifications):      C = %8.2f   C2P = %lld\n",
               strict.objective, static_cast<long long>(strict.metrics.c2p));
 

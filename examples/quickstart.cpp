@@ -49,7 +49,7 @@ int main() {
       sys.applicationsOfKind(AppKind::Future).front();
 
   for (const char* s : {"AH", "MH", "SA"}) {
-    const DesignResult r = designer.run(s);
+    const RunReport r = designer.run(s);
     const FutureFitResult fit =
         tryMapFutureApplication(sys, futureApp, designer.stateWith(r));
     std::printf(

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       "C1m%", "C2P", "C2m[B]", "evals", "seconds", "fut-fit");
 
   for (const char* s : {"AH", "MH", "SA"}) {
-    const DesignResult r = designer.run(s);
+    const RunReport r = designer.run(s);
     int fits = 0, total = 0;
     const PlatformState after = designer.stateWith(r);
     for (ApplicationId app : sys.applicationsOfKind(AppKind::Future)) {

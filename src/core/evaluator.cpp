@@ -443,10 +443,10 @@ EvalResult EvalContext::run(const MappingSolution& solution,
       checkpoints_[gi] = {state_.mark(), processes_.size(), messages_.size(),
                           misses, lateness};
     }
-    const SchedulerSession::GraphResult r = session_.scheduleGraphResume(
-        graphs[gi], solution, &ev_->priorities()[gi], ev_->jobOrders()[gi],
-        resumeAt, checkpoints_[gi].processCount, processes_, messages_,
-        fineMarks_[gi], &arrivals_);
+    const SchedulerSession::GraphResult r = session_.scheduleGraph(
+        graphs[gi], solution, nullptr, ev_->jobOrders()[gi], resumeAt,
+        checkpoints_[gi].processCount, processes_, messages_, &fineMarks_[gi],
+        &arrivals_);
     ++graphsScheduled_;
     if (!r.placed) {
       // Drop the failed graph's partial placement so the checkpoints for

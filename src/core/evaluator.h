@@ -16,10 +16,12 @@
 // engine the optimization inner loops use instead: one journaled platform
 // state per context (per thread), a checkpoint after every scheduled graph,
 // and evaluate(solution, MoveHint) rewinds to the checkpoint before the
-// first graph the move affects and re-schedules only from there. Results
-// are bit-identical to the full pass by construction — the context verifies
-// (never trusts) the hint by diffing the prefix graphs against the last
-// evaluated solution, so a stale hint costs performance, not correctness.
+// first graph the move affects and re-schedules only from there. Both run
+// the same scheduling loop (SchedulerSession::scheduleGraph) in the same
+// static commit order. Results are bit-identical to the full pass by
+// construction — the context verifies (never trusts) the hint by diffing
+// the prefix graphs against the last evaluated solution, so a stale hint
+// costs performance, not correctness.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +81,10 @@ class SolutionEvaluator {
 
   /// Stateless full-pass evaluation (copies the baseline every call). The
   /// inner loops use EvalContext instead; this stays as the one-shot API
-  /// and as the independent reference the property tests compare against.
+  /// and as the reference the EvalContext tests compare against. It runs
+  /// the same scheduling loop, so it checks the rewinds, the zero-delta
+  /// serves and the metrics cache, not the loop itself (the scheduler
+  /// suite checks that against a ready-heap reference).
   [[nodiscard]] EvalResult evaluate(const MappingSolution& solution) const;
 
   /// Full evaluation, optionally exposing the schedule and slack snapshot

@@ -7,24 +7,6 @@
 
 namespace ides {
 
-namespace {
-
-DesignResult toDesignResult(RunReport&& report) {
-  DesignResult result;
-  result.strategyName = report.strategy;
-  result.feasible = report.feasible;
-  result.mapping = std::move(report.mapping);
-  result.schedule = std::move(report.schedule);
-  result.metrics = report.metrics;
-  result.objective = report.objective;
-  result.seconds = report.seconds;
-  result.evaluations = report.evaluations;
-  result.stopped = report.stopped;
-  return result;
-}
-
-}  // namespace
-
 IncrementalDesigner::IncrementalDesigner(const SystemModel& sys,
                                          FutureProfile profile,
                                          DesignerOptions options)
@@ -40,34 +22,15 @@ IncrementalDesigner::IncrementalDesigner(const SystemModel& sys,
       sys, frozen_.state, std::move(profile), options_.weights);
 }
 
-DesignResult IncrementalDesigner::run(const std::string& strategyName) {
+RunReport IncrementalDesigner::run(const std::string& strategyName) {
   return run(strategyName, context_);
 }
 
-DesignResult IncrementalDesigner::run(const std::string& strategyName,
-                                      RunContext& context) {
-  const std::unique_ptr<Optimizer> optimizer =
-      StrategyRegistry::builtin().create(strategyName, options_);
-  return run(*optimizer, context);
-}
-
-DesignResult IncrementalDesigner::run(const Optimizer& optimizer,
-                                      RunContext& context) {
-  return toDesignResult(optimizer.run(*evaluator_, context));
-}
-
-DesignResult IncrementalDesigner::run(const std::string& strategyName,
-                                      RunContext& context,
-                                      const MappingSolution* warmStart) {
-  const std::unique_ptr<Optimizer> optimizer =
-      StrategyRegistry::builtin().create(strategyName, options_);
-  return run(*optimizer, context, warmStart);
-}
-
-DesignResult IncrementalDesigner::run(const Optimizer& optimizer,
-                                      RunContext& context,
-                                      const MappingSolution* warmStart) {
-  return toDesignResult(optimizer.run(*evaluator_, context, warmStart));
+RunReport IncrementalDesigner::run(const std::string& strategyName,
+                                   RunContext& context) {
+  return StrategyRegistry::builtin()
+      .create(strategyName, options_)
+      ->run(*evaluator_, context);
 }
 
 }  // namespace ides

@@ -10,7 +10,8 @@
 // Strategies resolve through the pluggable optimizer API (core/optimizer.h):
 // run("SA") looks the name up in StrategyRegistry::builtin() and executes
 // the optimizer with this designer's options and a shared RunContext (one
-// EvalContextPool lease across successive runs).
+// EvalContextPool lease across successive runs). The result is the
+// optimizer's own RunReport.
 #pragma once
 
 #include <memory>
@@ -26,23 +27,6 @@
 namespace ides {
 
 class SystemModel;
-
-struct DesignResult {
-  /// Registry name of the strategy that produced this result.
-  std::string strategyName = "AH";
-  bool feasible = false;
-  MappingSolution mapping;
-  /// Schedule of the current application only (frozen part excluded).
-  Schedule schedule;
-  DesignMetrics metrics;
-  /// Objective C of the final solution.
-  double objective = 0.0;
-  /// Wall-clock strategy runtime in seconds (includes IM).
-  double seconds = 0.0;
-  std::size_t evaluations = 0;
-  /// True when a StopToken ended the run before its configured budget.
-  bool stopped = false;
-};
 
 /// Not thread-safe: the designer's runs share one RunContext (and its
 /// EvalContextPool lease), so concurrent run() calls on one instance race
@@ -60,21 +44,11 @@ class IncrementalDesigner {
 
   /// Run a registered strategy by name from a fresh IM start; throws
   /// std::invalid_argument for an unknown name (listing the valid set).
-  DesignResult run(const std::string& strategyName);
+  RunReport run(const std::string& strategyName);
   /// Same, with caller-provided cross-cutting services (stop token,
-  /// progress sink, pool lease).
-  DesignResult run(const std::string& strategyName, RunContext& context);
-  /// Run a caller-constructed optimizer (e.g. one with bespoke typed
-  /// options that differ from this designer's DesignerOptions).
-  DesignResult run(const Optimizer& optimizer, RunContext& context);
-  /// Warm-started runs (lifecycle replay): improvement starts from
-  /// `warmStart` when it is non-null and still evaluates feasibly; an
-  /// infeasible or null seed falls back to the fresh-IM path, so the same
-  /// call site serves both policies. See Optimizer::run's warm overload.
-  DesignResult run(const std::string& strategyName, RunContext& context,
-                   const MappingSolution* warmStart);
-  DesignResult run(const Optimizer& optimizer, RunContext& context,
-                   const MappingSolution* warmStart);
+  /// progress sink, pool lease). Warm starts and caller-built optimizers go
+  /// through Optimizer::run on evaluator() directly.
+  RunReport run(const std::string& strategyName, RunContext& context);
 
   [[nodiscard]] const SystemModel& system() const { return *sys_; }
   [[nodiscard]] const DesignerOptions& options() const { return options_; }
@@ -88,7 +62,7 @@ class IncrementalDesigner {
   [[nodiscard]] const FrozenBase& frozenBase() const { return frozen_; }
 
   /// Platform state with a result committed; input for future-fit checks.
-  [[nodiscard]] PlatformState stateWith(const DesignResult& result) const {
+  [[nodiscard]] PlatformState stateWith(const RunReport& result) const {
     return evaluator_->stateWith(result.mapping);
   }
 

@@ -75,28 +75,48 @@ EvalContextPool& RunContext::leasePool(const SolutionEvaluator& evaluator,
 }
 
 RunReport Optimizer::run(const SolutionEvaluator& evaluator,
-                         RunContext& context) const {
+                         RunContext& context,
+                         const MappingSolution* warmStart) const {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
 
   RunReport report;
   report.strategy = name();
-  const TraceSpan span("optimizer:" + report.strategy, "core");
+  const TraceSpan span(
+      "optimizer:" + report.strategy + (warmStart != nullptr ? ":warm" : ""),
+      "core");
 
-  // Every strategy starts from the same Initial Mapping on the frozen
-  // baseline.
-  PlatformState state = evaluator.baseline();
-  const ScheduleOutcome im = initialMapping(evaluator.system(), state);
-  report.evaluations = 1;
-  context.report({report.strategy, "initial-mapping", 0, 0, 0.0});
-  if (!im.feasible) {
-    report.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    recordRunTelemetry(report);
-    return report;
+  // Validate a seed before committing to it: warm starts can be stale (the
+  // platform or the application set changed since the placements were
+  // committed), and improve() requires a feasible entry solution. Without
+  // a usable seed every strategy starts from the same Initial Mapping on
+  // the frozen baseline.
+  MappingSolution solution;
+  bool seeded = false;
+  if (warmStart != nullptr) {
+    const EvalResult seed =
+        context.leasePool(evaluator, 1)[0].evaluate(*warmStart);
+    ++report.evaluations;
+    if (seed.feasible) {
+      solution = *warmStart;
+      seeded = true;
+      context.report({report.strategy, "warm-start", 0, 0, seed.cost});
+    }
+  }
+  if (!seeded) {
+    PlatformState state = evaluator.baseline();
+    ScheduleOutcome im = initialMapping(evaluator.system(), state);
+    ++report.evaluations;
+    context.report({report.strategy, "initial-mapping", 0, 0, 0.0});
+    if (!im.feasible) {
+      report.seconds =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      recordRunTelemetry(report);
+      return report;
+    }
+    solution = std::move(im.mapping);
   }
 
-  MappingSolution solution = im.mapping;
   if (context.stopRequested()) {
     report.stopped = true;
   } else {
@@ -105,58 +125,6 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
 
   // Final full evaluation through the leased context (bit-identical to the
   // stateless pass; re-uses whatever checkpoints the improvement left).
-  EvalContext& final = context.leasePool(evaluator, 1)[0];
-  ScheduleOutcome outcome;
-  const EvalResult eval = final.evaluate(solution, &outcome, nullptr);
-  ++report.evaluations;
-  context.report(
-      {report.strategy, "final", report.evaluations, 0, eval.cost});
-
-  report.feasible = eval.feasible;
-  report.mapping = std::move(solution);
-  report.schedule = std::move(outcome.schedule);
-  report.metrics = eval.metrics;
-  report.objective = eval.cost;
-  report.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  recordRunTelemetry(report);
-  return report;
-}
-
-RunReport Optimizer::run(const SolutionEvaluator& evaluator,
-                         RunContext& context,
-                         const MappingSolution* warmStart) const {
-  if (warmStart == nullptr) return run(evaluator, context);
-
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  const TraceSpan span("optimizer:" + name() + ":warm", "core");
-
-  // Validate the seed before committing to it: warm starts can be stale
-  // (the platform or the application set changed since the placements were
-  // committed), and improve() requires a feasible entry solution.
-  EvalContext& probe = context.leasePool(evaluator, 1)[0];
-  const EvalResult seed = probe.evaluate(*warmStart);
-  if (!seed.feasible) {
-    RunReport cold = run(evaluator, context);
-    ++cold.evaluations;  // the rejected seed's validation pass
-    cold.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    return cold;
-  }
-
-  RunReport report;
-  report.strategy = name();
-  report.evaluations = 1;
-  context.report({report.strategy, "warm-start", 0, 0, seed.cost});
-
-  MappingSolution solution = *warmStart;
-  if (context.stopRequested()) {
-    report.stopped = true;
-  } else {
-    report.evaluations += improve(evaluator, solution, context, report);
-  }
-
   EvalContext& final = context.leasePool(evaluator, 1)[0];
   ScheduleOutcome outcome;
   const EvalResult eval = final.evaluate(solution, &outcome, nullptr);

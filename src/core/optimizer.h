@@ -2,9 +2,10 @@
 //
 // Every mapping strategy — the paper's AH / MH / SA and this repo's PSA —
 // is an Optimizer: `name()` plus `run(evaluator, context) -> RunReport`.
-// All optimizers share the same contract: start from the Initial Mapping on
-// the evaluator's frozen baseline, improve it, and report the final
-// solution with its metrics. Construction takes the strategy's typed
+// All optimizers share the same contract and one run body: start from the
+// Initial Mapping on the evaluator's frozen baseline (or from a caller's
+// warm-start seed that still evaluates feasibly), improve it, and report the
+// final solution with its metrics. Construction takes the strategy's typed
 // options struct, so configuration stays statically checked; resolution by
 // name goes through the StrategyRegistry, which is what the CLI, the batch
 // runner and the IncrementalDesigner facade use. Adding a strategy is one
@@ -153,23 +154,17 @@ class Optimizer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Full strategy run: Initial Mapping on the evaluator's baseline,
-  /// improvement, final evaluation. Never returns an infeasible mapping as
-  /// feasible; a fired stop token yields the best solution found so far.
-  [[nodiscard]] RunReport run(const SolutionEvaluator& evaluator,
-                              RunContext& context) const;
-
-  /// Warm-started run: when `warmStart` is non-null and evaluates feasibly
-  /// on this evaluator, improvement starts from it instead of the Initial
-  /// Mapping (progress phase "warm-start" instead of "initial-mapping").
-  /// An infeasible seed — e.g. lifecycle placements gone stale after a
-  /// platform perturbation — falls back to the cold run above; the seed's
-  /// one validation evaluation is still accounted in the report. A null
-  /// seed is exactly the cold run, so callers can thread an optional seed
-  /// through unconditionally.
-  [[nodiscard]] RunReport run(const SolutionEvaluator& evaluator,
-                              RunContext& context,
-                              const MappingSolution* warmStart) const;
+  /// Full strategy run: start, improvement, final evaluation. The start is
+  /// `warmStart` when it is non-null and evaluates feasibly on this
+  /// evaluator (progress phase "warm-start"), else the Initial Mapping on
+  /// the evaluator's baseline ("initial-mapping"). An infeasible seed —
+  /// e.g. lifecycle placements gone stale after a platform perturbation —
+  /// still counts its one validation evaluation in the report. Never
+  /// returns an infeasible mapping as feasible; a fired stop token yields
+  /// the best solution found so far.
+  [[nodiscard]] RunReport run(
+      const SolutionEvaluator& evaluator, RunContext& context,
+      const MappingSolution* warmStart = nullptr) const;
 
  protected:
   /// Strategy hook: improve `solution` (feasible on entry) in place and

@@ -23,6 +23,11 @@
 // next. Combined with PlatformState's journal this is what lets EvalContext
 // rewind to the first graph a move affects and re-schedule only from there.
 //
+// Within a graph, jobs commit in the static order of computeJobOrder (see
+// GraphJobOrder) in both modes: the ready-list discipline depends on the
+// graph and the priorities only, never on which node a job lands on, so one
+// loop serves HCP, mapping mode and EvalContext's mid-graph restarts alike.
+//
 // Messages between processes on different nodes are scheduled into the TDMA
 // slot of the sender's node at destination-scheduling time; same-node
 // messages cost no bus time.
@@ -39,7 +44,7 @@
 namespace ides {
 
 class SystemModel;
-struct ProcessGraph;
+struct Message;
 
 struct ScheduleRequest {
   /// Graphs to schedule (normally all graphs of one application), in the
@@ -52,23 +57,24 @@ struct ScheduleRequest {
   /// HCP mode: scheduler chooses nodes (earliest-finish-time).
   bool chooseNodes = false;
   /// Optional precomputed priorities, one vector per entry of `graphs`
-  /// (criticalPathPriorities). Strategies precompute these once per run to
-  /// keep the evaluation inner loop cheap.
+  /// (criticalPathPriorities when null). They fix each graph's commit order
+  /// (computeJobOrder); SolutionEvaluator passes the ones its EvalContexts
+  /// schedule by, so a one-shot call commits in the same order.
   const std::vector<std::vector<double>>* priorities = nullptr;
 };
 
 /// Static commit order of one graph's jobs under a fixed priority vector.
 ///
-/// The ready-heap pop order of SchedulerSession::run is a pure function of
-/// (graph topology, priorities): the comparator reads only static job keys
-/// (priority, release, pid, instance) and a job enters the heap exactly when
-/// its last intra-instance input commits — never depending on the mapping or
-/// on placement results. The order can therefore be computed once per graph
-/// and the evaluation inner loop driven off it directly, which is what makes
-/// a mid-graph (process-granular) restart well-defined: for a move that
-/// first affects order position k, every position before k commits
-/// identically, so re-scheduling the suffix [k, jobs) reproduces the full
-/// pass bit for bit.
+/// The list scheduler takes the ready job with the highest priority next
+/// (ties: earlier release, lower pid, lower instance), and a job becomes
+/// ready when its last intra-instance input commits. Both rules read static
+/// keys only — never the mapping, the node HCP picks or a placement result —
+/// so the commit order is a pure function of (graph topology, priorities).
+/// It is computed once per graph and SchedulerSession::scheduleGraph is
+/// driven off it directly, which is also what makes a mid-graph
+/// (process-granular) restart well-defined: for a move that first affects
+/// order position k, every position before k commits identically, so
+/// re-scheduling the suffix [k, jobs) reproduces the full pass bit for bit.
 struct GraphJobOrder {
   /// Dense job index: instance * processCount + local process index.
   std::vector<std::int32_t> jobAt;       ///< position -> flat job index
@@ -78,8 +84,9 @@ struct GraphJobOrder {
   [[nodiscard]] std::size_t jobCount() const { return jobAt.size(); }
 };
 
-/// Simulates the ready-heap discipline of the scheduler without placing
-/// anything, yielding the static commit order (see GraphJobOrder).
+/// Runs the ready-list discipline without placing anything, yielding the
+/// static commit order (see GraphJobOrder). The only code that knows the
+/// discipline; throws std::logic_error on a dependency cycle.
 GraphJobOrder computeJobOrder(const SystemModel& sys, GraphId g,
                               const std::vector<double>& priorities);
 
@@ -99,9 +106,9 @@ struct ScheduleOutcome {
 };
 
 /// Reusable one-graph-at-a-time scheduler bound to a model and a platform
-/// state. All scratch structures (job pool, ready heap, candidate lists)
-/// live in the session and are reused across calls, so the optimization
-/// inner loops schedule without per-evaluation allocations.
+/// state. Its scratch (the job pool and the process index) lives in the
+/// session and is reused across calls, so the optimization inner loops
+/// schedule without per-evaluation allocations.
 class SchedulerSession {
  public:
   /// Per-graph tally. The aggregate flags of ScheduleOutcome are folded by
@@ -112,29 +119,6 @@ class SchedulerSession {
     int deadlineMisses = 0;
     Time totalLateness = 0;
   };
-
-  /// Binds to `sys` and `state`; both must outlive the session.
-  SchedulerSession(const SystemModel& sys, PlatformState& state);
-
-  /// Mapping mode: schedule every instance of graph `g` under `mapping`,
-  /// appending the committed entries to `processesOut` / `messagesOut` (in
-  /// commit order — a checkpoint is just the pair of sizes) and occupying
-  /// the bound state. On a placement failure the state keeps the partial
-  /// occupancy — rewind with a PlatformState mark (EvalContext) or discard
-  /// the state (one-shot callers). `priorities` may be null (computed
-  /// internally).
-  GraphResult scheduleGraph(GraphId g, const MappingSolution& mapping,
-                            const std::vector<double>* priorities,
-                            std::vector<ScheduledProcess>& processesOut,
-                            std::vector<ScheduledMessage>& messagesOut);
-
-  /// HCP mode: additionally chooses a node for every process whose entry in
-  /// `mapping` is invalid, recording the choice into `mapping`.
-  GraphResult scheduleGraphChoosingNodes(
-      GraphId g, MappingSolution& mapping,
-      const std::vector<double>* priorities,
-      std::vector<ScheduledProcess>& processesOut,
-      std::vector<ScheduledMessage>& messagesOut);
 
   /// State snapshot taken immediately before committing one order position:
   /// journal mark plus output sizes and the graph-local running tallies.
@@ -148,30 +132,47 @@ class SchedulerSession {
     Time lateness = 0;                ///< graph-local, before this position
   };
 
-  /// Mapping-mode scheduling driven by the precomputed static `order`,
-  /// resumable mid-graph: positions [0, resumeAt) must already be committed
-  /// in the bound state, with their entries at
-  /// processesOut[graphBase + position] (graphBase = processesOut.size() at
-  /// the graph's whole-graph checkpoint); only positions [resumeAt, jobs)
-  /// are scheduled. Writes one JobCheckpoint per re-scheduled position into
-  /// `marksOut` (resized to the order size; earlier entries untouched) and,
-  /// when `arrivalsOut` is non-null, the hint-independent arrival bound of
-  /// every committed position at arrivalsOut[graphBase + position]: the
-  /// earliest start permitted by release time and input-message arrivals
-  /// alone. start == earliestFit(node, max(bound, period-relative hint)),
-  /// which is what lets a hint change be proven schedule-identical without
-  /// re-scheduling (see core/simulated_annealing.h's zero-delta filter).
+  /// Binds to `sys` and `state`; both must outlive the session.
+  SchedulerSession(const SystemModel& sys, PlatformState& state);
+
+  /// Schedules every instance of graph `g` in the static commit `order`,
+  /// appending the committed entries to `processesOut` / `messagesOut` (in
+  /// commit order) and occupying the bound state.
   ///
-  /// Bit-identical to scheduleGraph for resumeAt == 0 by the static-order
-  /// property (asserted across the whole property suite, which diffs this
-  /// path against the heap-driven full pass).
-  GraphResult scheduleGraphResume(
-      GraphId g, const MappingSolution& mapping,
-      const std::vector<double>* priorities, const GraphJobOrder& order,
-      std::size_t resumeAt, std::size_t graphBase,
-      std::vector<ScheduledProcess>& processesOut,
-      std::vector<ScheduledMessage>& messagesOut,
-      std::vector<JobCheckpoint>& marksOut, std::vector<Time>* arrivalsOut);
+  /// A process whose entry in `mapping` names a node runs there; the node
+  /// must be allowed (std::invalid_argument otherwise). Mapping mode passes
+  /// `chosen` = null and needs a node for every process. HCP passes
+  /// `chosen` = &mapping: a process without a node goes to the allowed node
+  /// that finishes its first committed instance earliest against the
+  /// current occupancy, and every choice is recorded into `chosen`, which
+  /// pins the later instances.
+  ///
+  /// Resumable mid-graph: positions [0, resumeAt) must already be committed
+  /// in the bound state, with their entries at processesOut[graphBase +
+  /// position] (graphBase = processesOut.size() at the graph's whole-graph
+  /// checkpoint) and their checkpoints in `marksOut`; only positions
+  /// [resumeAt, jobs) are scheduled. When non-null, `marksOut` (resized to
+  /// the order size; earlier entries untouched) receives one JobCheckpoint
+  /// per scheduled position, and `arrivalsOut` the hint-independent arrival
+  /// bound of every committed position at arrivalsOut[graphBase + position]:
+  /// the earliest start permitted by release time and input-message
+  /// arrivals alone. start == earliestFit(node, max(bound, period-relative
+  /// hint)), which is what lets a hint change be proven schedule-identical
+  /// without re-scheduling (see core/simulated_annealing.h's zero-delta
+  /// filter). One-shot callers pass null for both.
+  ///
+  /// On a placement failure the state and the outputs keep the partial
+  /// commits, input messages of the failing position included — rewind
+  /// with a PlatformState mark (EvalContext) or discard them (one-shot
+  /// callers).
+  GraphResult scheduleGraph(GraphId g, const MappingSolution& mapping,
+                            MappingSolution* chosen,
+                            const GraphJobOrder& order, std::size_t resumeAt,
+                            std::size_t graphBase,
+                            std::vector<ScheduledProcess>& processesOut,
+                            std::vector<ScheduledMessage>& messagesOut,
+                            std::vector<JobCheckpoint>* marksOut,
+                            std::vector<Time>* arrivalsOut);
 
  private:
   struct Job {
@@ -180,38 +181,40 @@ class SchedulerSession {
     Time release = 0;
     Time absDeadline = 0;
     Time end = kNoTime;  ///< finish time once committed
-    double priority = 0.0;
-    int remainingInputs = 0;
   };
-  struct ReadyOrder;
 
-  GraphResult run(GraphId g, const MappingSolution& mapping,
-                  MappingSolution* chosen,
-                  const std::vector<double>* priorities,
-                  std::vector<ScheduledProcess>& processesOut,
-                  std::vector<ScheduledMessage>& messagesOut);
-
-  /// Fills jobs_/procLocal_ for graph `g` (shared by both scheduling loops).
-  void materializeJobs(const ProcessGraph& graph,
-                       const std::vector<double>& priorities,
-                       std::int64_t instances);
+  [[nodiscard]] Job& jobOf(ProcessId p, std::int32_t instance) {
+    return jobs_[static_cast<std::size_t>(instance) * procCount_ +
+                 static_cast<std::size_t>(procLocal_[p.index()])];
+  }
+  /// Earliest arrival of `msg` for instance `instance` (period `period`):
+  /// the source's finish time, delayed to the message's start hint.
+  [[nodiscard]] Time messageReady(const Message& msg, std::int32_t instance,
+                                  const MappingSolution& mapping,
+                                  Time period);
+  /// HCP: the allowed node with the earliest finish for `job`, evaluated
+  /// against the current occupancy without committing anything (bus
+  /// placements are not reserved between the inputs); invalid if none
+  /// fits. Ties go to the lower node index.
+  [[nodiscard]] NodeId earliestFinishNode(const Job& job,
+                                          const MappingSolution& mapping,
+                                          Time period);
 
   const SystemModel* sys_;
   PlatformState* state_;
-  // Reusable scratch, cleared per graph. Jobs are indexed densely as
-  // instance * processCount + local process index (via procLocal_), so the
-  // inner loop runs without a single hash lookup.
+  // Reusable scratch, refilled per graph. Jobs are indexed densely as
+  // instance * procCount_ + local process index (via procLocal_), so the
+  // loop runs without a single hash lookup.
   std::vector<Job> jobs_;
   std::vector<std::int32_t> procLocal_;  // by ProcessId::index(), per graph
-  std::vector<Job*> ready_;  // binary heap via std::push_heap/pop_heap
-  std::vector<NodeId> candidates_;
-  std::vector<double> localPriorities_;
+  std::size_t procCount_ = 0;
 };
 
-/// Schedule `req.graphs` into `state`, graph by graph in request order. On
-/// success the state contains the new occupancy; if the outcome is not
-/// `placed`, the state is partially updated and must be discarded (or
-/// rewound via the journal) by the caller.
+/// Schedule `req.graphs` into `state`, graph by graph in request order, each
+/// in its computeJobOrder order under `req.priorities`. On success the state
+/// contains the new occupancy; if the outcome is not `placed`, the state is
+/// partially updated and must be discarded (or rewound via the journal) by
+/// the caller.
 ScheduleOutcome scheduleGraphs(const SystemModel& sys,
                                const ScheduleRequest& req,
                                PlatformState& state);

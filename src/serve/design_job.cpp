@@ -76,9 +76,9 @@ DesignJobResult runDesignJob(const DesignJobSpec& spec,
 }
 
 std::string designResultJson(const DesignJobResult& r, bool timing) {
-  const DesignResult& d = r.result;
+  const RunReport& d = r.result;
   std::string out = "{\n";
-  out += "  \"strategy\": " + jsonQuote(d.strategyName) + ",\n";
+  out += "  \"strategy\": " + jsonQuote(d.strategy) + ",\n";
   out += std::string("  \"feasible\": ") + (d.feasible ? "true" : "false") +
          ",\n";
   out += "  \"objective\": " + num(d.objective) + ",\n";

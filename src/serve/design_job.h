@@ -48,7 +48,7 @@ inline constexpr std::uint64_t kDesignFingerprintEpoch = 1;
 std::string designJobFingerprint(const DesignJobSpec& spec);
 
 struct DesignJobResult {
-  DesignResult result;
+  RunReport result;
   /// validateSchedule over frozen + current schedules, like `cli design`.
   bool validationOk = false;
 };

@@ -102,7 +102,7 @@ TEST(BatchRunnerTest, DefaultJobMatchesADirectDesignerRun) {
   const Suite generated = buildSuite(instance.config, instance.suiteSeed);
   IncrementalDesigner designer(generated.system, generated.profile,
                                instance.options);
-  const DesignResult direct = designer.run("SA");
+  const RunReport direct = designer.run("SA");
   const RunReport& batched = report.results[2].outcome.report;
   EXPECT_EQ(batched.objective, direct.objective);
   EXPECT_EQ(batched.mapping, direct.mapping);

@@ -34,7 +34,7 @@ TEST_F(DesignerTest, FreezesExistingApplicationsOnConstruction) {
 
 TEST_F(DesignerTest, AllStrategiesProduceFeasibleDesigns) {
   for (const char* s : {"AH", "MH", "SA"}) {
-    const DesignResult r = designer_->run(s);
+    const RunReport r = designer_->run(s);
     EXPECT_TRUE(r.feasible) << s;
     EXPECT_GT(r.schedule.processEntryCount(), 0u) << s;
     EXPECT_GE(r.seconds, 0.0);
@@ -44,31 +44,31 @@ TEST_F(DesignerTest, AllStrategiesProduceFeasibleDesigns) {
 }
 
 TEST_F(DesignerTest, OptimizingStrategiesBeatAdHoc) {
-  const DesignResult ah = designer_->run("AH");
-  const DesignResult mh = designer_->run("MH");
-  const DesignResult sa = designer_->run("SA");
+  const RunReport ah = designer_->run("AH");
+  const RunReport mh = designer_->run("MH");
+  const RunReport sa = designer_->run("SA");
   EXPECT_LE(mh.objective, ah.objective + 1e-9);
   EXPECT_LE(sa.objective, ah.objective + 1e-9);
 }
 
 TEST_F(DesignerTest, EvaluationCountsReflectSearchEffort) {
-  const DesignResult ah = designer_->run("AH");
-  const DesignResult mh = designer_->run("MH");
-  const DesignResult sa = designer_->run("SA");
+  const RunReport ah = designer_->run("AH");
+  const RunReport mh = designer_->run("MH");
+  const RunReport sa = designer_->run("SA");
   EXPECT_LE(ah.evaluations, 3u);
   EXPECT_GT(mh.evaluations, ah.evaluations);
   EXPECT_GT(sa.evaluations, 1000u);
 }
 
 TEST_F(DesignerTest, RunsAreRepeatable) {
-  const DesignResult a = designer_->run("MH");
-  const DesignResult b = designer_->run("MH");
+  const RunReport a = designer_->run("MH");
+  const RunReport b = designer_->run("MH");
   EXPECT_DOUBLE_EQ(a.objective, b.objective);
   EXPECT_EQ(a.mapping, b.mapping);
 }
 
 TEST_F(DesignerTest, StateWithContainsFrozenPlusCurrent) {
-  const DesignResult ah = designer_->run("AH");
+  const RunReport ah = designer_->run("AH");
   const PlatformState after = designer_->stateWith(ah);
   EXPECT_LT(after.totalNodeSlack(),
             designer_->frozenBase().state.totalNodeSlack());
@@ -102,7 +102,7 @@ TEST(DesignerErrors, StrategyNames) {
   opts.sa.iterations = 50;
   IncrementalDesigner designer(suite.system, suite.profile, opts);
   for (const char* name : {"AH", "MH", "SA"}) {
-    EXPECT_EQ(designer.run(name).strategyName, name);
+    EXPECT_EQ(designer.run(name).strategy, name);
   }
   EXPECT_THROW(designer.run("SimulatedAnnealing"), std::invalid_argument);
 }

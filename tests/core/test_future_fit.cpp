@@ -78,7 +78,7 @@ TEST(FutureFit, WorksThroughTheDesignerFacade) {
   cfg.futureAppCount = 2;
   const Suite suite = buildSuite(cfg, 3);
   IncrementalDesigner designer(suite.system, suite.profile);
-  const DesignResult mh = designer.run("MH");
+  const RunReport mh = designer.run("MH");
   ASSERT_TRUE(mh.feasible);
   const PlatformState after = designer.stateWith(mh);
   for (ApplicationId app :

@@ -78,7 +78,7 @@ TEST_F(ModificationSuiteTest, FreeModificationsImproveTheObjective) {
   const SystemModel& sys = suite_->system;
   // Reference: untouchable existing base.
   IncrementalDesigner designer(sys, suite_->profile);
-  const DesignResult mh = designer.run("MH");
+  const RunReport mh = designer.run("MH");
   ASSERT_TRUE(mh.feasible);
 
   ModificationOptions opts;

@@ -12,6 +12,7 @@
 #include "core/incremental_designer.h"
 #include "core/initial_mapping.h"
 #include "model/system_model.h"
+#include "obs/telemetry.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
 
@@ -87,7 +88,7 @@ TEST_F(OptimizerTest, SaThroughInterfaceIsBitIdenticalToDirectCall) {
   const SaResult direct = runSimulatedAnnealing(
       designer_->evaluator(), initialSolution(), sa);
 
-  const DesignResult viaName = designer_->run("SA");
+  const RunReport viaName = designer_->run("SA");
   EXPECT_TRUE(viaName.feasible);
   EXPECT_EQ(viaName.mapping, direct.solution);
   EXPECT_EQ(viaName.objective, direct.eval.cost);
@@ -100,7 +101,7 @@ TEST_F(OptimizerTest, PsaThroughInterfaceIsBitIdenticalToDirectCall) {
   const ParallelSaResult direct = runParallelAnnealing(
       designer_->evaluator(), initialSolution(), psa);
 
-  const DesignResult viaName = designer_->run("PSA");
+  const RunReport viaName = designer_->run("PSA");
   EXPECT_TRUE(viaName.feasible);
   EXPECT_EQ(viaName.mapping, direct.solution);
   EXPECT_EQ(viaName.objective, direct.eval.cost);
@@ -109,9 +110,9 @@ TEST_F(OptimizerTest, PsaThroughInterfaceIsBitIdenticalToDirectCall) {
 TEST_F(OptimizerTest, RepeatedRunsThroughSharedContextAreRepeatable) {
   // The designer's RunContext keeps one pool lease across runs; reusing
   // warm checkpoints must not change any result.
-  const DesignResult first = designer_->run("MH");
-  const DesignResult ah = designer_->run("AH");
-  const DesignResult second = designer_->run("MH");
+  const RunReport first = designer_->run("MH");
+  const RunReport ah = designer_->run("AH");
+  const RunReport second = designer_->run("MH");
   EXPECT_EQ(first.mapping, second.mapping);
   EXPECT_EQ(first.objective, second.objective);
   EXPECT_TRUE(ah.feasible);
@@ -122,8 +123,8 @@ TEST_F(OptimizerTest, PreFiredStopTokenDegradesSaToTheInitialMapping) {
   stop.requestStop();
   RunContext context;
   context.stop = &stop;
-  const DesignResult stopped = designer_->run("SA", context);
-  const DesignResult ah = designer_->run("AH");
+  const RunReport stopped = designer_->run("SA", context);
+  const RunReport ah = designer_->run("AH");
   EXPECT_TRUE(stopped.stopped);
   EXPECT_TRUE(stopped.feasible);
   EXPECT_EQ(stopped.mapping, ah.mapping);
@@ -136,7 +137,7 @@ TEST_F(OptimizerTest, PassedDeadlineStopsEveryStrategyGracefully) {
     stop.setTimeout(-1.0);  // already expired
     RunContext context;
     context.stop = &stop;
-    const DesignResult r = designer_->run(name, context);
+    const RunReport r = designer_->run(name, context);
     EXPECT_TRUE(r.stopped) << name;
     EXPECT_TRUE(r.feasible) << name;
   }
@@ -146,8 +147,8 @@ TEST_F(OptimizerTest, UnfiredStopTokenLeavesSaBitIdentical) {
   StopToken stop;  // never fires, no deadline
   RunContext context;
   context.stop = &stop;
-  const DesignResult withToken = designer_->run("SA", context);
-  const DesignResult without = designer_->run("SA");
+  const RunReport withToken = designer_->run("SA", context);
+  const RunReport without = designer_->run("SA");
   EXPECT_EQ(withToken.mapping, without.mapping);
   EXPECT_EQ(withToken.objective, without.objective);
   EXPECT_FALSE(withToken.stopped);
@@ -159,11 +160,50 @@ TEST_F(OptimizerTest, ProgressSinkSeesPhaseBoundaries) {
   context.progress = [&](const ProgressEvent& event) {
     phases.emplace_back(event.phase);
   };
-  const DesignResult r = designer_->run("MH", context);
+  const RunReport r = designer_->run("MH", context);
   EXPECT_TRUE(r.feasible);
   const std::vector<std::string> expected = {"initial-mapping", "improve",
                                              "final"};
   EXPECT_EQ(phases, expected);
+}
+
+TEST(OptimizerTelemetry, RejectedWarmSeedIsCountedOnce) {
+  const Suite suite = buildSuite(ides::testing::smallSuiteConfig(), 3);
+  const SystemModel& sys = suite.system;
+  IncrementalDesigner designer(sys, suite.profile);
+  PlatformState state = designer.evaluator().baseline();
+  const ScheduleOutcome im = initialMapping(sys, state);
+  ASSERT_TRUE(im.feasible);
+  // Every current start hint at the hyperperiod: a legal seed that cannot
+  // be scheduled feasibly, so the run falls back to the Initial Mapping.
+  MappingSolution stale = im.mapping;
+  for (const GraphId g : sys.graphsOfKind(AppKind::Current)) {
+    for (const ProcessId p : sys.graph(g).processes) {
+      stale.setStartHint(p, sys.hyperperiod());
+    }
+  }
+  ASSERT_FALSE(designer.evaluator().evaluate(stale).feasible);
+
+  const bool wasEnabled = telemetryEnabled();
+  setTelemetryEnabled(true);
+  const MetricLabels labels = {{"strategy", "MH"}};
+  Counter& runs = telemetry().counter("ides_opt_runs_total",
+                                      "Completed optimizer runs", labels);
+  Counter& evals = telemetry().counter(
+      "ides_opt_evaluations_total",
+      "Schedule evaluations consumed by optimizer runs", labels);
+  const std::uint64_t runsBefore = runs.value();
+  const std::uint64_t evalsBefore = evals.value();
+  RunContext context;
+  const RunReport report = StrategyRegistry::builtin().create("MH")->run(
+      designer.evaluator(), context, &stale);
+  const std::uint64_t runsMoved = runs.value() - runsBefore;
+  const std::uint64_t evalsMoved = evals.value() - evalsBefore;
+  setTelemetryEnabled(wasEnabled);
+
+  EXPECT_TRUE(report.feasible);
+  EXPECT_EQ(runsMoved, 1u);
+  EXPECT_EQ(evalsMoved, report.evaluations);
 }
 
 // ---- options validation ---------------------------------------------------

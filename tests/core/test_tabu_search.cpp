@@ -59,7 +59,7 @@ TEST_F(TabuSearchTest, RunsAreDeterministicAndNeverWorseThanTheInitial) {
 TEST_F(TabuSearchTest, RegistryRunIsBitIdenticalToTheDirectCall) {
   const TabuResult direct =
       runTabuSearch(designer_->evaluator(), initial_, options_.tabu);
-  const DesignResult viaName = designer_->run("tabu");
+  const RunReport viaName = designer_->run("tabu");
   EXPECT_TRUE(viaName.feasible);
   EXPECT_EQ(viaName.mapping, direct.solution);
   EXPECT_EQ(viaName.objective, direct.eval.cost);

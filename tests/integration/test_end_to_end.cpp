@@ -24,8 +24,8 @@ TEST_P(EndToEnd, FullWorkflowHoldsItsInvariants) {
   opts.sa.iterations = 1000;
   IncrementalDesigner designer(suite.system, suite.profile, opts);
 
-  const DesignResult ah = designer.run("AH");
-  const DesignResult mh = designer.run("MH");
+  const RunReport ah = designer.run("AH");
+  const RunReport mh = designer.run("MH");
   ASSERT_TRUE(ah.feasible);
   ASSERT_TRUE(mh.feasible);
 
@@ -54,7 +54,7 @@ TEST_P(EndToEnd, RequirementA_FrozenApplicationsUntouched) {
 
   // Capture frozen entries, run a strategy, compare.
   std::vector<ScheduledProcess> before(frozenBefore.processes());
-  const DesignResult mh = designer.run("MH");
+  const RunReport mh = designer.run("MH");
   ASSERT_TRUE(mh.feasible);
   const Schedule& frozenAfter = designer.frozenSchedule();
   ASSERT_EQ(before.size(), frozenAfter.processes().size());
@@ -77,7 +77,7 @@ TEST_P(EndToEnd, RequirementA_FrozenApplicationsUntouched) {
 TEST_P(EndToEnd, MetricsAgreeWithScheduleDerivedSlack) {
   const Suite suite = buildSuite(e2eConfig(), GetParam());
   IncrementalDesigner designer(suite.system, suite.profile);
-  const DesignResult ah = designer.run("AH");
+  const RunReport ah = designer.run("AH");
   ASSERT_TRUE(ah.feasible);
   // Recompute metrics from the committed state: must match the reported
   // ones exactly (the evaluator used an identical pipeline).

@@ -51,7 +51,7 @@ TEST_P(FuzzValidation, EveryStrategyProducesAValidatedSchedule) {
   graphs.insert(graphs.end(), cur.begin(), cur.end());
 
   for (const char* s : {"AH", "MH", "SA"}) {
-    const DesignResult r = designer.run(s);
+    const RunReport r = designer.run(s);
     ASSERT_TRUE(r.feasible) << s;
     Schedule all;
     all.merge(designer.frozenSchedule());

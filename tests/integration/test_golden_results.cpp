@@ -1,0 +1,220 @@
+// Pinned results: the design JSON of every built-in strategy and two
+// lifecycle reports, compared byte for byte against goldens. The
+// determinism suites prove that the engines agree with each other; this
+// suite proves that results stay what they were, on every build leg.
+//
+// A change that alters results on purpose (a strategy kernel, the
+// generator, a metric definition) must bump kDesignFingerprintEpoch and
+// kSweepFingerprintEpoch — so the daemon's design cache and the sweep store
+// stop serving stale entries — and regenerate the goldens below, together
+// with the epochs they record.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "core/batch_suites.h"
+#include "core/optimizer.h"
+#include "lifecycle/lifecycle_runner.h"
+#include "lifecycle/lifecycle_scenario.h"
+#include "serve/design_job.h"
+
+namespace ides {
+namespace {
+
+// The epochs the goldens were generated under.
+constexpr std::uint64_t kGoldenDesignEpoch = 1;
+constexpr std::uint64_t kGoldenSweepEpoch = 2;
+
+constexpr const char* kResultsChanged =
+    "results changed: bump both epochs and regenerate the goldens";
+
+struct DesignGolden {
+  const char* strategy;
+  const char* json;
+};
+
+// nodes 8, existing 60, current 24, seed 3, sa_iters 2000; PSA runs 2
+// chains on 2 threads.
+const DesignGolden kDesignGoldens[] = {
+    {"AH",
+     R"golden({
+  "strategy": "AH",
+  "feasible": true,
+  "objective": 0.289878,
+  "C1P_pct": 0.213377,
+  "C1m_pct": 0.0765013,
+  "C2P_ticks": 25867,
+  "C2m_bytes": 3686,
+  "evaluations": 2,
+  "stopped": false,
+  "validation_ok": true
+}
+)golden"},
+    {"MH",
+     R"golden({
+  "strategy": "MH",
+  "feasible": true,
+  "objective": 0.257082,
+  "C1P_pct": 0.180668,
+  "C1m_pct": 0.0764137,
+  "C2P_ticks": 25785,
+  "C2m_bytes": 3705,
+  "evaluations": 311,
+  "stopped": false,
+  "validation_ok": true
+}
+)golden"},
+    {"SA",
+     R"golden({
+  "strategy": "SA",
+  "feasible": true,
+  "objective": 0.273497,
+  "C1P_pct": 0.196996,
+  "C1m_pct": 0.0765013,
+  "C2P_ticks": 25979,
+  "C2m_bytes": 3691,
+  "evaluations": 2003,
+  "stopped": false,
+  "validation_ok": true
+}
+)golden"},
+    {"PSA",
+     R"golden({
+  "strategy": "PSA",
+  "feasible": true,
+  "objective": 0.273497,
+  "C1P_pct": 0.196996,
+  "C1m_pct": 0.0765013,
+  "C2P_ticks": 25979,
+  "C2m_bytes": 3691,
+  "evaluations": 4004,
+  "stopped": false,
+  "validation_ok": true
+}
+)golden"},
+    {"tabu",
+     R"golden({
+  "strategy": "tabu",
+  "feasible": true,
+  "objective": 0.194681,
+  "C1P_pct": 0.130986,
+  "C1m_pct": 0.0636943,
+  "C2P_ticks": 27107,
+  "C2m_bytes": 3806,
+  "evaluations": 40003,
+  "stopped": false,
+  "validation_ok": true
+}
+)golden"},
+};
+
+// generateScenario(seed 11, 12 steps), warm policy; SA at 500 iterations
+// per step.
+const char* const kLifecycleSaGolden =
+    R"golden({
+  "schema": 1,
+  "kind": "lifecycle_report",
+  "strategy": "SA",
+  "policy": "warm",
+  "scenario_seed": "11",
+  "steps": [
+    {"step": 0, "event": "add_graph", "uid": 1, "live_graphs": 1, "live_processes": 24, "warm_start": true, "feasible": true, "cost": 0.24347131830763766, "evaluations": 503, "proposals": 500, "accepted": 426, "zero_delta_skips": 106, "stopped": false},
+    {"step": 1, "event": "add_graph", "uid": 2, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.3649189193779227, "evaluations": 503, "proposals": 500, "accepted": 427, "zero_delta_skips": 65, "stopped": false},
+    {"step": 2, "event": "add_graph", "uid": 3, "live_graphs": 3, "live_processes": 52, "warm_start": true, "feasible": true, "cost": 0.33093725573249028, "evaluations": 503, "proposals": 500, "accepted": 439, "zero_delta_skips": 63, "stopped": false},
+    {"step": 3, "event": "remove_graph", "uid": 3, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.29938820451852644, "evaluations": 503, "proposals": 500, "accepted": 434, "zero_delta_skips": 79, "stopped": false},
+    {"step": 4, "event": "deadline_tighten", "uid": 2, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.27372561627316927, "evaluations": 503, "proposals": 500, "accepted": 424, "zero_delta_skips": 88, "stopped": false},
+    {"step": 5, "event": "spec_change", "uid": 1, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.27418516088436207, "evaluations": 503, "proposals": 500, "accepted": 443, "zero_delta_skips": 92, "stopped": false},
+    {"step": 6, "event": "spec_change", "uid": 1, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.28040425043670475, "evaluations": 503, "proposals": 500, "accepted": 439, "zero_delta_skips": 74, "stopped": false},
+    {"step": 7, "event": "add_graph", "uid": 4, "live_graphs": 3, "live_processes": 59, "warm_start": true, "feasible": true, "cost": 0.38869544515158205, "evaluations": 503, "proposals": 500, "accepted": 452, "zero_delta_skips": 69, "stopped": false},
+    {"step": 8, "event": "add_graph", "uid": 5, "live_graphs": 4, "live_processes": 80, "warm_start": true, "feasible": true, "cost": 0.48815323278330436, "evaluations": 503, "proposals": 500, "accepted": 452, "zero_delta_skips": 57, "stopped": false},
+    {"step": 9, "event": "add_graph", "uid": 6, "live_graphs": 5, "live_processes": 95, "warm_start": true, "feasible": true, "cost": 0.50070190296504158, "evaluations": 503, "proposals": 500, "accepted": 438, "zero_delta_skips": 69, "stopped": false},
+    {"step": 10, "event": "deadline_tighten", "uid": 2, "live_graphs": 5, "live_processes": 95, "warm_start": true, "feasible": true, "cost": 0.50070190296504158, "evaluations": 503, "proposals": 500, "accepted": 455, "zero_delta_skips": 69, "stopped": false},
+    {"step": 11, "event": "remove_graph", "uid": 5, "live_graphs": 4, "live_processes": 74, "warm_start": true, "feasible": true, "cost": 0.40093344063519387, "evaluations": 503, "proposals": 500, "accepted": 444, "zero_delta_skips": 52, "stopped": false}
+  ],
+  "summary": {
+    "steps": 12,
+    "feasible_steps": 12,
+    "warm_starts": 12,
+    "median_cost": 0.34792808755520649,
+    "stopped": false
+  }
+}
+)golden";
+
+const char* const kLifecycleMhGolden =
+    R"golden({
+  "schema": 1,
+  "kind": "lifecycle_report",
+  "strategy": "MH",
+  "policy": "warm",
+  "scenario_seed": "11",
+  "steps": [
+    {"step": 0, "event": "add_graph", "uid": 1, "live_graphs": 1, "live_processes": 24, "warm_start": true, "feasible": true, "cost": 0.211701055166891, "evaluations": 304, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 1, "event": "add_graph", "uid": 2, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.27411520422625735, "evaluations": 248, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 2, "event": "add_graph", "uid": 3, "live_graphs": 3, "live_processes": 52, "warm_start": true, "feasible": true, "cost": 0.25986009687761885, "evaluations": 260, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 3, "event": "remove_graph", "uid": 3, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.18307225323865792, "evaluations": 91, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 4, "event": "deadline_tighten", "uid": 2, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.18307225323865792, "evaluations": 91, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 5, "event": "spec_change", "uid": 1, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.20890531181578187, "evaluations": 237, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 6, "event": "spec_change", "uid": 1, "live_graphs": 2, "live_processes": 39, "warm_start": true, "feasible": true, "cost": 0.11682386236990014, "evaluations": 412, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 7, "event": "add_graph", "uid": 4, "live_graphs": 3, "live_processes": 59, "warm_start": true, "feasible": true, "cost": 0.2601088692567981, "evaluations": 200, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 8, "event": "add_graph", "uid": 5, "live_graphs": 4, "live_processes": 80, "warm_start": true, "feasible": true, "cost": 0.37910722430539867, "evaluations": 126, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 9, "event": "add_graph", "uid": 6, "live_graphs": 5, "live_processes": 95, "warm_start": true, "feasible": true, "cost": 0.42563606225455841, "evaluations": 234, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 10, "event": "deadline_tighten", "uid": 2, "live_graphs": 5, "live_processes": 95, "warm_start": true, "feasible": true, "cost": 0.35153823482735946, "evaluations": 443, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false},
+    {"step": 11, "event": "remove_graph", "uid": 5, "live_graphs": 4, "live_processes": 74, "warm_start": true, "feasible": true, "cost": 0.27485624836130745, "evaluations": 284, "proposals": 0, "accepted": 0, "zero_delta_skips": 0, "stopped": false}
+  ],
+  "summary": {
+    "steps": 12,
+    "feasible_steps": 12,
+    "warm_starts": 12,
+    "median_cost": 0.25998448306720845,
+    "stopped": false
+  }
+}
+)golden";
+
+TEST(GoldenResults, RecordTheCurrentEpochs) {
+  EXPECT_EQ(kDesignFingerprintEpoch, kGoldenDesignEpoch)
+      << "regenerate the goldens under the new epochs";
+  EXPECT_EQ(kSweepFingerprintEpoch, kGoldenSweepEpoch)
+      << "regenerate the goldens under the new epochs";
+}
+
+TEST(GoldenResults, DesignJobsOfEveryStrategy) {
+  for (const DesignGolden& golden : kDesignGoldens) {
+    DesignJobSpec spec;
+    spec.nodes = 8;
+    spec.existing = 60;
+    spec.current = 24;
+    spec.seed = 3;
+    spec.saIterations = 2000;
+    spec.strategy = golden.strategy;
+    spec.restarts = 2;
+    spec.threads = 2;
+    RunContext context;
+    EXPECT_EQ(designResultJson(runDesignJob(spec, context)), golden.json)
+        << golden.strategy << ": " << kResultsChanged;
+  }
+}
+
+std::string lifecycleJson(const std::string& strategy) {
+  ScenarioConfig config;
+  config.seed = 11;
+  config.steps = 12;
+  LifecycleOptions options;
+  options.strategy = strategy;
+  options.designer.sa.iterations = 500;
+  return lifecycleReportJson(runLifecycle(generateScenario(config), options),
+                             /*timing=*/false);
+}
+
+TEST(GoldenResults, WarmSaLifecycle) {
+  EXPECT_EQ(lifecycleJson("SA"), kLifecycleSaGolden) << kResultsChanged;
+}
+
+TEST(GoldenResults, WarmMhLifecycle) {
+  EXPECT_EQ(lifecycleJson("MH"), kLifecycleMhGolden) << kResultsChanged;
+}
+
+}  // namespace
+}  // namespace ides

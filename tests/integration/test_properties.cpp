@@ -36,7 +36,7 @@ TEST_P(ScheduleInvariants, HoldOnGeneratedInstances) {
   DesignerOptions opts;
   opts.sa.iterations = 600;
   IncrementalDesigner designer(sys, suite.profile, opts);
-  const DesignResult r = designer.run(c.strategy);
+  const RunReport r = designer.run(c.strategy);
   ASSERT_TRUE(r.feasible);
 
   // Merge frozen + current: the complete static cyclic schedule.
@@ -125,7 +125,7 @@ TEST_P(LoadMonotonicity, CurrentApplicationNeverIncreasesSlackMetrics) {
   const Suite suite =
       buildSuite(ides::testing::smallSuiteConfig(60, 30), GetParam());
   IncrementalDesigner designer(suite.system, suite.profile);
-  const DesignResult ah = designer.run("AH");
+  const RunReport ah = designer.run("AH");
   ASSERT_TRUE(ah.feasible);
 
   const SlackInfo before = extractSlack(designer.frozenBase().state);

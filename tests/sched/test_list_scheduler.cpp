@@ -109,6 +109,25 @@ TEST(ListScheduler, MappingModeRejectsDisallowedNode) {
   EXPECT_THROW(scheduleAll(sys, state, &mapping), std::invalid_argument);
 }
 
+TEST(ListScheduler, HcpRejectsDisallowedPinnedNode) {
+  ides::testing::DiamondIds ids;
+  const SystemModel sys = makeDiamondSystem(&ids);
+  MappingSolution pins(sys);
+  pins.setNode(ids.p1, NodeId{1});  // P1 may only run on node 0
+  PlatformState state(sys.architecture(), sys.hyperperiod());
+  ScheduleRequest req;
+  req.graphs = {ids.graph};
+  req.mapping = &pins;
+  req.chooseNodes = true;
+  try {
+    (void)scheduleGraphs(sys, req, state);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "scheduleGraphs: mapping assigns a disallowed node");
+  }
+}
+
 TEST(ListScheduler, MappingModeRequiresMapping) {
   const SystemModel sys = makeChainSystem(2);
   PlatformState state(sys.architecture(), sys.hyperperiod());
