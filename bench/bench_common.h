@@ -56,12 +56,10 @@ inline int benchShards() {
   return env == nullptr || *env == '\0' ? 0 : std::atoi(env);
 }
 
-/// Percent deviation from the reference cost, clamped at 0 and guarded
-/// against a near-zero reference.
+/// Signed percent deviation of `cost` from a positive reference cost (the
+/// best any strategy found on the instance): no clamp, no floor.
 inline double deviationPercent(double cost, double reference) {
-  const double ref = reference < 1.0 ? 1.0 : reference;
-  const double dev = (cost - ref) / ref * 100.0;
-  return dev < 0.0 ? 0.0 : dev;
+  return (cost - reference) / reference * 100.0;
 }
 
 inline void printHeader(const char* figure, const char* question,

@@ -70,9 +70,10 @@ SolutionEvaluator::SolutionEvaluator(const SystemModel& sys,
       baseline_(std::move(baseline)),
       profile_(std::move(profile)),
       weights_(weights),
-      currentGraphs_(movableGraphs.empty()
+      movableGraphs_(movableGraphs.empty()
                          ? sys.graphsOfKind(AppKind::Current)
-                         : std::move(movableGraphs)) {
+                         : std::move(movableGraphs)),
+      currentGraphs_(movableGraphs_) {
   profile_.validate();
   // Canonical evaluation order: heaviest graph (most jobs per pass) first,
   // stable on the input order. Any fixed order is a valid full pass; this

@@ -88,7 +88,7 @@ class SolutionEvaluator {
   [[nodiscard]] EvalResult evaluate(const MappingSolution& solution) const;
 
   /// Full evaluation, optionally exposing the schedule and slack snapshot
-  /// (used for final results and MH's potential analysis).
+  /// (used for final results).
   [[nodiscard]] EvalResult evaluate(const MappingSolution& solution,
                                     ScheduleOutcome* outcomeOut,
                                     SlackInfo* slackOut) const;
@@ -99,6 +99,12 @@ class SolutionEvaluator {
 
   [[nodiscard]] const SystemModel& system() const { return *sys_; }
   [[nodiscard]] const PlatformState& baseline() const { return baseline_; }
+  /// The movable graphs in the order the evaluator was given them (the
+  /// AppKind::Current graphs by default): what a cold start maps.
+  [[nodiscard]] const std::vector<GraphId>& movableGraphs() const {
+    return movableGraphs_;
+  }
+  /// The same graphs in evaluation order (heaviest first).
   [[nodiscard]] const std::vector<GraphId>& currentGraphs() const {
     return currentGraphs_;
   }
@@ -137,6 +143,7 @@ class SolutionEvaluator {
   PlatformState baseline_;
   FutureProfile profile_;
   MetricWeights weights_;
+  std::vector<GraphId> movableGraphs_;
   std::vector<GraphId> currentGraphs_;
   std::vector<std::vector<double>> priorities_;  // per current graph
   std::vector<GraphJobOrder> orders_;            // per current graph
@@ -185,9 +192,9 @@ class EvalContext {
   EvalResult evaluate(const MappingSolution& solution, const MoveHint& hint);
 
   /// Full pass exposing the schedule and slack snapshot, like
-  /// SolutionEvaluator::evaluate(solution, outcomeOut, slackOut). When the
-  /// solution is exactly the one last evaluated (MH re-reading the state
-  /// after an applied move), nothing is re-scheduled.
+  /// SolutionEvaluator::evaluate(solution, outcomeOut, slackOut); either
+  /// may be null. When the solution is exactly the one last evaluated (MH
+  /// re-reading the slack after an applied move), nothing is re-scheduled.
   EvalResult evaluate(const MappingSolution& solution,
                       ScheduleOutcome* outcomeOut, SlackInfo* slackOut);
 
@@ -225,6 +232,11 @@ class EvalContext {
   /// schedule-identical without evaluating them.
   [[nodiscard]] const std::vector<ScheduledProcess>& processes() const {
     return processes_;
+  }
+  /// The bus messages of the same log, in commit order. MH's potential
+  /// analysis reads both right after re-evaluating its incumbent.
+  [[nodiscard]] const std::vector<ScheduledMessage>& messages() const {
+    return messages_;
   }
   [[nodiscard]] const std::vector<Time>& arrivalBounds() const {
     return arrivals_;

@@ -1,5 +1,7 @@
 #include "core/initial_mapping.h"
 
+#include <utility>
+
 #include "model/system_model.h"
 
 namespace ides {
@@ -28,8 +30,14 @@ FrozenBase freezeExistingApplications(const SystemModel& sys) {
 }
 
 ScheduleOutcome initialMapping(const SystemModel& sys, PlatformState& state) {
+  return initialMapping(sys, sys.graphsOfKind(AppKind::Current), state);
+}
+
+ScheduleOutcome initialMapping(const SystemModel& sys,
+                               std::vector<GraphId> graphs,
+                               PlatformState& state) {
   ScheduleRequest req;
-  req.graphs = sys.graphsOfKind(AppKind::Current);
+  req.graphs = std::move(graphs);
   req.chooseNodes = true;
   return scheduleGraphs(sys, req, state);
 }

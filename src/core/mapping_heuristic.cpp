@@ -1,11 +1,10 @@
 #include "core/mapping_heuristic.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "model/system_model.h"
 #include "util/log.h"
@@ -24,147 +23,218 @@ struct Move {
   Time hint = 0;
 };
 
+/// One current-application execution on a node, as the analysis reads it.
+struct Busy {
+  Time start = 0;
+  Time end = 0;
+  ProcessId pid;
+};
+
+/// A node's entries: by start.
+bool startsEarlier(const Busy& x, const Busy& y) { return x.start < y.start; }
+
+/// Target gaps: the largest first.
+bool largerGap(const Interval& x, const Interval& y) {
+  if (x.length() != y.length()) return x.length() > y.length();
+  return x.start < y.start;
+}
+
+/// Target bus windows: the emptiest rounds first.
+bool emptierChunk(const SlackInfo::BusChunk& x, const SlackInfo::BusChunk& y) {
+  if (x.freeTicks != y.freeTicks) return x.freeTicks > y.freeTicks;
+  return x.start < y.start;
+}
+
+/// Dense scratch of the per-round potential analysis, sized once per run
+/// and indexed by id. It is a local of runMappingHeuristic, never shared:
+/// MH runs concurrently on batch shards and daemon workers.
+struct Analysis {
+  explicit Analysis(const SystemModel& sys)
+      : byNode(sys.architecture().nodeCount()),
+        score(sys.processes().size(), 0.0),
+        scored(sys.processes().size(), 0),
+        longest(sys.messages().size(), kNoTime),
+        worstWindow(sys.architecture().nodeCount(), 0),
+        headroom(sys.architecture().nodeCount(), 0),
+        nodeRank(sys.architecture().nodeCount(), 0) {}
+
+  /// Per node: the incumbent's entries on it, sorted by start. Entries on
+  /// a node are disjoint and non-empty, so they are sorted by end too.
+  std::vector<std::vector<Busy>> byNode;
+  /// Per process: its potential score, and whether it has one at all (a
+  /// score of 0 still ranks ahead of the top-up).
+  std::vector<double> score;
+  std::vector<std::uint8_t> scored;
+  std::vector<ProcessId> touched;  ///< the processes with `scored` set
+  /// Per message: its longest transmission this round (kNoTime: none).
+  std::vector<Time> longest;
+  std::vector<MessageId> onBus;  ///< the messages with `longest` set
+  /// Per node: the first Tmin window of least slack, and that slack.
+  std::int64_t windows = 0;
+  std::vector<std::int64_t> worstWindow;
+  std::vector<Time> headroom;
+  std::vector<std::size_t> nodeRank;  ///< nodes by headroom, most first
+  /// This round's candidates and the buffers the trials reuse.
+  std::vector<ProcessId> procs;
+  std::vector<MessageId> msgs;
+  std::vector<NodeId> targets;
+  std::vector<SlackInfo::BusChunk> chunks;
+};
+
+/// Per-node worst Tmin window (the C2 pressure point) and its slack, the
+/// target-node ranking key: moving work onto the node with the most
+/// periodic headroom is the transformation with the highest potential to
+/// raise C2P.
+void analyzeWindows(const SlackInfo& slack, Time tmin, Analysis& a) {
+  a.windows = slack.horizon / tmin;
+  for (std::size_t n = 0; n < a.headroom.size(); ++n) {
+    std::int64_t worstWindow = 0;
+    Time worstSlack = a.windows > 0 ? kTimeMax : 0;
+    for (std::int64_t w = 0; w < a.windows; ++w) {
+      const Time s = slack.nodeSlackInWindow(n, w * tmin, (w + 1) * tmin);
+      if (s < worstSlack) {
+        worstSlack = s;
+        worstWindow = w;
+      }
+    }
+    a.worstWindow[n] = worstWindow;
+    a.headroom[n] = worstSlack;
+  }
+  const auto moreHeadroom = [&a](std::size_t x, std::size_t y) {
+    if (a.headroom[x] != a.headroom[y]) return a.headroom[x] > a.headroom[y];
+    return x < y;
+  };
+  for (std::size_t i = 0; i < a.nodeRank.size(); ++i) a.nodeRank[i] = i;
+  std::sort(a.nodeRank.begin(), a.nodeRank.end(), moreHeadroom);
+}
+
 /// Highest-potential processes: those bordering the smallest slack
 /// fragments (C1 pressure) and those inside the worst Tmin window of the
-/// most starved node (C2 pressure).
-std::vector<ProcessId> selectProcessCandidates(const SystemModel& sys,
-                                               const SolutionEvaluator& ev,
-                                               const ScheduleOutcome& outcome,
-                                               const SlackInfo& slack,
-                                               int limit) {
-  std::unordered_map<ProcessId, double> score;
-
-  // Index current-application entries by node and boundary times.
-  struct Boundary {
-    std::unordered_map<Time, ProcessId> byStart;
-    std::unordered_map<Time, ProcessId> byEnd;
+/// most starved node (C2 pressure). Reads the context's log, which must
+/// describe the incumbent.
+void selectProcesses(const SolutionEvaluator& ev, const EvalContext& ctx,
+                     const SlackInfo& slack, int limit, Analysis& a) {
+  for (const ProcessId p : a.touched) {
+    a.score[p.index()] = 0.0;
+    a.scored[p.index()] = 0;
+  }
+  a.touched.clear();
+  const auto entry = [&a](ProcessId p) -> double& {
+    if (a.scored[p.index()] == 0) {
+      a.scored[p.index()] = 1;
+      a.touched.push_back(p);
+    }
+    return a.score[p.index()];
   };
-  std::vector<Boundary> perNode(sys.architecture().nodeCount());
-  for (const ScheduledProcess& sp : outcome.schedule.processes()) {
-    perNode[sp.node.index()].byStart.emplace(sp.start, sp.pid);
-    perNode[sp.node.index()].byEnd.emplace(sp.end, sp.pid);
+
+  for (std::vector<Busy>& busy : a.byNode) busy.clear();
+  for (const ScheduledProcess& sp : ctx.processes()) {
+    a.byNode[sp.node.index()].push_back({sp.start, sp.end, sp.pid});
+  }
+  for (std::vector<Busy>& busy : a.byNode) {
+    std::sort(busy.begin(), busy.end(), startsEarlier);
   }
 
   // C1 pressure: adjacency to small fragments scores inversely to the
-  // fragment length.
+  // fragment length. Every C1 credit lands before any C2 sum, so each
+  // score adds its C2 terms to its final C1 maximum. Gaps and entries are
+  // both sorted by start and by end, so one forward walk per node finds,
+  // for every entry, the gap ending where it starts and the gap starting
+  // where it ends.
+  const auto credit = [&entry](ProcessId p, const Interval& gap) {
+    double& score = entry(p);
+    score = std::max(score, 1.0 / (1.0 + static_cast<double>(gap.length())));
+  };
   for (std::size_t n = 0; n < slack.nodeFree.size(); ++n) {
-    for (const Interval& gap : slack.nodeFree[n].intervals()) {
-      const double s = 1.0 / (1.0 + static_cast<double>(gap.length()));
-      auto creditTo = [&](auto& map, Time t) {
-        auto it = map.find(t);
-        if (it != map.end()) {
-          score[it->second] = std::max(score[it->second], s);
-        }
-      };
-      creditTo(perNode[n].byEnd, gap.start);   // entry ending at the gap
-      creditTo(perNode[n].byStart, gap.end);   // entry starting after it
+    const std::vector<Interval>& gaps = slack.nodeFree[n].intervals();
+    auto before = gaps.begin();
+    auto after = gaps.begin();
+    for (const Busy& b : a.byNode[n]) {
+      while (before != gaps.end() && before->end < b.start) ++before;
+      if (before != gaps.end() && before->end == b.start) {
+        credit(b.pid, *before);
+      }
+      while (after != gaps.end() && after->start < b.end) ++after;
+      if (after != gaps.end() && after->start == b.end) {
+        credit(b.pid, *after);
+      }
     }
   }
 
   // C2 pressure: every node's *worst* window is what the C2P sum is made
   // of, so every current-application process executing inside one is a
   // high-potential move candidate — evacuating it directly raises that
-  // node's minimum. The starved the window, the higher the score.
+  // node's minimum. The more starved the window, the higher the score. A
+  // process runs on one node, so its terms are one pressure added once
+  // per overlapping instance, in any order.
   const Time tmin = ev.profile().tmin;
-  const std::int64_t windows = slack.horizon / tmin;
-  if (windows > 0) {
-    for (std::size_t n = 0; n < slack.nodeFree.size(); ++n) {
-      std::int64_t worstWindow = 0;
-      Time worstSlack = kTimeMax;
-      for (std::int64_t w = 0; w < windows; ++w) {
-        const Time s = slack.nodeSlackInWindow(n, w * tmin, (w + 1) * tmin);
-        if (s < worstSlack) {
-          worstSlack = s;
-          worstWindow = w;
-        }
-      }
-      const Interval window{worstWindow * tmin, (worstWindow + 1) * tmin};
-      const double pressure =
-          2.0 * static_cast<double>(tmin - worstSlack) /
-          static_cast<double>(tmin);
-      for (const ScheduledProcess& sp : outcome.schedule.processes()) {
-        if (sp.node.index() == n &&
-            Interval{sp.start, sp.end}.overlaps(window)) {
-          score[sp.pid] += pressure;
+  if (a.windows > 0) {
+    for (std::size_t n = 0; n < a.byNode.size(); ++n) {
+      const Time windowStart = a.worstWindow[n] * tmin;
+      const Interval window{windowStart, windowStart + tmin};
+      const double deficit = static_cast<double>(tmin - a.headroom[n]);
+      const double pressure = 2.0 * deficit / static_cast<double>(tmin);
+      for (const Busy& b : a.byNode[n]) {
+        if (Interval{b.start, b.end}.overlaps(window)) {
+          entry(b.pid) += pressure;
         }
       }
     }
   }
 
-  std::vector<std::pair<double, ProcessId>> ranked;
-  ranked.reserve(score.size());
-  for (const auto& [pid, s] : score) ranked.emplace_back(s, pid);
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second.value < b.second.value;
-  });
-
-  std::vector<ProcessId> out;
-  std::unordered_set<ProcessId> seen;
-  for (const auto& [s, pid] : ranked) {
-    if (static_cast<int>(out.size()) >= limit) break;
-    out.push_back(pid);
-    seen.insert(pid);
-  }
+  // Rank by (score desc, pid asc); only the first `limit` are read.
+  const auto higherScore = [&a](ProcessId x, ProcessId y) {
+    const double sx = a.score[x.index()];
+    const double sy = a.score[y.index()];
+    if (sx != sy) return sx > sy;
+    return x.value < y.value;
+  };
+  a.procs.assign(a.touched.begin(), a.touched.end());
+  const std::size_t k = std::min<std::size_t>(a.procs.size(), limit);
+  const auto top = a.procs.begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(a.procs.begin(), top, a.procs.end(), higherScore);
+  a.procs.resize(k);
   // Top up deterministically so early iterations (little adjacency yet)
-  // still explore.
-  if (static_cast<int>(out.size()) < limit) {
-    for (GraphId g : ev.currentGraphs()) {
-      for (ProcessId p : sys.graph(g).processes) {
-        if (static_cast<int>(out.size()) >= limit) break;
-        if (seen.insert(p).second) out.push_back(p);
+  // still explore. A short ranking holds every scored process, so the
+  // score flag doubles as the seen set.
+  for (const GraphId g : ev.currentGraphs()) {
+    for (const ProcessId p : ev.system().graph(g).processes) {
+      if (static_cast<int>(a.procs.size()) >= limit) return;
+      if (a.scored[p.index()] == 0) {
+        entry(p);
+        a.procs.push_back(p);
       }
     }
   }
-  return out;
 }
 
-/// Messages with the longest transmissions fragment the bus the most.
-std::vector<MessageId> selectMessageCandidates(const ScheduleOutcome& outcome,
-                                               int limit) {
-  std::vector<const ScheduledMessage*> onBus;
-  for (const ScheduledMessage& sm : outcome.schedule.messages()) {
-    onBus.push_back(&sm);
+/// Messages with the longest transmissions fragment the bus the most:
+/// distinct messages ranked by (longest instance desc, mid asc).
+void selectMessages(const EvalContext& ctx, int limit, Analysis& a) {
+  for (const MessageId m : a.onBus) a.longest[m.index()] = kNoTime;
+  a.onBus.clear();
+  for (const ScheduledMessage& sm : ctx.messages()) {
+    Time& longest = a.longest[sm.mid.index()];
+    if (longest == kNoTime) a.onBus.push_back(sm.mid);
+    longest = std::max(longest, sm.end - sm.start);
   }
-  std::sort(onBus.begin(), onBus.end(),
-            [](const ScheduledMessage* a, const ScheduledMessage* b) {
-              const Time la = a->end - a->start, lb = b->end - b->start;
-              if (la != lb) return la > lb;
-              return a->mid.value < b->mid.value;
-            });
-  std::vector<MessageId> out;
-  std::unordered_set<MessageId> seen;
-  for (const ScheduledMessage* sm : onBus) {
-    if (static_cast<int>(out.size()) >= limit) break;
-    if (seen.insert(sm->mid).second) out.push_back(sm->mid);
-  }
-  return out;
+  const auto longerTransmission = [&a](MessageId x, MessageId y) {
+    const Time lx = a.longest[x.index()];
+    const Time ly = a.longest[y.index()];
+    if (lx != ly) return lx > ly;
+    return x.value < y.value;
+  };
+  a.msgs.assign(a.onBus.begin(), a.onBus.end());
+  const std::size_t k = std::min<std::size_t>(a.msgs.size(), limit);
+  const auto top = a.msgs.begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(a.msgs.begin(), top, a.msgs.end(), longerTransmission);
+  a.msgs.resize(k);
 }
 
-/// Per-node minimum window slack: the target-node ranking key. Moving work
-/// onto the node with the most periodic headroom is the transformation with
-/// the highest potential to raise C2P.
-std::vector<Time> minWindowSlackPerNode(const SlackInfo& slack, Time tmin) {
-  const std::int64_t windows = slack.horizon / tmin;
-  std::vector<Time> result(slack.nodeFree.size(), 0);
-  for (std::size_t n = 0; n < slack.nodeFree.size(); ++n) {
-    Time best = windows > 0 ? kTimeMax : 0;
-    for (std::int64_t w = 0; w < windows; ++w) {
-      best = std::min(best,
-                      slack.nodeSlackInWindow(n, w * tmin, (w + 1) * tmin));
-    }
-    result[n] = best;
-  }
-  return result;
-}
-
-/// Starts of the largest `count` gaps, as period-relative hints.
+/// Starts of the largest `count` gaps of a node, as period-relative hints.
 std::vector<Time> gapHints(const IntervalSet& free, Time period, int count) {
   std::vector<Interval> gaps(free.intervals());
-  std::sort(gaps.begin(), gaps.end(), [](const Interval& a, const Interval& b) {
-    if (a.length() != b.length()) return a.length() > b.length();
-    return a.start < b.start;
-  });
+  std::sort(gaps.begin(), gaps.end(), largerGap);
   std::vector<Time> hints{0};
   auto addHint = [&hints](Time h) {
     if (std::find(hints.begin(), hints.end(), h) == hints.end()) {
@@ -180,6 +250,17 @@ std::vector<Time> gapHints(const IntervalSet& free, Time period, int count) {
     addHint((gap.start + gap.length() / 2) % period);
   }
   return hints;
+}
+
+/// Copies the entries `move` touches from `from` into `to`.
+void copyMoveEntries(const Move& move, const MappingSolution& from,
+                     MappingSolution& to) {
+  if (move.kind == Move::Kind::Process) {
+    to.setNode(move.process, from.nodeOf(move.process));
+    to.setStartHint(move.process, from.startHint(move.process));
+  } else {
+    to.setMessageHint(move.message, from.messageHint(move.message));
+  }
 }
 
 }  // namespace
@@ -219,13 +300,20 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
   std::optional<EvalContext> owned;
   EvalContext& ctx = scratch != nullptr ? *scratch : owned.emplace(evaluator);
 
-  ScheduleOutcome outcome;
+  // Every (re)evaluation of the incumbent leaves the context's log
+  // describing it and snapshots its slack; the potential analysis reads
+  // both before the round's first trial.
   SlackInfo slack;
-  result.eval = ctx.evaluate(result.solution, &outcome, &slack);
+  result.eval = ctx.evaluate(result.solution, nullptr, &slack);
   result.evaluations = 1;
   if (!result.eval.feasible) {
     throw std::invalid_argument("runMappingHeuristic: initial not feasible");
   }
+
+  Analysis a(sys);
+  // The one trial solution of the run: a move is applied to it and
+  // evaluated, then either copied into the incumbent or undone.
+  MappingSolution trial = result.solution;
 
   // Iterative improvement with first-improvement acceptance: the candidate
   // moves are generated highest-potential-first, and the first one that
@@ -237,23 +325,9 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
       result.stopped = true;
       break;
     }
-    const std::vector<ProcessId> procs = selectProcessCandidates(
-        sys, evaluator, outcome, slack, options.candidateProcesses);
-    const std::vector<MessageId> msgs =
-        selectMessageCandidates(outcome, options.candidateMessages);
-
-    // Rank nodes by periodic headroom once per iteration.
-    const std::vector<Time> headroom =
-        minWindowSlackPerNode(slack, evaluator.profile().tmin);
-    std::vector<std::size_t> nodeRank(headroom.size());
-    for (std::size_t i = 0; i < nodeRank.size(); ++i) nodeRank[i] = i;
-    std::sort(nodeRank.begin(), nodeRank.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (headroom[a] != headroom[b]) {
-                  return headroom[a] > headroom[b];
-                }
-                return a < b;
-              });
+    analyzeWindows(slack, evaluator.profile().tmin, a);
+    selectProcesses(evaluator, ctx, slack, options.candidateProcesses, a);
+    selectMessages(ctx, options.candidateMessages, a);
 
     bool applied = false;
     bool budgetExhausted = false;
@@ -264,7 +338,6 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
         budgetExhausted = true;
         return true;  // stop scanning; nothing was applied
       }
-      MappingSolution trial = result.solution;
       MoveHint hint;
       if (move.kind == Move::Kind::Process) {
         trial.setNode(move.process, move.node);
@@ -279,21 +352,23 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
       const EvalResult r = ctx.evaluate(trial, hint);
       ++result.evaluations;
       if (r.cost < result.eval.cost - kEps) {
-        result.solution = std::move(trial);
+        result.solution = trial;
         applied = true;
         return true;
       }
+      copyMoveEntries(move, result.solution, trial);
       return false;
     };
 
-    for (const ProcessId p : procs) {
+    for (const ProcessId p : a.procs) {
       if (applied) break;
       const Process& proc = sys.process(p);
       const ProcessGraph& graph = sys.graph(proc.graph);
       // Target nodes: the allowed nodes with the most headroom, plus the
       // process's current node (for hint-only moves within it).
-      std::vector<NodeId> targets;
-      for (std::size_t idx : nodeRank) {
+      std::vector<NodeId>& targets = a.targets;
+      targets.clear();
+      for (std::size_t idx : a.nodeRank) {
         if (static_cast<int>(targets.size()) >= options.targetNodes) break;
         const NodeId n{static_cast<std::int32_t>(idx)};
         if (proc.allowedOn(n)) targets.push_back(n);
@@ -319,26 +394,20 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
     }
 
     if (!applied) {
-      // Bus windows: hints at the starts of the emptiest rounds.
-      std::vector<SlackInfo::BusChunk> chunks = slack.busChunks;
-      std::sort(chunks.begin(), chunks.end(),
-                [](const SlackInfo::BusChunk& a,
-                   const SlackInfo::BusChunk& b) {
-                  if (a.freeTicks != b.freeTicks) {
-                    return a.freeTicks > b.freeTicks;
-                  }
-                  return a.start < b.start;
-                });
-      for (const MessageId m : msgs) {
+      // Bus windows: hints at the starts of the emptiest rounds. Only the
+      // first `busWindows` are read; chunk starts are distinct, so the
+      // partial order is the full sort's prefix.
+      const std::vector<SlackInfo::BusChunk>& all = slack.busChunks;
+      a.chunks.resize(std::min<std::size_t>(all.size(), options.busWindows));
+      std::partial_sort_copy(all.begin(), all.end(), a.chunks.begin(),
+                             a.chunks.end(), emptierChunk);
+      for (const MessageId m : a.msgs) {
         if (applied) break;
         const Message& msg = sys.message(m);
         const ProcessGraph& graph = sys.graph(msg.graph);
-        int tried = 0;
-        for (const SlackInfo::BusChunk& chunk : chunks) {
-          if (tried >= options.busWindows) break;
+        for (const SlackInfo::BusChunk& chunk : a.chunks) {
           const Time h =
               std::min(chunk.start % graph.period, graph.deadline - 1);
-          ++tried;
           if (h == result.solution.messageHint(m)) continue;
           if (tryMove({Move::Kind::Message, {}, {}, m, h})) break;
         }
@@ -347,7 +416,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
 
     if (budgetExhausted || !applied) break;  // minimum or out of budget
 
-    result.eval = ctx.evaluate(result.solution, &outcome, &slack);
+    result.eval = ctx.evaluate(result.solution, nullptr, &slack);
     ++result.evaluations;
     result.iterations = iter + 1;
     IDES_LOG_AT(LogLevel::Debug)

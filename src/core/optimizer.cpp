@@ -89,8 +89,8 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
   // Validate a seed before committing to it: warm starts can be stale (the
   // platform or the application set changed since the placements were
   // committed), and improve() requires a feasible entry solution. Without
-  // a usable seed every strategy starts from the same Initial Mapping on
-  // the frozen baseline.
+  // a usable seed every strategy starts from the same Initial Mapping of
+  // the evaluator's movable graphs on its baseline.
   MappingSolution solution;
   bool seeded = false;
   if (warmStart != nullptr) {
@@ -105,7 +105,8 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
   }
   if (!seeded) {
     PlatformState state = evaluator.baseline();
-    ScheduleOutcome im = initialMapping(evaluator.system(), state);
+    ScheduleOutcome im = initialMapping(
+        evaluator.system(), evaluator.movableGraphs(), state);
     ++report.evaluations;
     context.report({report.strategy, "initial-mapping", 0, 0, 0.0});
     if (!im.feasible) {

@@ -240,9 +240,12 @@ HttpServer::HttpServer(const std::string& bindAddress, int port,
     listenFd_ = -1;
     throw std::runtime_error("HttpServer: bad bind address " + bindAddress);
   }
+  // The largest backlog the kernel allows: a burst of clients queues until
+  // the accept loop reaches it, instead of losing SYNs to a short queue
+  // and waiting out the 1 s retransmit.
   if (::bind(listenFd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listenFd_, 16) != 0) {
+      ::listen(listenFd_, SOMAXCONN) != 0) {
     const std::string reason = std::strerror(errno);
     ::close(listenFd_);
     listenFd_ = -1;

@@ -1,8 +1,8 @@
 // EvalContext: the delta-aware evaluation engine must be bit-identical to
 // the stateless full-pass evaluator — for arbitrary move sequences (with
-// rejected moves, i.e. stale checkpoints, and MH's schedule/slack refresh
-// after accepted ones), and end to end through SA / PSA against the plain
-// full-pass reference chain.
+// rejected moves, i.e. stale checkpoints, and MH's refresh of the slack
+// and the schedule log after accepted ones), and end to end through SA /
+// PSA against the plain full-pass reference chain.
 #include <gtest/gtest.h>
 
 #include "core/evaluator.h"
@@ -113,6 +113,11 @@ class EvalContextTest : public ::testing::Test {
     for (const ScheduledMessage& sm : eo.schedule.messages()) {
       EXPECT_TRUE(co.schedule.messageEntry(sm.mid, sm.instance) == sm);
     }
+    expectSameSlack(cs, es);
+  }
+
+  /// Slack snapshots agree: node gaps and every bus-chunk field.
+  static void expectSameSlack(const SlackInfo& cs, const SlackInfo& es) {
     EXPECT_EQ(cs.nodeFree, es.nodeFree);
     ASSERT_EQ(cs.busChunks.size(), es.busChunks.size());
     for (std::size_t i = 0; i < es.busChunks.size(); ++i) {
@@ -138,8 +143,8 @@ TEST_F(EvalContextTest, RandomizedMoveSequenceIsBitIdentical) {
   // Metropolis-style walk with rejections: the context's reference drifts
   // away from the accepted solution, which is exactly the stale-checkpoint
   // case the prefix verification must catch. Every feasible accept also
-  // re-reads the accepted solution with its schedule and slack, as MH does
-  // after an applied move.
+  // re-reads the accepted solution with its schedule and slack, then with
+  // its slack alone, as MH does after an applied move.
   EvalContext ctx(*evaluator_);
   Rng rng(99);
   MappingSolution current = initial_;
@@ -159,9 +164,16 @@ TEST_F(EvalContextTest, RandomizedMoveSequenceIsBitIdentical) {
     if (!reference.feasible) continue;
     ScheduleOutcome co, eo;
     SlackInfo cs, es;
-    expectBitIdentical(ctx.evaluate(current, &co, &cs),
-                       evaluator_->evaluate(current, &eo, &es));
+    const EvalResult full = evaluator_->evaluate(current, &eo, &es);
+    expectBitIdentical(ctx.evaluate(current, &co, &cs), full);
     expectSameOutputs(co, cs, eo, es);
+    // MH's form: slack only, and its analysis reads the context's log,
+    // which is the full pass's schedule in its commit order.
+    SlackInfo ms;
+    expectBitIdentical(ctx.evaluate(current, nullptr, &ms), full);
+    expectSameSlack(ms, es);
+    EXPECT_EQ(ctx.processes(), eo.schedule.processes());
+    EXPECT_EQ(ctx.messages(), eo.schedule.messages());
     ++refreshes;
   }
   EXPECT_GT(refreshes, 0);

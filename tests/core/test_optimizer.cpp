@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -165,6 +166,55 @@ TEST_F(OptimizerTest, ProgressSinkSeesPhaseBoundaries) {
   const std::vector<std::string> expected = {"initial-mapping", "improve",
                                              "final"};
   EXPECT_EQ(phases, expected);
+}
+
+TEST(OptimizerColdStart, MapsTheEvaluatorsMovableGraphs) {
+  // An evaluator over a Future application's graphs, as an increment's
+  // optimization builds it. Without a warm start, the Initial Mapping must
+  // map those graphs — not the AppKind::Current ones, which would leave
+  // every movable process on an unassigned node.
+  SuiteConfig cfg;
+  cfg.nodeCount = 8;
+  cfg.existingProcesses = 60;
+  cfg.currentProcesses = 16;
+  cfg.futureAppCount = 6;
+  cfg.futureProcesses = 12;
+  cfg.futureGraphSize = 12;
+  cfg.tneedOverride = 1656;
+  const Suite suite = buildSuite(cfg, 3);
+  const SystemModel& sys = suite.system;
+  const FrozenBase frozen = freezeExistingApplications(sys);
+  ASSERT_TRUE(frozen.feasible);
+  const std::vector<ApplicationId> future =
+      sys.applicationsOfKind(AppKind::Future);
+  ASSERT_FALSE(future.empty());
+  const std::vector<GraphId>& increment = sys.application(future[0]).graphs;
+  const SolutionEvaluator evaluator(sys, frozen.state, suite.profile,
+                                    MetricWeights{}, increment);
+  std::size_t jobs = 0;
+  for (const GraphId g : increment) {
+    const auto instances = static_cast<std::size_t>(sys.instanceCount(g));
+    jobs += instances * sys.graph(g).processes.size();
+  }
+
+  DesignerOptions options;
+  options.sa.iterations = 300;
+  options.psa.restarts = 2;
+  options.psa.threads = 2;
+  options.tabu.iterations = 300;
+  for (const std::string& name : StrategyRegistry::builtin().names()) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Optimizer> optimizer =
+        StrategyRegistry::builtin().create(name, options);
+    RunContext context;
+    const RunReport report = optimizer->run(evaluator, context);
+    EXPECT_TRUE(report.feasible);
+    ASSERT_EQ(report.schedule.processEntryCount(), jobs);
+    for (const ScheduledProcess& sp : report.schedule.processes()) {
+      const GraphId g = sys.process(sp.pid).graph;
+      EXPECT_EQ(std::count(increment.begin(), increment.end(), g), 1);
+    }
+  }
 }
 
 TEST(OptimizerTelemetry, RejectedWarmSeedIsCountedOnce) {

@@ -1,7 +1,8 @@
-// Pinned results: the design JSON of every built-in strategy and two
-// lifecycle reports, compared byte for byte against goldens. The
-// determinism suites prove that the engines agree with each other; this
-// suite proves that results stay what they were, on every build leg.
+// Pinned results: the design JSON of every built-in strategy, of MH at
+// paper scale, and two lifecycle reports, compared byte for byte against
+// goldens. The determinism suites prove that the engines agree with each
+// other; this suite proves that results stay what they were, on every
+// build leg.
 //
 // A change that alters results on purpose (a strategy kernel, the
 // generator, a metric definition) must bump kDesignFingerprintEpoch and
@@ -10,6 +11,7 @@
 // with the epochs they record.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -109,6 +111,46 @@ const DesignGolden kDesignGoldens[] = {
 )golden"},
 };
 
+// MH on the design job's paper shape (nodes 10, existing 400), where it
+// runs about 20 and 32 improvement rounds: these pin the candidate order
+// the few-round instance above barely reaches.
+struct PaperMhGolden {
+  std::size_t current;
+  std::uint64_t seed;
+  const char* json;
+};
+
+const PaperMhGolden kPaperMhGoldens[] = {
+    {160, 1,
+     R"golden({
+  "strategy": "MH",
+  "feasible": true,
+  "objective": 3.84943,
+  "C1P_pct": 2.78919,
+  "C1m_pct": 1.06024,
+  "C2P_ticks": 12452,
+  "C2m_bytes": 2533,
+  "evaluations": 376,
+  "stopped": false,
+  "validation_ok": true
+}
+)golden"},
+    {320, 2,
+     R"golden({
+  "strategy": "MH",
+  "feasible": true,
+  "objective": 74.6836,
+  "C1P_pct": 5.81238,
+  "C1m_pct": 1.72117,
+  "C2P_ticks": 7971,
+  "C2m_bytes": 2160,
+  "evaluations": 770,
+  "stopped": false,
+  "validation_ok": true
+}
+)golden"},
+};
+
 // generateScenario(seed 11, 12 steps), warm policy; SA at 500 iterations
 // per step.
 const char* const kLifecycleSaGolden =
@@ -194,6 +236,21 @@ TEST(GoldenResults, DesignJobsOfEveryStrategy) {
     RunContext context;
     EXPECT_EQ(designResultJson(runDesignJob(spec, context)), golden.json)
         << golden.strategy << ": " << kResultsChanged;
+  }
+}
+
+TEST(GoldenResults, PaperScaleMhDesignJobs) {
+  for (const PaperMhGolden& golden : kPaperMhGoldens) {
+    DesignJobSpec spec;
+    spec.nodes = 10;
+    spec.existing = 400;
+    spec.current = golden.current;
+    spec.seed = golden.seed;
+    spec.strategy = "MH";
+    RunContext context;
+    EXPECT_EQ(designResultJson(runDesignJob(spec, context)), golden.json)
+        << "MH, " << golden.current << " processes, seed " << golden.seed
+        << ": " << kResultsChanged;
   }
 }
 

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -284,6 +290,56 @@ TEST(HttpServerTest, SocketRoundTripAndStop) {
   stop.requestStop();
   loop.join();
   EXPECT_EQ(server.requestsServed(), 3u);
+}
+
+TEST(HttpServerTest, BacklogHoldsABurstOfConnects) {
+  // 64 clients connecting at once to a server that has not accepted any
+  // of them yet must all complete their handshakes. A short listen backlog
+  // drops the excess SYNs, and those clients wait out the kernel's 1 s
+  // SYN retransmit.
+  HttpServer server("127.0.0.1", 0);  // listening, never serving
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const auto* target = reinterpret_cast<const sockaddr*>(&addr);
+
+  constexpr std::size_t kClients = 64;
+  std::vector<pollfd> pending;
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0) break;
+    fds.push_back(fd);
+    if (::connect(fd, target, sizeof(addr)) == 0 || errno == EINPROGRESS) {
+      pending.push_back({fd, POLLOUT, 0});
+    }
+  }
+  EXPECT_EQ(pending.size(), kClients);
+
+  // A connect has finished when its socket turns writable; SO_ERROR then
+  // tells success from failure.
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::milliseconds(500);
+  std::size_t connected = 0;
+  while (!pending.empty() && Clock::now() < deadline) {
+    if (::poll(pending.data(), pending.size(), 10) <= 0) continue;
+    std::vector<pollfd> still;
+    for (const pollfd& p : pending) {
+      if (p.revents == 0) {
+        still.push_back({p.fd, POLLOUT, 0});
+        continue;
+      }
+      int error = -1;
+      socklen_t len = sizeof(error);
+      ::getsockopt(p.fd, SOL_SOCKET, SO_ERROR, &error, &len);
+      EXPECT_EQ(error, 0);
+      if (error == 0 && (p.revents & POLLOUT) != 0) ++connected;
+    }
+    pending = std::move(still);
+  }
+  for (const int fd : fds) ::close(fd);
+  EXPECT_EQ(connected, kClients) << "connects still pending after 500 ms";
 }
 
 }  // namespace
