@@ -5,7 +5,7 @@
 //            generate a suite and print its statistics report
 //   design   [--strategy NAME] [--sa-iters N] [--restarts K] [--threads T]
 //            [--spec-workers W] [--deadline S] [suite flags]
-//            run one registered strategy, print metrics and validation
+//            run one strategy, print metrics and validation
 //   schedule [--out FILE] [suite flags]
 //            run MH and dump the merged schedule (CSV form, stdout or file)
 //   dot      [suite flags]
@@ -49,10 +49,10 @@
 //            sharing, --json prints the report JSON (deterministic with
 //            --no-timing and no --step-deadline)
 //   list-strategies
-//            print the registered optimizer names (also --list-strategies)
+//            print the strategy names (also --list-strategies)
 //
-// Strategies resolve by name against StrategyRegistry::builtin(), so any
-// registered optimizer works; unknown names list the valid set. All flags
+// Every command that takes --strategy runs it through runStrategy, so any
+// name in strategyNames() works; unknown names list the valid set. All flags
 // have defaults; every run is deterministic for a given --seed (and for a
 // sweep, for any --shards value).
 #include <cstdio>
@@ -149,7 +149,7 @@ void usage() {
       "  --existing E   existing processes       (default 400)\n"
       "  --current C    current-app processes    (default 160)\n"
       "  --seed S       generator seed           (default 1)\n"
-      "  --strategy X   registered strategy name (default MH;\n"
+      "  --strategy X   strategy name            (default MH;\n"
       "                 see --list-strategies)\n"
       "  --sa-iters N   SA iterations (per chain for PSA)\n"
       "  --restarts K   PSA chains               (default 4)\n"
@@ -193,7 +193,7 @@ void usage() {
       "  --step-deadline S  lifecycle: per-step wall-clock budget in\n"
       "                 seconds (0 = off; non-deterministic when it fires)\n"
       "  --scenario-out F  lifecycle: also write the scenario JSON to F\n"
-      "  --list-strategies  print the registered strategy names\n"
+      "  --list-strategies  print the strategy names\n"
       "  --log-level L  log threshold debug|info|warn|error|off (wins\n"
       "                 over the IDES_LOG environment variable)\n"
       "  --telemetry-dump  after the command, print the process telemetry\n"
@@ -380,7 +380,7 @@ DesignerOptions designerOptions(const CliArgs& args) {
 }
 
 int cmdListStrategies() {
-  for (const std::string& name : StrategyRegistry::builtin().names()) {
+  for (const std::string& name : strategyNames()) {
     std::printf("%s\n", name.c_str());
   }
   return 0;
@@ -396,8 +396,9 @@ int cmdStats(const CliArgs& args) {
   return 0;
 }
 
-/// Registry-resolved strategy run with the optional --deadline stop token.
-RunReport runStrategy(IncrementalDesigner& designer, const CliArgs& args) {
+/// The --strategy run with the optional --deadline stop token.
+RunReport runWithDeadline(IncrementalDesigner& designer,
+                          const CliArgs& args) {
   StopToken stop;
   RunContext context;
   if (args.deadlineSeconds > 0.0) {
@@ -442,7 +443,7 @@ int cmdDesign(const CliArgs& args) {
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
                                designerOptions(args));
-  const RunReport r = runStrategy(designer, args);
+  const RunReport r = runWithDeadline(designer, args);
   std::printf("strategy: %s\nfeasible: %s\nobjective C: %.2f\n",
               r.strategy.c_str(), r.feasible ? "yes" : "no",
               r.objective);
@@ -471,7 +472,7 @@ int cmdSchedule(const CliArgs& args) {
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
                                designerOptions(args));
-  const RunReport r = runStrategy(designer, args);
+  const RunReport r = runWithDeadline(designer, args);
   if (!r.feasible) {
     std::fputs("no feasible design\n", stderr);
     return 1;

@@ -19,20 +19,18 @@ InstanceOutcome runBatchInstance(const BatchInstance& instance,
                                  const StopToken* stop) {
   if (instance.job) return instance.job(instance, stop);
 
-  // The standard instance job: generate the suite, resolve the strategy by
-  // name, run it through the optimizer API, append probe extras.
+  // The standard instance job: generate the suite, run the named strategy
+  // through the designer, append probe extras.
   const Suite suite = buildSuite(instance.config, instance.suiteSeed);
   IncrementalDesigner designer(suite.system, suite.profile, instance.options);
-  const std::unique_ptr<Optimizer> optimizer =
-      StrategyRegistry::builtin().create(instance.strategy, instance.options);
 
-  // A fresh context per instance: the pool lease must not outlive this
-  // instance's evaluator.
+  // A fresh context per instance: its evaluation context must not outlive
+  // this instance's evaluator.
   RunContext context;
   context.stop = stop;
 
   InstanceOutcome outcome;
-  outcome.report = optimizer->run(designer.evaluator(), context);
+  outcome.report = designer.run(instance.strategy, context);
   if (instance.probe) {
     instance.probe(suite, designer.evaluator(), outcome.report,
                    outcome.extras);

@@ -5,8 +5,8 @@
 // flat, canonically ordered list of those instances; the runner shards it
 // across a thread pool and collects one result per instance back into
 // canonical order. Every instance is self-contained — its own generated
-// system, evaluator, optimizer resolved by name from the built-in registry,
-// and deterministically derived seeds — so the aggregated report (and the
+// system, evaluator, strategy run by name through runStrategy, and
+// deterministically derived seeds — so the aggregated report (and the
 // BENCH_*.json rendering) is bit-identical for ANY shard count; only the
 // wall-clock fields differ between runs (the JSON renderer can omit them,
 // which is what the determinism tests compare).
@@ -80,7 +80,7 @@ struct BatchInstance {
   /// tgen generator seed for buildSuite.
   std::uint64_t suiteSeed = 1;
   SuiteConfig config;
-  /// Registry name resolved against StrategyRegistry::builtin().
+  /// Strategy name (one of strategyNames()) the default job runs.
   std::string strategy = "MH";
   /// Fully specified options (sa.seed already derived per instance).
   DesignerOptions options;

@@ -353,8 +353,8 @@ class EvalContext {
 };
 
 /// Fixed-size pool of per-worker EvalContexts over one shared evaluator —
-/// the substrate of speculative evaluation (core/speculative_eval.h) and of
-/// RunContext leases. Each worker owns context [w] exclusively. A context
+/// the substrate of speculative evaluation (core/speculative_eval.h). Each
+/// worker owns context [w] exclusively. A context
 /// whose reference falls behind the committed solution re-aligns on its
 /// next evaluate: the verified hint triggers a rewind to its checkpoint
 /// before the first graph its own reference disagrees on.

@@ -28,9 +28,7 @@ RunReport IncrementalDesigner::run(const std::string& strategyName) {
 
 RunReport IncrementalDesigner::run(const std::string& strategyName,
                                    RunContext& context) {
-  return StrategyRegistry::builtin()
-      .create(strategyName, options_)
-      ->run(*evaluator_, context);
+  return runStrategy(strategyName, options_, *evaluator_, context);
 }
 
 }  // namespace ides

@@ -7,11 +7,10 @@
 // the same frozen baseline, which is how the benchmark harness compares
 // AH / MH / SA on identical instances.
 //
-// Strategies resolve through the pluggable optimizer API (core/optimizer.h):
-// run("SA") looks the name up in StrategyRegistry::builtin() and executes
-// the optimizer with this designer's options and a shared RunContext (one
-// EvalContextPool lease across successive runs). The result is the
-// optimizer's own RunReport.
+// Strategies run through the one entry point (core/optimizer.h):
+// run("SA") is runStrategy("SA", options(), evaluator(), context) with this
+// designer's options and a shared RunContext (one evaluation context across
+// successive runs). The result is runStrategy's own RunReport.
 #pragma once
 
 #include <memory>
@@ -29,10 +28,10 @@ namespace ides {
 class SystemModel;
 
 /// Not thread-safe: the designer's runs share one RunContext (and its
-/// EvalContextPool lease), so concurrent run() calls on one instance race
-/// on the pooled evaluation scratch. Run strategies sequentially — results
+/// evaluation context), so concurrent run() calls on one instance race on
+/// the shared evaluation scratch. Run strategies sequentially — results
 /// are identical either way — or give each thread its own designer; for
-/// shared-evaluator concurrency use Optimizer::run directly with one
+/// shared-evaluator concurrency call runStrategy directly with one
 /// RunContext per thread (the evaluator itself is const-safe).
 class IncrementalDesigner {
  public:
@@ -42,12 +41,12 @@ class IncrementalDesigner {
   IncrementalDesigner(const SystemModel& sys, FutureProfile profile,
                       DesignerOptions options = {});
 
-  /// Run a registered strategy by name from a fresh IM start; throws
+  /// Run a strategy by name from a fresh IM start; throws
   /// std::invalid_argument for an unknown name (listing the valid set).
   RunReport run(const std::string& strategyName);
   /// Same, with caller-provided cross-cutting services (stop token,
-  /// progress sink, pool lease). Warm starts and caller-built optimizers go
-  /// through Optimizer::run on evaluator() directly.
+  /// progress sink, evaluation context). Warm starts go through
+  /// runStrategy on evaluator() directly.
   RunReport run(const std::string& strategyName, RunContext& context);
 
   [[nodiscard]] const SystemModel& system() const { return *sys_; }
@@ -71,8 +70,8 @@ class IncrementalDesigner {
   DesignerOptions options_;
   FrozenBase frozen_;
   std::unique_ptr<SolutionEvaluator> evaluator_;
-  /// Shared services across this designer's runs: one EvalContextPool
-  /// lease serves the whole AH/MH/SA comparison on this instance.
+  /// Shared services across this designer's runs: one evaluation context
+  /// serves the whole AH/MH/SA comparison on this instance.
   RunContext context_;
 };
 

@@ -296,7 +296,7 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
 
   // One journaled scratch state for the whole run; the refresh after an
   // applied move re-reads the cached state instead of re-scheduling. A
-  // caller-provided context (the RunContext pool lease) is reused verbatim.
+  // caller-provided context (a RunContext's) is reused verbatim.
   std::optional<EvalContext> owned;
   EvalContext& ctx = scratch != nullptr ? *scratch : owned.emplace(evaluator);
 

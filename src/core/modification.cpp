@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "core/initial_mapping.h"
+#include "core/optimizer.h"
 #include "model/system_model.h"
 #include "util/log.h"
 
@@ -22,8 +22,8 @@ struct SubsetEval {
 };
 
 /// Design with the given subset of existing applications unfrozen: freeze
-/// the remainder (in id order, as they were delivered), then IM + MH over
-/// current + subset graphs.
+/// the remainder (in id order, as they were delivered), then run MH from
+/// the Initial Mapping of current + subset graphs.
 SubsetEval evaluateSubset(const SystemModel& sys, const FutureProfile& profile,
                           const std::unordered_set<ApplicationId>& subset,
                           const ModificationOptions& options) {
@@ -52,30 +52,20 @@ SubsetEval evaluateSubset(const SystemModel& sys, const FutureProfile& profile,
   const auto current = sys.graphsOfKind(AppKind::Current);
   movable.insert(movable.end(), current.begin(), current.end());
 
-  // Initial mapping over the whole movable set.
-  PlatformState imState = state;
-  ScheduleRequest imReq;
-  imReq.graphs = movable;
-  imReq.chooseNodes = true;
-  const ScheduleOutcome im = scheduleGraphs(sys, imReq, imState);
-  out.evaluations += 1;
-  if (!im.feasible) return out;
-
-  const SolutionEvaluator evaluator(sys, state, profile, options.weights,
-                                    movable);
-  const MhResult mh = runMappingHeuristic(evaluator, im.mapping, options.mh);
-  out.evaluations += mh.evaluations;
-
-  ScheduleOutcome outcome;
-  const EvalResult eval =
-      evaluator.evaluate(mh.solution, &outcome, nullptr);
-  out.evaluations += 1;
-  if (!eval.feasible) return out;
+  const SolutionEvaluator evaluator(sys, std::move(state), profile,
+                                    options.weights, std::move(movable));
+  DesignerOptions designer;
+  designer.weights = options.weights;
+  designer.mh = options.mh;
+  RunContext context;
+  RunReport report = runStrategy("MH", designer, evaluator, context);
+  out.evaluations += report.evaluations;
+  if (!report.feasible) return out;
   out.feasible = true;
-  out.objective = eval.cost;
-  out.metrics = eval.metrics;
-  out.solution = mh.solution;
-  out.schedule = std::move(outcome.schedule);
+  out.objective = report.objective;
+  out.metrics = report.metrics;
+  out.solution = std::move(report.mapping);
+  out.schedule = std::move(report.schedule);
   return out;
 }
 

@@ -14,10 +14,11 @@
 //
 // Subset selection is greedy (the CODES paper's iterative flavour): start
 // from Ω = ∅; repeatedly try unfreezing each remaining existing
-// application, re-run IM + MH with the enlarged movable set, and keep the
-// best single addition while it lowers the total; stop at a local minimum
-// or after maxModifiedApps additions. Applications whose modification is
-// forbidden get cost kCannotModify and are never unfrozen.
+// application, re-run MH from the IM (one runStrategy run) with the
+// enlarged movable set, and keep the best single addition while it lowers
+// the total; stop at a local minimum or after maxModifiedApps additions.
+// Applications whose modification is forbidden get cost kCannotModify and
+// are never unfrozen.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 #include "core/multi_increment.h"
 
-#include <memory>
+#include <stdexcept>
 
 #include "core/initial_mapping.h"
 #include "model/system_model.h"
@@ -17,9 +17,8 @@ MultiIncrementResult runIncrementSequence(
     throw std::runtime_error(
         "runIncrementSequence: existing base not schedulable");
   }
-
-  const std::unique_ptr<Optimizer> optimizer =
-      StrategyRegistry::builtin().create(options.strategy, options.designer);
+  requireStrategy(options.strategy);
+  validateOptions(options.designer);
   MultiIncrementResult result{{}, 0, base.state};
 
   for (const ApplicationId appId : increments) {
@@ -31,46 +30,30 @@ MultiIncrementResult runIncrementSequence(
     IncrementStep step;
     step.application = appId;
 
-    // IM for this increment on the platform as it stands.
-    PlatformState trial = result.finalState;
-    ScheduleRequest req;
-    req.graphs = app.graphs;
-    req.chooseNodes = true;
-    const ScheduleOutcome im = scheduleGraphs(sys, req, trial);
-
-    if (im.feasible) {
-      // Optimize the increment with the chosen policy, then commit.
-      const SolutionEvaluator evaluator(sys, result.finalState, profile,
-                                        options.designer.weights, app.graphs);
-      RunContext context;
-      context.stop = options.stop;
-      const MappingSolution solution =
-          optimizer->run(evaluator, context, &im.mapping).mapping;
-      // A token that fired mid-optimization left `solution` at whatever
-      // quality the cut-short search reached; committing it would silently
-      // bias the lifetime result, so discard the increment.
-      if (options.stop != nullptr && options.stop->stopRequested()) {
-        result.stopped = true;
-        break;
-      }
-      // Commit the optimized mapping.
-      PlatformState committed = result.finalState;
-      ScheduleRequest commitReq;
-      commitReq.graphs = app.graphs;
-      commitReq.mapping = &solution;
-      const ScheduleOutcome outcome =
-          scheduleGraphs(sys, commitReq, committed);
-      if (outcome.feasible) {
-        step.accepted = true;
-        result.finalState = std::move(committed);
-        result.accepted += 1;
-        const SlackInfo slack = extractSlack(result.finalState);
-        step.metrics = computeMetrics(slack, profile);
-        step.objective =
-            objectiveValue(step.metrics, profile, options.designer.weights);
-        IDES_LOG_AT(LogLevel::Debug)
-            << "increment " << app.name << " accepted, C=" << step.objective;
-      }
+    // Design the increment on the platform as it stands: the strategy's
+    // cold start is the increment's IM on top of the frozen state.
+    const SolutionEvaluator evaluator(sys, result.finalState, profile,
+                                      options.designer.weights, app.graphs);
+    RunContext context;
+    context.stop = options.stop;
+    const RunReport report =
+        runStrategy(options.strategy, options.designer, evaluator, context);
+    // A token that fired mid-optimization left the report at whatever
+    // quality the cut-short search reached; committing it would silently
+    // bias the lifetime result, so discard the increment.
+    if (options.stop != nullptr && options.stop->stopRequested()) {
+      result.stopped = true;
+      break;
+    }
+    if (report.feasible) {
+      // Freeze exactly the schedule the strategy scored.
+      step.accepted = true;
+      step.metrics = report.metrics;
+      step.objective = report.objective;
+      result.finalState = evaluator.stateWith(report.mapping);
+      result.accepted += 1;
+      IDES_LOG_AT(LogLevel::Debug)
+          << "increment " << app.name << " accepted, C=" << step.objective;
     }
 
     result.steps.push_back(step);

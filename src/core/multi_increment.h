@@ -47,8 +47,8 @@ struct MultiIncrementResult {
 };
 
 struct MultiIncrementOptions {
-  /// Registry name of the strategy that optimizes each increment
-  /// (StrategyRegistry::builtin()).
+  /// Name of the strategy that optimizes each increment (one of
+  /// strategyNames()).
   std::string strategy = "MH";
   /// Metric weights and per-strategy options, as in LifecycleOptions.
   DesignerOptions designer;
@@ -65,10 +65,12 @@ struct MultiIncrementOptions {
 
 /// Implement the applications in `increments` (any kind; they are treated
 /// as successive current applications) on top of the frozen
-/// AppKind::Existing base of `sys`, one version at a time, optimizing each
-/// increment with the chosen strategy, warm-started from the increment's
-/// IM, before freezing it. Throws std::invalid_argument for an unknown
-/// strategy name (listing the registered names) or invalid options.
+/// AppKind::Existing base of `sys`, one version at a time: each increment
+/// is one runStrategy run from its Initial Mapping on the platform as it
+/// stands, and an increment whose run ends feasible is frozen exactly as
+/// the run scored it (its step reports the run's metrics and objective).
+/// Throws std::invalid_argument for an unknown strategy name (listing the
+/// valid names) or invalid options.
 MultiIncrementResult runIncrementSequence(
     const SystemModel& sys, const FutureProfile& profile,
     const std::vector<ApplicationId>& increments,

@@ -44,6 +44,68 @@ void recordRunTelemetry(const RunReport& report) {
       .observe(report.seconds);
 }
 
+/// The improve step: one branch per strategy. Improves `solution`
+/// (feasible on entry) in place, sets `report.stopped` when a stop token
+/// cut the improvement short, fills the report's move-generation telemetry
+/// where the strategy tracks it, and returns the evaluations consumed. AH
+/// stops at the first valid solution, so it has no branch.
+std::size_t improve(const std::string& name, const DesignerOptions& options,
+                    const SolutionEvaluator& evaluator,
+                    MappingSolution& solution, RunContext& context,
+                    EvalContext& eval, RunReport& report) {
+  if (name == "MH") {
+    MhOptions mh = options.mh;
+    if (mh.stop == nullptr) mh.stop = context.stop;
+    MhResult result = runMappingHeuristic(evaluator, solution, mh, &eval);
+    solution = std::move(result.solution);
+    report.stopped = result.stopped;
+    context.report({"MH", "improve", result.evaluations, 0, result.eval.cost});
+    return result.evaluations;
+  }
+  if (name == "SA") {
+    SaOptions sa = options.sa;
+    if (sa.stop == nullptr) sa.stop = context.stop;
+    // Worker 0 of the chain borrows the run's context.
+    SaResult result = runSimulatedAnnealing(evaluator, solution, sa, &eval);
+    solution = std::move(result.solution);
+    report.stopped = result.stopped;
+    report.proposals = result.proposals;
+    report.accepted = result.accepted;
+    report.zeroDeltaSkips = result.zeroDeltaSkips;
+    context.report({"SA", "improve", result.evaluations, 0, result.eval.cost});
+    return result.evaluations;
+  }
+  if (name == "PSA") {
+    // One knob set for chain parameters: PSA takes its per-chain options
+    // from `sa`.
+    ParallelSaOptions psa = options.psa;
+    psa.base = options.sa;
+    if (psa.base.stop == nullptr) psa.base.stop = context.stop;
+    ParallelSaResult result = runParallelAnnealing(evaluator, solution, psa);
+    solution = std::move(result.solution);
+    report.stopped = result.stopped;
+    report.proposals = result.proposals;
+    report.accepted = result.accepted;
+    report.zeroDeltaSkips = result.zeroDeltaSkips;
+    context.report(
+        {"PSA", "improve", result.evaluations, 0, result.eval.cost});
+    return result.evaluations;
+  }
+  if (name == "tabu") {
+    TabuOptions tabu = options.tabu;
+    if (tabu.stop == nullptr) tabu.stop = context.stop;
+    TabuResult result = runTabuSearch(evaluator, solution, tabu, &eval);
+    solution = std::move(result.solution);
+    report.stopped = result.stopped;
+    report.proposals = result.proposals;
+    report.accepted = result.accepted;
+    context.report(
+        {"tabu", "improve", result.evaluations, 0, result.eval.cost});
+    return result.evaluations;
+  }
+  return 0;
+}
+
 }  // namespace
 
 void validateOptions(const DesignerOptions& options) {
@@ -63,52 +125,66 @@ void validateOptions(const DesignerOptions& options) {
   validateOptions(psa);
 }
 
-EvalContextPool& RunContext::leasePool(const SolutionEvaluator& evaluator,
-                                       std::size_t size) {
-  if (pool_ == nullptr || poolEvaluator_ != &evaluator ||
-      pool_->size() < size) {
-    pool_ = std::make_unique<EvalContextPool>(evaluator, std::max<std::size_t>(
-                                                             size, 1));
-    poolEvaluator_ = &evaluator;
+EvalContext& RunContext::evalContext(const SolutionEvaluator& evaluator) {
+  if (eval_ == nullptr || &eval_->evaluator() != &evaluator) {
+    eval_ = std::make_unique<EvalContext>(evaluator);
   }
-  return *pool_;
+  return *eval_;
 }
 
-RunReport Optimizer::run(const SolutionEvaluator& evaluator,
-                         RunContext& context,
-                         const MappingSolution* warmStart) const {
+const std::vector<std::string>& strategyNames() {
+  static const std::vector<std::string> names = {"AH", "MH", "SA", "PSA",
+                                                 "tabu"};
+  return names;
+}
+
+void requireStrategy(const std::string& name) {
+  const std::vector<std::string>& names = strategyNames();
+  if (std::find(names.begin(), names.end(), name) != names.end()) return;
+  std::string known;
+  for (const std::string& n : names) known += known.empty() ? n : ", " + n;
+  throw std::invalid_argument("unknown strategy \"" + name +
+                              "\" (available: " + known + ")");
+}
+
+RunReport runStrategy(const std::string& name, const DesignerOptions& options,
+                      const SolutionEvaluator& evaluator, RunContext& context,
+                      const MappingSolution* warmStart) {
+  requireStrategy(name);
+  validateOptions(options);
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
 
   RunReport report;
-  report.strategy = name();
+  report.strategy = name;
   const TraceSpan span(
-      "optimizer:" + report.strategy + (warmStart != nullptr ? ":warm" : ""),
-      "core");
+      "optimizer:" + name + (warmStart != nullptr ? ":warm" : ""), "core");
+  EvalContext& eval = context.evalContext(evaluator);
 
-  // Validate a seed before committing to it: warm starts can be stale (the
-  // platform or the application set changed since the placements were
-  // committed), and improve() requires a feasible entry solution. Without
-  // a usable seed every strategy starts from the same Initial Mapping of
-  // the evaluator's movable graphs on its baseline.
+  // Check a start before improving it: improve() requires a feasible entry
+  // solution. Warm starts can be stale (the platform or the application
+  // set changed since the placements were committed). Without a usable
+  // seed every strategy starts from the same Initial Mapping of the
+  // evaluator's movable graphs on its baseline, which commits the graphs in
+  // their given order — the evaluator's heaviest-first order can still
+  // miss deadlines, and then the run reports the Initial Mapping as is.
   MappingSolution solution;
-  bool seeded = false;
+  bool feasible = false;
   if (warmStart != nullptr) {
-    const EvalResult seed =
-        context.leasePool(evaluator, 1)[0].evaluate(*warmStart);
+    const EvalResult seed = eval.evaluate(*warmStart);
     ++report.evaluations;
     if (seed.feasible) {
       solution = *warmStart;
-      seeded = true;
-      context.report({report.strategy, "warm-start", 0, 0, seed.cost});
+      feasible = true;
+      context.report({name, "warm-start", 0, 0, seed.cost});
     }
   }
-  if (!seeded) {
+  if (!feasible) {
     PlatformState state = evaluator.baseline();
     ScheduleOutcome im = initialMapping(
         evaluator.system(), evaluator.movableGraphs(), state);
-    ++report.evaluations;
-    context.report({report.strategy, "initial-mapping", 0, 0, 0.0});
+    ++report.evaluations;  // the IM and its check count as one
+    context.report({name, "initial-mapping", 0, 0, 0.0});
     if (!im.feasible) {
       report.seconds =
           std::chrono::duration<double>(Clock::now() - start).count();
@@ -116,183 +192,32 @@ RunReport Optimizer::run(const SolutionEvaluator& evaluator,
       return report;
     }
     solution = std::move(im.mapping);
+    feasible = eval.evaluate(solution).feasible;
   }
 
   if (context.stopRequested()) {
     report.stopped = true;
-  } else {
-    report.evaluations += improve(evaluator, solution, context, report);
+  } else if (feasible) {
+    report.evaluations +=
+        improve(name, options, evaluator, solution, context, eval, report);
   }
 
-  // Final full evaluation through the leased context (bit-identical to the
+  // Final full evaluation through the run's context (bit-identical to the
   // stateless pass; re-uses whatever checkpoints the improvement left).
-  EvalContext& final = context.leasePool(evaluator, 1)[0];
   ScheduleOutcome outcome;
-  const EvalResult eval = final.evaluate(solution, &outcome, nullptr);
+  const EvalResult result = eval.evaluate(solution, &outcome, nullptr);
   ++report.evaluations;
-  context.report(
-      {report.strategy, "final", report.evaluations, 0, eval.cost});
+  context.report({name, "final", report.evaluations, 0, result.cost});
 
-  report.feasible = eval.feasible;
+  report.feasible = result.feasible;
   report.mapping = std::move(solution);
   report.schedule = std::move(outcome.schedule);
-  report.metrics = eval.metrics;
-  report.objective = eval.cost;
+  report.metrics = result.metrics;
+  report.objective = result.cost;
   report.seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   recordRunTelemetry(report);
   return report;
-}
-
-// ---- built-in optimizers --------------------------------------------------
-
-MappingHeuristicOptimizer::MappingHeuristicOptimizer(MhOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t MappingHeuristicOptimizer::improve(
-    const SolutionEvaluator& evaluator, MappingSolution& solution,
-    RunContext& context, RunReport& report) const {
-  MhOptions options = options_;
-  if (options.stop == nullptr) options.stop = context.stop;
-  MhResult mh = runMappingHeuristic(evaluator, solution, options,
-                                    &context.leasePool(evaluator, 1)[0]);
-  solution = std::move(mh.solution);
-  report.stopped = mh.stopped;
-  context.report({"MH", "improve", mh.evaluations, 0, mh.eval.cost});
-  return mh.evaluations;
-}
-
-SimulatedAnnealingOptimizer::SimulatedAnnealingOptimizer(SaOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t SimulatedAnnealingOptimizer::improve(
-    const SolutionEvaluator& evaluator, MappingSolution& solution,
-    RunContext& context, RunReport& report) const {
-  SaOptions options = options_;
-  if (options.stop == nullptr) options.stop = context.stop;
-  // Worker 0 of the chain borrows the leased scratch.
-  SaResult sa = runSimulatedAnnealing(evaluator, solution, options,
-                                      &context.leasePool(evaluator, 1)[0]);
-  solution = std::move(sa.solution);
-  report.stopped = sa.stopped;
-  report.proposals = sa.proposals;
-  report.accepted = sa.accepted;
-  report.zeroDeltaSkips = sa.zeroDeltaSkips;
-  context.report({"SA", "improve", sa.evaluations, 0, sa.eval.cost});
-  return sa.evaluations;
-}
-
-ParallelAnnealingOptimizer::ParallelAnnealingOptimizer(
-    ParallelSaOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t ParallelAnnealingOptimizer::improve(
-    const SolutionEvaluator& evaluator, MappingSolution& solution,
-    RunContext& context, RunReport& report) const {
-  ParallelSaOptions options = options_;
-  if (options.base.stop == nullptr) options.base.stop = context.stop;
-  ParallelSaResult psa = runParallelAnnealing(evaluator, solution, options);
-  solution = std::move(psa.solution);
-  report.stopped = psa.stopped;
-  report.proposals = psa.proposals;
-  report.accepted = psa.accepted;
-  report.zeroDeltaSkips = psa.zeroDeltaSkips;
-  context.report({"PSA", "improve", psa.evaluations, 0, psa.eval.cost});
-  return psa.evaluations;
-}
-
-TabuSearchOptimizer::TabuSearchOptimizer(TabuOptions options)
-    : options_(options) {
-  validateOptions(options_);
-}
-
-std::size_t TabuSearchOptimizer::improve(const SolutionEvaluator& evaluator,
-                                         MappingSolution& solution,
-                                         RunContext& context,
-                                         RunReport& report) const {
-  TabuOptions options = options_;
-  if (options.stop == nullptr) options.stop = context.stop;
-  TabuResult tabu = runTabuSearch(evaluator, solution, options,
-                                  &context.leasePool(evaluator, 1)[0]);
-  solution = std::move(tabu.solution);
-  report.stopped = tabu.stopped;
-  report.proposals = tabu.proposals;
-  report.accepted = tabu.accepted;
-  context.report({"tabu", "improve", tabu.evaluations, 0, tabu.eval.cost});
-  return tabu.evaluations;
-}
-
-// ---- registry -------------------------------------------------------------
-
-void StrategyRegistry::add(std::string name, Factory factory) {
-  if (contains(name)) {
-    throw std::invalid_argument("StrategyRegistry: duplicate strategy \"" +
-                                name + "\"");
-  }
-  factories_.emplace_back(std::move(name), std::move(factory));
-}
-
-bool StrategyRegistry::contains(const std::string& name) const {
-  for (const auto& [n, f] : factories_) {
-    if (n == name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> StrategyRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [n, f] : factories_) out.push_back(n);
-  return out;
-}
-
-std::unique_ptr<Optimizer> StrategyRegistry::create(
-    const std::string& name, const DesignerOptions& options) const {
-  for (const auto& [n, factory] : factories_) {
-    if (n == name) {
-      validateOptions(options);
-      return factory(options);
-    }
-  }
-  std::string known;
-  for (const auto& [n, f] : factories_) {
-    known += known.empty() ? n : ", " + n;
-  }
-  throw std::invalid_argument("unknown strategy \"" + name +
-                              "\" (registered: " + known + ")");
-}
-
-const StrategyRegistry& StrategyRegistry::builtin() {
-  static const StrategyRegistry registry = [] {
-    StrategyRegistry r;
-    r.add("AH", [](const DesignerOptions&) {
-      return std::make_unique<AdHocOptimizer>();
-    });
-    r.add("MH", [](const DesignerOptions& o) {
-      return std::make_unique<MappingHeuristicOptimizer>(o.mh);
-    });
-    r.add("SA", [](const DesignerOptions& o) {
-      return std::make_unique<SimulatedAnnealingOptimizer>(o.sa);
-    });
-    r.add("PSA", [](const DesignerOptions& o) {
-      // One knob set for chain parameters: PSA takes its per-chain options
-      // from `sa`, exactly like the legacy designer switch did.
-      ParallelSaOptions psa = o.psa;
-      psa.base = o.sa;
-      return std::make_unique<ParallelAnnealingOptimizer>(psa);
-    });
-    r.add("tabu", [](const DesignerOptions& o) {
-      return std::make_unique<TabuSearchOptimizer>(o.tabu);
-    });
-    return r;
-  }();
-  return registry;
 }
 
 }  // namespace ides

@@ -1,31 +1,32 @@
-// The pluggable optimizer API.
+// The strategy entry point.
 //
-// Every mapping strategy — the paper's AH / MH / SA and this repo's PSA —
-// is an Optimizer: `name()` plus `run(evaluator, context) -> RunReport`.
-// All optimizers share the same contract and one run body: start from the
-// Initial Mapping on the evaluator's frozen baseline (or from a caller's
-// warm-start seed that still evaluates feasibly), improve it, and report the
-// final solution with its metrics. Construction takes the strategy's typed
-// options struct, so configuration stays statically checked; resolution by
-// name goes through the StrategyRegistry, which is what the CLI, the batch
-// runner and the IncrementalDesigner facade use. Adding a strategy is one
-// subclass plus one registry entry — no switch statements to extend.
+// Every mapping strategy — the paper's AH / MH / SA and this repo's PSA and
+// tabu — runs through one function:
+// `runStrategy(name, options, evaluator, context[, warmStart]) -> RunReport`.
+// Every run has the same shape: start from the Initial Mapping of the
+// evaluator's movable graphs on its frozen baseline (or from a caller's
+// warm-start seed), check that start in the run's evaluation context,
+// improve it with the named strategy when it is feasible, and report the
+// final solution with its metrics. A strategy is a name; its typed options
+// come from the one DesignerOptions bag, so configuration stays statically
+// checked. Adding a strategy is one name in strategyNames() plus one branch
+// in runStrategy's improve step.
 //
 // RunContext carries the run's cross-cutting services:
-//   * an EvalContextPool lease — per-thread delta-aware evaluation scratch,
-//     shared across successive runs on the same evaluator (the AH/MH/SA
-//     comparison on one instance re-uses one pool instead of re-copying the
-//     baseline per strategy);
+//   * one EvalContext — delta-aware evaluation scratch bound to the
+//     evaluator and shared across successive runs on it (the AH/MH/SA
+//     comparison on one instance re-uses one context instead of re-copying
+//     the baseline per strategy);
 //   * a cooperative StopToken (deadline + cancellation) threaded into the
 //     strategy inner loops, so a fired token yields a well-formed partial
 //     result with RunReport::stopped set;
 //   * a ProgressSink notified at the run's phase boundaries.
 //
-// Determinism: an optimizer's RunReport is a pure function of (evaluator,
-// typed options); the context services never perturb results — pool
-// contexts are verified-never-trusted, and an unfired stop token leaves
-// trajectories bit-identical (asserted by the optimizer test suite against
-// direct runSimulatedAnnealing / runParallelAnnealing calls).
+// Determinism: a RunReport is a pure function of (strategy name, options,
+// evaluator, warm start); the context services never perturb results — the
+// evaluation context is verified-never-trusted, and an unfired stop token
+// leaves trajectories bit-identical (asserted by the optimizer test suite
+// against direct runSimulatedAnnealing / runParallelAnnealing calls).
 #pragma once
 
 #include <functional>
@@ -46,9 +47,9 @@
 
 namespace ides {
 
-/// One bag of options for every built-in strategy: the registry factories
-/// pick the fields their optimizer needs, so a single instance configures a
-/// whole AH/MH/SA/PSA comparison consistently.
+/// One bag of options for every strategy: each strategy reads the fields it
+/// needs, so a single instance configures a whole AH/MH/SA/PSA comparison
+/// consistently.
 struct DesignerOptions {
   MetricWeights weights;
   MhOptions mh;
@@ -58,19 +59,19 @@ struct DesignerOptions {
   /// PSA ensemble shape (threads/restarts/perChainIterations); `psa.base`
   /// is ignored here — see `sa`.
   ParallelSaOptions psa;
-  /// Tabu-search budget and memory shape (the "tabu" registry entry).
+  /// Tabu-search budget and memory shape (the "tabu" strategy).
   TabuOptions tabu;
 };
 
 /// Range-checks the weights and every embedded strategy option set; throws
 /// std::invalid_argument naming the offending field. Called by the
-/// IncrementalDesigner constructor and the registry factories, so invalid
+/// IncrementalDesigner constructor and by runStrategy, so invalid
 /// configurations fail loudly at setup instead of misbehaving silently.
 void validateOptions(const DesignerOptions& options);
 
 /// One phase-boundary notification of an optimizer or batch run.
 struct ProgressEvent {
-  std::string_view optimizer;  ///< Optimizer::name() (or batch instance id)
+  std::string_view optimizer;  ///< strategy name (or batch instance id)
   std::string_view phase;      ///< "initial-mapping", "improve", "final", …
   std::size_t step = 0;        ///< phase-dependent counter (e.g. instance #)
   std::size_t total = 0;       ///< counter bound when known, else 0
@@ -79,8 +80,8 @@ struct ProgressEvent {
 using ProgressSink = std::function<void(const ProgressEvent&)>;
 
 /// Cross-cutting services of one or more optimizer runs. Reusable: running
-/// several strategies on the same evaluator through one context shares the
-/// leased evaluation pool.
+/// several strategies on the same evaluator through one context shares its
+/// evaluation context.
 class RunContext {
  public:
   RunContext() = default;
@@ -105,24 +106,21 @@ class RunContext {
     if (progress) progress(event);
   }
 
-  /// Lease of a per-run EvalContextPool bound to `evaluator`, created on
-  /// first use and reused by later calls with the same evaluator (grown if
-  /// a later caller asks for more contexts). Asking for a different
-  /// evaluator drops the old pool — a lease never outlives its evaluator
-  /// as long as the context is not reused across evaluator lifetimes
-  /// (the batch runner builds one RunContext per instance for exactly this
-  /// reason).
-  EvalContextPool& leasePool(const SolutionEvaluator& evaluator,
-                             std::size_t size);
+  /// The run's evaluation context bound to `evaluator`, created on first
+  /// use and reused by later calls with the same evaluator. Asking for a
+  /// different evaluator replaces it — the context never outlives its
+  /// evaluator as long as the RunContext is not reused across evaluator
+  /// lifetimes (the batch runner builds one RunContext per instance for
+  /// exactly this reason).
+  EvalContext& evalContext(const SolutionEvaluator& evaluator);
 
  private:
-  std::unique_ptr<EvalContextPool> pool_;
-  const SolutionEvaluator* poolEvaluator_ = nullptr;
+  std::unique_ptr<EvalContext> eval_;
 };
 
 /// What every strategy reports: the paper's comparison row for one run.
 struct RunReport {
-  std::string strategy;  ///< Optimizer::name()
+  std::string strategy;  ///< the strategy name runStrategy was given
   bool feasible = false;
   MappingSolution mapping;
   /// Schedule of the current application only (frozen part excluded).
@@ -145,149 +143,30 @@ struct RunReport {
   bool stopped = false;
 };
 
-/// A mapping strategy. Implementations are immutable after construction
-/// (options are taken by value), so one instance can serve concurrent runs
-/// on different evaluators.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
+/// The strategies runStrategy knows, in presentation order: AH, MH, SA,
+/// PSA, tabu.
+[[nodiscard]] const std::vector<std::string>& strategyNames();
 
-  [[nodiscard]] virtual std::string name() const = 0;
+/// Throws std::invalid_argument — "unknown strategy "x" (available: AH, MH,
+/// SA, PSA, tabu)" — unless `name` is one of strategyNames().
+void requireStrategy(const std::string& name);
 
-  /// Full strategy run: start, improvement, final evaluation. The start is
-  /// `warmStart` when it is non-null and evaluates feasibly on this
-  /// evaluator (progress phase "warm-start"), else the Initial Mapping on
-  /// the evaluator's baseline ("initial-mapping"). An infeasible seed —
-  /// e.g. lifecycle placements gone stale after a platform perturbation —
-  /// still counts its one validation evaluation in the report. Never
-  /// returns an infeasible mapping as feasible; a fired stop token yields
-  /// the best solution found so far.
-  [[nodiscard]] RunReport run(
-      const SolutionEvaluator& evaluator, RunContext& context,
-      const MappingSolution* warmStart = nullptr) const;
-
- protected:
-  /// Strategy hook: improve `solution` (feasible on entry) in place and
-  /// return the number of schedule evaluations consumed. Sets
-  /// `report.stopped` when a stop token cut the improvement short and fills
-  /// the report's move-generation telemetry (proposals / accepted /
-  /// zeroDeltaSkips) where the strategy tracks it.
-  virtual std::size_t improve(const SolutionEvaluator& evaluator,
-                              MappingSolution& solution, RunContext& context,
-                              RunReport& report) const = 0;
-};
-
-/// AH — stop at the first valid solution (the Initial Mapping).
-class AdHocOptimizer final : public Optimizer {
- public:
-  AdHocOptimizer() = default;
-  [[nodiscard]] std::string name() const override { return "AH"; }
-
- protected:
-  std::size_t improve(const SolutionEvaluator&, MappingSolution&,
-                      RunContext&, RunReport&) const override {
-    return 0;
-  }
-};
-
-/// MH — the paper's iterative improvement heuristic.
-class MappingHeuristicOptimizer final : public Optimizer {
- public:
-  explicit MappingHeuristicOptimizer(MhOptions options = {});
-  [[nodiscard]] std::string name() const override { return "MH"; }
-  [[nodiscard]] const MhOptions& options() const { return options_; }
-
- protected:
-  std::size_t improve(const SolutionEvaluator& evaluator,
-                      MappingSolution& solution, RunContext& context,
-                      RunReport& report) const override;
-
- private:
-  MhOptions options_;
-};
-
-/// SA — the near-optimal simulated-annealing reference (speculative
-/// parallel evaluation included, per options.speculation).
-class SimulatedAnnealingOptimizer final : public Optimizer {
- public:
-  explicit SimulatedAnnealingOptimizer(SaOptions options = {});
-  [[nodiscard]] std::string name() const override { return "SA"; }
-  [[nodiscard]] const SaOptions& options() const { return options_; }
-
- protected:
-  std::size_t improve(const SolutionEvaluator& evaluator,
-                      MappingSolution& solution, RunContext& context,
-                      RunReport& report) const override;
-
- private:
-  SaOptions options_;
-};
-
-/// PSA — best-of-K multi-start SA on a thread pool, composing SA's
-/// speculative workers unchanged (two-level parallelism).
-class ParallelAnnealingOptimizer final : public Optimizer {
- public:
-  explicit ParallelAnnealingOptimizer(ParallelSaOptions options = {});
-  [[nodiscard]] std::string name() const override { return "PSA"; }
-  [[nodiscard]] const ParallelSaOptions& options() const { return options_; }
-
- protected:
-  std::size_t improve(const SolutionEvaluator& evaluator,
-                      MappingSolution& solution, RunContext& context,
-                      RunReport& report) const override;
-
- private:
-  ParallelSaOptions options_;
-};
-
-/// tabu — best-admissible local search with recency memory over the SA move
-/// kernel (core/tabu_search.h); the registry's proof that a strategy is one
-/// subclass plus one entry.
-class TabuSearchOptimizer final : public Optimizer {
- public:
-  explicit TabuSearchOptimizer(TabuOptions options = {});
-  [[nodiscard]] std::string name() const override { return "tabu"; }
-  [[nodiscard]] const TabuOptions& options() const { return options_; }
-
- protected:
-  std::size_t improve(const SolutionEvaluator& evaluator,
-                      MappingSolution& solution, RunContext& context,
-                      RunReport& report) const override;
-
- private:
-  TabuOptions options_;
-};
-
-/// Name -> optimizer factory. The built-in registry (AH, MH, SA, PSA, tabu)
-/// is
-/// what the CLI, the batch runner and the designer facade resolve against;
-/// extensions register additional factories on their own instance or on a
-/// copy of the built-in one.
-class StrategyRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<Optimizer>(const DesignerOptions&)>;
-
-  StrategyRegistry() = default;
-
-  /// Registers a factory; throws std::invalid_argument on a duplicate name.
-  void add(std::string name, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  /// Registered names in registration order (stable listing for the CLI).
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Instantiates the named optimizer after validating `options`. Throws
-  /// std::invalid_argument for an unknown name, listing the valid set.
-  [[nodiscard]] std::unique_ptr<Optimizer> create(
-      const std::string& name, const DesignerOptions& options = {}) const;
-
-  /// The built-in registry with AH, MH, SA, PSA and tabu registered. The
-  /// returned reference is to a process-wide constant; copy it to extend.
-  static const StrategyRegistry& builtin();
-
- private:
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
+/// One strategy run: start, improvement, final evaluation. Validates the
+/// name and `options` on entry. The start is `warmStart` when it is non-null
+/// and evaluates feasibly in the run's evaluation context (progress phase
+/// "warm-start"), else the Initial Mapping of the evaluator's movable
+/// graphs on its baseline ("initial-mapping"). The Initial Mapping gets the
+/// same check: it commits the graphs in their given order, the evaluator
+/// schedules them heaviest-first, so it can miss deadlines there — then the
+/// run skips the improvement and reports the Initial Mapping with its
+/// penalty cost. A rejected seed still counts its one validation evaluation
+/// in the report; the Initial Mapping counts one, check included. Never
+/// reports an infeasible mapping as feasible; a fired stop token yields the
+/// best solution found so far.
+[[nodiscard]] RunReport runStrategy(const std::string& name,
+                                    const DesignerOptions& options,
+                                    const SolutionEvaluator& evaluator,
+                                    RunContext& context,
+                                    const MappingSolution* warmStart = nullptr);
 
 }  // namespace ides

@@ -246,7 +246,7 @@ struct SaSchedule {
 /// result).
 ///
 /// `scratch`, when given, is a caller-owned EvalContext bound to the same
-/// evaluator (e.g. one leased from a RunContext pool) that worker 0 uses
+/// evaluator (e.g. a RunContext's evaluation context) that worker 0 uses
 /// instead of constructing its own — a pure reuse optimization; results
 /// are bit-identical either way.
 SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,

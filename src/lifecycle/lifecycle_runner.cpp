@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -188,13 +187,7 @@ LifecycleReport runLifecycle(const LifecycleScenario& scenario,
                              const LifecycleOptions& options) {
   validateScenarioConfig(scenario.config);
   validateOptions(options.designer);
-  const StrategyRegistry& registry = options.registry != nullptr
-                                         ? *options.registry
-                                         : StrategyRegistry::builtin();
-  if (!registry.contains(options.strategy)) {
-    // Resolve eagerly for the error message; create() throws with the list.
-    (void)registry.create(options.strategy, options.designer);
-  }
+  requireStrategy(options.strategy);
 
   using Clock = std::chrono::steady_clock;
   const auto runStart = Clock::now();
@@ -257,10 +250,9 @@ LifecycleReport runLifecycle(const LifecycleScenario& scenario,
       if (options.progress) options.progress(ev);
     };
 
-    const std::unique_ptr<Optimizer> optimizer =
-        registry.create(options.strategy, stepOptions);
-    const RunReport run = optimizer->run(
-        evaluator, context, warmSeed ? &*warmSeed : nullptr);
+    const RunReport run =
+        runStrategy(options.strategy, stepOptions, evaluator, context,
+                    warmSeed ? &*warmSeed : nullptr);
 
     LifecycleStep step;
     step.step = static_cast<int>(s);

@@ -15,10 +15,11 @@
 // deliberately re-derived, not restored: a hint tuned against last step's
 // timing distorts the list scheduler after an event), removed graphs are
 // simply unmapped (their placements dropped), and added graphs are placed
-// by the initial-mapping heuristic (pinned-HCP) on top. The
-// optimizer validates the seed and falls back to a cold Initial Mapping
-// when it no longer schedules feasibly (e.g. after a hard platform
-// perturbation). Under the cold policy every step restarts from IM.
+// by the initial-mapping heuristic (pinned-HCP) on top. Each step is one
+// runStrategy call (core/optimizer.h), which validates the seed and falls
+// back to a cold Initial Mapping when it no longer schedules feasibly
+// (e.g. after a hard platform perturbation). Under the cold policy every
+// step restarts from IM.
 //
 // Determinism: with the per-step wall-clock deadline off, a LifecycleReport
 // is a pure function of (scenario, strategy, policy, designer options) —
@@ -80,8 +81,6 @@ struct LifecycleOptions {
   const StopToken* stop = nullptr;
   /// Step-boundary progress (also forwarded into each optimizer run).
   ProgressSink progress;
-  /// Strategy resolution; null = StrategyRegistry::builtin().
-  const StrategyRegistry* registry = nullptr;
 };
 
 /// One re-optimization step, after applying one event.

@@ -217,14 +217,7 @@ JobSpec parseJobSpec(std::string_view body) {
     d.threads = optionalInt(root, "threads", 0, 0, kMaxAnnealingThreads);
     d.specWorkers =
         optionalInt(root, "spec_workers", 0, 0, kMaxAnnealingThreads);
-    if (!StrategyRegistry::builtin().contains(d.strategy)) {
-      std::string known;
-      for (const std::string& n : StrategyRegistry::builtin().names()) {
-        known += known.empty() ? n : ", " + n;
-      }
-      throw std::invalid_argument("unknown strategy \"" + d.strategy +
-                                  "\" (available: " + known + ")");
-    }
+    requireStrategy(d.strategy);
     // Fail configuration errors at submit time, not when a worker picks
     // the job up hours later.
     validateOptions(designJobOptions(d));

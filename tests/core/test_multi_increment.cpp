@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/initial_mapping.h"
 #include "model/system_model.h"
@@ -160,6 +162,93 @@ TEST_F(MultiIncrementTest, UnknownStrategyThrowsListingTheRegisteredNames) {
     EXPECT_NE(std::string(e.what()).find("AH, MH, SA, PSA, tabu"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// Increments of two graphs each, neither in heaviest-first order: the
+// Initial Mapping commits an increment's graphs in their given order, the
+// evaluator schedules them heaviest-first, and on these seeds the latter
+// misses deadlines for some increment.
+class MultiIncrementTwoGraphs : public ::testing::Test {
+ protected:
+  static Suite suite(std::uint64_t seed) {
+    SuiteConfig cfg;
+    cfg.nodeCount = 4;
+    cfg.basePeriod = 6000;
+    cfg.tmin = 3000;
+    cfg.existingProcesses = 40;
+    cfg.currentProcesses = 32;
+    cfg.currentGraphSize = 16;
+    cfg.futureAppCount = 4;
+    cfg.futureProcesses = 28;
+    cfg.futureGraphSize = 12;
+    cfg.tneedOverride = 2208;
+    return buildSuite(cfg, seed);
+  }
+
+  /// The Current application, then the Future ones (incrementsSweep's
+  /// queue).
+  static std::vector<ApplicationId> queue(const SystemModel& sys) {
+    std::vector<ApplicationId> out = sys.applicationsOfKind(AppKind::Current);
+    const auto futures = sys.applicationsOfKind(AppKind::Future);
+    out.insert(out.end(), futures.begin(), futures.end());
+    return out;
+  }
+};
+
+TEST_F(MultiIncrementTwoGraphs,
+       SequencesReturnWhenAnInitialMappingMissesDeadlines) {
+  struct Case {
+    const char* strategy;
+    std::uint64_t seeds[2];
+  };
+  const Case cases[] = {{"MH", {7002, 7004}},
+                        {"SA", {7002, 7003}},
+                        {"PSA", {7003, 7005}},
+                        {"tabu", {7005, 7017}}};
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : c.seeds) {
+      SCOPED_TRACE(std::string(c.strategy) + " seed " +
+                   std::to_string(seed));
+      const Suite s = suite(seed);
+      const std::vector<ApplicationId> increments = queue(s.system);
+      MultiIncrementOptions options;
+      options.strategy = c.strategy;
+      options.designer.sa.iterations = 2000;
+      options.designer.psa.restarts = 2;
+      options.designer.psa.threads = 2;
+      options.designer.tabu.iterations = 2000;
+      std::size_t steps = 0;
+      ASSERT_NO_THROW(steps = runIncrementSequence(s.system, s.profile,
+                                                   increments, options)
+                                  .steps.size());
+      EXPECT_EQ(steps, increments.size());
+    }
+  }
+}
+
+TEST_F(MultiIncrementTwoGraphs, StepObjectiveIsTheObjectiveTheStrategyScored) {
+  const Suite s = suite(7001);
+  const SystemModel& sys = s.system;
+  const ApplicationId app = sys.applicationsOfKind(AppKind::Current).at(0);
+  for (const std::string strategy : {"AH", "MH"}) {
+    SCOPED_TRACE(strategy);
+    MultiIncrementOptions options;
+    options.strategy = strategy;
+    const MultiIncrementResult r =
+        runIncrementSequence(sys, s.profile, {app}, options);
+    ASSERT_EQ(r.steps.size(), 1u);
+    ASSERT_TRUE(r.steps[0].accepted);
+
+    const SolutionEvaluator evaluator(
+        sys, freezeExistingApplications(sys).state, s.profile,
+        options.designer.weights, sys.application(app).graphs);
+    RunContext context;
+    const RunReport report =
+        runStrategy(strategy, options.designer, evaluator, context);
+    ASSERT_TRUE(report.feasible);
+    EXPECT_EQ(r.steps[0].objective, report.objective);
+    EXPECT_EQ(r.steps[0].metrics.c2p, report.metrics.c2p);
   }
 }
 

@@ -1,6 +1,6 @@
-// The pluggable optimizer API: registry resolution, bit-identity of the
-// interface against direct strategy calls, the legacy enum shim, stop
-// tokens, progress events, and options validation.
+// The strategy entry point: name resolution, bit-identity of runStrategy
+// against direct strategy calls, stop tokens, progress events, and options
+// validation.
 #include "core/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -47,41 +47,31 @@ class OptimizerTest : public ::testing::Test {
 };
 
 TEST_F(OptimizerTest, BuiltinRegistryListsThePaperStrategies) {
-  const StrategyRegistry& registry = StrategyRegistry::builtin();
   const std::vector<std::string> expected = {"AH", "MH", "SA", "PSA",
                                              "tabu"};
-  EXPECT_EQ(registry.names(), expected);
+  EXPECT_EQ(strategyNames(), expected);
   for (const std::string& name : expected) {
-    EXPECT_TRUE(registry.contains(name)) << name;
-    const std::unique_ptr<Optimizer> optimizer = registry.create(name);
-    ASSERT_NE(optimizer, nullptr);
-    EXPECT_EQ(optimizer->name(), name);
+    EXPECT_NO_THROW(requireStrategy(name)) << name;
   }
+  const RunReport ah = designer_->run("AH");
+  EXPECT_EQ(ah.strategy, "AH");
 }
 
 TEST_F(OptimizerTest, UnknownStrategyThrowsListingTheValidSet) {
   try {
-    (void)StrategyRegistry::builtin().create("simulated-annealing");
+    RunContext context;
+    (void)runStrategy("simulated-annealing", designer_->options(),
+                      designer_->evaluator(), context);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
-    EXPECT_NE(message.find("simulated-annealing"), std::string::npos);
-    for (const char* name : {"AH", "MH", "SA", "PSA"}) {
-      EXPECT_NE(message.find(name), std::string::npos) << name;
-    }
+    EXPECT_NE(message.find("unknown strategy \"simulated-annealing\""),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("(available: AH, MH, SA, PSA, tabu)"),
+              std::string::npos)
+        << message;
   }
-}
-
-TEST_F(OptimizerTest, DuplicateRegistrationThrows) {
-  StrategyRegistry registry;
-  registry.add("X", [](const DesignerOptions&) {
-    return std::make_unique<AdHocOptimizer>();
-  });
-  EXPECT_THROW(registry.add("X",
-                            [](const DesignerOptions&) {
-                              return std::make_unique<AdHocOptimizer>();
-                            }),
-               std::invalid_argument);
 }
 
 TEST_F(OptimizerTest, SaThroughInterfaceIsBitIdenticalToDirectCall) {
@@ -202,12 +192,10 @@ TEST(OptimizerColdStart, MapsTheEvaluatorsMovableGraphs) {
   options.psa.restarts = 2;
   options.psa.threads = 2;
   options.tabu.iterations = 300;
-  for (const std::string& name : StrategyRegistry::builtin().names()) {
+  for (const std::string& name : strategyNames()) {
     SCOPED_TRACE(name);
-    const std::unique_ptr<Optimizer> optimizer =
-        StrategyRegistry::builtin().create(name, options);
     RunContext context;
-    const RunReport report = optimizer->run(evaluator, context);
+    const RunReport report = runStrategy(name, options, evaluator, context);
     EXPECT_TRUE(report.feasible);
     ASSERT_EQ(report.schedule.processEntryCount(), jobs);
     for (const ScheduledProcess& sp : report.schedule.processes()) {
@@ -245,8 +233,8 @@ TEST(OptimizerTelemetry, RejectedWarmSeedIsCountedOnce) {
   const std::uint64_t runsBefore = runs.value();
   const std::uint64_t evalsBefore = evals.value();
   RunContext context;
-  const RunReport report = StrategyRegistry::builtin().create("MH")->run(
-      designer.evaluator(), context, &stale);
+  const RunReport report =
+      runStrategy("MH", {}, designer.evaluator(), context, &stale);
   const std::uint64_t runsMoved = runs.value() - runsBefore;
   const std::uint64_t evalsMoved = evals.value() - evalsBefore;
   setTelemetryEnabled(wasEnabled);
@@ -348,10 +336,12 @@ TEST(OptimizerValidation, InvalidOptionsFailAtTheEntryPoints) {
   bad.sa.iterations = -1;
   EXPECT_THROW(IncrementalDesigner(suite.system, suite.profile, bad),
                std::invalid_argument);
-  EXPECT_THROW((void)StrategyRegistry::builtin().create("SA", bad),
-               std::invalid_argument);
 
   IncrementalDesigner designer(suite.system, suite.profile);
+  RunContext context;
+  EXPECT_THROW(
+      (void)runStrategy("SA", bad, designer.evaluator(), context),
+      std::invalid_argument);
   PlatformState state = designer.evaluator().baseline();
   const ScheduleOutcome im = initialMapping(suite.system, state);
   ASSERT_TRUE(im.feasible);

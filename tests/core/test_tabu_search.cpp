@@ -1,5 +1,5 @@
 // Tabu search: determinism, the incremental-evaluation bit-identity
-// contract, registry integration against a direct call, stop-token
+// contract, runStrategy against a direct call, stop-token
 // discipline, and options validation.
 #include "core/tabu_search.h"
 

@@ -1,8 +1,9 @@
 // Pinned results: the design JSON of every built-in strategy, of MH at
-// paper scale, and two lifecycle reports, compared byte for byte against
-// goldens. The determinism suites prove that the engines agree with each
-// other; this suite proves that results stay what they were, on every
-// build leg.
+// paper scale, two lifecycle reports, and the two extensions (the E-INC
+// increments sweep and E-MOD's modification-aware design), compared byte
+// for byte against goldens. The determinism suites prove that the engines
+// agree with each other; this suite proves that results stay what they
+// were, on every build leg.
 //
 // A change that alters results on purpose (a strategy kernel, the
 // generator, a metric definition) must bump kDesignFingerprintEpoch and
@@ -13,13 +14,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <vector>
 
+#include "core/batch_runner.h"
 #include "core/batch_suites.h"
+#include "core/modification.h"
 #include "core/optimizer.h"
 #include "lifecycle/lifecycle_runner.h"
 #include "lifecycle/lifecycle_scenario.h"
 #include "serve/design_job.h"
+#include "tgen/benchmark_suite.h"
 
 namespace ides {
 namespace {
@@ -215,6 +221,54 @@ const char* const kLifecycleMhGolden =
 }
 )golden";
 
+// E-INC: the records of `namedSweep("increments")` at default scale (AH
+// and MH lifetimes on suite seeds 7000-7002), from "results" to the end of
+// batchReportJson with timing off — the header carries host provenance.
+const char* const kIncrementsSweepGolden =
+    R"golden("results": [
+    {"id": "inc/s0/AH", "group": "AH", "axis": 0, "seed": 0, "suite_seed": 7000, "accepted": 7, "queue": 9, "run_stopped": 0},
+    {"id": "inc/s0/MH", "group": "MH", "axis": 0, "seed": 0, "suite_seed": 7000, "accepted": 8, "queue": 9, "run_stopped": 0},
+    {"id": "inc/s1/AH", "group": "AH", "axis": 1, "seed": 1, "suite_seed": 7001, "accepted": 8, "queue": 9, "run_stopped": 0},
+    {"id": "inc/s1/MH", "group": "MH", "axis": 1, "seed": 1, "suite_seed": 7001, "accepted": 7, "queue": 9, "run_stopped": 0},
+    {"id": "inc/s2/AH", "group": "AH", "axis": 2, "seed": 2, "suite_seed": 7002, "accepted": 8, "queue": 9, "run_stopped": 0},
+    {"id": "inc/s2/MH", "group": "MH", "axis": 2, "seed": 2, "suite_seed": 7002, "accepted": 8, "queue": 9, "run_stopped": 0}
+  ]
+}
+)golden";
+
+struct ModificationGolden {
+  double costWeight;
+  const char* line;
+};
+
+// E-MOD on bench_ext_modification's instance (suite seed 6000), every
+// application's modification cost 3.
+const ModificationGolden kModificationGoldens[] = {
+    {0.0,
+     "objective 71.553089837316676 total 71.553089837316676 apps [0 2] "
+     "cost 6 evaluations 2325"},
+    {10.0,
+     "objective 95.286758368546018 total 125.28675836854602 apps [0] "
+     "cost 3 evaluations 2240"},
+};
+
+std::string modificationLine(const ModificationResult& r) {
+  char numbers[96];
+  std::snprintf(numbers, sizeof numbers, "objective %.17g total %.17g",
+                r.objective, r.totalCost);
+  std::string line = numbers;
+  line += " apps [";
+  for (std::size_t i = 0; i < r.modifiedApps.size(); ++i) {
+    if (i > 0) line += ' ';
+    line += std::to_string(r.modifiedApps[i].value);
+  }
+  line += "] cost ";
+  line += std::to_string(r.modificationCost);
+  line += " evaluations ";
+  line += std::to_string(r.evaluations);
+  return line;
+}
+
 TEST(GoldenResults, RecordTheCurrentEpochs) {
   EXPECT_EQ(kDesignFingerprintEpoch, kGoldenDesignEpoch)
       << "regenerate the goldens under the new epochs";
@@ -271,6 +325,43 @@ TEST(GoldenResults, WarmSaLifecycle) {
 
 TEST(GoldenResults, WarmMhLifecycle) {
   EXPECT_EQ(lifecycleJson("MH"), kLifecycleMhGolden) << kResultsChanged;
+}
+
+TEST(GoldenResults, IncrementsSweepRecords) {
+  BatchOptions options;
+  options.shards = 1;
+  const BatchReport report = runBatch(
+      namedSweep("increments", sweepScaleNamed("default")), options);
+  BatchJsonOptions json;
+  json.timing = false;
+  const std::string rendered = batchReportJson("ext_increments", report, json);
+  const std::size_t results = rendered.find("\"results\": [");
+  ASSERT_NE(results, std::string::npos);
+  EXPECT_EQ(rendered.substr(results), kIncrementsSweepGolden)
+      << kResultsChanged;
+}
+
+TEST(GoldenResults, ModificationDesigns) {
+  SuiteConfig cfg;
+  cfg.nodeCount = 4;
+  cfg.basePeriod = 6000;
+  cfg.tmin = 1500;
+  cfg.existingProcesses = 60;
+  cfg.existingGraphSize = 20;
+  cfg.currentProcesses = 24;
+  cfg.offsetPhases = 1;
+  const Suite suite = buildSuite(cfg, 6000);
+  const std::vector<std::int64_t> costs(suite.system.applications().size(),
+                                        3);
+  for (const ModificationGolden& golden : kModificationGoldens) {
+    ModificationOptions options;
+    options.costWeight = golden.costWeight;
+    const ModificationResult result =
+        designWithModifications(suite.system, suite.profile, costs, options);
+    EXPECT_TRUE(result.feasible);
+    EXPECT_EQ(modificationLine(result), golden.line)
+        << "lambda " << golden.costWeight << ": " << kResultsChanged;
+  }
 }
 
 }  // namespace

@@ -179,14 +179,13 @@ class LifecycleWarmStart : public ::testing::Test {
 };
 
 TEST_F(LifecycleWarmStart, WarmSaRunMatchesAHandBuiltRunFromTheSeed) {
-  const std::unique_ptr<Optimizer> sa =
-      StrategyRegistry::builtin().create("SA", options_);
   RunContext context;
   std::vector<std::string> phases;
   context.progress = [&](const ProgressEvent& event) {
     phases.emplace_back(event.phase);
   };
-  const RunReport warm = sa->run(designer_->evaluator(), context, &seed_);
+  const RunReport warm =
+      runStrategy("SA", options_, designer_->evaluator(), context, &seed_);
 
   const SaResult direct =
       runSimulatedAnnealing(designer_->evaluator(), seed_, options_.sa);
@@ -201,13 +200,12 @@ TEST_F(LifecycleWarmStart, WarmSaRunMatchesAHandBuiltRunFromTheSeed) {
 }
 
 TEST_F(LifecycleWarmStart, NullSeedIsExactlyTheColdRun) {
-  const std::unique_ptr<Optimizer> sa =
-      StrategyRegistry::builtin().create("SA", options_);
   RunContext viaNull;
   const RunReport fromNull =
-      sa->run(designer_->evaluator(), viaNull, nullptr);
+      runStrategy("SA", options_, designer_->evaluator(), viaNull, nullptr);
   RunContext coldContext;
-  const RunReport cold = sa->run(designer_->evaluator(), coldContext);
+  const RunReport cold =
+      runStrategy("SA", options_, designer_->evaluator(), coldContext);
   EXPECT_EQ(fromNull.mapping, cold.mapping);
   EXPECT_EQ(fromNull.objective, cold.objective);
   EXPECT_EQ(fromNull.evaluations, cold.evaluations);
@@ -223,17 +221,16 @@ TEST_F(LifecycleWarmStart, InfeasibleSeedFallsBackToTheColdRun) {
   }
   ASSERT_FALSE(designer_->evaluator().evaluate(bad).feasible);
 
-  const std::unique_ptr<Optimizer> sa =
-      StrategyRegistry::builtin().create("SA", options_);
   RunContext warmContext;
   std::vector<std::string> phases;
   warmContext.progress = [&](const ProgressEvent& event) {
     phases.emplace_back(event.phase);
   };
   const RunReport fromBad =
-      sa->run(designer_->evaluator(), warmContext, &bad);
+      runStrategy("SA", options_, designer_->evaluator(), warmContext, &bad);
   RunContext coldContext;
-  const RunReport cold = sa->run(designer_->evaluator(), coldContext);
+  const RunReport cold =
+      runStrategy("SA", options_, designer_->evaluator(), coldContext);
 
   EXPECT_EQ(fromBad.mapping, cold.mapping);
   EXPECT_EQ(fromBad.objective, cold.objective);
