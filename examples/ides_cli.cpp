@@ -162,8 +162,9 @@ void usage() {
       "                 exact bytes ides_serve returns for the same job)\n"
       "  --suite NAME   sweep to run: quality | runtime | future |\n"
       "                 weights | increments\n"
-      "  --shards N     sweep worker threads, 0 = all cores (default 0);\n"
-      "                 results are bit-identical for every value\n"
+      "  --shards N     sweep worker threads, 0 = all cores (default 0),\n"
+      "                 at most 256; results are bit-identical for every\n"
+      "                 value\n"
       "  --scale NAME   sweep scale smoke | default | full\n"
       "                 (default: IDES_BENCH_SCALE)\n"
       "  --store-dir D  persist completed sweep instances as records in D\n"
@@ -280,7 +281,7 @@ bool parse(int argc, char** argv, CliArgs& args) try {
     } else if (flag == "--suite") {
       args.suiteName = value;
     } else if (flag == "--shards") {
-      args.shards = parseNumber(flag, value, 0);
+      args.shards = parseNumber(flag, value, 0, kMaxAnnealingThreads);
     } else if (flag == "--scale") {
       args.scaleName = value;
     } else if (flag == "--store-dir") {
@@ -366,17 +367,20 @@ Suite makeSuite(const CliArgs& args) {
   return buildSuite(cfg, args.seed);
 }
 
-DesignerOptions designerOptions(const CliArgs& args) {
-  DesignerOptions opts;
-  opts.sa.seed = args.seed;
-  if (args.saIterations > 0) opts.sa.iterations = args.saIterations;
-  opts.psa.threads = args.threads;
-  opts.psa.restarts = args.restarts;
-  // SA reads the chain-level speculation knobs; PSA auto-splits its thread
-  // budget unless --spec-workers pins the per-chain worker count.
-  if (args.specWorkers > 0) opts.sa.speculation.workers = args.specWorkers;
-  opts.psa.speculativeWorkers = args.specWorkers;
-  return opts;
+/// The design flags as the daemon's job spec; designJobOptions maps it to
+/// DesignerOptions for every command, so the CLI and the daemon agree.
+DesignJobSpec designSpec(const CliArgs& args) {
+  DesignJobSpec spec;
+  spec.nodes = args.nodes;
+  spec.existing = args.existing;
+  spec.current = args.current;
+  spec.seed = args.seed;
+  spec.strategy = args.strategy;
+  spec.saIterations = args.saIterations;
+  spec.restarts = args.restarts;
+  spec.threads = args.threads;
+  spec.specWorkers = args.specWorkers;
+  return spec;
 }
 
 int cmdListStrategies() {
@@ -416,24 +420,13 @@ int cmdDesignJson(const CliArgs& args) {
     std::fprintf(stderr, "--json supports generated suites only\n");
     return 2;
   }
-  DesignJobSpec spec;
-  spec.nodes = args.nodes;
-  spec.existing = args.existing;
-  spec.current = args.current;
-  spec.seed = args.seed;
-  spec.strategy = args.strategy;
-  spec.saIterations = args.saIterations;
-  spec.restarts = args.restarts;
-  spec.threads = args.threads;
-  spec.specWorkers = args.specWorkers;
-
   StopToken stop;
   RunContext context;
   if (args.deadlineSeconds > 0.0) {
     stop.setTimeout(args.deadlineSeconds);
     context.stop = &stop;
   }
-  const DesignJobResult result = runDesignJob(spec, context);
+  const DesignJobResult result = runDesignJob(designSpec(args), context);
   std::fputs(designResultJson(result, /*timing=*/false).c_str(), stdout);
   return result.validationOk && result.result.feasible ? 0 : 1;
 }
@@ -442,7 +435,7 @@ int cmdDesign(const CliArgs& args) {
   if (args.jsonOutput) return cmdDesignJson(args);
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
-                               designerOptions(args));
+                               designJobOptions(designSpec(args)));
   const RunReport r = runWithDeadline(designer, args);
   std::printf("strategy: %s\nfeasible: %s\nobjective C: %.2f\n",
               r.strategy.c_str(), r.feasible ? "yes" : "no",
@@ -471,7 +464,7 @@ int cmdDesign(const CliArgs& args) {
 int cmdSchedule(const CliArgs& args) {
   const Suite suite = makeSuite(args);
   IncrementalDesigner designer(suite.system, suite.profile,
-                               designerOptions(args));
+                               designJobOptions(designSpec(args)));
   const RunReport r = runWithDeadline(designer, args);
   if (!r.feasible) {
     std::fputs("no feasible design\n", stderr);
@@ -611,7 +604,7 @@ int cmdLifecycle(const CliArgs& args) {
   LifecycleOptions options;
   options.strategy = args.strategy;
   options.policy = startPolicyFromString(args.policyName);
-  options.designer = designerOptions(args);
+  options.designer = designJobOptions(designSpec(args));
   options.stepDeadlineSeconds = args.stepDeadlineSeconds;
   StopToken stop;
   if (args.deadlineSeconds > 0.0) {

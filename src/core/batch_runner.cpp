@@ -16,7 +16,8 @@
 namespace ides {
 
 InstanceOutcome runBatchInstance(const BatchInstance& instance,
-                                 const StopToken* stop) {
+                                 const StopToken* stop,
+                                 const ProgressSink& progress) {
   if (instance.job) return instance.job(instance, stop);
 
   // The standard instance job: generate the suite, run the named strategy
@@ -28,20 +29,20 @@ InstanceOutcome runBatchInstance(const BatchInstance& instance,
   // this instance's evaluator.
   RunContext context;
   context.stop = stop;
+  context.progress = progress;
 
   InstanceOutcome outcome;
   outcome.report = designer.run(instance.strategy, context);
-  if (instance.probe) {
-    instance.probe(suite, designer.evaluator(), outcome.report,
-                   outcome.extras);
-  }
+  if (instance.probe) instance.probe(designer, outcome.report, outcome.extras);
   return outcome;
 }
 
 BatchReport runBatch(const InstanceSuite& suite, const BatchOptions& options) {
-  if (options.shards < 0) {
-    throw std::invalid_argument("BatchOptions: shards must be >= 0 (got " +
-                                std::to_string(options.shards) + ")");
+  if (options.shards < 0 || options.shards > kMaxAnnealingThreads) {
+    throw std::invalid_argument(
+        "BatchOptions: shards must lie in [0, " +
+        std::to_string(kMaxAnnealingThreads) + "] (got " +
+        std::to_string(options.shards) + ")");
   }
   unsigned shards = options.shards > 0
                         ? static_cast<unsigned>(options.shards)
@@ -111,7 +112,16 @@ BatchReport runBatch(const InstanceSuite& suite, const BatchOptions& options) {
   } else {
     std::vector<std::thread> pool;
     pool.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s) pool.emplace_back(worker, s);
+    try {
+      for (unsigned s = 0; s < shards; ++s) pool.emplace_back(worker, s);
+    } catch (...) {
+      // A shard failed to start: hand out no further instances, let the
+      // started shards finish the one they hold, then report the failure
+      // instead of destroying joinable threads.
+      next.store(count, std::memory_order_relaxed);
+      for (std::thread& t : pool) t.join();
+      throw;
+    }
     for (std::thread& t : pool) t.join();
   }
 

@@ -32,6 +32,7 @@
 namespace ides {
 
 struct BatchInstance;
+class IncrementalDesigner;
 
 /// Ordered numeric side-channel of one instance's result (e.g. future-fit
 /// counts from a probe, lifetime counters from a custom job). Rendered
@@ -52,11 +53,11 @@ struct InstanceOutcome {
   BatchExtras extras;
 };
 
-/// Per-instance hook of the default job, run after the optimizer on the
-/// instance's own suite/evaluator (e.g. the future-fit probe of figure F3).
-/// Must be deterministic — its extras are part of the canonical aggregate.
-using BatchProbe = std::function<void(const Suite& suite,
-                                      const SolutionEvaluator& evaluator,
+/// Per-instance hook of the default job, run after the optimizer with the
+/// instance's own designer (e.g. the future-fit probe of figure F3, or a
+/// design job's schedule validation). Must be deterministic — its extras
+/// are part of the canonical aggregate.
+using BatchProbe = std::function<void(const IncrementalDesigner& designer,
                                       const RunReport& report,
                                       BatchExtras& extras)>;
 
@@ -164,8 +165,9 @@ class ResultCache {
 };
 
 struct BatchOptions {
-  /// Shard worker threads; 0 = std::thread::hardware_concurrency().
-  /// Aggregates are bit-identical for every value (asserted in tests).
+  /// Shard worker threads; 0 = std::thread::hardware_concurrency(), at
+  /// most kMaxAnnealingThreads. Aggregates are bit-identical for every
+  /// value (asserted in tests).
   int shards = 1;
   const StopToken* stop = nullptr;
   /// Optional persistent result reuse (resume / figure regeneration);
@@ -178,14 +180,19 @@ struct BatchOptions {
 
 /// Executes one instance exactly as the shard workers do: the custom job
 /// when set, otherwise generate + resolve strategy + optimize + probe.
-/// Exposed for the cross-process work-queue path, which runs claimed
-/// instances outside a runBatch call but must produce identical records.
+/// Exposed for the paths that run one instance outside a runBatch call but
+/// must produce identical records: the cross-process work queue and the
+/// design job (serve/design_job.h), whose live status `progress` feeds.
+/// Custom jobs ignore `progress`.
 InstanceOutcome runBatchInstance(const BatchInstance& instance,
-                                 const StopToken* stop);
+                                 const StopToken* stop,
+                                 const ProgressSink& progress = {});
 
 /// Runs every instance and aggregates in canonical order. Throws
-/// std::invalid_argument for negative shards; rethrows the first instance
-/// exception after the pool drains.
+/// std::invalid_argument for shards outside [0, kMaxAnnealingThreads];
+/// rethrows the first instance exception after the pool drains. A shard
+/// thread that fails to start stops the hand-out, joins the started
+/// shards and rethrows (std::system_error).
 BatchReport runBatch(const InstanceSuite& suite,
                      const BatchOptions& options = {});
 

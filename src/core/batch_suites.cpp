@@ -28,14 +28,14 @@ std::string instanceId(const std::string& group, int seed,
 
 /// The future-fit probe of figures F3/A2: commit the reported mapping on
 /// the baseline and count the embedded future applications that still map.
-void futureFitProbe(const Suite& suite, const SolutionEvaluator& evaluator,
+void futureFitProbe(const IncrementalDesigner& designer,
                     const RunReport& report, BatchExtras& extras) {
   double fits = 0.0, samples = 0.0;
   if (report.feasible) {
-    const PlatformState after = evaluator.stateWith(report.mapping);
-    for (const ApplicationId app :
-         suite.system.applicationsOfKind(AppKind::Future)) {
-      fits += tryMapFutureApplication(suite.system, app, after).fits ? 1 : 0;
+    const SystemModel& sys = designer.system();
+    const PlatformState after = designer.stateWith(report);
+    for (const ApplicationId app : sys.applicationsOfKind(AppKind::Future)) {
+      fits += tryMapFutureApplication(sys, app, after).fits ? 1 : 0;
       samples += 1;
     }
   }

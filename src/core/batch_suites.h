@@ -69,19 +69,21 @@ std::vector<std::string> sweepNames();
 /// "increments"); throws std::invalid_argument listing the valid names.
 InstanceSuite namedSweep(const std::string& name, const SweepScale& scale);
 
-/// Bump when a change makes previously stored sweep results stale even
-/// though the configuration fields hash the same — e.g. new generator
-/// semantics, a different SA move kernel, or changed metric definitions.
-/// The epoch is part of every instance fingerprint, so bumping it makes
-/// the sweep store treat all old records as different content.
+/// Bump when a change makes previously stored results stale even though
+/// the configuration fields hash the same — e.g. new generator semantics,
+/// a different SA move kernel, or changed metric definitions. The epoch is
+/// part of every instance fingerprint — sweep instances and the daemon's
+/// design jobs (suite "design", serve/design_job.h) alike — so bumping it
+/// makes the sweep store treat all old records as different content.
 /// History: 2 — DesignerOptions grew the tabu field set (every fingerprint
 /// hashes more fields, so epoch-1 records describe a narrower key).
 inline constexpr std::uint64_t kSweepFingerprintEpoch = 2;
 
-/// Stable 128-bit content fingerprint (32 hex chars) of one sweep
+/// Stable 128-bit content fingerprint (32 hex chars) of one batch
 /// instance: suite name, instance identity, the full generator config and
 /// every result-relevant option, plus kSweepFingerprintEpoch. This is the
-/// sweep store's record key. Deliberately EXCLUDED are the knobs whose
+/// sweep store's record key, for sweep instances and design jobs alike.
+/// Deliberately EXCLUDED are the knobs whose
 /// result-neutrality the test suite defends — thread/shard counts,
 /// speculation workers, trace recording — so a record computed at any
 /// parallelism serves every other (the stored

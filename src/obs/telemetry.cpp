@@ -7,6 +7,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "util/json_reader.h"
+
 namespace ides {
 
 namespace {
@@ -70,22 +72,6 @@ std::string renderLabelsWithLe(const MetricLabels& labels,
     out += k + "=\"" + escapeLabelValue(v) + "\",";
   }
   out += "le=\"" + le + "\"}";
-  return out;
-}
-
-std::string jsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
   return out;
 }
 
@@ -306,7 +292,7 @@ std::string TelemetryRegistry::jsonSnapshot() const {
   for (const auto& [name, family] : impl_->families) {
     out += firstFamily ? "\n" : ",\n";
     firstFamily = false;
-    out += "  \"" + jsonEscape(name) + "\": {\"type\": \"";
+    out += "  " + jsonQuote(name) + ": {\"type\": \"";
     switch (family.kind) {
       case Impl::Kind::Counter: out += "counter"; break;
       case Impl::Kind::Gauge: out += "gauge"; break;
@@ -320,8 +306,8 @@ std::string TelemetryRegistry::jsonSnapshot() const {
       out += "{\"labels\": {";
       for (std::size_t i = 0; i < series.labels.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\"" + jsonEscape(series.labels[i].first) + "\": \"" +
-               jsonEscape(series.labels[i].second) + "\"";
+        out += jsonQuote(series.labels[i].first) + ": " +
+               jsonQuote(series.labels[i].second);
       }
       out += "}";
       if (family.kind == Impl::Kind::Counter) {

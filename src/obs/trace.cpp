@@ -7,6 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "util/json_reader.h"
+
 namespace ides {
 
 namespace {
@@ -49,22 +51,6 @@ std::uint32_t threadTraceId() {
   const thread_local std::uint32_t id =
       next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-std::string jsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 void ensureEnvChecked() {
@@ -118,7 +104,7 @@ std::string traceJson() {
   for (std::size_t i = 0; i < s.events.size(); ++i) {
     const TraceEvent& e = s.events[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"name\": \"" + jsonEscape(e.name) + "\", \"cat\": \"" +
+    out += "{\"name\": " + jsonQuote(e.name) + ", \"cat\": \"" +
            e.category + "\", \"ph\": \"" + e.phase + "\", \"ts\": " +
            std::to_string(e.tsUs) + ", ";
     if (e.phase == 'X') {

@@ -34,8 +34,9 @@ bool applyOption(std::string_view key, const std::string& value,
       }
     } else if (key == "workers") {
       options.workers = parseNumber<int>(key, value);
-      if (options.workers < 1) {
-        error = "workers must be >= 1";
+      if (options.workers < 1 || options.workers > kMaxAnnealingThreads) {
+        error = "workers must lie in [1, " +
+                std::to_string(kMaxAnnealingThreads) + "]";
         return false;
       }
     } else if (key == "max-queued") {
@@ -119,7 +120,7 @@ const char* serveUsage() {
       "usage: ides_serve [options]\n"
       "  --bind ADDR      listen address            (default 127.0.0.1)\n"
       "  --port N         listen port, 0 = ephemeral (default 8080)\n"
-      "  --workers N      job worker threads        (default 2)\n"
+      "  --workers N      job worker threads, 1-256 (default 2)\n"
       "  --max-queued N   admission limit on waiting jobs (default 32)\n"
       "  --retain-finished N  terminal jobs kept in the registry; older\n"
       "                   ones are evicted, 0 = keep all (default 256)\n"

@@ -1,10 +1,11 @@
 #include "serve/design_job.h"
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
+#include "model/system_model.h"
 #include "sched/validate.h"
-#include "tgen/benchmark_suite.h"
-#include "util/hashing.h"
 #include "util/json_reader.h"
 
 namespace ides {
@@ -17,6 +18,21 @@ std::string num(double value) {
   return buf;
 }
 
+/// The design job's probe: validateSchedule over the frozen schedule of
+/// the existing applications plus the reported schedule of the current one.
+void validationProbe(const IncrementalDesigner& designer,
+                     const RunReport& report, BatchExtras& extras) {
+  const SystemModel& sys = designer.system();
+  Schedule all;
+  all.merge(designer.frozenSchedule());
+  all.merge(report.schedule);
+  std::vector<GraphId> graphs = sys.graphsOfKind(AppKind::Existing);
+  const auto cur = sys.graphsOfKind(AppKind::Current);
+  graphs.insert(graphs.end(), cur.begin(), cur.end());
+  extras.add("validation_ok",
+             validateSchedule(sys, all, graphs).ok() ? 1.0 : 0.0);
+}
+
 }  // namespace
 
 DesignerOptions designJobOptions(const DesignJobSpec& spec) {
@@ -25,54 +41,43 @@ DesignerOptions designJobOptions(const DesignJobSpec& spec) {
   if (spec.saIterations > 0) opts.sa.iterations = spec.saIterations;
   opts.psa.threads = spec.threads;
   opts.psa.restarts = spec.restarts;
+  // SA reads the chain-level speculation knobs; PSA auto-splits its thread
+  // budget unless specWorkers pins the per-chain worker count.
   if (spec.specWorkers > 0) opts.sa.speculation.workers = spec.specWorkers;
   opts.psa.speculativeWorkers = spec.specWorkers;
   return opts;
 }
 
-std::string designJobFingerprint(const DesignJobSpec& spec) {
-  // Two independently-seeded FNV lanes over the same field stream, the
-  // sweep-store convention (see instanceFingerprint). threads and
-  // specWorkers are deliberately absent: they reshape the search's
-  // parallelism, never its result.
-  Fnv1aHasher lanes[2] = {Fnv1aHasher(Fnv1aHasher::kDefaultBasis),
-                          Fnv1aHasher(0x9e3779b97f4a7c15ULL)};
-  for (Fnv1aHasher& h : lanes) {
-    h.u64(kDesignFingerprintEpoch);
-    h.str("design");
-    h.u64(spec.nodes);
-    h.u64(spec.existing);
-    h.u64(spec.current);
-    h.u64(spec.seed);
-    h.str(spec.strategy);
-    h.i64(spec.saIterations);
-    h.i64(spec.restarts);
+BatchInstance designJobInstance(const DesignJobSpec& spec) {
+  BatchInstance instance;
+  instance.id = std::to_string(spec.nodes) + "x" +
+                std::to_string(spec.existing) + "+" +
+                std::to_string(spec.current) + "/s" +
+                std::to_string(spec.seed) + "/" + spec.strategy;
+  instance.suiteSeed = spec.seed;
+  instance.config.nodeCount = spec.nodes;
+  instance.config.existingProcesses = spec.existing;
+  instance.config.currentProcesses = spec.current;
+  instance.config.tneedOverride = 12000;
+  instance.strategy = spec.strategy;
+  instance.options = designJobOptions(spec);
+  instance.probe = validationProbe;
+  return instance;
+}
+
+DesignJobResult designJobResult(InstanceOutcome outcome) {
+  DesignJobResult out;
+  out.result = std::move(outcome.report);
+  for (const auto& [key, value] : outcome.extras.fields) {
+    if (key == "validation_ok") out.validationOk = value != 0.0;
   }
-  return hashHex(lanes[0].value(), lanes[1].value());
+  return out;
 }
 
 DesignJobResult runDesignJob(const DesignJobSpec& spec,
-                             RunContext& context) {
-  SuiteConfig cfg;
-  cfg.nodeCount = spec.nodes;
-  cfg.existingProcesses = spec.existing;
-  cfg.currentProcesses = spec.current;
-  cfg.tneedOverride = 12000;
-  const Suite suite = buildSuite(cfg, spec.seed);
-
-  IncrementalDesigner designer(suite.system, suite.profile,
-                               designJobOptions(spec));
-  DesignJobResult out;
-  out.result = designer.run(spec.strategy, context);
-
-  Schedule all;
-  all.merge(designer.frozenSchedule());
-  all.merge(out.result.schedule);
-  std::vector<GraphId> graphs = suite.system.graphsOfKind(AppKind::Existing);
-  const auto cur = suite.system.graphsOfKind(AppKind::Current);
-  graphs.insert(graphs.end(), cur.begin(), cur.end());
-  out.validationOk = validateSchedule(suite.system, all, graphs).ok();
-  return out;
+                             const RunContext& context) {
+  return designJobResult(runBatchInstance(designJobInstance(spec),
+                                          context.stop, context.progress));
 }
 
 std::string designResultJson(const DesignJobResult& r, bool timing) {

@@ -3,15 +3,18 @@
 // The serve-e2e guarantee is that a design job submitted over HTTP and the
 // same job run through the CLI produce byte-identical result JSON. That
 // only holds if both paths build the generated suite and the designer
-// options from the spec through ONE piece of code — this one. The JSON
-// rendering is deterministic by default (wall-clock excluded; the daemon
-// reports runtime in the job status instead), so two runs of the same spec
-// diff clean.
+// options from the spec through ONE piece of code — this one. A design job
+// is a one-instance batch run (designJobInstance through runBatchInstance),
+// which the daemon caches as a sweep-store record of suite kDesignJobSuite.
+// The JSON rendering is deterministic by default (wall-clock excluded; the
+// daemon reports runtime in the job status instead), so two runs of the
+// same spec diff clean, and so does a result re-rendered from its record.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "core/batch_runner.h"
 #include "core/incremental_designer.h"
 
 namespace ides {
@@ -30,22 +33,21 @@ struct DesignJobSpec {
   int specWorkers = 0;   ///< speculative eval workers (0 = off / PSA auto)
 };
 
-/// DesignerOptions derivation, identical to the CLI's flag mapping.
+/// DesignerOptions derivation: the one mapping from the CLI's flags and
+/// the daemon's spec fields to the designer.
 DesignerOptions designJobOptions(const DesignJobSpec& spec);
 
-/// Bump when a change makes previously cached design results stale even
-/// though the spec fields hash the same (generator semantics, strategy
-/// kernels, metric definitions). Independent of kSweepFingerprintEpoch:
-/// the two caches key different payloads.
-inline constexpr std::uint64_t kDesignFingerprintEpoch = 1;
+/// Suite name of design-job records in the sweep store (`store ls` lists
+/// them as suite "design").
+inline constexpr char kDesignJobSuite[] = "design";
 
-/// Stable 128-bit content fingerprint (32 hex chars) of one design job:
-/// every result-relevant spec field plus kDesignFingerprintEpoch, hashed
-/// the same two-lane FNV way as sweep instances. Deliberately EXCLUDED are
-/// the result-neutral knobs the test suite defends — threads and
-/// specWorkers — so a result computed at any parallelism serves every
-/// other.
-std::string designJobFingerprint(const DesignJobSpec& spec);
+/// The spec as a one-instance batch run: the generated suite (paper tneed
+/// override), the spec's seed, strategy and designJobOptions, an id naming
+/// the spec ("8x60+24/s3/MH"), and a probe that validates the frozen plus
+/// current schedules into the extra "validation_ok" (1 or 0). Its
+/// fingerprint hashes the options, so the result-neutral threads and
+/// specWorkers share one record.
+BatchInstance designJobInstance(const DesignJobSpec& spec);
 
 struct DesignJobResult {
   RunReport result;
@@ -53,11 +55,15 @@ struct DesignJobResult {
   bool validationOk = false;
 };
 
-/// Generates the suite (paper tneed override, like the CLI), resolves the
-/// strategy by registry name and runs it under `context` (stop token /
-/// progress of the caller). Throws std::invalid_argument for an unknown
-/// strategy or invalid options.
-DesignJobResult runDesignJob(const DesignJobSpec& spec, RunContext& context);
+/// The design view of a designJobInstance outcome, freshly run or loaded
+/// from its store record (which holds every field designResultJson reads).
+DesignJobResult designJobResult(InstanceOutcome outcome);
+
+/// designJobResult(runBatchInstance(designJobInstance(spec), ...)) with the
+/// caller's stop token and progress sink. Throws std::invalid_argument for
+/// an unknown strategy or invalid options.
+DesignJobResult runDesignJob(const DesignJobSpec& spec,
+                             const RunContext& context);
 
 /// Flat JSON rendering (%.6g doubles, BENCH field names). `timing` adds
 /// the wall-clock "seconds" field; off is the deterministic form the CLI

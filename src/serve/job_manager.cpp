@@ -4,10 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +14,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/json_reader.h"
+#include "util/log.h"
 
 namespace ides {
 
@@ -43,64 +41,6 @@ std::string num(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
   return buf;
-}
-
-// ---- design result cache ---------------------------------------------------
-//
-// A flat file per fingerprint under <storeDir>/design, holding exactly the
-// deterministic result JSON a fresh run would return — so a cache hit is
-// byte-identical to the run it replaces, which is the whole contract.
-
-/// Stored result if the file exists and still parses as a design result;
-/// a corrupt file is removed (best effort) so the rerun can replace it.
-std::optional<std::string> loadDesignCache(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
-  try {
-    const JsonValue root = parseJson(text);
-    if (!root.isObject() || root.find("strategy") == nullptr ||
-        root.find("objective") == nullptr) {
-      throw std::invalid_argument("not a design result");
-    }
-  } catch (const std::exception&) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    return std::nullopt;
-  }
-  return text;
-}
-
-/// tmp+rename publish, first writer wins (a concurrent worker finishing
-/// the same fingerprint wrote equivalent bytes). Cache trouble must never
-/// fail the job that just computed a perfectly good result, so IO errors
-/// are swallowed here.
-void publishDesignCache(const std::string& path, const std::string& text) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (fs::exists(path, ec)) return;
-  const std::string tmpPath =
-      path + ".tmp." +
-      std::to_string(
-          std::chrono::steady_clock::now().time_since_epoch().count());
-  {
-    std::ofstream out(tmpPath, std::ios::binary);
-    if (!out) return;
-    out << text;
-    out.flush();
-    if (!out) {
-      fs::remove(tmpPath, ec);
-      return;
-    }
-  }
-  if (fs::exists(path, ec)) {
-    fs::remove(tmpPath, ec);
-    return;
-  }
-  fs::rename(tmpPath, path, ec);
-  if (ec) fs::remove(tmpPath, ec);
 }
 
 /// Typed field extraction with "which key, what went wrong" messages —
@@ -231,7 +171,7 @@ JobSpec parseJobSpec(std::string_view body) {
     SweepJobSpec& s = spec.sweep;
     s.sweep = requireString(root, "sweep");
     s.scaleName = optionalString(root, "scale", "smoke");
-    s.shards = optionalInt(root, "shards", 1, 0);
+    s.shards = optionalInt(root, "shards", 1, 0, kMaxAnnealingThreads);
     const std::vector<std::string> names = sweepNames();
     if (std::find(names.begin(), names.end(), s.sweep) == names.end()) {
       std::string known;
@@ -306,20 +246,23 @@ struct JobManager::Job {
 
 JobManager::JobManager(JobManagerOptions options)
     : options_(std::move(options)) {
-  if (options_.workers < 1) {
-    throw std::invalid_argument("JobManager: workers must be >= 1");
+  if (options_.workers < 1 || options_.workers > kMaxAnnealingThreads) {
+    throw std::invalid_argument("JobManager: workers must lie in [1, " +
+                                std::to_string(kMaxAnnealingThreads) + "]");
   }
   if (!options_.storeDir.empty()) {
     store_ = std::make_unique<SweepStore>(options_.storeDir);
-    designCacheDir_ =
-        (std::filesystem::path(options_.storeDir) / "design").string();
-    std::error_code ec;
-    std::filesystem::create_directories(designCacheDir_, ec);
-    if (ec) designCacheDir_.clear();  // degrade to uncached design jobs
   }
   workers_.reserve(static_cast<std::size_t>(options_.workers));
-  for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
+  try {
+    for (int i = 0; i < options_.workers; ++i) {
+      workers_.emplace_back([this] { workerLoop(); });
+    }
+  } catch (...) {
+    // A worker failed to start: wind down the ones that did, then report
+    // the failure instead of destroying joinable threads.
+    drain();
+    throw;
   }
 }
 
@@ -600,49 +543,54 @@ void JobManager::workerLoop() {
 
 std::string JobManager::execute(Job& job) {
   if (job.spec.kind == JobSpec::Kind::Design) {
-    std::string cachePath;
-    if (!designCacheDir_.empty()) {
-      cachePath = designCacheDir_ + "/" +
-                  designJobFingerprint(job.spec.design) + ".json";
-      if (std::optional<std::string> hit = loadDesignCache(cachePath)) {
-        telemetry()
-            .counter("ides_serve_design_cache_total",
-                     "Design-job result cache lookups", {{"result", "hit"}})
-            .add();
-        std::lock_guard<std::mutex> lock(mutex_);
-        job.cached = true;
-        job.phase = "cached";
-        job.cost = parseJson(*hit).numberAt("objective");
-        return *std::move(hit);
-      }
+    // A design job is a one-instance batch run, cached in the store like a
+    // sweep instance: a hit re-renders the record, which holds every field
+    // the result JSON reads, so the bytes match the fresh run exactly.
+    const BatchInstance instance = designJobInstance(job.spec.design);
+    std::optional<SweepStoreCache> cache;
+    if (store_ != nullptr) {
+      cache.emplace(*store_, kDesignJobSuite, /*reuse=*/true);
+    }
+    InstanceOutcome outcome;
+    const bool hit = cache.has_value() && cache->lookup(instance, outcome);
+    if (cache.has_value()) {
       telemetry()
           .counter("ides_serve_design_cache_total",
-                   "Design-job result cache lookups", {{"result", "miss"}})
+                   "Design-job result cache lookups",
+                   {{"result", hit ? "hit" : "miss"}})
           .add();
     }
-
-    RunContext context;
-    context.stop = &job.stop;
-    context.progress = [this, &job](const ProgressEvent& event) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job.phase = std::string(event.phase);
-      job.step = event.step;
-      job.total = event.total;
-      job.cost = event.cost;
-    };
-    const DesignJobResult result = runDesignJob(job.spec.design, context);
-    bool writeThrough = !cachePath.empty();
+    if (!hit) {
+      outcome = runBatchInstance(
+          instance, &job.stop, [this, &job](const ProgressEvent& event) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            job.phase = std::string(event.phase);
+            job.step = event.step;
+            job.total = event.total;
+            job.cost = event.cost;
+          });
+    }
+    bool cancelled = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      job.stopped = result.result.stopped;
-      job.cost = result.result.objective;
-      // Never cache a truncated run: a deadline/cancel result would shadow
-      // the full-budget one for every future identical submit.
-      if (result.result.stopped || job.cancelRequested) writeThrough = false;
+      job.cached = hit;
+      if (hit) job.phase = "cached";
+      job.stopped = outcome.report.stopped;
+      job.cost = outcome.report.objective;
+      cancelled = job.cancelRequested;
     }
-    std::string rendered = designResultJson(result, /*timing=*/false);
-    if (writeThrough) publishDesignCache(cachePath, rendered);
-    return rendered;
+    // The store refuses a stopped run itself; a cancel that landed after
+    // the run finished is not stored either. A failed write must not fail
+    // the job that just computed a good result.
+    if (cache.has_value() && !hit && !cancelled) {
+      try {
+        cache->store(instance, outcome);
+      } catch (const std::exception& e) {
+        IDES_LOG_AT(LogLevel::Warn)
+            << job.id << ": design result not stored: " << e.what();
+      }
+    }
+    return designResultJson(designJobResult(std::move(outcome)));
   }
 
   // Sweep job: named suite through the batch runner, store-cached.

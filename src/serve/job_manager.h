@@ -9,16 +9,17 @@
 // ProgressSink (design) or the per-instance completion hook (sweep) into
 // the job's status fields under the manager mutex.
 //
-// Sweep jobs route through the persistent SweepStore as a content-
-// addressed result cache: lookups are keyed by instanceFingerprint, so a
-// resubmitted identical sweep is answered from records with no
-// re-optimization (the job status reports cache_hits vs executed), and
-// completed instances always write through — the daemon doubles as the
-// network-facing front of the sweep fabric. Design jobs get the same
-// treatment through a flat per-fingerprint cache under <storeDir>/design:
-// an identical resubmit is served the stored result bytes verbatim and its
-// status reports cached:true. Runs a StopToken ended early (deadline or
-// cancel) are never cached — a partial result must not shadow the full one.
+// Both job kinds route through the persistent SweepStore as a content-
+// addressed result cache keyed by instanceFingerprint. A resubmitted
+// identical sweep is answered from records with no re-optimization (the
+// job status reports cache_hits vs executed), and completed instances
+// always write through — the daemon doubles as the network-facing front of
+// the sweep fabric. A design job is a one-instance batch run
+// (designJobInstance) cached as a record of suite "design": an identical
+// resubmit re-renders the stored record into the same bytes and its status
+// reports cached:true, and `store ls/verify/gc` see design records like
+// any other. Runs a StopToken ended early (deadline or cancel) are never
+// cached — a partial result must not shadow the full one.
 //
 // Results are rendered deterministically (timing off): a design job's
 // result JSON is byte-identical to `ides_cli design --json` for the same
@@ -48,7 +49,7 @@ namespace ides {
 struct SweepJobSpec {
   std::string sweep;              ///< namedSweep key, e.g. "quality"
   std::string scaleName = "smoke";
-  int shards = 1;                 ///< 0 = all cores
+  int shards = 1;                 ///< 0 = all cores; at most 256
 };
 
 struct JobSpec {
@@ -71,15 +72,14 @@ enum class JobState { Queued, Running, Done, Failed, Cancelled };
 const char* toString(JobState state);
 
 struct JobManagerOptions {
-  int workers = 2;
+  int workers = 2;  ///< in [1, kMaxAnnealingThreads]
   /// Admission limit on WAITING jobs (running jobs do not count): a full
   /// queue rejects the submit (the daemon answers 503).
   std::size_t maxQueued = 32;
-  /// Store directory for the result caches; empty = every job runs
-  /// uncached. Sweep jobs share the SweepStore records; design jobs keep
-  /// their own flat cache under <storeDir>/design, keyed by
-  /// designJobFingerprint (status reports cached:true on a hit, and the
-  /// result bytes are the stored run's, verbatim).
+  /// SweepStore directory caching every job's results; empty = every job
+  /// runs uncached. Design jobs are records of suite "design" (status
+  /// reports cached:true on a hit, and the result bytes match the stored
+  /// run's).
   std::string storeDir;
   /// Retention cap on TERMINAL jobs (done/failed/cancelled): whenever a
   /// job reaches a terminal state and the cap is exceeded, the oldest
@@ -97,6 +97,9 @@ std::optional<std::uint64_t> parseJobIdNumber(std::string_view id);
 
 class JobManager {
  public:
+  /// Starts the worker pool. Throws std::invalid_argument for workers
+  /// outside [1, kMaxAnnealingThreads]; a worker thread that fails to
+  /// start joins the started ones and rethrows (std::system_error).
   explicit JobManager(JobManagerOptions options);
   /// Drains (cancels queued, stops running, joins workers).
   ~JobManager();
@@ -161,7 +164,6 @@ class JobManager {
 
   JobManagerOptions options_;
   std::unique_ptr<SweepStore> store_;  ///< null when storeDir is empty
-  std::string designCacheDir_;         ///< empty when storeDir is empty
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;

@@ -1,6 +1,7 @@
 #include "util/json_reader.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -165,9 +166,9 @@ class Parser {
           out += '\f';
           break;
         case 'u': {
-          // The writers never emit \u escapes; decode the BMP code point
-          // as a single byte when it fits, reject otherwise (strictness
-          // beats silent mojibake in a store record).
+          // jsonQuote emits \u00XX for control bytes; decode the BMP code
+          // point as a single byte when it fits, reject otherwise
+          // (strictness beats silent mojibake in a store record).
           if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
@@ -278,10 +279,27 @@ JsonValue parseJson(std::string_view text) {
 }
 
 std::string jsonQuote(std::string_view value) {
+  // The control bytes JSON has short escapes for, and those escapes.
+  static constexpr std::string_view kShort = "\b\t\n\f\r";
+  static constexpr std::string_view kShortNames = "btnfr";
   std::string out = "\"";
   for (const char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (byte >= 0x20) {
+      out += c;
+    } else if (const std::size_t at = kShort.find(c);
+               at != std::string_view::npos) {
+      out += '\\';
+      out += kShortNames[at];
+    } else {
+      char escape[8];
+      std::snprintf(escape, sizeof escape, "\\u%04x",
+                    static_cast<unsigned>(byte));
+      out += escape;
+    }
   }
   out += '"';
   return out;

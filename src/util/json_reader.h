@@ -51,8 +51,10 @@ class JsonValue {
 [[nodiscard]] JsonValue parseJson(std::string_view text);
 
 /// Writer-side counterpart for every hand-rendered JSON emitter in the
-/// tree: `value` as a quoted JSON string with '"' and '\\' escaped (the
-/// only escapes the emitters need — and exactly what parseJson undoes).
+/// tree: `value` as a quoted JSON string. '"', '\\' and every byte below
+/// 0x20 are escaped (\n, \r, \t, \b, \f, else \u00XX), so the result is
+/// valid JSON whatever bytes a client sent; parseJson undoes each escape.
+/// Bytes from 0x20 up pass through unchanged.
 [[nodiscard]] std::string jsonQuote(std::string_view value);
 
 }  // namespace ides

@@ -148,8 +148,8 @@ TEST(BatchRunnerTest, ProbeExtrasLandInTheRecord) {
   instance.config = ides::testing::smallSuiteConfig(40, 12);
   instance.suiteSeed = 7;
   instance.strategy = "AH";
-  instance.probe = [](const Suite&, const SolutionEvaluator&,
-                      const RunReport& report, BatchExtras& extras) {
+  instance.probe = [](const IncrementalDesigner&, const RunReport& report,
+                      BatchExtras& extras) {
     extras.add("probe_feasible", report.feasible ? 1.0 : 0.0);
     extras.add("answer", 42.0);
   };
@@ -192,6 +192,14 @@ TEST(BatchRunnerTest, NegativeShardsThrow) {
   const InstanceSuite suite("empty");
   BatchOptions options;
   options.shards = -1;
+  EXPECT_THROW((void)runBatch(suite, options), std::invalid_argument);
+}
+
+TEST(BatchRunnerTest, ShardsAboveTheThreadCapThrow) {
+  // Rejected before any shard starts: the suite is empty.
+  const InstanceSuite suite("empty");
+  BatchOptions options;
+  options.shards = kMaxAnnealingThreads + 1;
   EXPECT_THROW((void)runBatch(suite, options), std::invalid_argument);
 }
 

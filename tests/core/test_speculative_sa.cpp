@@ -19,11 +19,13 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "core/batch_runner.h"
 #include "core/initial_mapping.h"
 #include "core/parallel_annealing.h"
 #include "core/simulated_annealing.h"
 #include "model/system_model.h"
 #include "reference_annealing.h"
+#include "serve/job_manager.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
 
@@ -299,10 +301,14 @@ int outcomeOf(Run run) {
   }
 }
 
+/// Exit code of a capped child whose setrlimit failed: every 2-bit field
+/// reads 3, which no outcome produces.
+constexpr int kSetrlimitFailed = 255;
+
 /// Child half of FailedThreadStartsThrowInsteadOfHanging: caps the address
 /// space a little above the current size, so only a few of the 200 threads
-/// get a stack, and exits with the SA outcome in bits 0-1 and the PSA
-/// outcome in bits 2-3 (16 = setrlimit failed).
+/// get a stack, and exits with the outcomes of SA, PSA, a JobManager's
+/// worker pool and runBatch's shards in bits 0-1, 2-3, 4-5 and 6-7.
 [[noreturn]] void runCappedChild(const Instance& inst) {
   alarm(60);  // a hang ends in SIGALRM
   long pages = 0;
@@ -311,7 +317,7 @@ int outcomeOf(Run run) {
                          static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
                      (256u << 20);
   const rlimit limit{cap, cap};
-  if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(16);
+  if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(kSetrlimitFailed);
 
   const int sa = outcomeOf([&] {
     SaOptions opts;
@@ -326,7 +332,28 @@ int outcomeOf(Run run) {
     opts.restarts = 200;
     (void)runParallelAnnealing(inst.evaluator, inst.im.mapping, opts);
   });
-  _exit(sa | psa << 2);
+  const int jobs = outcomeOf([] {
+    JobManagerOptions opts;
+    opts.workers = 200;
+    const JobManager manager(opts);
+  });
+  const int batch = outcomeOf([] {
+    InstanceSuite suite("fan-out");
+    for (int i = 0; i < 200; ++i) {
+      BatchInstance instance;
+      instance.id = std::to_string(i);
+      instance.job = [](const BatchInstance&, const StopToken*) {
+        InstanceOutcome outcome;
+        outcome.hasReport = false;
+        return outcome;
+      };
+      suite.add(std::move(instance));
+    }
+    BatchOptions opts;
+    opts.shards = 200;
+    (void)runBatch(suite, opts);
+  });
+  _exit(sa | psa << 2 | jobs << 4 | batch << 6);
 }
 
 TEST(ThreadFanOutTest, FailedThreadStartsThrowInsteadOfHanging) {
@@ -345,14 +372,18 @@ TEST(ThreadFanOutTest, FailedThreadStartsThrowInsteadOfHanging) {
       << "child died on signal " << WTERMSIG(status)
       << " (SIGALRM = a run hung, SIGABRT = joinable threads destroyed)";
   const int code = WEXITSTATUS(status);
-  ASSERT_NE(code, 16) << "setrlimit failed";
-  const int sa = code & 3;
-  const int psa = code >> 2;
-  EXPECT_NE(sa, kThrewOther) << "SA failed with another exception";
-  EXPECT_NE(psa, kThrewOther) << "PSA failed with another exception";
-  if (sa == kFinished || psa == kFinished) {
-    GTEST_SKIP() << "every thread got a stack under the cap (SA " << sa
-                 << ", PSA " << psa << "); the failure path was not reached";
+  ASSERT_NE(code, kSetrlimitFailed) << "setrlimit failed";
+  const char* const names[] = {"SA", "PSA", "JobManager", "runBatch"};
+  bool finished = false;
+  for (int i = 0; i < 4; ++i) {
+    const int outcome = (code >> (2 * i)) & 3;
+    EXPECT_NE(outcome, kThrewOther)
+        << names[i] << " failed with another exception";
+    finished = finished || outcome == kFinished;
+  }
+  if (finished) {
+    GTEST_SKIP() << "every thread got a stack under the cap (exit code "
+                 << code << "); the failure path was not reached";
   }
 }
 

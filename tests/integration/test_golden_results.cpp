@@ -6,10 +6,9 @@
 // were, on every build leg.
 //
 // A change that alters results on purpose (a strategy kernel, the
-// generator, a metric definition) must bump kDesignFingerprintEpoch and
-// kSweepFingerprintEpoch — so the daemon's design cache and the sweep store
-// stop serving stale entries — and regenerate the goldens below, together
-// with the epochs they record.
+// generator, a metric definition) must bump kSweepFingerprintEpoch — so the
+// sweep store stops serving stale sweep and design-job records — and
+// regenerate the goldens below, together with the epoch they record.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -30,12 +29,11 @@
 namespace ides {
 namespace {
 
-// The epochs the goldens were generated under.
-constexpr std::uint64_t kGoldenDesignEpoch = 1;
+// The epoch the goldens were generated under.
 constexpr std::uint64_t kGoldenSweepEpoch = 2;
 
 constexpr const char* kResultsChanged =
-    "results changed: bump both epochs and regenerate the goldens";
+    "results changed: bump the epoch and regenerate the goldens";
 
 struct DesignGolden {
   const char* strategy;
@@ -270,10 +268,8 @@ std::string modificationLine(const ModificationResult& r) {
 }
 
 TEST(GoldenResults, RecordTheCurrentEpochs) {
-  EXPECT_EQ(kDesignFingerprintEpoch, kGoldenDesignEpoch)
-      << "regenerate the goldens under the new epochs";
   EXPECT_EQ(kSweepFingerprintEpoch, kGoldenSweepEpoch)
-      << "regenerate the goldens under the new epochs";
+      << "regenerate the goldens under the new epoch";
 }
 
 TEST(GoldenResults, DesignJobsOfEveryStrategy) {

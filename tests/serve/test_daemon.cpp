@@ -135,6 +135,25 @@ TEST(RouteRequest, BadSpecAnswers400WithReason) {
   EXPECT_EQ(jobs.finishedCount() + jobs.queuedCount(), 0u);
 }
 
+TEST(RouteRequest, ErrorBodiesEscapeControlBytesFromTheClient) {
+  JobManager jobs(JobManagerOptions{});
+  // The spec's strategy decodes to "M", LF, "H", 0x01; the 400 body echoes
+  // it inside the error message.
+  const HttpResponse response = routeRequest(
+      jobs, makeRequest("POST", "/jobs",
+                        "{\"type\": \"design\", \"strategy\": "
+                        "\"M\\nH\\u0001\"}"));
+  EXPECT_EQ(response.status, 400);
+  ASSERT_FALSE(response.body.empty());
+  EXPECT_EQ(response.body.back(), '\n');
+  for (std::size_t i = 0; i + 1 < response.body.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(response.body[i]), 0x20)
+        << "raw control byte at " << i << " of " << response.body;
+  }
+  const std::string error = parseJson(response.body).stringAt("error");
+  EXPECT_NE(error.find("M\nH\x01"), std::string::npos) << error;
+}
+
 TEST(RouteRequest, ResultBeforeDoneAnswers409) {
   JobManagerOptions options;
   options.workers = 1;

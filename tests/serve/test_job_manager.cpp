@@ -13,7 +13,11 @@
 #include <string>
 #include <thread>
 
+#include "core/batch_suites.h"
 #include "serve/design_job.h"
+#include "store/store_audit.h"
+#include "store/store_gc.h"
+#include "store/sweep_store.h"
 
 namespace ides {
 namespace {
@@ -155,7 +159,9 @@ TEST(ParseJobSpec, RejectsBadSpecs) {
       {"{\"type\": \"design\", \"spec_depth\": 4}",
        "unknown field \"spec_depth\""},
       {"{\"type\": \"sweep\", \"sweep\": \"quality\", \"shards\": 1e10}",
-       "shards must be <= 2147483647"},
+       "shards must be <= 256"},
+      {"{\"type\": \"sweep\", \"sweep\": \"quality\", \"shards\": 257}",
+       "shards must be <= 256"},
   };
   for (const auto& [body, expected] : cases) {
     try {
@@ -420,28 +426,36 @@ std::string freshCacheDir(const std::string& name) {
   return dir;
 }
 
+/// The store key of a design job: its instance's sweep fingerprint.
+std::string designFingerprint(const DesignJobSpec& spec) {
+  return instanceFingerprint(kDesignJobSuite, designJobInstance(spec));
+}
+
 TEST(DesignJobFingerprint, IsStableAndIgnoresResultNeutralKnobs) {
   DesignJobSpec spec;
-  const std::string fp = designJobFingerprint(spec);
+  const std::string fp = designFingerprint(spec);
   EXPECT_EQ(fp.size(), 32u);
-  EXPECT_EQ(designJobFingerprint(spec), fp);
+  EXPECT_EQ(designFingerprint(spec), fp);
 
   // threads / specWorkers change how fast a job runs, never what it
   // returns — identical fingerprint, shared cache slot.
   DesignJobSpec tuned = spec;
   tuned.threads = 8;
   tuned.specWorkers = 4;
-  EXPECT_EQ(designJobFingerprint(tuned), fp);
+  EXPECT_EQ(designFingerprint(tuned), fp);
+  // sa_iters 0 stands for the SA default: the same options, one record.
+  tuned.saIterations = SaOptions{}.iterations;
+  EXPECT_EQ(designFingerprint(tuned), fp);
 
   DesignJobSpec other = spec;
   other.seed = spec.seed + 1;
-  EXPECT_NE(designJobFingerprint(other), fp);
+  EXPECT_NE(designFingerprint(other), fp);
   other = spec;
   other.strategy = "SA";
-  EXPECT_NE(designJobFingerprint(other), fp);
+  EXPECT_NE(designFingerprint(other), fp);
   other = spec;
   other.current += 1;
-  EXPECT_NE(designJobFingerprint(other), fp);
+  EXPECT_NE(designFingerprint(other), fp);
 }
 
 TEST(JobManagerTest, ResubmittedDesignJobIsServedFromTheCache) {
@@ -541,13 +555,8 @@ TEST(JobManagerTest, DeadlineStoppedRunsAreNeverCached) {
 TEST(JobManagerTest, CorruptCacheFilesAreIgnoredAndReplaced) {
   const std::string dir = freshCacheDir("corrupt");
   const std::string path =
-      dir + "/design/" + designJobFingerprint(fastJob().design) + ".json";
-  {
-    JobManagerOptions options;
-    options.storeDir = dir;
-    JobManager jobs(options);  // creates <storeDir>/design
-    std::ofstream(path) << "{\"not\": \"a result\"";
-  }
+      SweepStore(dir).recordPath(designFingerprint(fastJob().design));
+  std::ofstream(path) << "{\"not\": \"a result\"";
   JobManagerOptions options;
   options.storeDir = dir;
   JobManager jobs(options);
@@ -556,6 +565,7 @@ TEST(JobManagerTest, CorruptCacheFilesAreIgnoredAndReplaced) {
       [&] { return jobs.state(submission.id) == JobState::Done; }));
   EXPECT_NE(jobs.statusJson(submission.id)->find("\"cached\": false"),
             std::string::npos);
+  EXPECT_EQ(auditSweepStore(dir).quarantined.size(), 1u);
 
   // The fresh run replaced the corrupt file; the next submit hits.
   const auto again = jobs.submit(fastJob());
@@ -564,6 +574,32 @@ TEST(JobManagerTest, CorruptCacheFilesAreIgnoredAndReplaced) {
   EXPECT_NE(jobs.statusJson(again.id)->find("\"cached\": true"),
             std::string::npos);
   EXPECT_EQ(*jobs.resultJson(again.id), *jobs.resultJson(submission.id));
+}
+
+TEST(JobManagerTest, StoreToolingSeesDesignResults) {
+  const std::string dir = freshCacheDir("tooling");
+  {
+    JobManagerOptions options;
+    options.storeDir = dir;
+    JobManager jobs(options);
+    const auto submission = jobs.submit(fastJob());
+    ASSERT_TRUE(waitFor(
+        [&] { return jobs.state(submission.id) == JobState::Done; }));
+  }
+  const StoreAuditReport audit = auditSweepStore(dir);
+  ASSERT_EQ(audit.records.size(), 1u);
+  EXPECT_EQ(audit.okCount, 1u);
+  EXPECT_EQ(audit.badCount, 0u);
+  EXPECT_EQ(audit.records[0].suite, kDesignJobSuite);
+  EXPECT_EQ(audit.records[0].fingerprint,
+            designFingerprint(fastJob().design));
+
+  // An epoch bump supersedes design records like sweep records.
+  StoreGcOptions gc;
+  gc.epoch = static_cast<std::int64_t>(kSweepFingerprintEpoch) + 1;
+  const StoreGcReport report = gcSweepStore(dir, gc);
+  ASSERT_EQ(report.remove.size(), 1u);
+  EXPECT_EQ(report.remove[0].fingerprint, audit.records[0].fingerprint);
 }
 
 TEST(JobManagerTest, ListJsonCoversEveryJobInSubmissionOrder) {

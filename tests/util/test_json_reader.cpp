@@ -65,6 +65,21 @@ TEST(JsonReaderTest, MalformedInputThrowsWithOffset) {
   }
 }
 
+TEST(JsonReaderTest, QuoteEscapesControlBytesAndRoundTripsEveryByte) {
+  std::string all;
+  for (int c = 0x01; c <= 0x7F; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    const std::string quoted = jsonQuote(one);
+    for (const char q : quoted) {
+      EXPECT_GE(static_cast<unsigned char>(q), 0x20) << "byte " << c;
+    }
+    EXPECT_EQ(parseJson(quoted).stringValue, one) << "byte " << c;
+    all += one;
+  }
+  EXPECT_EQ(parseJson(jsonQuote(all)).stringValue, all);
+  EXPECT_EQ(jsonQuote("a\n\x01\"\\"), "\"a\\n\\u0001\\\"\\\\\"");
+}
+
 TEST(JsonReaderTest, TypedAccessorsNameTheOffendingKey) {
   const JsonValue root = parseJson("{\"a\": 1}");
   try {
