@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -172,48 +171,36 @@ class BenchJson {
     return *this;
   }
   BenchJson& field(const char* key, const std::string& value) {
-    std::string quoted = "\"";
-    for (const char c : value) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
-    }
-    quoted += '"';
-    records_.back().emplace_back(key, quoted);
+    records_.back().emplace_back(key, jsonQuote(value));
     return *this;
   }
 
   /// Writes BENCH_<name>.json; reports the path (or the failure) on stdout.
   void write() const {
-    const char* dir = std::getenv("IDES_BENCH_JSON_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::printf("(could not write %s)\n", path.c_str());
-      return;
-    }
     const Provenance& prov = buildProvenance();
-    out << "{\n  \"bench\": \"" << name_ << "\",\n  \"scale\": \"" << scale_
-        << "\",\n  \"git_sha\": " << jsonQuote(prov.gitSha)
-        << ",\n  \"hostname\": " << jsonQuote(prov.hostname)
-        << ",\n  \"hardware_concurrency\": " << prov.hardwareConcurrency
-        << ",\n  \"compiler\": " << jsonQuote(prov.compiler)
+    std::string out =
+        "{\n  \"bench\": " + jsonQuote(name_) +
+        ",\n  \"scale\": " + jsonQuote(scale_) +
+        ",\n  \"git_sha\": " + jsonQuote(prov.gitSha) +
+        ",\n  \"hostname\": " + jsonQuote(prov.hostname) +
+        ",\n  \"hardware_concurrency\": " +
+        std::to_string(prov.hardwareConcurrency) +
+        ",\n  \"compiler\": " + jsonQuote(prov.compiler) +
         // Telemetry snapshot of the whole bench process so far (empty
         // object when IDES_TELEMETRY=off). Counters here are observability
         // only — the deterministic result records never read them.
-        << ",\n  \"telemetry\": " << telemetry().jsonSnapshot()
-        << ",\n  \"results\": [";
+        ",\n  \"telemetry\": " + telemetry().jsonSnapshot() +
+        ",\n  \"results\": [";
     for (std::size_t r = 0; r < records_.size(); ++r) {
-      out << (r == 0 ? "" : ",") << "\n    {";
+      out += r == 0 ? "\n    {" : ",\n    {";
       for (std::size_t f = 0; f < records_[r].size(); ++f) {
-        out << (f == 0 ? "" : ", ") << '"' << records_[r][f].first
-            << "\": " << records_[r][f].second;
+        if (f > 0) out += ", ";
+        out += jsonQuote(records_[r][f].first) + ": " + records_[r][f].second;
       }
-      out << "}";
+      out += "}";
     }
-    out << "\n  ]\n}\n";
-    std::printf("machine-readable results: %s\n", path.c_str());
+    out += "\n  ]\n}\n";
+    writeBenchJsonString(name_, out);
   }
 
  private:

@@ -16,9 +16,8 @@
 // A second series splits the incremental pass by rewind depth, using the
 // context's restart telemetry (lastRestartGraph / lastRestartPosition /
 // zeroDeltaServes):
-//   zero-delta  — the re-scheduled suffix came back entry-identical and the
-//                 cached result was served (downstream occupancy restored by
-//                 journal replay, no scheduling, no metrics);
+//   zero-delta  — the trial was exactly the solution last evaluated and the
+//                 cached result was served (no scheduling, no metrics);
 //   mid-graph   — the rewind landed on a fine checkpoint inside the restart
 //                 graph (only the commit-order suffix re-scheduled);
 //   graph-start — the rewind landed on a whole-graph checkpoint.

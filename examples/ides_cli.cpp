@@ -175,9 +175,10 @@ void usage() {
       "                 (publishes the manifest, participates, merges)\n"
       "  --worker D     join the sweep served at directory D, or at an\n"
       "                 ides_serve coordinator (http://HOST:PORT/KEY)\n"
-      "  --lease-seconds S  claim lease duration for serve/worker\n"
-      "                 (default 600; renewal heartbeats keep a live\n"
-      "                 worker's claim fresh, so slow instances are safe)\n"
+      "  --lease-seconds S  claim lease duration for serve/worker, in\n"
+      "                 (0, 1e6] (default 600; renewal heartbeats keep a\n"
+      "                 live worker's claim fresh, so slow instances are\n"
+      "                 safe)\n"
       "  --epoch N      store gc: reap records below fingerprint epoch N\n"
       "  --older-than AGE  store gc: reap records older than AGE\n"
       "                 (seconds, or s/m/h/d suffix: 2h, 30m, 7d)\n"
@@ -291,7 +292,10 @@ bool parse(int argc, char** argv, CliArgs& args) try {
     } else if (flag == "--worker") {
       args.workerDir = value;
     } else if (flag == "--lease-seconds") {
-      args.leaseSeconds = parseNumber(flag, value, 0.0);
+      args.leaseSeconds = parseNumber(flag, value, 0.0, kMaxLeaseSeconds);
+      if (args.leaseSeconds == 0.0) {
+        throw std::invalid_argument(flag + ": must be > 0");
+      }
     } else if (flag == "--cancel-after") {
       args.cancelAfter = parseNumber(flag, value, 0);
     } else if (flag == "--epoch") {
@@ -448,14 +452,7 @@ int cmdDesign(const CliArgs& args) {
   std::printf("evaluations: %zu  runtime: %.3fs\n", r.evaluations,
               r.seconds);
 
-  Schedule all;
-  all.merge(designer.frozenSchedule());
-  all.merge(r.schedule);
-  std::vector<GraphId> graphs = suite.system.graphsOfKind(AppKind::Existing);
-  const auto cur = suite.system.graphsOfKind(AppKind::Current);
-  graphs.insert(graphs.end(), cur.begin(), cur.end());
-  const ValidationReport report =
-      validateSchedule(suite.system, all, graphs);
+  const ValidationReport report = designer.validate(r);
   std::printf("validation: %s\n", report.ok() ? "ok" : "FAILED");
   if (!report.ok()) std::fputs(report.summary().c_str(), stdout);
   return report.ok() && r.feasible ? 0 : 1;

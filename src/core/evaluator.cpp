@@ -19,7 +19,6 @@ struct EvalTelemetry {
   Counter& zeroDelta;
   Counter& midGraph;
   Counter& graphStart;
-  Counter& journalReplays;
 };
 
 EvalTelemetry& evalTelemetry() {
@@ -28,17 +27,14 @@ EvalTelemetry& evalTelemetry() {
                           "Delta-aware schedule evaluations"),
       telemetry().counter(
           "ides_eval_rewind_depth_total",
-          "Evaluations by rewind depth: zero_delta served from the "
-          "journal, mid_graph resumed at a fine checkpoint, graph_start "
-          "re-scheduled from a whole-graph checkpoint",
+          "Evaluations by rewind depth: zero_delta re-read the solution "
+          "last evaluated, mid_graph resumed at a fine checkpoint, "
+          "graph_start re-scheduled from a whole-graph checkpoint",
           {{"depth", "zero_delta"}}),
       telemetry().counter("ides_eval_rewind_depth_total", "",
                           {{"depth", "mid_graph"}}),
       telemetry().counter("ides_eval_rewind_depth_total", "",
                           {{"depth", "graph_start"}}),
-      telemetry().counter(
-          "ides_eval_journal_replays_total",
-          "Downstream-tail journal replays during zero-delta serves"),
   };
   return handles;
 }
@@ -181,22 +177,12 @@ EvalContext::EvalContext(const SolutionEvaluator& evaluator)
   state_.setJournaling(true);
   const std::size_t n = ev_->currentGraphs().size();
   checkpoints_.resize(n + 1);
-  graphIndex_.assign(sys_->graphs().size(), n);
-  for (std::size_t gi = 0; gi < n; ++gi) {
-    graphIndex_[ev_->currentGraphs()[gi].index()] = gi;
-  }
   fineMarks_.resize(n);
   fineCount_.assign(n, 0);
   nodeStamp_.assign(state_.nodeCount(), 0);
   occStamp_.assign(state_.bus().slotCount() *
                        static_cast<std::size_t>(state_.roundCount()),
                    0);
-}
-
-std::size_t EvalContext::indexOfGraph(GraphId g) const {
-  // An invalid or foreign graph degrades to a full pass, never to UB.
-  if (!g.valid() || g.index() >= graphIndex_.size()) return 0;
-  return graphIndex_[g.index()];
 }
 
 bool EvalContext::graphEntriesEqual(const MappingSolution& a,
@@ -315,7 +301,9 @@ EvalResult EvalContext::evaluate(const MappingSolution& solution) {
 
 EvalResult EvalContext::evaluate(const MappingSolution& solution,
                                  const MoveHint& hint) {
-  std::size_t gi = restartIndex(solution, indexOfGraph(hint.graph));
+  // An invalid or foreign graph maps to the graph count; restartIndex still
+  // verifies the prefix from graph 0, so that costs a scan, never a result.
+  std::size_t gi = restartIndex(solution, ev_->graphIndexOf(hint.graph));
   std::size_t pos = 0;
   while (gi < validGraphs_) {
     pos = restartPosition(solution, gi);
@@ -351,6 +339,7 @@ EvalResult EvalContext::run(const MappingSolution& solution,
   if (firstGraph == n && resultValid_) {
     // Re-reading the solution already committed: the state, the log and the
     // cached result all describe it verbatim.
+    ++zeroDeltaServes_;
     evalTelemetry().zeroDelta.add();
     graphsReused_ += n;
     lastRestartGraph_ = n;
@@ -384,41 +373,6 @@ EvalResult EvalContext::run(const MappingSolution& solution,
     restartMark = cp.mark;
     pc0 = cp.processCount;
     mc0 = cp.messageCount;
-  }
-
-  // Zero-delta candidate: every graph is committed for the reference and
-  // the caller wants the plain result. Save the suffix being re-scheduled;
-  // if it comes back entry-identical and the downstream graphs' mapping
-  // entries are untouched, the whole evaluation is the cached one.
-  const bool trySkip = resultValid_ && validGraphs_ == n && firstGraph < n &&
-                       outcomeOut == nullptr && slackOut == nullptr;
-  if (trySkip) {
-    oldProcs_.assign(
-        processes_.begin() + static_cast<std::ptrdiff_t>(pc0),
-        processes_.begin() +
-            static_cast<std::ptrdiff_t>(checkpoints_[firstGraph + 1].processCount));
-    oldMsgs_.assign(
-        messages_.begin() + static_cast<std::ptrdiff_t>(mc0),
-        messages_.begin() +
-            static_cast<std::ptrdiff_t>(checkpoints_[firstGraph + 1].messageCount));
-    if (firstGraph + 1 < n) {
-      // Also save the downstream graphs' tail (entries, arrival bounds and
-      // journal records) so a confirmed zero-delta restores it verbatim
-      // instead of re-scheduling every graph behind the restart graph.
-      const Checkpoint& cpNext = checkpoints_[firstGraph + 1];
-      tailProcs_.assign(
-          processes_.begin() + static_cast<std::ptrdiff_t>(cpNext.processCount),
-          processes_.end());
-      tailMsgs_.assign(
-          messages_.begin() + static_cast<std::ptrdiff_t>(cpNext.messageCount),
-          messages_.end());
-      tailArrivals_.assign(
-          arrivals_.begin() + static_cast<std::ptrdiff_t>(cpNext.processCount),
-          arrivals_.end());
-      const std::vector<PlatformState::JournalEntry>& j = state_.journal();
-      tailJournal_.assign(j.begin() + static_cast<std::ptrdiff_t>(cpNext.mark),
-                          j.end());
-    }
   }
 
   // Dirty tracking for the metrics cache: the records about to be undone
@@ -474,51 +428,6 @@ EvalResult EvalContext::run(const MappingSolution& solution,
     misses = checkpoints_[gi].deadlineMisses + r.deadlineMisses;
     lateness = checkpoints_[gi].lateness + r.totalLateness;
     validGraphs_ = gi + 1;
-
-    if (gi == firstGraph && trySkip) {
-      // Entry-identical suffix: the journal grew back identically, so the
-      // platform state after this graph is byte for byte the one the cached
-      // result was computed from. If the remaining graphs' mapping entries
-      // are also unchanged they would re-commit identically too (each
-      // graph's placement is a pure function of its entries and the state
-      // before it) — so instead of re-running their schedulers, their saved
-      // occupancy and entries are restored verbatim and the cached result
-      // is served.
-      bool identical =
-          processes_.size() - pc0 == oldProcs_.size() &&
-          messages_.size() - mc0 == oldMsgs_.size() &&
-          std::equal(oldProcs_.begin(), oldProcs_.end(),
-                     processes_.begin() + static_cast<std::ptrdiff_t>(pc0)) &&
-          std::equal(oldMsgs_.begin(), oldMsgs_.end(),
-                     messages_.begin() + static_cast<std::ptrdiff_t>(mc0));
-      for (std::size_t gj = gi + 1; identical && gj < n; ++gj) {
-        identical = graphEntriesEqual(reference_, solution, gj);
-      }
-      if (identical) {
-        if (gi + 1 < n) {
-          // Restore the downstream tail saved before the rewind. The replay
-          // goes through the normal occupy paths, so the journal regrows by
-          // byte-identical records: every downstream checkpoint, fine mark
-          // and the final tally checkpoint stay valid as-is.
-          evalTelemetry().journalReplays.add();
-          state_.replay(tailJournal_.data(),
-                        tailJournal_.data() + tailJournal_.size());
-          processes_.insert(processes_.end(), tailProcs_.begin(),
-                            tailProcs_.end());
-          messages_.insert(messages_.end(), tailMsgs_.begin(),
-                           tailMsgs_.end());
-          arrivals_.insert(arrivals_.end(), tailArrivals_.begin(),
-                           tailArrivals_.end());
-          graphsReused_ += n - gi - 1;
-          validGraphs_ = n;
-        }
-        ++zeroDeltaServes_;
-        evalTelemetry().zeroDelta.add();
-        reference_ = solution;
-        hasReference_ = true;
-        return result_;
-      }
-    }
   }
   if (placed) {
     checkpoints_[n] = {state_.mark(), processes_.size(), messages_.size(),

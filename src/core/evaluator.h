@@ -82,8 +82,8 @@ class SolutionEvaluator {
   /// Stateless full-pass evaluation (copies the baseline every call). The
   /// inner loops use EvalContext instead; this stays as the one-shot API
   /// and as the reference the EvalContext tests compare against. It runs
-  /// the same scheduling loop, so it checks the rewinds, the zero-delta
-  /// serves and the metrics cache, not the loop itself (the scheduler
+  /// the same scheduling loop, so it checks the rewinds, the exact
+  /// re-reads and the metrics cache, not the loop itself (the scheduler
   /// suite checks that against a ready-heap reference).
   [[nodiscard]] EvalResult evaluate(const MappingSolution& solution) const;
 
@@ -163,16 +163,15 @@ class SolutionEvaluator {
 /// solution against the last evaluated one, rewinds to the fine checkpoint
 /// before the first commit-order position whose placement can differ, and
 /// re-schedules only the suffix from there (the graphs after the restart
-/// graph re-schedule whole, from their own checkpoints). Two accelerations
-/// sit on top:
-///  * zero-delta serve — when the re-scheduled suffix of the restart graph
-///    comes out entry-identical and the downstream graphs' mapping entries
-///    are unchanged, the platform state is provably byte-identical to the
-///    reference, and the cached EvalResult is returned without scheduling
-///    or metrics work;
-///  * incremental metrics — an IncrementalMetrics snapshot is kept in sync
-///    from the platform journal's dirty entries, so C1 containers and C2
-///    window minima are recomputed only where occupancy changed.
+/// graph re-schedule whole, from their own checkpoints). An
+/// IncrementalMetrics snapshot is kept in sync from the platform journal's
+/// dirty entries, so C1 containers and C2 window minima are recomputed only
+/// where occupancy changed. The hint and output overloads, given exactly the
+/// solution last evaluated (MH re-reading its incumbent, a final
+/// evaluation), re-schedule nothing and return the cached result. A move
+/// that leaves the schedule unchanged is re-scheduled like any other;
+/// proving that before evaluating is the caller's business (SA's
+/// ZeroDeltaFilter, core/simulated_annealing.h).
 /// Results stay bit-identical to the full pass by construction — the
 /// context verifies (never trusts) the hint, so a stale hint costs
 /// performance, not correctness. Not thread-safe: each optimization thread
@@ -207,8 +206,8 @@ class EvalContext {
     return graphsScheduled_;
   }
   [[nodiscard]] std::size_t graphsReused() const { return graphsReused_; }
-  /// Evaluations answered from the cached result because the re-scheduled
-  /// suffix came out entry-identical (zero-delta serve).
+  /// Evaluations answered from the cached result because the solution was
+  /// exactly the one last evaluated (an exact re-read).
   [[nodiscard]] std::size_t zeroDeltaServes() const {
     return zeroDeltaServes_;
   }
@@ -254,8 +253,6 @@ class EvalContext {
     Time lateness = 0;       ///< cumulative, before this graph
   };
 
-  /// Index of `g` in currentGraphs(), or currentGraphs().size() if absent.
-  [[nodiscard]] std::size_t indexOfGraph(GraphId g) const;
   /// True if `a` and `b` agree on every entry of graph `gi`'s processes and
   /// messages.
   [[nodiscard]] bool graphEntriesEqual(const MappingSolution& a,
@@ -306,7 +303,6 @@ class EvalContext {
   /// Graphs of `reference_` currently committed in `state_` (a failed
   /// placement leaves only the prefix before the failed graph).
   std::size_t validGraphs_ = 0;
-  std::vector<std::size_t> graphIndex_;  // by GraphId::index()
 
   /// Fine checkpoints: one JobCheckpoint per commit-order position, per
   /// graph; fineCount_[gi] positions are valid (jobCount once the graph is
@@ -318,7 +314,7 @@ class EvalContext {
   std::vector<Time> arrivals_;
 
   /// Cached result of the last fully placed evaluation; served verbatim by
-  /// the zero-delta paths (the schedule is provably identical there).
+  /// an exact re-read (the state still holds that solution).
   EvalResult result_;
   bool resultValid_ = false;
 
@@ -329,20 +325,6 @@ class EvalContext {
   std::vector<std::uint32_t> nodeStamp_;  // per node, == stamp_ if dirty
   std::vector<std::uint32_t> occStamp_;   // per slot occurrence
   std::uint32_t stamp_ = 0;
-
-  /// Zero-delta suffix comparison scratch (the re-scheduled entries of the
-  /// restart graph before the rewind).
-  std::vector<ScheduledProcess> oldProcs_;
-  std::vector<ScheduledMessage> oldMsgs_;
-  /// Saved downstream tail (graphs after the restart graph) for the
-  /// zero-delta serve: entries, arrival bounds and journal records captured
-  /// before the rewind and restored verbatim — via PlatformState::replay —
-  /// when the restart graph's suffix comes back entry-identical, instead of
-  /// re-running the downstream schedulers.
-  std::vector<ScheduledProcess> tailProcs_;
-  std::vector<ScheduledMessage> tailMsgs_;
-  std::vector<Time> tailArrivals_;
-  std::vector<PlatformState::JournalEntry> tailJournal_;
 
   std::size_t evaluations_ = 0;
   std::size_t graphsScheduled_ = 0;

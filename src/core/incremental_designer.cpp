@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "model/system_model.h"
 
@@ -29,6 +30,16 @@ RunReport IncrementalDesigner::run(const std::string& strategyName) {
 RunReport IncrementalDesigner::run(const std::string& strategyName,
                                    RunContext& context) {
   return runStrategy(strategyName, options_, *evaluator_, context);
+}
+
+ValidationReport IncrementalDesigner::validate(const RunReport& result) const {
+  Schedule all;
+  all.merge(frozen_.schedule);
+  all.merge(result.schedule);
+  std::vector<GraphId> graphs = sys_->graphsOfKind(AppKind::Existing);
+  const std::vector<GraphId> current = sys_->graphsOfKind(AppKind::Current);
+  graphs.insert(graphs.end(), current.begin(), current.end());
+  return validateSchedule(*sys_, all, graphs);
 }
 
 }  // namespace ides

@@ -22,6 +22,7 @@
 #include "core/metrics.h"
 #include "core/optimizer.h"
 #include "sched/schedule.h"
+#include "sched/validate.h"
 
 namespace ides {
 
@@ -59,6 +60,11 @@ class IncrementalDesigner {
     return frozen_.schedule;
   }
   [[nodiscard]] const FrozenBase& frozenBase() const { return frozen_; }
+
+  /// validateSchedule over the frozen schedule of the existing applications
+  /// merged with `result`'s schedule of the current one, on the existing
+  /// and current graphs.
+  [[nodiscard]] ValidationReport validate(const RunReport& result) const;
 
   /// Platform state with a result committed; input for future-fit checks.
   [[nodiscard]] PlatformState stateWith(const RunReport& result) const {

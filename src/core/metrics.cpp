@@ -293,9 +293,9 @@ DesignMetrics computeMetrics(const SlackInfo& slack,
 void IncrementalMetrics::refreshNode(const PlatformState& state,
                                      std::size_t n) {
   const NodeId id{static_cast<std::int32_t>(n)};
-  // Rollback + replay commonly restores the exact occupancy (a rejected
-  // move, or the untouched part of a partial rewind); recompute the free
-  // set first and bail before touching the counts when nothing changed.
+  // A rollback and re-schedule commonly restores the exact occupancy (a
+  // rejected move, or the untouched part of a partial rewind); recompute the
+  // free set first and bail before touching the counts when nothing changed.
   state.nodeBusy(id).complementWithinInto({0, horizon_}, scratchSet_);
   IntervalSet& free = nodeFree_[n];
   if (scratchSet_ == free) return;

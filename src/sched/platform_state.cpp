@@ -128,17 +128,6 @@ void PlatformState::rollbackTo(Mark m) {
   journal_.resize(m);
 }
 
-void PlatformState::replay(const JournalEntry* first,
-                           const JournalEntry* last) {
-  for (const JournalEntry* e = first; e != last; ++e) {
-    if (e->kind == JournalEntry::Kind::Node) {
-      occupyNode(NodeId{static_cast<std::int32_t>(e->index)}, e->iv);
-    } else {
-      occupyBus(e->index, e->round, e->txTicks);
-    }
-  }
-}
-
 Time PlatformState::totalNodeSlack() const {
   Time total = 0;
   for (const IntervalSet& busy : nodeBusy_) {

@@ -42,8 +42,7 @@ class PlatformState {
 
   /// Mark [iv.start, iv.end) busy. The range must be free and within the
   /// horizon (throws std::logic_error otherwise — a scheduler bug). For
-  /// callers that bring their own interval: journal replay, the frozen
-  /// base, tests.
+  /// callers that bring their own interval: tests and benches.
   void occupyNode(NodeId node, Interval iv);
 
   /// Occupy the earliestFit(node, after, duration) slot and return its
@@ -140,14 +139,6 @@ class PlatformState {
   [[nodiscard]] const std::vector<JournalEntry>& journal() const {
     return journal_;
   }
-
-  /// Re-apply journal records captured before a rollback, through the normal
-  /// occupy paths (same validation, cursor maintenance and journaling as the
-  /// original commits — the journal grows by byte-identical records). Used
-  /// by the zero-delta serve in EvalContext: when a mid-graph rewind turns
-  /// out to have changed nothing, the downstream graphs' occupancy is
-  /// restored verbatim instead of re-running their schedulers.
-  void replay(const JournalEntry* first, const JournalEntry* last);
 
  private:
 

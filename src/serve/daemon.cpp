@@ -410,9 +410,6 @@ HttpResponse routeSweeps(ServeRuntime& runtime,
       const double lease = body.find("lease_seconds") != nullptr
                                ? body.numberAt("lease_seconds")
                                : 600.0;
-      if (!(lease > 0.0)) {
-        return errorResponse(400, "lease_seconds must be > 0");
-      }
       const CoordinatorClaim claim =
           sweeps.claim(key, body.stringAt("worker"), lease);
       switch (claim.kind) {

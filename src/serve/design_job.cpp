@@ -2,10 +2,7 @@
 
 #include <cstdio>
 #include <utility>
-#include <vector>
 
-#include "model/system_model.h"
-#include "sched/validate.h"
 #include "util/json_reader.h"
 
 namespace ides {
@@ -18,19 +15,10 @@ std::string num(double value) {
   return buf;
 }
 
-/// The design job's probe: validateSchedule over the frozen schedule of
-/// the existing applications plus the reported schedule of the current one.
+/// The design job's probe: the designer's schedule validation.
 void validationProbe(const IncrementalDesigner& designer,
                      const RunReport& report, BatchExtras& extras) {
-  const SystemModel& sys = designer.system();
-  Schedule all;
-  all.merge(designer.frozenSchedule());
-  all.merge(report.schedule);
-  std::vector<GraphId> graphs = sys.graphsOfKind(AppKind::Existing);
-  const auto cur = sys.graphsOfKind(AppKind::Current);
-  graphs.insert(graphs.end(), cur.begin(), cur.end());
-  extras.add("validation_ok",
-             validateSchedule(sys, all, graphs).ok() ? 1.0 : 0.0);
+  extras.add("validation_ok", designer.validate(report).ok() ? 1.0 : 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "serve/sweep_coordinator.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 
 #include "core/batch_suites.h"
@@ -115,6 +116,13 @@ void SweepCoordinator::expireLeasesLocked(Sweep& sweep) const {
 CoordinatorClaim SweepCoordinator::claim(const std::string& key,
                                          const std::string& worker,
                                          double leaseSeconds) {
+  if (!(leaseSeconds > 0.0 && leaseSeconds <= kMaxLeaseSeconds)) {
+    char message[96];
+    std::snprintf(message, sizeof(message),
+                  "lease_seconds must be in (0, %g] (got %g)",
+                  kMaxLeaseSeconds, leaseSeconds);
+    throw std::invalid_argument(message);
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   Sweep& sweep = sweepAt(key);
   expireLeasesLocked(sweep);

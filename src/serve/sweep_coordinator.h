@@ -72,7 +72,8 @@ class SweepCoordinator {
 
   /// Hands out the first instance with no record and no live lease.
   /// Expired leases are dropped here (the single-arbiter equivalent of
-  /// stale-lease reclaim). Throws std::invalid_argument on an unknown key.
+  /// stale-lease reclaim). Throws std::invalid_argument on an unknown key
+  /// or a `leaseSeconds` outside (0, kMaxLeaseSeconds].
   CoordinatorClaim claim(const std::string& key, const std::string& worker,
                          double leaseSeconds);
 

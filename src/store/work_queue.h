@@ -72,6 +72,12 @@ struct SweepManifest {
 /// transport's sweep identifier): non-empty [A-Za-z0-9._-], at most 128.
 bool validSweepKey(std::string_view key);
 
+/// Longest claim lease, in seconds (about 11.6 days), that
+/// SweepCoordinator::claim and `ides_cli sweep --lease-seconds` accept: a
+/// lease lies in (0, kMaxLeaseSeconds]. Far longer ones overflow the
+/// steady_clock expiry they are added to.
+inline constexpr double kMaxLeaseSeconds = 1e6;
+
 /// Builds the manifest for a named sweep's suite (fingerprints computed
 /// against the suite's canonical instance list).
 SweepManifest makeManifest(const std::string& sweepName,

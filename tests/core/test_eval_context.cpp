@@ -10,6 +10,7 @@
 #include "core/parallel_annealing.h"
 #include "core/simulated_annealing.h"
 #include "model/system_model.h"
+#include "obs/telemetry.h"
 #include "reference_annealing.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
@@ -83,6 +84,37 @@ class EvalContextTest : public ::testing::Test {
       hint.message = m;
     }
     return hint;
+  }
+
+  /// A provable zero-delta move: a start-hint bump on a process whose
+  /// arrival bound shadows the new hint on every instance
+  /// (k*P + hint <= arrival), so the scheduler never reads it. Applies the
+  /// move to `solution` and returns its hint; the hint is invalid when no
+  /// process of the instance qualifies. Reads the arrival bounds of `ctx`,
+  /// which must have just evaluated `solution`.
+  MoveHint arrivalShadowedMove(const EvalContext& ctx,
+                               MappingSolution& solution) const {
+    const SystemModel& sys = suite_->system;
+    for (GraphId g : evaluator_->currentGraphs()) {
+      const ProcessGraph& graph = sys.graph(g);
+      const std::int64_t instances = sys.instanceCount(g);
+      for (const ProcessId p : graph.processes) {
+        Time shadow = graph.deadline;  // min over instances of arrival - k*P
+        for (std::int64_t k = 0; k < instances; ++k) {
+          const Time arrival = ctx.arrivalBounds()[evaluator_->jobIndexOf(
+              p, static_cast<std::int32_t>(k))];
+          shadow = std::min(shadow, arrival - k * graph.period);
+        }
+        if (shadow > 0 && shadow != solution.startHint(p)) {
+          solution.setStartHint(p, shadow);
+          MoveHint hint;
+          hint.graph = g;
+          hint.process = p;
+          return hint;
+        }
+      }
+    }
+    return {};
   }
 
   static void expectBitIdentical(const EvalResult& a, const EvalResult& b) {
@@ -178,64 +210,25 @@ TEST_F(EvalContextTest, RandomizedMoveSequenceIsBitIdentical) {
   }
   EXPECT_GT(refreshes, 0);
   // The delta engine must have actually skipped work, not silently done
-  // full passes — including whole evaluations served from the cached
-  // result when a hint move left the schedule entry-identical.
+  // full passes.
   EXPECT_GT(ctx.graphsReused(), 0u);
-  EXPECT_GT(ctx.zeroDeltaServes(), 0u);
 }
 
-TEST_F(EvalContextTest, ZeroDeltaHintMoveIsServedByJournalReplay) {
-  // Construct a provable zero-delta: pick a process whose arrival bound
-  // shadows a start-hint bump on every instance (k*P + hint <= arrival),
-  // so the scheduler never reads the changed hint. The context must serve
-  // the cached result after re-scheduling only the restart graph — the
-  // downstream graphs' occupancy is restored by journal replay.
+TEST_F(EvalContextTest, ArrivalShadowedHintMoveIsBitIdentical) {
+  // A start-hint move the scheduler never reads re-schedules from the
+  // restart graph like any other move, and must come out bit-identical.
   EvalContext ctx(*evaluator_);
   ASSERT_TRUE(ctx.evaluate(initial_).feasible);
 
-  const SystemModel& sys = suite_->system;
-  ProcessId victim;
-  GraphId victimGraph;
-  Time newHint = 0;
-  for (GraphId g : evaluator_->currentGraphs()) {
-    const ProcessGraph& graph = sys.graph(g);
-    const std::int64_t instances = sys.instanceCount(g);
-    for (const ProcessId p : graph.processes) {
-      Time shadow = graph.deadline;  // min over instances of arrival - k*P
-      for (std::int64_t k = 0; k < instances; ++k) {
-        const Time arrival = ctx.arrivalBounds()[evaluator_->jobIndexOf(
-            p, static_cast<std::int32_t>(k))];
-        shadow = std::min(shadow, arrival - k * graph.period);
-      }
-      if (shadow > 0 && shadow != initial_.startHint(p)) {
-        victim = p;
-        victimGraph = g;
-        newHint = shadow;
-        break;
-      }
-    }
-    if (victim.valid()) break;
-  }
-  ASSERT_TRUE(victim.valid())
-      << "instance has no arrival-shadowed process to exercise the serve";
-
   MappingSolution trial = initial_;
-  trial.setStartHint(victim, newHint);
-  MoveHint hint;
-  hint.graph = victimGraph;
-  hint.process = victim;
+  const MoveHint hint = arrivalShadowedMove(ctx, trial);
+  ASSERT_TRUE(hint.graph.valid())
+      << "instance has no arrival-shadowed process to exercise";
+  expectBitIdentical(ctx.evaluate(trial, hint), evaluator_->evaluate(trial));
 
-  const std::size_t scheduledBefore = ctx.graphsScheduled();
-  const std::size_t servesBefore = ctx.zeroDeltaServes();
-  const EvalResult r = ctx.evaluate(trial, hint);
-  expectBitIdentical(r, evaluator_->evaluate(trial));
-  EXPECT_EQ(ctx.zeroDeltaServes(), servesBefore + 1);
-  // Only the restart graph was re-scheduled; everything downstream was
-  // replayed, not re-run.
-  EXPECT_LE(ctx.graphsScheduled(), scheduledBefore + 1);
-
-  // The restored state must keep serving exact results for follow-up moves
-  // (the replay left checkpoints, fine marks and the metrics cache whole).
+  // The context must keep serving exact results for follow-up moves (the
+  // re-scheduled state left checkpoints, fine marks and the metrics cache
+  // whole).
   Rng rng(17);
   MappingSolution current = trial;
   for (int step = 0; step < 40; ++step) {
@@ -244,6 +237,44 @@ TEST_F(EvalContextTest, ZeroDeltaHintMoveIsServedByJournalReplay) {
     expectBitIdentical(ctx.evaluate(next, h), evaluator_->evaluate(next));
     if (rng.chance(0.5)) current = std::move(next);
   }
+}
+
+TEST_F(EvalContextTest, OnlyAnExactReReadIsServedFromTheCache) {
+  // The one cached-result path: the solution last evaluated, evaluated
+  // again. zeroDeltaServes() and ides_eval_rewind_depth_total
+  // {depth="zero_delta"} count it, and nothing else.
+  const bool wasEnabled = telemetryEnabled();
+  setTelemetryEnabled(true);
+  EvalContext ctx(*evaluator_);
+  ASSERT_TRUE(ctx.evaluate(initial_).feasible);
+  Counter& zeroDelta = telemetry().counter(
+      "ides_eval_rewind_depth_total", "", {{"depth", "zero_delta"}});
+  const auto expectServes = [&](std::size_t serves, std::uint64_t counted) {
+    EXPECT_EQ(ctx.zeroDeltaServes(), serves);
+    EXPECT_EQ(zeroDelta.value(), counted);
+  };
+  const std::size_t serves = ctx.zeroDeltaServes();
+  const std::uint64_t counted = zeroDelta.value();
+
+  // Re-read with a hint, then without one (the output overload).
+  MoveHint anyGraph;
+  anyGraph.graph = evaluator_->currentGraphs().back();
+  expectBitIdentical(ctx.evaluate(initial_, anyGraph),
+                     evaluator_->evaluate(initial_));
+  expectServes(serves + 1, counted + 1);
+  SlackInfo slack;
+  expectBitIdentical(ctx.evaluate(initial_, nullptr, &slack),
+                     evaluator_->evaluate(initial_));
+  expectServes(serves + 2, counted + 2);
+
+  // A schedule-identical move is re-scheduled, not served.
+  MappingSolution trial = initial_;
+  const MoveHint hint = arrivalShadowedMove(ctx, trial);
+  ASSERT_TRUE(hint.graph.valid())
+      << "instance has no arrival-shadowed process to exercise";
+  expectBitIdentical(ctx.evaluate(trial, hint), evaluator_->evaluate(trial));
+  expectServes(serves + 2, counted + 2);
+  setTelemetryEnabled(wasEnabled);
 }
 
 TEST_F(EvalContextTest, PoolResyncAfterPartialRewindIsBitIdentical) {

@@ -1,6 +1,6 @@
 // IncrementalMetrics against the from-scratch metrics, step by step, on a
 // journaled PlatformState: random node and bus occupies, rollbacks to
-// earlier marks, and replays of the rolled-back records — including steps
+// earlier marks, and re-commits of the rolled-back records — including steps
 // that restore identical occupancy and steps that split or merge one gap.
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ std::size_t freeIntervalCount(const PlatformState& st) {
 }
 
 /// The walk: one journaled state, the cache under test, and the records a
-/// rollback undid (replayable while the state still sits at their mark).
+/// rollback undid (re-committable while the state still sits at their mark).
 class Walk {
  public:
   explicit Walk(std::uint64_t seed)
@@ -72,7 +72,7 @@ class Walk {
     } else if (kind < 70) {
       rollback();
     } else if (kind < 80) {
-      replayPending();
+      recommitPending();
     } else if (kind < 90) {
       // Occupy, then undo it before the cache looks: identical occupancy.
       const PlatformState::Mark m = state_.mark();
@@ -83,17 +83,17 @@ class Walk {
       marks_.resize(marksBefore);
       pendingValid_ = false;
     } else {
-      // Rewind and replay at once, the zero-delta serve's pattern:
-      // identical occupancy again.
+      // Rewind and re-commit the same records at once, a re-schedule that
+      // comes back unchanged: identical occupancy again.
       rollback();
-      replayPending();
+      recommitPending();
     }
     expectSynced();
   }
 
   int splits = 0;
   int merges = 0;
-  int replays = 0;
+  int recommits = 0;
 
  private:
   void occupyNode() {
@@ -140,11 +140,19 @@ class Walk {
     pendingValid_ = true;
   }
 
-  void replayPending() {
+  /// Re-commits the records the last rollback undid, oldest first, through
+  /// the occupy paths: the journal grows back by the same records.
+  void recommitPending() {
     if (!pendingValid_) return;
-    state_.replay(pending_.data(), pending_.data() + pending_.size());
+    for (const PlatformState::JournalEntry& e : pending_) {
+      if (e.kind == PlatformState::JournalEntry::Kind::Node) {
+        state_.occupyNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
+      } else {
+        state_.occupyBus(e.index, e.round, e.txTicks);
+      }
+    }
     pendingValid_ = false;
-    replays += 1;
+    recommits += 1;
   }
 
   void expectSynced() {
@@ -181,7 +189,7 @@ TEST(IncrementalMetricsProperty, MatchesComputeMetricsUnderJournalChurn) {
     }
     EXPECT_GT(walk.splits, 20) << "seed " << seed;
     EXPECT_GT(walk.merges, 10) << "seed " << seed;
-    EXPECT_GT(walk.replays, 10) << "seed " << seed;
+    EXPECT_GT(walk.recommits, 10) << "seed " << seed;
   }
 }
 

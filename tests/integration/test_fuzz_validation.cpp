@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/incremental_designer.h"
-#include "model/system_model.h"
-#include "sched/validate.h"
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
 
@@ -45,19 +43,11 @@ TEST_P(FuzzValidation, EveryStrategyProducesAValidatedSchedule) {
   opts.sa.iterations = 400;
   IncrementalDesigner designer(suite.system, suite.profile, opts);
 
-  std::vector<GraphId> graphs =
-      suite.system.graphsOfKind(AppKind::Existing);
-  const auto cur = suite.system.graphsOfKind(AppKind::Current);
-  graphs.insert(graphs.end(), cur.begin(), cur.end());
-
   for (const char* s : {"AH", "MH", "SA"}) {
     const RunReport r = designer.run(s);
     ASSERT_TRUE(r.feasible) << s;
-    Schedule all;
-    all.merge(designer.frozenSchedule());
-    all.merge(r.schedule);
-    const ValidationReport report =
-        validateSchedule(suite.system, all, graphs);
+    // validateSchedule over the frozen plus current schedules.
+    const ValidationReport report = designer.validate(r);
     EXPECT_TRUE(report.ok()) << s << ": " << report.summary();
   }
 }

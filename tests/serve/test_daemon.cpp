@@ -360,6 +360,44 @@ TEST(RouteRequest, SweepLifecycleOverHttpRoutes) {
       409);
 }
 
+TEST(RouteRequest, ClaimLeaseIsBoundedSoNoInstanceIsHandedOutTwice) {
+  JobManager jobs(JobManagerOptions{});
+  const std::string storeDir =
+      ::testing::TempDir() + "ides_daemon_lease_bound_store";
+  std::filesystem::remove_all(storeDir);
+  SweepCoordinator coordinator(storeDir);
+  ServeRuntime runtime{jobs, &coordinator, storeDir};
+  ASSERT_EQ(routeRequest(runtime,
+                         makeRequest("POST", "/sweeps/leases",
+                                     "{\"sweep\": \"quality\", "
+                                     "\"scale\": \"smoke\"}"))
+                .status,
+            200);
+  const auto claim = [&](const std::string& worker, const char* lease) {
+    return routeRequest(
+        runtime, makeRequest("POST", "/sweeps/leases/claim",
+                             "{\"worker\": " + jsonQuote(worker) +
+                                 ", \"lease_seconds\": " + lease + "}"));
+  };
+
+  // A lease past the bound would overflow its steady_clock expiry into the
+  // past, so the next claim would hand the same instance out again.
+  for (const char* lease : {"1e300", "2e6", "0", "-1"}) {
+    const HttpResponse refused = claim("w1", lease);
+    EXPECT_EQ(refused.status, 400) << lease;
+    EXPECT_NE(refused.body.find("lease_seconds"), std::string::npos)
+        << refused.body;
+  }
+
+  // The longest lease accepted still holds against a second worker.
+  const HttpResponse first = claim("w1", "1e6");
+  ASSERT_EQ(first.status, 200) << first.body;
+  const HttpResponse second = claim("w2", "60");
+  ASSERT_EQ(second.status, 200) << second.body;
+  EXPECT_NE(parseJson(first.body).at("claimed").stringAt("fingerprint"),
+            parseJson(second.body).at("claimed").stringAt("fingerprint"));
+}
+
 TEST(ServeConfig, ParsesKeysCommentsAndBlanks) {
   ServeOptions options;
   std::string error;
