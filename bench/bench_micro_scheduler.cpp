@@ -1,7 +1,7 @@
 // Micro-benchmarks of the evaluation inner loop (ablation A3 in DESIGN.md):
-// platform-state copy, list scheduling, slack extraction. These dominate
-// the runtime of MH and SA, so their throughput is what makes the paper's
-// heuristics tractable at 400+320 processes.
+// platform-state copy, list scheduling, the EvalContext walk, slack
+// extraction. These dominate the runtime of MH and SA, so their throughput
+// is what makes the paper's heuristics tractable at 400+320 processes.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -73,41 +73,48 @@ void BM_ScheduleCurrentApplication(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleCurrentApplication)->Arg(40)->Arg(80)->Arg(160)->Arg(320);
 
-// The EvalContext rewind in isolation: the current application's schedule
-// is committed onto a journaled copy of the frozen base once, then every
-// iteration rolls it back to the floor (arg 0, a full-pass rewind) or to the
-// journal's midpoint (arg 1, a mid-graph mark) and re-commits the undone
-// records untimed. Only rollbackTo is on the clock.
-void BM_JournalRollback(benchmark::State& state) {
+// The EvalContext walk in isolation: a context alternates between the
+// initial mapping and one single-process move of it, so every evaluation
+// walks from the moved process's first job, keeping or re-placing the jobs
+// after it (arg 0: a start-hint move, arg 1: a re-map onto another allowed
+// node). Counters: jobs visited and re-placed per evaluation.
+void BM_EvalContextWalk(benchmark::State& state) {
   Instance& inst = instanceFor(320);
   const SystemModel& sys = inst.suite.system;
-  ScheduleRequest req;
-  req.graphs = sys.graphsOfKind(AppKind::Current);
-  req.mapping = &inst.mapping;
-  PlatformState journaled = inst.frozen.state;
-  journaled.setJournaling(true);
-  scheduleGraphs(sys, req, journaled);
-  const std::vector<PlatformState::JournalEntry> records = journaled.journal();
-  const PlatformState::Mark target =
-      state.range(0) == 0 ? 0 : records.size() / 2;
-  for (auto _ : state) {
-    journaled.rollbackTo(target);
-    benchmark::ClobberMemory();
-    state.PauseTiming();
-    for (std::size_t i = target; i < records.size(); ++i) {
-      const PlatformState::JournalEntry& e = records[i];
-      if (e.kind == PlatformState::JournalEntry::Kind::Node) {
-        journaled.occupyNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
-      } else {
-        journaled.occupyBus(e.index, e.round, e.txTicks);
+  const SolutionEvaluator eval(sys, inst.frozen.state, inst.suite.profile,
+                               MetricWeights{});
+  const std::vector<ProcessId>& procs =
+      sys.graph(eval.currentGraphs().front()).processes;
+  const ProcessId p = procs[procs.size() / 2];
+  MappingSolution moved = inst.mapping;
+  moved.setStartHint(p, moved.startHint(p) + 7);
+  if (state.range(0) == 1) {
+    for (const NodeId n : sys.process(p).allowedNodes()) {
+      if (n != inst.mapping.nodeOf(p)) {
+        moved = inst.mapping;
+        moved.setNode(p, n);
+        break;
       }
     }
-    state.ResumeTiming();
   }
-  state.SetLabel(state.range(0) == 0 ? "floor" : "mid-graph");
-  state.counters["undone"] = static_cast<double>(records.size() - target);
+  EvalContext ctx(eval);
+  ctx.evaluate(inst.mapping);
+  const std::size_t visited = ctx.jobsVisited();
+  const std::size_t replaced = ctx.jobsReplaced();
+  bool back = false;
+  for (auto _ : state) {
+    const EvalResult r = ctx.evaluate(back ? inst.mapping : moved);
+    benchmark::DoNotOptimize(r.cost);
+    back = !back;
+  }
+  const auto evaluations = static_cast<double>(state.iterations());
+  state.SetLabel(state.range(0) == 0 ? "start-hint" : "re-map");
+  state.counters["visited"] =
+      static_cast<double>(ctx.jobsVisited() - visited) / evaluations;
+  state.counters["replaced"] =
+      static_cast<double>(ctx.jobsReplaced() - replaced) / evaluations;
 }
-BENCHMARK(BM_JournalRollback)->Arg(0)->Arg(1);
+BENCHMARK(BM_EvalContextWalk)->Arg(0)->Arg(1);
 
 void BM_SlackExtraction(benchmark::State& state) {
   Instance& inst = instanceFor(80);

@@ -26,22 +26,15 @@ TdmaBus::TdmaBus(std::vector<TdmaSlot> slots, std::int64_t bytesPerTick)
     }
     slotOffset_.push_back(offset);
     offset += s.length;
+    const std::size_t owner = s.owner.index();
+    if (owner >= slotOf_.size()) slotOf_.resize(owner + 1, -1);
+    slotOf_[owner] = static_cast<std::int32_t>(slotOffset_.size() - 1);
   }
   roundLength_ = offset;
 }
 
-std::size_t TdmaBus::slotOfNode(NodeId node) const {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].owner == node) return i;
-  }
+void TdmaBus::throwNoSlot() {
   throw std::out_of_range("TdmaBus: node has no slot");
-}
-
-bool TdmaBus::nodeHasSlot(NodeId node) const {
-  for (const TdmaSlot& s : slots_) {
-    if (s.owner == node) return true;
-  }
-  return false;
 }
 
 std::int64_t TdmaBus::firstRoundAtOrAfter(std::size_t i, Time t) const {

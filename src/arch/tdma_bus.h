@@ -37,11 +37,19 @@ class TdmaBus {
   [[nodiscard]] const std::vector<TdmaSlot>& slots() const { return slots_; }
   [[nodiscard]] std::int64_t bytesPerTick() const { return bytesPerTick_; }
 
-  /// Index of the slot owned by `node`. Throws if the node has no slot.
-  [[nodiscard]] std::size_t slotOfNode(NodeId node) const;
+  /// Index of the slot owned by `node`. Throws std::out_of_range if the
+  /// node has no slot. One table read: the scheduler asks for every bus
+  /// input it places.
+  [[nodiscard]] std::size_t slotOfNode(NodeId node) const {
+    if (!nodeHasSlot(node)) throwNoSlot();
+    return static_cast<std::size_t>(slotOf_[node.index()]);
+  }
 
   /// True if the node owns a slot (every mapped node must).
-  [[nodiscard]] bool nodeHasSlot(NodeId node) const;
+  [[nodiscard]] bool nodeHasSlot(NodeId node) const {
+    return node.valid() && node.index() < slotOf_.size() &&
+           slotOf_[node.index()] >= 0;
+  }
 
   /// Bytes a single occurrence of slot `i` can carry.
   [[nodiscard]] std::int64_t slotCapacityBytes(std::size_t i) const {
@@ -65,8 +73,11 @@ class TdmaBus {
   [[nodiscard]] std::int64_t firstRoundAtOrAfter(std::size_t i, Time t) const;
 
  private:
+  [[noreturn]] static void throwNoSlot();
+
   std::vector<TdmaSlot> slots_;
   std::vector<Time> slotOffset_;  // start offset of each slot within a round
+  std::vector<std::int32_t> slotOf_;  // by node index: slot, or -1
   Time roundLength_ = 0;
   std::int64_t bytesPerTick_ = 1;
 };

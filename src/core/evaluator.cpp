@@ -1,6 +1,9 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 
 #include "model/graph_algos.h"
 #include "model/system_model.h"
@@ -11,14 +14,17 @@ namespace ides {
 namespace {
 
 /// Handles cached once per process: EvalContext::run is the hottest path
-/// in the system, so each evaluation pays exactly one classification add
-/// (plus the evaluation counter) — a relaxed fetch_add on a sharded cell.
-/// Strictly write-only: no decision ever reads these back.
+/// in the system, so each evaluation pays one classification add plus the
+/// evaluation counter and, when it walks, one add per job kind — a relaxed
+/// fetch_add on a sharded cell each. Strictly write-only: no decision ever
+/// reads these back.
 struct EvalTelemetry {
   Counter& evaluations;
   Counter& zeroDelta;
   Counter& midGraph;
   Counter& graphStart;
+  Counter& jobsVisited;
+  Counter& jobsReplaced;
 };
 
 EvalTelemetry& evalTelemetry() {
@@ -27,17 +33,28 @@ EvalTelemetry& evalTelemetry() {
                           "Delta-aware schedule evaluations"),
       telemetry().counter(
           "ides_eval_rewind_depth_total",
-          "Evaluations by rewind depth: zero_delta re-read the solution "
-          "last evaluated, mid_graph resumed at a fine checkpoint, "
-          "graph_start re-scheduled from a whole-graph checkpoint",
+          "Evaluations by where the walk started: zero_delta re-read the "
+          "reference solution, mid_graph started inside a graph's commit "
+          "order, graph_start at a graph's first job",
           {{"depth", "zero_delta"}}),
       telemetry().counter("ides_eval_rewind_depth_total", "",
                           {{"depth", "mid_graph"}}),
       telemetry().counter("ides_eval_rewind_depth_total", "",
                           {{"depth", "graph_start"}}),
+      telemetry().counter(
+          "ides_eval_jobs_total",
+          "Jobs EvalContext walks visited, and those they re-placed (the "
+          "others kept their reference records)",
+          {{"kind", "visited"}}),
+      telemetry().counter("ides_eval_jobs_total", "",
+                          {{"kind", "replaced"}}),
   };
   return handles;
 }
+
+/// Tag of the baseline's intervals in EvalContext's node view: visible to
+/// every position.
+constexpr std::uint32_t kFrozen = std::numeric_limits<std::uint32_t>::max();
 
 /// Shared result assembly: the penalty ladder of the paper's objective.
 EvalResult makeResult(bool placed, int deadlineMisses, Time lateness) {
@@ -72,10 +89,9 @@ SolutionEvaluator::SolutionEvaluator(const SystemModel& sys,
       currentGraphs_(movableGraphs_) {
   profile_.validate();
   // Canonical evaluation order: heaviest graph (most jobs per pass) first,
-  // stable on the input order. Any fixed order is a valid full pass; this
-  // one puts the expensive graphs into the checkpointed prefix, so a
-  // delta evaluation restarting at a uniformly random graph re-schedules
-  // the cheap tail far more often than the expensive head.
+  // stable on the input order. Any fixed order is a valid full pass, but
+  // the schedules (and so every result) depend on which, so this one is
+  // fixed: EvalContext's commit positions run in the same order.
   std::stable_sort(currentGraphs_.begin(), currentGraphs_.end(),
                    [&sys](GraphId a, GraphId b) {
                      const auto jobs = [&sys](GraphId g) {
@@ -168,284 +184,584 @@ PlatformState SolutionEvaluator::stateWith(
 
 // ---- EvalContext ----------------------------------------------------------
 
-EvalContext::EvalContext(const SolutionEvaluator& evaluator)
-    : ev_(&evaluator),
-      sys_(&evaluator.system()),
-      state_(evaluator.baseline()),
-      session_(evaluator.system(), state_) {
-  // The baseline is the floor: mark 0 is "no current graph scheduled".
-  state_.setJournaling(true);
-  const std::size_t n = ev_->currentGraphs().size();
-  checkpoints_.resize(n + 1);
-  fineMarks_.resize(n);
-  fineCount_.assign(n, 0);
-  nodeStamp_.assign(state_.nodeCount(), 0);
-  occStamp_.assign(state_.bus().slotCount() *
-                       static_cast<std::size_t>(state_.roundCount()),
-                   0);
-}
+/// The occupancy a job re-placed at commit position `pos` sees: the frozen
+/// baseline, the reference records of earlier positions the walk kept, and
+/// the records it re-placed so far. Reference records at `pos` and later,
+/// and the old records of re-placed jobs, are invisible.
+struct EvalContext::View {
+  EvalContext& ctx;
+  std::size_t pos;
 
-bool EvalContext::graphEntriesEqual(const MappingSolution& a,
-                                    const MappingSolution& b,
-                                    std::size_t gi) const {
-  const ProcessGraph& graph = sys_->graph(ev_->currentGraphs()[gi]);
-  for (const ProcessId p : graph.processes) {
-    if (a.nodeOf(p) != b.nodeOf(p) || a.startHint(p) != b.startHint(p)) {
-      return false;
+  [[nodiscard]] bool visible(std::uint32_t p) const {
+    return p == kFrozen || (p < pos && !ctx.replacedInWalk(p));
+  }
+
+  [[nodiscard]] std::optional<PlatformState::BusPlacement> findBusSlot(
+      std::size_t slot, Time ready, Time txTicks) const {
+    if (txTicks <= 0) {
+      throw std::invalid_argument("findBusSlot: txTicks <= 0");
+    }
+    const TdmaBus& bus = ctx.state_.bus();
+    const Time length = bus.slot(slot).length;
+    if (txTicks > length) return std::nullopt;
+    const std::int64_t rounds = ctx.state_.roundCount();
+    for (std::int64_t round =
+             bus.firstRoundAtOrAfter(slot, std::max<Time>(ready, 0));
+         round < rounds; ++round) {
+      const std::size_t key = ctx.occurrence(slot, round);
+      // The current application only adds ticks to the baseline's.
+      Time used = ctx.baseUsed_[key];
+      if (used + txTicks > length) continue;
+      for (const BusRecord& rec : ctx.busView_[key]) {
+        if (visible(rec.pos)) used += rec.ticks;
+      }
+      for (const BusUse& use : ctx.viewBus_[slot]) {
+        if (use.round == round) used += use.ticks;
+      }
+      if (used + txTicks <= length) {
+        const Time start = bus.slotStart(round, slot) + used;
+        return PlatformState::BusPlacement{round, start, start + txTicks};
+      }
+    }
+    return std::nullopt;
+  }
+
+  void occupyBus(std::size_t slot, std::int64_t round, Time txTicks) {
+    ctx.viewBus_[slot].push_back({round, txTicks});
+  }
+
+  /// PlatformState::occupyEarliest over the visible intervals: a candidate
+  /// [s, s + duration) that overlaps one cannot start before its end, so s
+  /// jumps there until nothing overlaps.
+  Time occupyEarliest(NodeId node, Time after, Time duration) {
+    if (duration <= 0) {
+      throw std::invalid_argument("occupyEarliest: duration must be > 0");
+    }
+    const auto n = static_cast<std::size_t>(node.index());
+    const std::vector<NodeRecord>& records = ctx.nodeView_[n];
+    Time s = std::max<Time>(after, 0);
+    auto r = std::partition_point(
+        records.begin(), records.end(),
+        [s](const NodeRecord& rec) { return rec.end <= s; });
+    for (;;) {
+      const Time e = s + duration;
+      if (e > ctx.state_.horizon()) return kNoTime;
+      while (r != records.end() && r->end <= s) ++r;
+      Time blocked = s;
+      for (auto it = r; it != records.end() && it->start < e; ++it) {
+        if (visible(it->pos)) blocked = std::max(blocked, it->end);
+      }
+      for (const Interval& iv : ctx.viewNodes_[n]) {
+        if (iv.start < e && s < iv.end) blocked = std::max(blocked, iv.end);
+      }
+      if (blocked == s) break;
+      s = blocked;
+    }
+    ctx.viewNodes_[n].push_back({s, s + duration});
+    return s;
+  }
+};
+
+EvalContext::EvalContext(const SolutionEvaluator& evaluator)
+    : ev_(&evaluator), sys_(&evaluator.system()), state_(evaluator.baseline()) {
+  const SystemModel& sys = *sys_;
+  const std::vector<GraphId>& graphs = ev_->currentGraphs();
+  const std::size_t jobCount = ev_->jobBase(graphs.size());
+  jobs_.resize(jobCount);
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const ProcessGraph& graph = sys.graph(graphs[gi]);
+    procs_.insert(procs_.end(), graph.processes.begin(),
+                  graph.processes.end());
+    msgs_.insert(msgs_.end(), graph.messages.begin(), graph.messages.end());
+    const GraphJobOrder& order = ev_->jobOrders()[gi];
+    for (std::size_t k = 0; k < order.jobCount(); ++k) {
+      const auto flat = static_cast<std::size_t>(order.jobAt[k]);
+      const auto instance =
+          static_cast<std::int32_t>(flat / order.processCount);
+      Job& job = jobs_[ev_->jobBase(gi) + k];
+      job.pid = graph.processes[flat % order.processCount];
+      job.instance = instance;
+      job.release = graph.releaseOf(instance);
+      job.deadline = graph.deadlineOf(instance);
+      job.period = graph.period;
+      job.graph = static_cast<std::uint32_t>(gi);
     }
   }
-  for (const MessageId m : graph.messages) {
-    if (a.messageHint(m) != b.messageHint(m)) return false;
+  inputBegin_.reserve(jobCount + 1);
+  outputBegin_.reserve(jobCount + 1);
+  for (const Job& job : jobs_) {
+    inputBegin_.push_back(static_cast<std::uint32_t>(inputMessage_.size()));
+    for (const MessageId m : sys.inputsOf(job.pid)) {
+      inputMessage_.push_back(m);
+      sourcePos_.push_back(static_cast<std::uint32_t>(
+          ev_->jobIndexOf(sys.message(m).src, job.instance)));
+    }
+    outputBegin_.push_back(static_cast<std::uint32_t>(destPos_.size()));
+    for (const MessageId m : sys.outputsOf(job.pid)) {
+      destPos_.push_back(static_cast<std::uint32_t>(
+          ev_->jobIndexOf(sys.message(m).dst, job.instance)));
+    }
+  }
+  inputBegin_.push_back(static_cast<std::uint32_t>(inputMessage_.size()));
+  outputBegin_.push_back(static_cast<std::uint32_t>(destPos_.size()));
+  inputs_.resize(inputMessage_.size());
+
+  mustReplace_.assign(jobCount, 0);
+  replacedAt_.assign(jobCount, 0);
+  const std::size_t nodes = state_.nodeCount();
+  const std::size_t slots = state_.bus().slotCount();
+  const std::int64_t rounds = state_.roundCount();
+  nodeView_.resize(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    for (const Interval& iv :
+         state_.nodeBusy(NodeId{static_cast<std::int32_t>(n)}).intervals()) {
+      nodeView_[n].push_back({iv.start, iv.end, kFrozen});
+    }
+  }
+  baseUsed_.resize(slots * static_cast<std::size_t>(rounds));
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    for (std::int64_t r = 0; r < rounds; ++r) {
+      baseUsed_[occurrence(slot, r)] = state_.slotUsedTicks(slot, r);
+    }
+  }
+  busView_.resize(baseUsed_.size());
+  nodeMoves_.resize(nodes);
+  viewNodes_.resize(nodes);
+  roundMoves_.resize(slots);
+  viewBus_.resize(slots);
+  nodeStamp_.assign(nodes, 0);
+  occStamp_.assign(baseUsed_.size(), 0);
+}
+
+const std::vector<ScheduledMessage>& EvalContext::messages() const {
+  if (messagesStale_) {
+    messages_.clear();
+    appendMessages(processes_.size(), messages_);
+    messagesStale_ = false;
+  }
+  return messages_;
+}
+
+void EvalContext::appendMessages(std::size_t count,
+                                 std::vector<ScheduledMessage>& out) const {
+  for (std::size_t pos = 0; pos < count; ++pos) {
+    for (std::size_t i = inputBegin(pos); i < inputBegin(pos + 1); ++i) {
+      const BusInput& in = inputs_[i];
+      if (in.round < 0) continue;
+      out.push_back({inputMessage_[i], jobs_[pos].instance, in.slot,
+                     in.round, in.start, in.end});
+    }
+  }
+}
+
+void EvalContext::beginWalk() {
+  if (++stamp_ == 0) {  // wrapped: reset the lazily-aged stamps
+    for (std::vector<std::uint32_t>* stamps :
+         {&mustReplace_, &replacedAt_, &nodeStamp_, &occStamp_}) {
+      std::fill(stamps->begin(), stamps->end(), 0u);
+    }
+    stamp_ = 1;
+  }
+  replaced_.clear();
+  oldInputs_.clear();
+  changedProcs_.clear();
+  changedMsgs_.clear();
+  firstDirty_ = jobs_.size();
+  lastDirty_ = 0;
+  anyMoved_ = false;
+  for (std::vector<Interval>& v : nodeMoves_) v.clear();
+  for (std::vector<Interval>& v : viewNodes_) v.clear();
+  for (std::vector<std::int64_t>& v : roundMoves_) v.clear();
+  for (std::vector<BusUse>& v : viewBus_) v.clear();
+}
+
+void EvalContext::markDirty(ProcessId p) {
+  const std::int64_t instances =
+      sys_->instanceCount(sys_->process(p).graph);
+  for (std::int32_t k = 0; k < instances; ++k) {
+    const std::size_t pos = ev_->jobIndexOf(p, k);
+    mustReplace_[pos] = stamp_;
+    firstDirty_ = std::min(firstDirty_, pos);
+    lastDirty_ = std::max(lastDirty_, pos);
+  }
+}
+
+std::size_t EvalContext::diff(const MappingSolution& solution) {
+  if (!hasReference_) {
+    lastDirty_ = jobs_.size();
+    return 0;
+  }
+  for (const ProcessId p : procs_) {
+    const bool nodeMoved = solution.nodeOf(p) != reference_.nodeOf(p);
+    if (!nodeMoved && solution.startHint(p) == reference_.startHint(p)) {
+      continue;
+    }
+    changedProcs_.push_back(p);
+    markDirty(p);
+    if (nodeMoved) {
+      // Every output's destination reads this node as its source node.
+      for (const MessageId m : sys_->outputsOf(p)) {
+        markDirty(sys_->message(m).dst);
+      }
+    }
+  }
+  for (const MessageId m : msgs_) {
+    if (solution.messageHint(m) == reference_.messageHint(m)) continue;
+    changedMsgs_.push_back(m);
+    markDirty(sys_->message(m).dst);
+  }
+  return firstDirty_;
+}
+
+bool EvalContext::keeps(const MappingSolution& solution,
+                        std::size_t pos) const {
+  // Rule 3: nothing moved inside the node window its first fit scanned.
+  const ScheduledProcess& rec = processes_[pos];
+  for (const Interval& iv : nodeMoves_[rec.node.index()]) {
+    if (iv.start < rec.end && ests_[pos] < iv.end) return false;
+  }
+  // Rule 4: no occurrence changed in the rounds each input's scan read,
+  // from the first at or after its ready time (worked out only when a
+  // changed round lies at or before the placed one) to the placed one.
+  for (std::size_t i = inputBegin(pos); i < inputBegin(pos + 1); ++i) {
+    const BusInput& in = inputs_[i];
+    if (in.round < 0) continue;
+    std::int64_t firstRound = -1;
+    for (const std::int64_t round : roundMoves_[in.slot]) {
+      if (round > in.round) continue;
+      if (firstRound < 0) {
+        const Job& job = jobs_[pos];
+        const Time ready = messageReady(
+            processes_[sourcePos_[i]].end,
+            solution.messageHint(inputMessage_[i]), job.instance, job.period);
+        firstRound = state_.bus().firstRoundAtOrAfter(
+            in.slot, std::max<Time>(ready, 0));
+      }
+      if (round >= firstRound) return false;
+    }
   }
   return true;
 }
 
-std::size_t EvalContext::restartIndex(const MappingSolution& solution,
-                                      std::size_t hintIndex) const {
-  if (!hasReference_) return 0;
-  // Never restart past what is actually committed in the state.
-  std::size_t idx = std::min(hintIndex, validGraphs_);
-  // Verify the claim: every graph scheduled before the restart point must
-  // be identical to the reference, or the checkpoint there describes a
-  // different solution. A rejected SA move is the common case — the next
-  // trial also reverts the rejected graph, which the scan catches here.
-  for (std::size_t gi = 0; gi < idx; ++gi) {
-    if (!graphEntriesEqual(reference_, solution, gi)) return gi;
+bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
+  const Job& job = jobs_[pos];
+  const NodeId node = solution.nodeOf(job.pid);
+  if (!node.valid() || !sys_->process(job.pid).allowedOn(node)) {
+    throw std::invalid_argument(
+        "scheduleGraphs: mapping assigns a disallowed node");
   }
-  return idx;
+  const std::size_t in0 = inputBegin(pos);
+  const std::size_t in1 = inputBegin(pos + 1);
+  replacedAt_[pos] = stamp_;
+  Replaced& r = replaced_.emplace_back();
+  r.pos = static_cast<std::uint32_t>(pos);
+  r.oldInputs = static_cast<std::uint32_t>(oldInputs_.size());
+  r.old = processes_[pos];
+  r.oldArrival = arrivals_[pos];
+  r.oldEst = ests_[pos];
+  oldInputs_.insert(oldInputs_.end(), inputs_.begin() + in0,
+                    inputs_.begin() + in1);
+
+  placedMessages_.clear();
+  View view{*this, pos};
+  const JobPlacement placed = placeJob(
+      *sys_, view, job.pid, job.instance, job.release, job.period, node,
+      solution,
+      [this, in0](std::size_t input, ProcessId) {
+        return processes_[sourcePos_[in0 + input]].end;
+      },
+      placedMessages_);
+  if (!placed.placed) return false;
+  processes_[pos] = {job.pid, job.instance, node, placed.start, placed.end};
+  arrivals_[pos] = placed.arrival;
+  ests_[pos] = placed.est;
+  // placeJob emits the bus inputs in input order; the others ran locally.
+  std::size_t k = 0;
+  for (std::size_t i = in0; i < in1; ++i) {
+    if (k < placedMessages_.size() &&
+        placedMessages_[k].mid == inputMessage_[i]) {
+      const ScheduledMessage& sm = placedMessages_[k++];
+      inputs_[i] = {sm.round, sm.start, sm.end,
+                    static_cast<std::uint32_t>(sm.slotIndex)};
+    } else {
+      inputs_[i] = BusInput{};
+    }
+  }
+  if (!hasReference_) return true;  // the first walk re-places every job
+
+  // What later keep tests must see: moved intervals (rule 3), a moved end
+  // (rule 2, marked on the destinations) and occurrences that gained or
+  // lost a message (rule 4). A job re-placed onto its old records changes
+  // none of them.
+  r.nodeMoved = r.old.node != node || r.old.start != placed.start;
+  if (r.nodeMoved) {
+    nodeMoves_[r.old.node.index()].push_back({r.old.start, r.old.end});
+    nodeMoves_[node.index()].push_back({placed.start, placed.end});
+    anyMoved_ = true;
+  }
+  if (r.old.end != placed.end) {
+    for (std::size_t o = outputBegin_[pos]; o < outputBegin_[pos + 1]; ++o) {
+      mustReplace_[destPos_[o]] = stamp_;
+    }
+    anyMoved_ = true;
+  }
+  for (std::size_t i = in0; i < in1; ++i) {
+    const BusInput& before = oldInputs_[r.oldInputs + (i - in0)];
+    const BusInput& now = inputs_[i];
+    if (before.sameOccurrence(now)) continue;
+    if (before.round >= 0) roundMoves_[before.slot].push_back(before.round);
+    if (now.round >= 0) roundMoves_[now.slot].push_back(now.round);
+    anyMoved_ = true;
+  }
+  return true;
 }
 
-std::size_t EvalContext::restartPosition(const MappingSolution& solution,
-                                         std::size_t gi) const {
-  const GraphJobOrder& order = ev_->jobOrders()[gi];
-  const ProcessGraph& graph = sys_->graph(ev_->currentGraphs()[gi]);
-  const std::int64_t instances = sys_->instanceCount(graph.id);
-  std::size_t pos = order.jobCount();
-  const auto coverProcess = [&](ProcessId p) {
-    const auto local = static_cast<std::size_t>(ev_->localProcessIndex(p));
-    for (std::int64_t k = 0; k < instances; ++k) {
-      const std::size_t flat =
-          static_cast<std::size_t>(k) * order.processCount + local;
-      pos = std::min(pos, static_cast<std::size_t>(order.positionOf[flat]));
-    }
-  };
-  for (const ProcessId p : graph.processes) {
-    if (reference_.nodeOf(p) != solution.nodeOf(p) ||
-        reference_.startHint(p) != solution.startHint(p)) {
-      coverProcess(p);
-    }
-  }
-  for (const MessageId m : graph.messages) {
-    if (reference_.messageHint(m) != solution.messageHint(m)) {
-      // The hint is only read when scheduling the destination; the
-      // destination of instance k commits after the source of instance k,
-      // so its positions bound every reader.
-      coverProcess(sys_->message(m).dst);
-    }
-  }
-  return pos;
+void EvalContext::touchNode(std::size_t node) {
+  if (nodeStamp_[node] == stamp_) return;
+  nodeStamp_[node] = stamp_;
+  dirtyNodes_.push_back(static_cast<std::uint32_t>(node));
 }
 
-void EvalContext::beginDirty() {
-  if (++stamp_ == 0) {  // wrapped: reset the lazily-aged stamps
-    std::fill(nodeStamp_.begin(), nodeStamp_.end(), 0u);
-    std::fill(occStamp_.begin(), occStamp_.end(), 0u);
-    stamp_ = 1;
-  }
+void EvalContext::touchOccurrence(std::size_t slot, std::int64_t round) {
+  const std::size_t key = occurrence(slot, round);
+  if (occStamp_[key] == stamp_) return;
+  occStamp_[key] = stamp_;
+  dirtyOccs_.push_back(key);
+}
+
+void EvalContext::commit(const MappingSolution& solution) {
   dirtyNodes_.clear();
   dirtyOccs_.clear();
-}
-
-void EvalContext::collectDirty(PlatformState::Mark from) {
-  const std::vector<PlatformState::JournalEntry>& journal = state_.journal();
-  const auto rounds = static_cast<std::uint64_t>(state_.roundCount());
-  for (std::size_t i = from; i < journal.size(); ++i) {
-    const PlatformState::JournalEntry& e = journal[i];
-    if (e.kind == PlatformState::JournalEntry::Kind::Node) {
-      if (nodeStamp_[e.index] != stamp_) {
-        nodeStamp_[e.index] = stamp_;
-        dirtyNodes_.push_back(e.index);
-      }
-    } else {
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(e.index) * rounds +
-          static_cast<std::uint64_t>(e.round);
-      if (occStamp_[static_cast<std::size_t>(key)] != stamp_) {
-        occStamp_[static_cast<std::size_t>(key)] = stamp_;
-        dirtyOccs_.push_back(key);
+  messagesStale_ = true;
+  const auto byStart = [](const NodeRecord& rec, Time start) {
+    return rec.start < start;
+  };
+  const auto addNode = [this, &byStart](const ScheduledProcess& sp,
+                                        std::size_t pos) {
+    state_.occupyNode(sp.node, {sp.start, sp.end});
+    touchNode(sp.node.index());
+    std::vector<NodeRecord>& recs = nodeView_[sp.node.index()];
+    recs.insert(std::lower_bound(recs.begin(), recs.end(), sp.start, byStart),
+                {sp.start, sp.end, static_cast<std::uint32_t>(pos)});
+  };
+  const auto addBus = [this](const BusInput& in, std::size_t pos) {
+    state_.occupyBus(in.slot, in.round, in.end - in.start);
+    touchOccurrence(in.slot, in.round);
+    busView_[occurrence(in.slot, in.round)].push_back(
+        {static_cast<std::uint32_t>(pos), in.end - in.start});
+  };
+  if (!hasReference_) {
+    // The first complete walk re-placed every job.
+    reference_ = solution;
+    for (std::size_t pos = 0; pos < jobs_.size(); ++pos) {
+      addNode(processes_[pos], pos);
+      for (std::size_t i = inputBegin(pos); i < inputBegin(pos + 1); ++i) {
+        if (inputs_[i].round >= 0) addBus(inputs_[i], pos);
       }
     }
+    return;
+  }
+
+  // Release every moved record (and drop it from the positioned view)
+  // before occupying any replacement: a new record may take the place an
+  // old one of another job leaves.
+  for (const Replaced& r : replaced_) {
+    if (r.nodeMoved) {
+      state_.releaseNode(r.old.node, {r.old.start, r.old.end});
+      touchNode(r.old.node.index());
+      std::vector<NodeRecord>& recs = nodeView_[r.old.node.index()];
+      recs.erase(
+          std::lower_bound(recs.begin(), recs.end(), r.old.start, byStart));
+    }
+    const BusInput* old = oldInputs_.data() + r.oldInputs;
+    for (std::size_t i = inputBegin(r.pos); i < inputBegin(r.pos + 1);
+         ++i, ++old) {
+      const BusInput& before = *old;
+      if (before.round < 0 || before.sameOccurrence(inputs_[i])) continue;
+      state_.releaseBus(before.slot, before.round, before.end - before.start);
+      touchOccurrence(before.slot, before.round);
+      // A job's inputs can share an occurrence: match the ticks too.
+      const BusRecord gone{r.pos, before.end - before.start};
+      std::vector<BusRecord>& recs =
+          busView_[occurrence(before.slot, before.round)];
+      recs.erase(std::find_if(recs.begin(), recs.end(),
+                              [&gone](const BusRecord& rec) {
+                                return rec.pos == gone.pos &&
+                                       rec.ticks == gone.ticks;
+                              }));
+    }
+  }
+  for (const Replaced& r : replaced_) {
+    if (r.nodeMoved) addNode(processes_[r.pos], r.pos);
+    const BusInput* old = oldInputs_.data() + r.oldInputs;
+    for (std::size_t i = inputBegin(r.pos); i < inputBegin(r.pos + 1);
+         ++i, ++old) {
+      const BusInput& now = inputs_[i];
+      if (now.round >= 0 && !now.sameOccurrence(*old)) addBus(now, r.pos);
+    }
+  }
+  for (const ProcessId p : changedProcs_) {
+    reference_.setNode(p, solution.nodeOf(p));
+    reference_.setStartHint(p, solution.startHint(p));
+  }
+  for (const MessageId m : changedMsgs_) {
+    reference_.setMessageHint(m, solution.messageHint(m));
   }
 }
 
-void EvalContext::fillOutcome(ScheduleOutcome& outcome,
-                              const MappingSolution& solution,
-                              const EvalResult& result) const {
+void EvalContext::undo() {
+  if (!hasReference_) {
+    processes_.clear();
+    arrivals_.clear();
+    ests_.clear();
+    return;
+  }
+  for (const Replaced& r : replaced_) {
+    processes_[r.pos] = r.old;
+    arrivals_[r.pos] = r.oldArrival;
+    ests_[r.pos] = r.oldEst;
+    std::copy(oldInputs_.begin() + r.oldInputs,
+              oldInputs_.begin() + r.oldInputs +
+                  (inputBegin(r.pos + 1) - inputBegin(r.pos)),
+              inputs_.begin() + inputBegin(r.pos));
+  }
+}
+
+void EvalContext::fillOutcome(
+    ScheduleOutcome& outcome, const MappingSolution& solution,
+    const EvalResult& result, std::size_t processCount,
+    const std::vector<ScheduledMessage>& messages) const {
   outcome.placed = result.placed;
   outcome.feasible = result.feasible;
   outcome.deadlineMisses = result.deadlineMisses;
   outcome.totalLateness = result.lateness;
   outcome.schedule = Schedule{};
-  for (const ScheduledProcess& sp : processes_) {
-    outcome.schedule.addProcess(sp);
+  for (std::size_t pos = 0; pos < processCount; ++pos) {
+    outcome.schedule.addProcess(processes_[pos]);
   }
-  for (const ScheduledMessage& sm : messages_) {
+  for (const ScheduledMessage& sm : messages) {
     outcome.schedule.addMessage(sm);
   }
   outcome.mapping = solution;
 }
 
 EvalResult EvalContext::evaluate(const MappingSolution& solution) {
-  return run(solution, 0, 0, nullptr, nullptr);
+  return run(solution, nullptr, nullptr);
 }
 
 EvalResult EvalContext::evaluate(const MappingSolution& solution,
-                                 const MoveHint& hint) {
-  // An invalid or foreign graph maps to the graph count; restartIndex still
-  // verifies the prefix from graph 0, so that costs a scan, never a result.
-  std::size_t gi = restartIndex(solution, ev_->graphIndexOf(hint.graph));
-  std::size_t pos = 0;
-  while (gi < validGraphs_) {
-    pos = restartPosition(solution, gi);
-    if (pos < ev_->jobOrders()[gi].jobCount()) break;
-    // Graph unchanged (stale or too-coarse hint): the verified-equal prefix
-    // extends over it; look at the next committed graph.
-    pos = 0;
-    ++gi;
-  }
-  return run(solution, gi, pos, nullptr, nullptr);
+                                 const MoveHint& /*hint*/) {
+  return run(solution, nullptr, nullptr);
 }
 
 EvalResult EvalContext::evaluate(const MappingSolution& solution,
                                  ScheduleOutcome* outcomeOut,
                                  SlackInfo* slackOut) {
-  const std::size_t n = ev_->currentGraphs().size();
-  // Serve the cached state when re-reading the solution just evaluated.
-  const std::size_t first =
-      restartIndex(solution, n) == n && validGraphs_ == n ? n : 0;
-  return run(solution, first, 0, outcomeOut, slackOut);
+  return run(solution, outcomeOut, slackOut);
 }
 
 EvalResult EvalContext::run(const MappingSolution& solution,
-                            std::size_t firstGraph, std::size_t firstPos,
                             ScheduleOutcome* outcomeOut, SlackInfo* slackOut) {
-  const std::vector<GraphId>& graphs = ev_->currentGraphs();
-  const std::size_t n = graphs.size();
+  const std::size_t jobCount = jobs_.size();
+  const std::size_t graphCount = ev_->currentGraphs().size();
+  EvalTelemetry& tele = evalTelemetry();
   ++evaluations_;
-  evalTelemetry().evaluations.add();
+  tele.evaluations.add();
 
-  firstGraph = std::min(firstGraph, validGraphs_);
-
-  if (firstGraph == n && resultValid_) {
-    // Re-reading the solution already committed: the state, the log and the
-    // cached result all describe it verbatim.
+  beginWalk();
+  const std::size_t first = diff(solution);
+  if (first == jobCount && hasReference_) {
+    // An exact re-read: the state, the log and the cached result all
+    // describe the solution verbatim.
     ++zeroDeltaServes_;
-    evalTelemetry().zeroDelta.add();
-    graphsReused_ += n;
-    lastRestartGraph_ = n;
+    tele.zeroDelta.add();
+    lastRestartGraph_ = graphCount;
     lastRestartPos_ = 0;
-    reference_ = solution;
     if (slackOut != nullptr && result_.feasible) {
       extractSlackInto(state_, slack_);
       *slackOut = slack_;
     }
-    if (outcomeOut != nullptr) fillOutcome(*outcomeOut, solution, result_);
+    if (outcomeOut != nullptr) {
+      fillOutcome(*outcomeOut, solution, result_, processes_.size(),
+                  messages());
+    }
     return result_;
   }
+  lastRestartGraph_ = first < jobCount ? jobs_[first].graph : graphCount;
+  lastRestartPos_ =
+      first < jobCount ? first - ev_->jobBase(lastRestartGraph_) : 0;
+  (lastRestartPos_ > 0 ? tele.midGraph : tele.graphStart).add();
 
-  firstPos = firstGraph < n ? std::min(firstPos, fineCount_[firstGraph]) : 0;
-  graphsReused_ += firstGraph;
-  lastRestartGraph_ = firstGraph;
-  lastRestartPos_ = firstPos;
-
-  // The checkpoint to rewind to: a fine (mid-graph) one when resuming
-  // inside the restart graph, the whole-graph one otherwise.
-  PlatformState::Mark restartMark;
-  std::size_t pc0;
-  std::size_t mc0;
-  if (firstGraph < n && firstPos > 0) {
-    const SchedulerSession::JobCheckpoint& cp = fineMarks_[firstGraph][firstPos];
-    restartMark = cp.mark;
-    pc0 = cp.processCount;
-    mc0 = cp.messageCount;
-  } else {
-    const Checkpoint& cp = checkpoints_[firstGraph];
-    restartMark = cp.mark;
-    pc0 = cp.processCount;
-    mc0 = cp.messageCount;
+  if (!hasReference_) {
+    processes_.resize(jobCount);
+    arrivals_.resize(jobCount);
+    ests_.resize(jobCount);
   }
-
-  // Dirty tracking for the metrics cache: the records about to be undone
-  // plus (after scheduling) the records newly committed.
-  const bool trackDirty = metricsCache_.valid();
-  if (trackDirty) {
-    beginDirty();
-    collectDirty(restartMark);
-  }
-
-  // Rewind: two resizes plus the journal rollback, for any granularity.
-  state_.rollbackTo(restartMark);
-  processes_.resize(pc0);
-  messages_.resize(mc0);
-  arrivals_.resize(pc0);
-  int misses = checkpoints_[firstGraph].deadlineMisses;
-  Time lateness = checkpoints_[firstGraph].lateness;
-
-  bool placed = true;
-  for (std::size_t gi = firstGraph; gi < n; ++gi) {
-    const std::size_t resumeAt = gi == firstGraph ? firstPos : 0;
-    if (resumeAt == 0) {
-      checkpoints_[gi] = {state_.mark(), processes_.size(), messages_.size(),
-                          misses, lateness};
-    }
-    const SchedulerSession::GraphResult r = session_.scheduleGraph(
-        graphs[gi], solution, nullptr, ev_->jobOrders()[gi], resumeAt,
-        checkpoints_[gi].processCount, processes_, messages_, &fineMarks_[gi],
-        &arrivals_);
-    ++graphsScheduled_;
-    if (!r.placed) {
-      // Drop the failed graph's partial placement so the checkpoints for
-      // the prefix stay valid; the result still reports the partial
-      // tallies, exactly like the full pass does.
-      if (trackDirty && checkpoints_[gi].mark < restartMark) {
-        // A failing mid-graph restart rewinds below the restart mark: the
-        // prefix records it undoes were not in the pre-rollback scan, so
-        // collect them before they leave the journal.
-        collectDirty(checkpoints_[gi].mark);
+  // Totals move by the re-placed jobs' contributions only.
+  int misses = hasReference_ ? misses_ : 0;
+  Time lateness = hasReference_ ? lateness_ : 0;
+  std::size_t visited = 0;
+  std::size_t failedAt = jobCount;
+  try {
+    for (std::size_t pos = first; pos < jobCount; ++pos) {
+      // Past the last dirty job, with nothing moved, every job keeps.
+      if (pos > lastDirty_ && !anyMoved_) break;
+      ++visited;
+      if (hasReference_ && mustReplace_[pos] != stamp_ &&
+          keeps(solution, pos)) {
+        continue;
       }
-      state_.rollbackTo(checkpoints_[gi].mark);
-      processes_.resize(checkpoints_[gi].processCount);
-      messages_.resize(checkpoints_[gi].messageCount);
-      arrivals_.resize(checkpoints_[gi].processCount);
-      fineCount_[gi] = 0;
-      validGraphs_ = gi;
-      misses = checkpoints_[gi].deadlineMisses + r.deadlineMisses;
-      lateness = checkpoints_[gi].lateness + r.totalLateness;
-      placed = false;
-      break;
+      const Time deadline = jobs_[pos].deadline;
+      const Time oldLate =
+          hasReference_ ? latenessOf(processes_[pos].end, deadline) : 0;
+      if (!replace(solution, pos)) {
+        failedAt = pos;
+        break;
+      }
+      const Time newLate = latenessOf(processes_[pos].end, deadline);
+      misses += (newLate > 0 ? 1 : 0) - (oldLate > 0 ? 1 : 0);
+      lateness += newLate - oldLate;
     }
-    fineCount_[gi] = ev_->jobOrders()[gi].jobCount();
-    misses = checkpoints_[gi].deadlineMisses + r.deadlineMisses;
-    lateness = checkpoints_[gi].lateness + r.totalLateness;
-    validGraphs_ = gi + 1;
+  } catch (...) {
+    undo();
+    throw;
   }
-  if (placed) {
-    checkpoints_[n] = {state_.mark(), processes_.size(), messages_.size(),
-                       misses, lateness};
-  }
-  reference_ = solution;
-  hasReference_ = true;
-  if (lastRestartPos_ > 0) {
-    evalTelemetry().midGraph.add();
-  } else {
-    evalTelemetry().graphStart.add();
+  jobsVisited_ += visited;
+  jobsReplaced_ += replaced_.size();
+  tele.jobsVisited.add(visited);
+  tele.jobsReplaced.add(replaced_.size());
+
+  if (failedAt < jobCount) {
+    // The full pass fails at the same job, after tallying every position
+    // before it.
+    misses = 0;
+    lateness = 0;
+    for (std::size_t p = 0; p < failedAt; ++p) {
+      const Time late = latenessOf(processes_[p].end, jobs_[p].deadline);
+      misses += late > 0 ? 1 : 0;
+      lateness += late;
+    }
+    const EvalResult result = makeResult(false, misses, lateness);
+    if (outcomeOut != nullptr) {
+      // The partial schedule the full pass leaves: every position before
+      // the failed job, plus the inputs it placed before failing.
+      std::vector<ScheduledMessage> partial;
+      appendMessages(failedAt, partial);
+      partial.insert(partial.end(), placedMessages_.begin(),
+                     placedMessages_.end());
+      fillOutcome(*outcomeOut, solution, result, failedAt, partial);
+    }
+    undo();
+    return result;
   }
 
-  EvalResult result = makeResult(placed, misses, lateness);
-  // Keep the metrics snapshot aligned on every evaluation once it exists —
-  // including infeasible ones (cheap: only the dirty entries are touched).
-  if (trackDirty) {
-    collectDirty(restartMark);
+  commit(solution);
+  misses_ = misses;
+  lateness_ = lateness;
+  EvalResult result = makeResult(true, misses, lateness);
+  // Keep the metrics snapshot aligned on every committed walk once it
+  // exists — including infeasible ones (only the dirty entries are read).
+  if (metricsCache_.valid()) {
     metricsCache_.update(state_, dirtyNodes_, dirtyOccs_);
   }
   if (result.feasible) {
@@ -462,8 +778,11 @@ EvalResult EvalContext::run(const MappingSolution& solution,
     }
   }
   result_ = result;
-  resultValid_ = placed;
-  if (outcomeOut != nullptr) fillOutcome(*outcomeOut, solution, result);
+  hasReference_ = true;
+  if (outcomeOut != nullptr) {
+    fillOutcome(*outcomeOut, solution, result, processes_.size(),
+                messages());
+  }
   return result;
 }
 

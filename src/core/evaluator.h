@@ -12,16 +12,16 @@
 // graded by lateness so simulated annealing can still climb out.
 //
 // SolutionEvaluator::evaluate is the stateless full pass: it copies the
-// baseline and re-schedules every graph. EvalContext is the delta-aware
-// engine the optimization inner loops use instead: one journaled platform
-// state per context (per thread), a checkpoint after every scheduled graph,
-// and evaluate(solution, MoveHint) rewinds to the checkpoint before the
-// first graph the move affects and re-schedules only from there. Both run
-// the same scheduling loop (SchedulerSession::scheduleGraph) in the same
-// static commit order. Results are bit-identical to the full pass by
-// construction — the context verifies (never trusts) the hint by diffing
-// the prefix graphs against the last evaluated solution, so a stale hint
-// costs performance, not correctness.
+// baseline and re-schedules every graph. EvalContext is the engine the
+// optimization inner loops use instead: it keeps the schedule of the last
+// solution it placed (its reference) and, for a new solution,
+// walks the commit order from the first job whose mapping entries differ,
+// keeping every job whose placement inputs did not change and re-placing
+// only the rest (change propagation). Both place jobs with the same rules
+// (placeJob, sched/list_scheduler.h) in the same static commit order, and
+// the walk's keep rule is exact, so results are bit-identical to the full
+// pass by construction. A move hint is not needed for that: the context
+// diffs the solution against its reference itself.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +54,9 @@ struct EvalResult {
 
 /// What a design transformation touched: the graph whose mapping entries
 /// (node, start hint, message hint) may differ from the previously
-/// evaluated solution. Everything outside `graph` must be unchanged — the
-/// context re-checks the graphs scheduled before it and restarts earlier if
-/// the claim turns out wrong (e.g. after a rejected SA move).
+/// evaluated solution. EvalContext diffs every solution against its
+/// reference, so a hint is never trusted and a wrong one costs nothing;
+/// the strategies keep passing it as a description of the move.
 struct MoveHint {
   GraphId graph;
   /// Informational: the process / message the move re-mapped, when any.
@@ -81,10 +81,10 @@ class SolutionEvaluator {
 
   /// Stateless full-pass evaluation (copies the baseline every call). The
   /// inner loops use EvalContext instead; this stays as the one-shot API
-  /// and as the reference the EvalContext tests compare against. It runs
-  /// the same scheduling loop, so it checks the rewinds, the exact
-  /// re-reads and the metrics cache, not the loop itself (the scheduler
-  /// suite checks that against a ready-heap reference).
+  /// and as the reference the EvalContext tests compare against. It places
+  /// jobs with the same rules, so it checks the walk's keep rule, the
+  /// exact re-reads and the metrics cache, not the rules themselves (the
+  /// scheduler suite checks those against a ready-heap reference).
   [[nodiscard]] EvalResult evaluate(const MappingSolution& solution) const;
 
   /// Full evaluation, optionally exposing the schedule and slack snapshot
@@ -116,7 +116,7 @@ class SolutionEvaluator {
 
   /// Static per-graph commit orders, parallel to currentGraphs(). A pure
   /// function of (topology, priorities) — see GraphJobOrder — computed once
-  /// here so every EvalContext can restart a graph mid-order.
+  /// here so every EvalContext numbers the same commit positions.
   [[nodiscard]] const std::vector<GraphJobOrder>& jobOrders() const {
     return orders_;
   }
@@ -153,28 +153,42 @@ class SolutionEvaluator {
   std::vector<std::int32_t> procLocal_;          // by ProcessId::index()
 };
 
-/// Reusable per-thread evaluation scratch: one journaled platform state, a
-/// scheduler session bound to it, the accumulated schedule of the current
-/// graphs, and checkpoints at two granularities — one (journal mark +
-/// schedule prefix + running tallies) before every graph, and one
-/// JobCheckpoint before every commit-order position inside a graph.
+/// Reusable per-thread evaluation scratch: the platform state of the
+/// reference solution (the last evaluated solution that placed every job),
+/// its commit-order schedule log and a positioned view of that log.
 ///
-/// evaluate(solution) is a full pass; evaluate(solution, hint) diffs the
-/// solution against the last evaluated one, rewinds to the fine checkpoint
-/// before the first commit-order position whose placement can differ, and
-/// re-schedules only the suffix from there (the graphs after the restart
-/// graph re-schedule whole, from their own checkpoints). An
-/// IncrementalMetrics snapshot is kept in sync from the platform journal's
-/// dirty entries, so C1 containers and C2 window minima are recomputed only
-/// where occupancy changed. The hint and output overloads, given exactly the
-/// solution last evaluated (MH re-reading its incumbent, a final
-/// evaluation), re-schedule nothing and return the cached result. A move
-/// that leaves the schedule unchanged is re-scheduled like any other;
-/// proving that before evaluating is the caller's business (SA's
-/// ZeroDeltaFilter, core/simulated_annealing.h).
-/// Results stay bit-identical to the full pass by construction — the
-/// context verifies (never trusts) the hint, so a stale hint costs
-/// performance, not correctness. Not thread-safe: each optimization thread
+/// evaluate() diffs the solution against the reference and walks the
+/// commit positions from the first job whose mapping entries differ. A job
+/// keeps its reference records untouched when
+///   1. its process's node and start hint, and every input message's hint
+///      and source node, equal the reference's;
+///   2. every input source kept its end time;
+///   3. no record that moved earlier in the walk (old or new interval)
+///      overlaps [est, end) on its node, est being where its first-fit
+///      scan started (the arrival bound joined with the start hint);
+///   4. for each bus input, no slot occurrence that gained or lost a
+///      message earlier in the walk lies in that slot's rounds from the
+///      first one at or after the message's ready time to the one it was
+///      placed in.
+/// The list scheduler places a job by a first fit over that node window
+/// and each input by a scan over those rounds, and reads nothing else, so
+/// by induction over the commit order a kept job sits exactly where the
+/// full pass would put it (change propagation, as in Acar, Blelloch and
+/// Harper, "Adaptive Functional Programming", POPL 2002). Every other job
+/// is re-placed by placeJob against the frozen baseline plus the records of
+/// earlier positions; the reference's later records are invisible to it.
+///
+/// A walk that places every job moves the platform state to the new
+/// occupancy once (release every moved record, then occupy its
+/// replacement), refreshes the metrics cache on exactly the nodes and slot
+/// occurrences those records touched, and makes the solution the new
+/// reference. A walk that cannot place a job undoes its record changes and
+/// keeps the previous reference; the platform state was never touched.
+/// Evaluating the reference again (MH re-reading its incumbent, a final
+/// evaluation) re-places nothing and returns the cached result. A move that
+/// leaves the schedule unchanged is walked like any other; proving that
+/// before evaluating is the caller's business (SA's ZeroDeltaFilter,
+/// core/simulated_annealing.h). Not thread-safe: each optimization thread
 /// owns its own context (the underlying SolutionEvaluator is shared and
 /// const).
 class EvalContext {
@@ -184,37 +198,35 @@ class EvalContext {
   EvalContext(const EvalContext&) = delete;
   EvalContext& operator=(const EvalContext&) = delete;
 
-  /// Full pass: re-schedules every graph (and refreshes all checkpoints).
+  /// Evaluates `solution` by a walk from its first difference to the
+  /// reference (over every job while there is no reference).
   EvalResult evaluate(const MappingSolution& solution);
 
-  /// Delta pass: re-schedules from the first graph affected by the move.
+  /// Same; `hint` describes the move but is not needed (see MoveHint).
   EvalResult evaluate(const MappingSolution& solution, const MoveHint& hint);
 
-  /// Full pass exposing the schedule and slack snapshot, like
+  /// Same, exposing the schedule and slack snapshot, like
   /// SolutionEvaluator::evaluate(solution, outcomeOut, slackOut); either
-  /// may be null. When the solution is exactly the one last evaluated (MH
-  /// re-reading the slack after an applied move), nothing is re-scheduled.
+  /// may be null. The slack is written for feasible results only.
   EvalResult evaluate(const MappingSolution& solution,
                       ScheduleOutcome* outcomeOut, SlackInfo* slackOut);
 
   [[nodiscard]] const SolutionEvaluator& evaluator() const { return *ev_; }
 
-  /// Telemetry: graphs actually (re)scheduled vs. graphs served from a
-  /// checkpoint, over the lifetime of the context.
+  /// Telemetry over the lifetime of the context: evaluations, commit
+  /// positions the walks looked at, and jobs they re-placed (the rest kept
+  /// their records).
   [[nodiscard]] std::size_t evaluations() const { return evaluations_; }
-  [[nodiscard]] std::size_t graphsScheduled() const {
-    return graphsScheduled_;
-  }
-  [[nodiscard]] std::size_t graphsReused() const { return graphsReused_; }
+  [[nodiscard]] std::size_t jobsVisited() const { return jobsVisited_; }
+  [[nodiscard]] std::size_t jobsReplaced() const { return jobsReplaced_; }
   /// Evaluations answered from the cached result because the solution was
-  /// exactly the one last evaluated (an exact re-read).
+  /// exactly the reference (an exact re-read).
   [[nodiscard]] std::size_t zeroDeltaServes() const {
     return zeroDeltaServes_;
   }
-  /// Restart point of the last evaluate(): graph index (== graph count when
-  /// the cached result was served without touching the state) and the
-  /// commit-order position within that graph. Bench telemetry for the
-  /// rewind-depth breakdown.
+  /// First position of the last evaluate()'s walk: graph index (== graph
+  /// count for an exact re-read) and the commit-order position within that
+  /// graph. Bench telemetry for the mid-graph / graph-start breakdown.
   [[nodiscard]] std::size_t lastRestartGraph() const {
     return lastRestartGraph_;
   }
@@ -232,103 +244,192 @@ class EvalContext {
   [[nodiscard]] const std::vector<ScheduledProcess>& processes() const {
     return processes_;
   }
-  /// The bus messages of the same log, in commit order. MH's potential
-  /// analysis reads both right after re-evaluating its incumbent.
-  [[nodiscard]] const std::vector<ScheduledMessage>& messages() const {
-    return messages_;
-  }
+  /// The bus messages of the same log, in commit order (assembled on the
+  /// first read after a walk). MH's potential analysis reads both right
+  /// after re-evaluating its incumbent.
+  [[nodiscard]] const std::vector<ScheduledMessage>& messages() const;
   [[nodiscard]] const std::vector<Time>& arrivalBounds() const {
     return arrivals_;
   }
-  /// Last evaluation placed every graph; its result is cached and the log
-  /// above is complete.
-  [[nodiscard]] bool resultValid() const { return resultValid_; }
+  /// A walk has placed every job: the reference exists, its result is
+  /// cached and the log above is complete. An unplaced evaluation leaves
+  /// the previous reference in place.
+  [[nodiscard]] bool resultValid() const { return hasReference_; }
 
  private:
-  struct Checkpoint {
-    PlatformState::Mark mark = 0;
-    std::size_t processCount = 0;
-    std::size_t messageCount = 0;
-    int deadlineMisses = 0;  ///< cumulative, before this graph
-    Time lateness = 0;       ///< cumulative, before this graph
+  struct View;
+
+  /// Static data of one commit position.
+  struct Job {
+    ProcessId pid;
+    std::int32_t instance = 0;
+    Time release = 0;
+    Time deadline = 0;  ///< absolute
+    Time period = 0;
+    std::uint32_t graph = 0;  ///< index into currentGraphs()
+  };
+  /// Where one input message of a job crossed the bus: slot occurrence and
+  /// transmission; round < 0 when the source ran on the same node.
+  struct BusInput {
+    std::int64_t round = -1;
+    Time start = 0;
+    Time end = 0;
+    std::uint32_t slot = 0;
+
+    /// Same occupancy: same occurrence (or both local). The start may
+    /// differ, the ticks cannot (same message).
+    [[nodiscard]] bool sameOccurrence(const BusInput& o) const {
+      return round == o.round && slot == o.slot;
+    }
+  };
+  /// A busy interval of the positioned view on one node, tagged with the
+  /// commit position of its record (kFrozen for the baseline's).
+  struct NodeRecord {
+    Time start = 0;
+    Time end = 0;
+    std::uint32_t pos = 0;
+  };
+  /// A reference message's ticks in one slot occurrence.
+  struct BusRecord {
+    std::uint32_t pos = 0;
+    Time ticks = 0;
+  };
+  /// Ticks the walk's re-placed messages use in one occurrence of a slot.
+  struct BusUse {
+    std::int64_t round = 0;
+    Time ticks = 0;
+  };
+  /// A job the walk re-placed, with its reference records (to undo or
+  /// release): the process record here, its inputs in oldInputs_.
+  struct Replaced {
+    std::uint32_t pos = 0;
+    std::uint32_t oldInputs = 0;
+    ScheduledProcess old;
+    Time oldArrival = 0;
+    Time oldEst = 0;
+    bool nodeMoved = false;  ///< node interval differs from the old one
   };
 
-  /// True if `a` and `b` agree on every entry of graph `gi`'s processes and
-  /// messages.
-  [[nodiscard]] bool graphEntriesEqual(const MappingSolution& a,
-                                       const MappingSolution& b,
-                                       std::size_t gi) const;
-  /// First graph index that must be re-scheduled for `solution`, given the
-  /// hinted graph index (verified against the reference solution).
-  [[nodiscard]] std::size_t restartIndex(const MappingSolution& solution,
-                                         std::size_t hintIndex) const;
-  /// First commit-order position of graph `gi` whose placement can differ
-  /// between the reference and `solution` (jobCount if the graph is
-  /// unchanged): the min over changed processes' instances — and changed
-  /// messages' destination instances — of the static order position. Every
-  /// reader of a changed entry commits at or after it, so the prefix
-  /// before it commits identically.
-  [[nodiscard]] std::size_t restartPosition(const MappingSolution& solution,
-                                            std::size_t gi) const;
-
-  /// Dirty tracking for the metrics cache: reset the per-evaluation stamp,
-  /// then collect the journal records in [from, state mark) — called once
-  /// before the rollback and once after re-scheduling, so the dirty set
-  /// covers both the undone and the newly committed occupancy.
-  void beginDirty();
-  void collectDirty(PlatformState::Mark from);
-
-  void fillOutcome(ScheduleOutcome& outcome, const MappingSolution& solution,
-                   const EvalResult& result) const;
-
-  EvalResult run(const MappingSolution& solution, std::size_t firstGraph,
-                 std::size_t firstPos, ScheduleOutcome* outcomeOut,
+  EvalResult run(const MappingSolution& solution, ScheduleOutcome* outcomeOut,
                  SlackInfo* slackOut);
+  /// Starts a walk: a fresh stamp and empty change lists.
+  void beginWalk();
+  /// Marks the jobs that fail rule 1 against the reference and returns the
+  /// first of their positions (the position count when the solution is the
+  /// reference). Without a reference every job is re-placed.
+  std::size_t diff(const MappingSolution& solution);
+  /// Marks every job of `p` for re-placement.
+  void markDirty(ProcessId p);
+  /// Rules 3 and 4 for the reference job at `pos` (rules 1 and 2 are the
+  /// mustReplace_ mark).
+  [[nodiscard]] bool keeps(const MappingSolution& solution,
+                           std::size_t pos) const;
+  /// Re-places the job at `pos` against the positioned view; false if it
+  /// finds no room.
+  bool replace(const MappingSolution& solution, std::size_t pos);
+  /// Makes the walk's solution the reference: platform state, positioned
+  /// view, mapping entries and the metrics dirty lists.
+  void commit(const MappingSolution& solution);
+  /// Restores the reference records an unplaced walk overwrote.
+  void undo();
+  /// Appends the bus messages of positions [0, count) in commit order.
+  void appendMessages(std::size_t count,
+                      std::vector<ScheduledMessage>& out) const;
+  [[nodiscard]] bool replacedInWalk(std::size_t pos) const {
+    return replacedAt_[pos] == stamp_;
+  }
+  [[nodiscard]] std::size_t inputBegin(std::size_t pos) const {
+    return inputBegin_[pos];
+  }
+  [[nodiscard]] std::size_t occurrence(std::size_t slot,
+                                       std::int64_t round) const {
+    return slot * static_cast<std::size_t>(state_.roundCount()) +
+           static_cast<std::size_t>(round);
+  }
+  void touchNode(std::size_t node);
+  void touchOccurrence(std::size_t slot, std::int64_t round);
+
+  /// The outcome of `result`: positions [0, processCount) of the log and
+  /// `messages`.
+  void fillOutcome(ScheduleOutcome& outcome, const MappingSolution& solution,
+                   const EvalResult& result, std::size_t processCount,
+                   const std::vector<ScheduledMessage>& messages) const;
 
   const SolutionEvaluator* ev_;
   const SystemModel* sys_;
-  PlatformState state_;       // baseline copy, journaling enabled
-  SchedulerSession session_;  // bound to state_
-  /// Current graphs' entries for `reference_`, in commit order. A plain
-  /// prefix-truncatable log — rewinding to a checkpoint is two resizes.
-  std::vector<ScheduledProcess> processes_;
-  std::vector<ScheduledMessage> messages_;
-  SlackInfo slack_;  // reusable snapshot buffer
+  PlatformState state_;  // baseline + the reference's records
 
-  /// The solution the checkpoints describe (last evaluated).
+  // ---- static layout --------------------------------------------------
+  std::vector<Job> jobs_;  ///< per commit position
+  /// Per position, plus the total: its inputs' index range in the per-input
+  /// arrays below (sys.inputsOf order).
+  std::vector<std::uint32_t> inputBegin_;
+  std::vector<MessageId> inputMessage_;
+  std::vector<std::uint32_t> sourcePos_;  ///< position of the input's source
+  /// Per position, plus the total: its outputs' destination positions.
+  std::vector<std::uint32_t> outputBegin_;
+  std::vector<std::uint32_t> destPos_;
+  std::vector<ProcessId> procs_;  ///< current graphs' processes
+  std::vector<MessageId> msgs_;   ///< current graphs' messages
+  std::vector<Time> baseUsed_;  ///< baseline ticks per slot occurrence
+
+  // ---- the reference ----------------------------------------------------
   MappingSolution reference_;
   bool hasReference_ = false;
-  /// checkpoints_[i] = state before graph i; [graphCount] = final state.
-  std::vector<Checkpoint> checkpoints_;
-  /// Graphs of `reference_` currently committed in `state_` (a failed
-  /// placement leaves only the prefix before the failed graph).
-  std::size_t validGraphs_ = 0;
-
-  /// Fine checkpoints: one JobCheckpoint per commit-order position, per
-  /// graph; fineCount_[gi] positions are valid (jobCount once the graph is
-  /// committed, 0 after a failure there).
-  std::vector<std::vector<SchedulerSession::JobCheckpoint>> fineMarks_;
-  std::vector<std::size_t> fineCount_;
-  /// Hint-independent arrival bound per committed entry (see
-  /// arrivalBounds()), parallel to processes_.
+  /// Per commit position: the record, the arrival bound and the start of
+  /// its first-fit scan (est).
+  std::vector<ScheduledProcess> processes_;
   std::vector<Time> arrivals_;
-
-  /// Cached result of the last fully placed evaluation; served verbatim by
-  /// an exact re-read (the state still holds that solution).
+  std::vector<Time> ests_;
+  std::vector<BusInput> inputs_;  ///< per input
+  /// messages() in commit order, assembled from inputs_ when stale.
+  mutable std::vector<ScheduledMessage> messages_;
+  mutable bool messagesStale_ = false;
+  int misses_ = 0;      ///< deadline misses of the reference
+  Time lateness_ = 0;   ///< total lateness of the reference
+  /// Cached result of the reference; served verbatim by an exact re-read.
   EvalResult result_;
-  bool resultValid_ = false;
+  /// Positioned view: per node the baseline's intervals and the reference's
+  /// records sorted by start; per slot occurrence the reference's messages.
+  std::vector<std::vector<NodeRecord>> nodeView_;
+  std::vector<std::vector<BusRecord>> busView_;
 
-  /// Metrics snapshot kept in sync from the journal's dirty entries.
+  // ---- one walk's scratch -----------------------------------------------
+  std::uint32_t stamp_ = 0;
+  std::vector<std::uint32_t> mustReplace_;  ///< per position: rules 1, 2
+  std::vector<std::uint32_t> replacedAt_;    ///< per position
+  std::vector<Replaced> replaced_;
+  std::vector<BusInput> oldInputs_;
+  std::vector<ScheduledMessage> placedMessages_;  ///< placeJob's output
+  std::vector<ProcessId> changedProcs_;
+  std::vector<MessageId> changedMsgs_;
+  /// First and last position markDirty marked.
+  std::size_t firstDirty_ = 0;
+  std::size_t lastDirty_ = 0;
+  bool anyMoved_ = false;
+  /// Rule 3: per node, the old and new intervals of moved records.
+  std::vector<std::vector<Interval>> nodeMoves_;
+  /// Rule 4: per slot, the rounds of occurrences that gained or lost a
+  /// message.
+  std::vector<std::vector<std::int64_t>> roundMoves_;
+  /// What the view adds on top of the visible reference records: per node
+  /// the re-placed intervals, per slot the re-placed messages' ticks.
+  std::vector<std::vector<Interval>> viewNodes_;
+  std::vector<std::vector<BusUse>> viewBus_;
+
+  SlackInfo slack_;  // reusable snapshot buffer
+
+  /// Metrics snapshot of state_, refreshed on the nodes and occurrences the
+  /// committed walk named dirty.
   IncrementalMetrics metricsCache_;
   std::vector<std::uint32_t> dirtyNodes_;
   std::vector<std::uint64_t> dirtyOccs_;
   std::vector<std::uint32_t> nodeStamp_;  // per node, == stamp_ if dirty
   std::vector<std::uint32_t> occStamp_;   // per slot occurrence
-  std::uint32_t stamp_ = 0;
 
   std::size_t evaluations_ = 0;
-  std::size_t graphsScheduled_ = 0;
-  std::size_t graphsReused_ = 0;
+  std::size_t jobsVisited_ = 0;
+  std::size_t jobsReplaced_ = 0;
   std::size_t zeroDeltaServes_ = 0;
   std::size_t lastRestartGraph_ = 0;
   std::size_t lastRestartPos_ = 0;
@@ -338,8 +439,8 @@ class EvalContext {
 /// the substrate of speculative evaluation (core/speculative_eval.h). Each
 /// worker owns context [w] exclusively. A context
 /// whose reference falls behind the committed solution re-aligns on its
-/// next evaluate: the verified hint triggers a rewind to its checkpoint
-/// before the first graph its own reference disagrees on.
+/// next evaluate: its walk starts at the first position where its own
+/// reference disagrees.
 class EvalContextPool {
  public:
   EvalContextPool(const SolutionEvaluator& evaluator, std::size_t size);

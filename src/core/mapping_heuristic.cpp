@@ -294,9 +294,10 @@ MhResult runMappingHeuristic(const SolutionEvaluator& evaluator,
   MhResult result;
   result.solution = initial;
 
-  // One journaled scratch state for the whole run; the refresh after an
-  // applied move re-reads the cached state instead of re-scheduling. A
-  // caller-provided context (a RunContext's) is reused verbatim.
+  // One evaluation context for the whole run; the refresh after an applied
+  // move walks from the context's reference to the incumbent (nothing at
+  // all when the incumbent is the reference). A caller-provided context (a
+  // RunContext's) is reused verbatim.
   std::optional<EvalContext> owned;
   EvalContext& ctx = scratch != nullptr ? *scratch : owned.emplace(evaluator);
 

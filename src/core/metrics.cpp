@@ -14,21 +14,30 @@ namespace {
 /// hot path consumes without materializing one element per item.
 using DemandRuns = std::vector<std::pair<std::int64_t, std::int64_t>>;
 
+/// Buffers of the deterministic quotas behind a demand stream.
+struct QuotaScratch {
+  std::vector<std::size_t> quotas;
+  DiscreteDistribution::QuotaRemainders remainders;
+};
+
 /// Fills `runs` with the demand stream for `totalSlack`. The deterministic
 /// stream is runs of identical values in descending order (largest-
 /// remainder quotas per entry), and the greedy trim keeps a prefix of every
 /// run: once sum + v overflows, every later item of the same value
-/// overflows too. This runs once per evaluation — thousands of times per
-/// optimization — on streams of ~10^3 items.
+/// overflows too. This runs twice per evaluation — thousands of times per
+/// optimization — on streams of ~10^3 items; with `quotas` reused across
+/// calls it allocates nothing.
 void demandRunsInto(const DiscreteDistribution& dist, std::int64_t totalSlack,
-                    DemandRuns& runs) {
+                    DemandRuns& runs, QuotaScratch& quotaScratch) {
   runs.clear();
   if (totalSlack <= 0) return;
   const double expected = dist.expectedValue();
   const auto bound = static_cast<std::size_t>(
       static_cast<double>(totalSlack) / std::max(1.0, expected) +
       static_cast<double>(dist.entries().size()) + 8);
-  const std::vector<std::size_t> quotas = dist.deterministicQuotas(bound);
+  dist.deterministicQuotasInto(bound, quotaScratch.quotas,
+                               quotaScratch.remainders);
+  const std::vector<std::size_t>& quotas = quotaScratch.quotas;
   const auto& entries = dist.entries();
   std::int64_t sum = 0;
   for (std::size_t i = entries.size(); i > 0; --i) {
@@ -150,7 +159,8 @@ void CapacityCounts::reset(std::int64_t maxValue) {
 std::vector<std::int64_t> largestFutureDemand(const DiscreteDistribution& dist,
                                               std::int64_t totalSlack) {
   DemandRuns runs;
-  demandRunsInto(dist, totalSlack, runs);
+  QuotaScratch quotaScratch;
+  demandRunsInto(dist, totalSlack, runs, quotaScratch);
   std::vector<std::int64_t> out;
   for (const auto& [value, count] : runs) {
     out.insert(out.end(), static_cast<std::size_t>(count), value);
@@ -188,6 +198,7 @@ namespace {
 struct C1Scratch {
   std::vector<std::int64_t> containers;
   DemandRuns runs;
+  QuotaScratch quotas;
   CapacityCounts counts;
   std::vector<CountEdit> log;
 };
@@ -204,7 +215,7 @@ C1Scratch& c1Scratch() {
 double c1PercentFromCounts(C1Scratch& scratch, CapacityCounts& counts,
                            std::int64_t total,
                            const DiscreteDistribution& dist) {
-  demandRunsInto(dist, total, scratch.runs);
+  demandRunsInto(dist, total, scratch.runs, scratch.quotas);
   std::int64_t demand = 0;
   for (const auto& [value, count] : scratch.runs) demand += value * count;
   if (demand == 0) {
@@ -293,9 +304,9 @@ DesignMetrics computeMetrics(const SlackInfo& slack,
 void IncrementalMetrics::refreshNode(const PlatformState& state,
                                      std::size_t n) {
   const NodeId id{static_cast<std::int32_t>(n)};
-  // A rollback and re-schedule commonly restores the exact occupancy (a
-  // rejected move, or the untouched part of a partial rewind); recompute the
-  // free set first and bail before touching the counts when nothing changed.
+  // A node named dirty can come back with its exact occupancy (records that
+  // traded places, or a release undone before the sync); recompute the free
+  // set first and bail before touching the counts when nothing changed.
   state.nodeBusy(id).complementWithinInto({0, horizon_}, scratchSet_);
   IntervalSet& free = nodeFree_[n];
   if (scratchSet_ == free) return;

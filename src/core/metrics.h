@@ -113,15 +113,16 @@ class CapacityCounts {
   std::vector<std::uint64_t> summary_;  ///< bit w: words_[w] != 0
 };
 
-/// Incrementally maintained DesignMetrics over a journaled PlatformState.
+/// Incrementally maintained DesignMetrics over a PlatformState.
 ///
 /// Keeps a snapshot of every occupancy-derived quantity the metrics read —
 /// per-node free IntervalSets, the C1 capacity counts with their totals,
 /// per-node per-window free ticks with row minima, and per-window bus free
-/// ticks — and re-derives only the nodes / slot occurrences named dirty (by
-/// the platform journal, see PlatformState::journal) since the last
-/// evaluation. Within a dirty node, only the free intervals that differ from
-/// the snapshot enter or leave the C1 counts, one O(1) counter update each.
+/// ticks — and re-derives only the nodes / slot occurrences the caller
+/// names dirty since the last sync (EvalContext names the ones its walk's
+/// released and occupied records touched). Within a dirty node, only the
+/// free intervals that differ from the snapshot enter or leave the C1
+/// counts, one O(1) counter update each.
 /// Every maintained quantity is integral and order-independent (a multiset
 /// or a sum), so metrics() is bit-identical to
 /// computeMetrics(extractSlack(state), profile) by construction; the

@@ -203,7 +203,7 @@ RunReport runStrategy(const std::string& name, const DesignerOptions& options,
   }
 
   // Final full evaluation through the run's context (bit-identical to the
-  // stateless pass; re-uses whatever checkpoints the improvement left).
+  // stateless pass; walks from whatever reference the improvement left).
   ScheduleOutcome outcome;
   const EvalResult result = eval.evaluate(solution, &outcome, nullptr);
   ++report.evaluations;

@@ -8,10 +8,10 @@
 // evaluates them concurrently on per-worker EvalContexts, and the chain
 // replays the Metropolis decisions in order. After an acceptance the
 // worker contexts hold stale speculations; each re-aligns on its next
-// evaluation — the EvalContext verifies hints against its own reference,
-// rewinds to its per-graph checkpoints and applies the committed move — so
-// the catch-up overlaps the next batch's useful work instead of costing a
-// dedicated barrier round.
+// evaluation — the EvalContext diffs the trial against its own reference
+// and walks from the first job they disagree on — so the catch-up overlaps
+// the next batch's useful work instead of costing a dedicated barrier
+// round.
 #pragma once
 
 #include <condition_variable>

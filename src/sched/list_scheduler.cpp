@@ -97,14 +97,6 @@ GraphJobOrder computeJobOrder(const SystemModel& sys, GraphId g,
   return out;
 }
 
-Time SchedulerSession::messageReady(const Message& msg, std::int32_t instance,
-                                    const MappingSolution& mapping,
-                                    Time period) {
-  return std::max(jobOf(msg.src, instance).end,
-                  mapping.messageHint(msg.id) +
-                      static_cast<Time>(instance) * period);
-}
-
 NodeId SchedulerSession::earliestFinishNode(const Job& job,
                                             const MappingSolution& mapping,
                                             Time period) {
@@ -130,7 +122,8 @@ NodeId SchedulerSession::earliestFinishNode(const Job& job,
       }
       const auto placement = state_->findBusSlot(
           bus.slotOfNode(srcNode),
-          messageReady(msg, job.instance, mapping, period),
+          messageReady(jobOf(msg.src, job.instance).end,
+                       mapping.messageHint(mId), job.instance, period),
           bus.transmissionTime(msg.sizeBytes));
       if (!placement) {
         ok = false;
@@ -152,13 +145,9 @@ NodeId SchedulerSession::earliestFinishNode(const Job& job,
 
 SchedulerSession::GraphResult SchedulerSession::scheduleGraph(
     GraphId g, const MappingSolution& mapping, MappingSolution* chosen,
-    const GraphJobOrder& order, std::size_t resumeAt, std::size_t graphBase,
-    std::vector<ScheduledProcess>& processesOut,
-    std::vector<ScheduledMessage>& messagesOut,
-    std::vector<JobCheckpoint>* marksOut, std::vector<Time>* arrivalsOut) {
+    const GraphJobOrder& order, std::vector<ScheduledProcess>& processesOut,
+    std::vector<ScheduledMessage>& messagesOut) {
   const SystemModel& sys = *sys_;
-  PlatformState& state = *state_;
-  const TdmaBus& bus = sys.architecture().bus();
   const ProcessGraph& graph = sys.graph(g);
 
   // One Job per (process, instance), indexed instance-major so a
@@ -176,42 +165,15 @@ SchedulerSession::GraphResult SchedulerSession::scheduleGraph(
                        graph.deadlineOf(k), kNoTime});
     }
   }
-  if (marksOut != nullptr) marksOut->resize(order.jobCount());
-
-  GraphResult out;
-  // Restore the committed finish times of the prefix positions: they are
-  // everything a later position reads from an earlier one (besides the
-  // platform occupancy, which the caller restored via the journal mark).
-  for (std::size_t pos = 0; pos < resumeAt; ++pos) {
-    jobs_[static_cast<std::size_t>(order.jobAt[pos])].end =
-        processesOut[graphBase + pos].end;
-  }
-  if (resumeAt > 0) {
-    // Cumulative tallies after the whole prefix = tallies before the last
-    // prefix position plus that position's own contribution.
-    const std::size_t last = resumeAt - 1;
-    const Job& job = jobs_[static_cast<std::size_t>(order.jobAt[last])];
-    out.deadlineMisses = (*marksOut)[last].deadlineMisses;
-    out.totalLateness = (*marksOut)[last].lateness;
-    if (job.end > job.absDeadline) {
-      out.deadlineMisses += 1;
-      out.totalLateness += job.end - job.absDeadline;
-    }
-  }
 
   // Each placement is computed once and each job committed by one
   // first-fit insert on its node. Only an HCP position without a node
   // looks at more than one node first; a job that has one commits
   // directly, since a failure against the current occupancy implies a
   // failure after its own input messages are committed too.
-  for (std::size_t pos = resumeAt; pos < order.jobCount(); ++pos) {
+  GraphResult out;
+  for (std::size_t pos = 0; pos < order.jobCount(); ++pos) {
     Job& job = jobs_[static_cast<std::size_t>(order.jobAt[pos])];
-    if (marksOut != nullptr) {
-      (*marksOut)[pos] = {state.mark(),
-                          static_cast<std::uint32_t>(processesOut.size()),
-                          static_cast<std::uint32_t>(messagesOut.size()),
-                          out.deadlineMisses, out.totalLateness};
-    }
     const Process& proc = sys.process(job.pid);
     NodeId n = mapping.nodeOf(job.pid);
     if (!n.valid() && chosen != nullptr) {
@@ -225,53 +187,24 @@ SchedulerSession::GraphResult SchedulerSession::scheduleGraph(
       throw std::invalid_argument(
           "scheduleGraphs: mapping assigns a disallowed node");
     }
-
-    // The arrival bound folds release time and input-message arrivals only;
-    // the start hint joins afterwards, so the bound is exactly the pivot the
-    // zero-delta hint filter compares against. Bus commits are sequential,
-    // so each placement sees the occupancy left by the previous one.
-    Time arrival = job.release;
-    for (const MessageId mId : sys.inputsOf(job.pid)) {
-      const Message& msg = sys.message(mId);
-      const NodeId srcNode = mapping.nodeOf(msg.src);
-      if (srcNode == n) {
-        arrival = std::max(arrival, jobOf(msg.src, job.instance).end);
-        continue;
-      }
-      const std::size_t slot = bus.slotOfNode(srcNode);
-      const Time txTicks = bus.transmissionTime(msg.sizeBytes);
-      const auto placement = state.findBusSlot(
-          slot, messageReady(msg, job.instance, mapping, graph.period),
-          txTicks);
-      if (!placement) {
-        out.placed = false;
-        return out;
-      }
-      state.occupyBus(slot, placement->round, txTicks);
-      messagesOut.push_back({msg.id, job.instance, slot, placement->round,
-                             placement->start, placement->end});
-      arrival = std::max(arrival, placement->end);
-    }
-    const Time est =
-        std::max(arrival, static_cast<Time>(job.instance) * graph.period +
-                              mapping.startHint(job.pid));
-    const Time start = state.occupyEarliest(n, est, proc.wcetOn(n));
-    if (start == kNoTime) {
+    const std::int32_t instance = job.instance;
+    const JobPlacement placed = placeJob(
+        sys, *state_, job.pid, instance, job.release, graph.period, n,
+        mapping,
+        [this, instance](std::size_t, ProcessId src) {
+          return jobOf(src, instance).end;
+        },
+        messagesOut);
+    if (!placed.placed) {
       out.placed = false;
       return out;
     }
-    const Time end = start + proc.wcetOn(n);
-    processesOut.push_back({job.pid, job.instance, n, start, end});
-    if (arrivalsOut != nullptr) {
-      arrivalsOut->resize(processesOut.size());
-      (*arrivalsOut)[graphBase + pos] = arrival;
-    }
+    processesOut.push_back({job.pid, instance, n, placed.start, placed.end});
     if (chosen != nullptr) chosen->setNode(job.pid, n);
-    job.end = end;
-    if (end > job.absDeadline) {
-      out.deadlineMisses += 1;
-      out.totalLateness += end - job.absDeadline;
-    }
+    job.end = placed.end;
+    const Time late = latenessOf(placed.end, job.absDeadline);
+    out.deadlineMisses += late > 0 ? 1 : 0;
+    out.totalLateness += late;
   }
   out.placed = true;
   return out;
@@ -301,10 +234,8 @@ ScheduleOutcome scheduleGraphs(const SystemModel& sys,
     const GraphJobOrder order = computeJobOrder(
         sys, g,
         req.priorities != nullptr ? (*req.priorities)[gi] : ownPriorities);
-    const SchedulerSession::GraphResult r =
-        session.scheduleGraph(g, out.mapping, chosen, order, 0,
-                              processes.size(), processes, messages, nullptr,
-                              nullptr);
+    const SchedulerSession::GraphResult r = session.scheduleGraph(
+        g, out.mapping, chosen, order, processes, messages);
     out.deadlineMisses += r.deadlineMisses;
     out.totalLateness += r.totalLateness;
     placed = r.placed;

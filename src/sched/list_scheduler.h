@@ -17,34 +17,36 @@
 //
 // Graphs are scheduled one at a time, in the fixed order of the request.
 // Graphs never exchange messages (messages connect processes of one graph),
-// so the only coupling between them is the platform occupancy — which makes
-// "the state after graph i" a well-defined checkpoint. SchedulerSession
-// exposes exactly that: schedule one graph, observe the state, schedule the
-// next. Combined with PlatformState's journal this is what lets EvalContext
-// rewind to the first graph a move affects and re-schedule only from there.
-//
-// Within a graph, jobs commit in the static order of computeJobOrder (see
+// so the only coupling between them is the platform occupancy. Within a
+// graph, jobs commit in the static order of computeJobOrder (see
 // GraphJobOrder) in both modes: the ready-list discipline depends on the
-// graph and the priorities only, never on which node a job lands on, so one
-// loop serves HCP, mapping mode and EvalContext's mid-graph restarts alike.
+// graph and the priorities only, never on which node a job lands on. The
+// concatenated orders of a request's graphs are therefore fixed commit
+// positions, which is what EvalContext's change-propagation walk runs over.
+//
+// One job is placed by placeJob: input messages first (bus packing), then
+// the job itself (first fit on its node). SchedulerSession runs it against
+// a PlatformState for every one-shot caller (scheduleGraphs, HCP, the
+// Initial Mapping); EvalContext runs the same template against its
+// positioned view of the reference schedule, so the placement rules exist
+// once.
 //
 // Messages between processes on different nodes are scheduled into the TDMA
 // slot of the sender's node at destination-scheduling time; same-node
 // messages cost no bus time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "model/system_model.h"
 #include "sched/mapping.h"
 #include "sched/platform_state.h"
 #include "sched/schedule.h"
 #include "util/ids.h"
 
 namespace ides {
-
-class SystemModel;
-struct Message;
 
 struct ScheduleRequest {
   /// Graphs to schedule (normally all graphs of one application), in the
@@ -71,10 +73,8 @@ struct ScheduleRequest {
 /// keys only — never the mapping, the node HCP picks or a placement result —
 /// so the commit order is a pure function of (graph topology, priorities).
 /// It is computed once per graph and SchedulerSession::scheduleGraph is
-/// driven off it directly, which is also what makes a mid-graph
-/// (process-granular) restart well-defined: for a move that first affects
-/// order position k, every position before k commits identically, so
-/// re-scheduling the suffix [k, jobs) reproduces the full pass bit for bit.
+/// driven off it directly; EvalContext numbers the same positions to walk
+/// them (core/evaluator.h).
 struct GraphJobOrder {
   /// Dense job index: instance * processCount + local process index.
   std::vector<std::int32_t> jobAt;       ///< position -> flat job index
@@ -105,6 +105,95 @@ struct ScheduleOutcome {
   MappingSolution mapping;
 };
 
+/// Earliest time a message of `instance` may enter the bus: its source's
+/// finish, delayed to the message's period-relative start hint.
+[[nodiscard]] inline Time messageReady(Time sourceEnd, Time hint,
+                                       std::int32_t instance, Time period) {
+  return std::max(sourceEnd, hint + static_cast<Time>(instance) * period);
+}
+
+/// Lateness of a job ending at `end` against its absolute deadline; a
+/// positive value is a deadline miss. The schedulers' tallies (misses,
+/// total lateness) sum it over the committed jobs.
+[[nodiscard]] inline Time latenessOf(Time end, Time absDeadline) {
+  return std::max<Time>(0, end - absDeadline);
+}
+
+/// Where placeJob put one job; `placed` is false when an input message or
+/// the job itself found no room inside the horizon.
+struct JobPlacement {
+  bool placed = false;
+  /// Hint-independent arrival bound: release joined with the input
+  /// arrivals. The start is the first fit at or after `est` = max(arrival,
+  /// instance * period + start hint), which is what lets a hint change be
+  /// proven schedule-identical without re-scheduling (see
+  /// core/simulated_annealing.h's zero-delta filter).
+  Time arrival = 0;
+  Time est = 0;
+  Time start = 0;
+  Time end = 0;
+};
+
+/// Places one job of `pid` (instance `instance`, released at `release`,
+/// graph period `period`) on `node`: every input message from another node
+/// is packed into the first round of its sender's slot at or after its
+/// ready time that still has room (appended to `messagesOut`), then the job
+/// goes into the first gap of `node` at or after its arrival bound joined
+/// with its start hint. The node must already be validated.
+/// `sourceEnd(i, p)` is the finish time of the same instance of input
+/// source `p`, the source of sys.inputsOf(pid)[i].
+///
+/// The list-scheduling rules live here once. `Occupancy` is what the job
+/// is placed against: PlatformState in SchedulerSession, EvalContext's
+/// positioned view in its change-propagation walk. It provides
+///   findBusSlot(slot, ready, txTicks) -> std::optional<BusPlacement>,
+///   occupyBus(slot, round, txTicks) and
+///   occupyEarliest(node, after, duration) -> start or kNoTime,
+/// with PlatformState's semantics. Bus commits are sequential, so each
+/// input sees the occupancy the previous one left. On failure the messages
+/// placed so far stay committed, as in scheduleGraph.
+template <class Occupancy, class SourceEnd>
+JobPlacement placeJob(const SystemModel& sys, Occupancy& occupancy,
+                      ProcessId pid, std::int32_t instance, Time release,
+                      Time period, NodeId node,
+                      const MappingSolution& mapping,
+                      const SourceEnd& sourceEnd,
+                      std::vector<ScheduledMessage>& messagesOut) {
+  const TdmaBus& bus = sys.architecture().bus();
+  JobPlacement out;
+  out.arrival = release;
+  const std::vector<MessageId>& inputs = sys.inputsOf(pid);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const MessageId mId = inputs[i];
+    const Message& msg = sys.message(mId);
+    const NodeId srcNode = mapping.nodeOf(msg.src);
+    const Time srcEnd = sourceEnd(i, msg.src);
+    if (srcNode == node) {
+      out.arrival = std::max(out.arrival, srcEnd);
+      continue;
+    }
+    const std::size_t slot = bus.slotOfNode(srcNode);
+    const Time txTicks = bus.transmissionTime(msg.sizeBytes);
+    const auto placement = occupancy.findBusSlot(
+        slot, messageReady(srcEnd, mapping.messageHint(mId), instance, period),
+        txTicks);
+    if (!placement) return out;
+    occupancy.occupyBus(slot, placement->round, txTicks);
+    messagesOut.push_back({mId, instance, slot, placement->round,
+                           placement->start, placement->end});
+    out.arrival = std::max(out.arrival, placement->end);
+  }
+  out.est = std::max(out.arrival, static_cast<Time>(instance) * period +
+                                     mapping.startHint(pid));
+  const Time wcet = sys.process(pid).wcetOn(node);
+  const Time start = occupancy.occupyEarliest(node, out.est, wcet);
+  if (start == kNoTime) return out;
+  out.placed = true;
+  out.start = start;
+  out.end = start + wcet;
+  return out;
+}
+
 /// Reusable one-graph-at-a-time scheduler bound to a model and a platform
 /// state. Its scratch (the job pool and the process index) lives in the
 /// session and is reused across calls, so the optimization inner loops
@@ -118,18 +207,6 @@ class SchedulerSession {
     bool placed = false;
     int deadlineMisses = 0;
     Time totalLateness = 0;
-  };
-
-  /// State snapshot taken immediately before committing one order position:
-  /// journal mark plus output sizes and the graph-local running tallies.
-  /// Rewinding a graph to position k is the same two-resize rollback as a
-  /// whole-graph checkpoint, just finer.
-  struct JobCheckpoint {
-    PlatformState::Mark mark = 0;
-    std::uint32_t processCount = 0;  ///< processesOut.size() before position
-    std::uint32_t messageCount = 0;  ///< messagesOut.size() before position
-    std::int32_t deadlineMisses = 0;  ///< graph-local, before this position
-    Time lateness = 0;                ///< graph-local, before this position
   };
 
   /// Binds to `sys` and `state`; both must outlive the session.
@@ -147,32 +224,14 @@ class SchedulerSession {
   /// current occupancy, and every choice is recorded into `chosen`, which
   /// pins the later instances.
   ///
-  /// Resumable mid-graph: positions [0, resumeAt) must already be committed
-  /// in the bound state, with their entries at processesOut[graphBase +
-  /// position] (graphBase = processesOut.size() at the graph's whole-graph
-  /// checkpoint) and their checkpoints in `marksOut`; only positions
-  /// [resumeAt, jobs) are scheduled. When non-null, `marksOut` (resized to
-  /// the order size; earlier entries untouched) receives one JobCheckpoint
-  /// per scheduled position, and `arrivalsOut` the hint-independent arrival
-  /// bound of every committed position at arrivalsOut[graphBase + position]:
-  /// the earliest start permitted by release time and input-message
-  /// arrivals alone. start == earliestFit(node, max(bound, period-relative
-  /// hint)), which is what lets a hint change be proven schedule-identical
-  /// without re-scheduling (see core/simulated_annealing.h's zero-delta
-  /// filter). One-shot callers pass null for both.
-  ///
   /// On a placement failure the state and the outputs keep the partial
-  /// commits, input messages of the failing position included — rewind
-  /// with a PlatformState mark (EvalContext) or discard them (one-shot
-  /// callers).
+  /// commits, input messages of the failing position included; one-shot
+  /// callers discard them.
   GraphResult scheduleGraph(GraphId g, const MappingSolution& mapping,
                             MappingSolution* chosen,
-                            const GraphJobOrder& order, std::size_t resumeAt,
-                            std::size_t graphBase,
+                            const GraphJobOrder& order,
                             std::vector<ScheduledProcess>& processesOut,
-                            std::vector<ScheduledMessage>& messagesOut,
-                            std::vector<JobCheckpoint>* marksOut,
-                            std::vector<Time>* arrivalsOut);
+                            std::vector<ScheduledMessage>& messagesOut);
 
  private:
   struct Job {
@@ -187,11 +246,6 @@ class SchedulerSession {
     return jobs_[static_cast<std::size_t>(instance) * procCount_ +
                  static_cast<std::size_t>(procLocal_[p.index()])];
   }
-  /// Earliest arrival of `msg` for instance `instance` (period `period`):
-  /// the source's finish time, delayed to the message's start hint.
-  [[nodiscard]] Time messageReady(const Message& msg, std::int32_t instance,
-                                  const MappingSolution& mapping,
-                                  Time period);
   /// HCP: the allowed node with the earliest finish for `job`, evaluated
   /// against the current occupancy without committing anything (bus
   /// placements are not reserved between the inputs); invalid if none
@@ -213,8 +267,7 @@ class SchedulerSession {
 /// Schedule `req.graphs` into `state`, graph by graph in request order, each
 /// in its computeJobOrder order under `req.priorities`. On success the state
 /// contains the new occupancy; if the outcome is not `placed`, the state is
-/// partially updated and must be discarded (or rewound via the journal) by
-/// the caller.
+/// partially updated and must be discarded by the caller.
 ScheduleOutcome scheduleGraphs(const SystemModel& sys,
                                const ScheduleRequest& req,
                                PlatformState& state);

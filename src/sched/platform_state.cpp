@@ -33,21 +33,22 @@ void PlatformState::occupyNode(NodeId node, Interval iv) {
     throw std::logic_error("occupyNode: double booking");
   }
   busy.add(iv);
-  if (journaling_) {
-    journal_.push_back({JournalEntry::Kind::Node,
-                        static_cast<std::uint32_t>(node.index()), iv, 0, 0});
-  }
 }
 
 Time PlatformState::occupyEarliest(NodeId node, Time after, Time duration) {
-  const Time start = nodeBusy_[node.index()].insertFirstFit(
-      std::max<Time>(after, 0), duration, horizon_);
-  if (start != kNoTime && journaling_) {
-    journal_.push_back({JournalEntry::Kind::Node,
-                        static_cast<std::uint32_t>(node.index()),
-                        {start, start + duration}, 0, 0});
+  return nodeBusy_[node.index()].insertFirstFit(std::max<Time>(after, 0),
+                                                duration, horizon_);
+}
+
+void PlatformState::releaseNode(NodeId node, Interval iv) {
+  if (iv.empty() || iv.start < 0 || iv.end > horizon_) {
+    throw std::logic_error("releaseNode: interval outside horizon");
   }
-  return start;
+  IntervalSet& busy = nodeBusy_[node.index()];
+  if (!busy.covers(iv)) {
+    throw std::logic_error("releaseNode: range is not busy");
+  }
+  busy.subtract(iv);
 }
 
 std::optional<PlatformState::BusPlacement> PlatformState::findBusSlot(
@@ -80,7 +81,7 @@ void PlatformState::occupyBus(std::size_t slotIndex, std::int64_t round,
   }
   used += txTicks;
   // Advance the first-free-round cursor past every round this occupy just
-  // sealed (amortized O(1): each round is crossed once until a rollback
+  // sealed (amortized O(1): each round is crossed once until a release
   // reopens it).
   std::int64_t& cursor = slotCursor_[slotIndex];
   if (round == cursor) {
@@ -90,42 +91,21 @@ void PlatformState::occupyBus(std::size_t slotIndex, std::int64_t round,
       ++cursor;
     }
   }
-  if (journaling_) {
-    journal_.push_back({JournalEntry::Kind::Bus,
-                        static_cast<std::uint32_t>(slotIndex),
-                        Interval{},
-                        round,
-                        txTicks});
-  }
 }
 
-void PlatformState::setJournaling(bool enabled) {
-  journaling_ = enabled;
-  journal_.clear();
-}
-
-void PlatformState::rollbackTo(Mark m) {
-  if (!journaling_) {
-    throw std::logic_error("rollbackTo: journaling is off");
+void PlatformState::releaseBus(std::size_t slotIndex, std::int64_t round,
+                               Time txTicks) {
+  if (round < 0 || round >= roundCount_) {
+    throw std::logic_error("releaseBus: round outside horizon");
   }
-  if (m > journal_.size()) {
-    throw std::logic_error("rollbackTo: mark ahead of the journal");
+  Time& used = slotUsed_[slotIndex][static_cast<std::size_t>(round)];
+  if (txTicks <= 0 || txTicks > used) {
+    throw std::logic_error("releaseBus: more ticks than the occurrence holds");
   }
-  // Newest-first, so every undo lands on the state just before its record
-  // was committed. Transmissions pack from the slot front, so freeing the
-  // ticks restores exactly the position the next findBusSlot would hand out.
-  for (std::size_t i = journal_.size(); i-- > m;) {
-    const JournalEntry& e = journal_[i];
-    if (e.kind == JournalEntry::Kind::Node) {
-      nodeBusy_[e.index].subtract(e.iv);
-    } else {
-      slotUsed_[e.index][static_cast<std::size_t>(e.round)] -= e.txTicks;
-      // The freed ticks reopen this round: lower the cursor so findBusSlot
-      // sees it again (rounds below it stay full, keeping the invariant).
-      slotCursor_[e.index] = std::min(slotCursor_[e.index], e.round);
-    }
-  }
-  journal_.resize(m);
+  used -= txTicks;
+  // The freed ticks reopen this round: lower the cursor so findBusSlot sees
+  // it again (rounds below it stay full, keeping the invariant).
+  slotCursor_[slotIndex] = std::min(slotCursor_[slotIndex], round);
 }
 
 Time PlatformState::totalNodeSlack() const {

@@ -3,15 +3,12 @@
 //
 // The frozen existing applications are baked into a baseline state once;
 // each candidate mapping of the current application is then scheduled on
-// top. Historically every evaluation copied the whole baseline; the journal
-// (see setJournaling/mark/rollbackTo) turns that into checkpoint + undo:
-// every occupy (occupyNode, occupyEarliest, occupyBus) is recorded, and
-// rolling back to a mark undoes the records newest-first, each by its exact
-// inverse (the node interval is subtracted, the bus ticks are handed back).
-// A rewind therefore costs what it undoes, not what the state holds.
-// EvalContext keeps ONE journaled state per thread and rewinds it to the
-// checkpoint before the first graph a move affects, which is what makes
-// incremental re-evaluation cheap.
+// top. The one-shot paths copy the baseline and schedule into the copy.
+// EvalContext keeps ONE state per thread holding its reference schedule and
+// moves it to each new schedule record by record: releaseNode and
+// releaseBus are the exact inverses of the occupies (the node interval is
+// subtracted, the bus ticks are handed back), so an update costs what it
+// changes, not what the state holds.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +43,8 @@ class PlatformState {
   void occupyNode(NodeId node, Interval iv);
 
   /// Occupy the earliestFit(node, after, duration) slot and return its
-  /// start, or kNoTime (state unchanged) if nothing fits. Journaled exactly
-  /// like occupyNode. The scheduling loops commit every job through this:
+  /// start, or kNoTime (state unchanged) if nothing fits. The scheduling
+  /// loop commits every job through this:
   /// the scan's stopping point is where the interval goes, so a commit
   /// costs one binary search on the node's busy set, not three.
   Time occupyEarliest(NodeId node, Time after, Time duration);
@@ -72,7 +69,7 @@ class PlatformState {
   /// back-to-back, so the placement begins after the ticks already used in
   /// that occurrence. Returns nullopt if nothing fits before the horizon.
   /// A per-slot first-free-round cursor (maintained by occupyBus and
-  /// rollbackTo) skips the fully-booked prefix, so the common append —
+  /// releaseBus) skips the fully-booked prefix, so the common append —
   /// packing messages behind a saturated base — is O(1) instead of a scan
   /// over every full round.
   [[nodiscard]] std::optional<BusPlacement> findBusSlot(
@@ -81,6 +78,23 @@ class PlatformState {
 
   /// Consume `txTicks` of slot `slotIndex` in `round`.
   void occupyBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
+
+  // ---- release: the exact inverses of the occupies ------------------------
+
+  /// Free [iv.start, iv.end) on the node. The range must be busy and within
+  /// the horizon (throws std::logic_error otherwise). Records never overlap
+  /// each other or the baseline, so releasing a committed record removes
+  /// exactly the ticks its occupy added and reopens the gap for
+  /// earliestFit.
+  void releaseNode(NodeId node, Interval iv);
+
+  /// Hand `txTicks` of slot `slotIndex` in `round` back and lower the slot's
+  /// first-free-round cursor to that round if it was above it. Throws
+  /// std::logic_error for a round outside the horizon or more ticks than
+  /// the occurrence holds. An occurrence keeps a tick count, not positions
+  /// (a message packs behind the ticks already used), so the freed ticks
+  /// are room findBusSlot hands out again.
+  void releaseBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
 
   [[nodiscard]] std::int64_t roundCount() const { return roundCount_; }
   [[nodiscard]] Time slotUsedTicks(std::size_t slotIndex,
@@ -98,48 +112,6 @@ class PlatformState {
   /// Total free bus ticks over all slot occurrences.
   [[nodiscard]] Time totalBusSlackTicks() const;
 
-  // ---- checkpoint / undo journal ------------------------------------------
-
-  /// Journal position; positions taken before a rollback past them are
-  /// invalidated.
-  using Mark = std::size_t;
-
-  /// Start (or stop) recording occupy operations. Enabling clears any
-  /// previous journal, so the current occupancy becomes the floor no
-  /// rollback can cross. Off by default: one-shot consumers (frozen-base
-  /// construction, stateWith) pay nothing.
-  void setJournaling(bool enabled);
-  [[nodiscard]] bool journaling() const { return journaling_; }
-
-  /// Current journal position. Only meaningful while journaling.
-  [[nodiscard]] Mark mark() const { return journal_.size(); }
-
-  /// Undo every occupy recorded after `m`, newest-first, each by its exact
-  /// inverse: records never overlap each other or the floor, so
-  /// subtracting a node record's interval removes exactly the ticks its
-  /// occupy added, and a bus record gives its ticks back and lowers the
-  /// slot cursor. Restores the exact occupancy the state had when mark()
-  /// returned `m`, in time linear in the records undone. Throws
-  /// std::logic_error if `m` is ahead of the journal or journaling is off.
-  void rollbackTo(Mark m);
-
-  struct JournalEntry {
-    enum class Kind : std::uint8_t { Node, Bus } kind = Kind::Node;
-    std::uint32_t index = 0;  ///< node index or slot index
-    Interval iv;              ///< Node: the occupied interval
-    std::int64_t round = 0;   ///< Bus: the slot occurrence
-    Time txTicks = 0;         ///< Bus: ticks consumed
-  };
-
-  /// The journal records themselves, [0, mark()). Read-only dirty-tracking
-  /// hook: the records between two marks name exactly the nodes and slot
-  /// occurrences whose occupancy changed, which is what the incremental
-  /// metrics cache (core/evaluator.h) uses to recompute window minima and
-  /// slack containers only where occupancy actually moved.
-  [[nodiscard]] const std::vector<JournalEntry>& journal() const {
-    return journal_;
-  }
-
  private:
 
   const Architecture* arch_;  // non-owning; architectures outlive states
@@ -151,10 +123,8 @@ class PlatformState {
   /// Per slot: the lowest round that still has free ticks. Invariant —
   /// every round below the cursor is completely full, so findBusSlot may
   /// start its scan at the cursor. occupyBus advances it (amortized O(1)),
-  /// rollbackTo lowers it when freed ticks reopen an earlier round.
+  /// releaseBus lowers it when freed ticks reopen an earlier round.
   std::vector<std::int64_t> slotCursor_;
-  bool journaling_ = false;
-  std::vector<JournalEntry> journal_;
 };
 
 }  // namespace ides

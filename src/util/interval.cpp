@@ -40,8 +40,9 @@ void IntervalSet::add(Interval iv) {
 
 void IntervalSet::subtract(Interval iv) {
   if (iv.empty() || intervals_.empty()) return;
-  // Locate the overlapping run with binary search and rewrite only it: the
-  // journal rollback subtracts one record at a time from large sets.
+  // Locate the overlapping run with binary search and rewrite only it:
+  // PlatformState::releaseNode subtracts one record at a time from large
+  // sets.
   const auto first = std::lower_bound(
       intervals_.begin(), intervals_.end(), iv,
       [](const Interval& a, const Interval& b) { return a.end <= b.start; });

@@ -55,8 +55,8 @@ class IntervalSet {
   /// Remove [iv.start, iv.end) from the set, splitting members as needed.
   /// The surviving edges are written into the slots of the members they
   /// come from. Subtracting an interval that add() just coalesced in is
-  /// therefore a shrink, one erase or one insert (a split): the journal
-  /// rollback undoes every node occupy this way.
+  /// therefore a shrink, one erase or one insert (a split):
+  /// PlatformState::releaseNode undoes node occupies this way.
   void subtract(Interval iv);
 
   /// Total covered length.

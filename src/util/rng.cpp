@@ -91,9 +91,18 @@ double DiscreteDistribution::expectedValue() const {
 
 std::vector<std::size_t> DiscreteDistribution::deterministicQuotas(
     std::size_t count) const {
+  std::vector<std::size_t> quota;
+  QuotaRemainders remainders;
+  deterministicQuotasInto(count, quota, remainders);
+  return quota;
+}
+
+void DiscreteDistribution::deterministicQuotasInto(
+    std::size_t count, std::vector<std::size_t>& quota,
+    QuotaRemainders& remainders) const {
   // Largest-remainder apportionment of `count` draws across the entries.
-  std::vector<std::size_t> quota(entries_.size(), 0);
-  std::vector<std::pair<double, std::size_t>> remainders;
+  quota.assign(entries_.size(), 0);
+  remainders.clear();
   std::size_t assigned = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const double exact = entries_[i].probability * static_cast<double>(count);
@@ -109,7 +118,6 @@ std::vector<std::size_t> DiscreteDistribution::deterministicQuotas(
   for (std::size_t k = 0; assigned < count; ++k, ++assigned) {
     quota[remainders[k % remainders.size()].second] += 1;
   }
-  return quota;
 }
 
 std::vector<std::int64_t> DiscreteDistribution::deterministicStream(

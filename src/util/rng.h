@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace ides {
@@ -110,6 +111,16 @@ class DiscreteDistribution {
   /// it.
   [[nodiscard]] std::vector<std::size_t> deterministicQuotas(
       std::size_t count) const;
+
+  /// Scratch of deterministicQuotasInto: (fractional part, entry index).
+  using QuotaRemainders = std::vector<std::pair<double, std::size_t>>;
+
+  /// deterministicQuotas written into `quotas`, with `remainders` as
+  /// scratch. Both keep their capacity across calls, so a caller that
+  /// holds them (the C1 metric, twice per evaluation) allocates nothing.
+  void deterministicQuotasInto(std::size_t count,
+                               std::vector<std::size_t>& quotas,
+                               QuotaRemainders& remainders) const;
 
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
   [[nodiscard]] bool empty() const { return entries_.empty(); }

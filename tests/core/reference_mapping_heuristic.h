@@ -213,8 +213,8 @@ inline MhResult referenceMappingHeuristic(const SolutionEvaluator& evaluator,
   MhResult result;
   result.solution = initial;
 
-  // One journaled scratch state for the whole run; the refresh after an
-  // applied move re-reads the cached state instead of re-scheduling. A
+  // One evaluation context for the whole run; the refresh after an
+  // applied move re-reads the cached result instead of re-scheduling. A
   // caller-provided context (the RunContext pool lease) is reused verbatim.
   std::optional<EvalContext> owned;
   EvalContext& ctx = scratch != nullptr ? *scratch : owned.emplace(evaluator);

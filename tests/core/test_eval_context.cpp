@@ -1,8 +1,9 @@
-// EvalContext: the delta-aware evaluation engine must be bit-identical to
-// the stateless full-pass evaluator — for arbitrary move sequences (with
-// rejected moves, i.e. stale checkpoints, and MH's refresh of the slack
-// and the schedule log after accepted ones), and end to end through SA /
-// PSA against the plain full-pass reference chain.
+// EvalContext: the change-propagation walk must be bit-identical to the
+// stateless full-pass evaluator — for arbitrary move sequences (with
+// rejected moves, i.e. a reference that drifts from the accepted solution,
+// and MH's refresh of the slack and the schedule log after accepted ones),
+// end to end through SA / PSA against the plain full-pass reference chain,
+// and at the keep rule's boundaries.
 #include <gtest/gtest.h>
 
 #include "core/evaluator.h"
@@ -15,12 +16,13 @@
 #include "tgen/benchmark_suite.h"
 #include "test_helpers.h"
 #include "util/rng.h"
+#include "walk_fuzz.h"
 
 namespace ides {
 namespace {
 
 /// A loaded instance whose current application spans several graphs, so
-/// checkpoints actually have a prefix to reuse.
+/// walks start inside and between graphs.
 Suite multiGraphSuite(std::uint64_t seed = 7) {
   SuiteConfig cfg = ides::testing::smallSuiteConfig(60, 36);
   cfg.currentGraphSize = 10;  // 36 processes -> 4 current graphs
@@ -43,7 +45,7 @@ class EvalContextTest : public ::testing::Test {
     ASSERT_TRUE(im.feasible);
     initial_ = im.mapping;
     ASSERT_GE(evaluator_->currentGraphs().size(), 3u)
-        << "instance too small to exercise checkpoints";
+        << "instance too small to exercise walks across graphs";
   }
 
   /// One random SA-style move; returns the hint describing it.
@@ -173,8 +175,8 @@ TEST_F(EvalContextTest, FullPassMatchesSolutionEvaluator) {
 
 TEST_F(EvalContextTest, RandomizedMoveSequenceIsBitIdentical) {
   // Metropolis-style walk with rejections: the context's reference drifts
-  // away from the accepted solution, which is exactly the stale-checkpoint
-  // case the prefix verification must catch. Every feasible accept also
+  // away from the accepted solution, which the diff against the reference
+  // must catch. Every feasible accept also
   // re-reads the accepted solution with its schedule and slack, then with
   // its slack alone, as MH does after an applied move.
   EvalContext ctx(*evaluator_);
@@ -209,9 +211,9 @@ TEST_F(EvalContextTest, RandomizedMoveSequenceIsBitIdentical) {
     ++refreshes;
   }
   EXPECT_GT(refreshes, 0);
-  // The delta engine must have actually skipped work, not silently done
-  // full passes.
-  EXPECT_GT(ctx.graphsReused(), 0u);
+  // The walk must have actually skipped work, not silently re-placed every
+  // job it visited.
+  EXPECT_LT(ctx.jobsReplaced(), ctx.jobsVisited());
 }
 
 TEST_F(EvalContextTest, ArrivalShadowedHintMoveIsBitIdentical) {
@@ -227,7 +229,7 @@ TEST_F(EvalContextTest, ArrivalShadowedHintMoveIsBitIdentical) {
   expectBitIdentical(ctx.evaluate(trial, hint), evaluator_->evaluate(trial));
 
   // The context must keep serving exact results for follow-up moves (the
-  // re-scheduled state left checkpoints, fine marks and the metrics cache
+  // walk left the reference, its positioned view and the metrics cache
   // whole).
   Rng rng(17);
   MappingSolution current = trial;
@@ -283,8 +285,8 @@ TEST_F(EvalContextTest, PoolResyncAfterPartialRewindIsBitIdentical) {
   // (stale) reference, and re-aligns lazily — or eagerly, by evaluating
   // the committed move — after a move commits. Every context must stay
   // bit-identical to the stateless evaluator through randomized
-  // accept/reject sequences, including re-alignments that land mid-graph
-  // (partial rewind).
+  // accept/reject sequences, including re-alignments whose walks start
+  // mid-graph.
   for (const std::size_t workers : {std::size_t{2}, std::size_t{3},
                                     std::size_t{4}}) {
     EvalContextPool pool(*evaluator_, workers);
@@ -309,9 +311,9 @@ TEST_F(EvalContextTest, PoolResyncAfterPartialRewindIsBitIdentical) {
       expectBitIdentical(inc, evaluator_->evaluate(trial));
       if (rng.chance(0.5)) {
         current = std::move(trial);
-        // Sometimes re-align the whole pool eagerly (the hint describes
-        // the committed move, so unchanged-prefix contexts rewind only the
-        // affected suffix); otherwise leave the catch-up lazy.
+        // Sometimes re-align the whole pool eagerly (each context walks
+        // from its first difference to the committed solution); otherwise
+        // leave the catch-up lazy.
         if (rng.chance(0.3)) realign(current, hint);
       }
     }
@@ -344,10 +346,10 @@ TEST_F(EvalContextTest, OutputsMatchFullEvaluator) {
     EXPECT_EQ(cs.nodeFree[n], es.nodeFree[n]);
   }
   // Re-reading the same solution serves the cached state.
-  const std::size_t scheduledBefore = ctx.graphsScheduled();
+  const std::size_t replacedBefore = ctx.jobsReplaced();
   ScheduleOutcome again;
   expectBitIdentical(ctx.evaluate(initial_, &again, nullptr), er);
-  EXPECT_EQ(ctx.graphsScheduled(), scheduledBefore);
+  EXPECT_EQ(ctx.jobsReplaced(), replacedBefore);
 }
 
 TEST_F(EvalContextTest, StaleHintIsCorrectedNotTrusted) {
@@ -366,6 +368,17 @@ TEST_F(EvalContextTest, StaleHintIsCorrectedNotTrusted) {
   lyingHint.graph = lastGraph;
   expectBitIdentical(ctx.evaluate(trial, lyingHint),
                      evaluator_->evaluate(trial));
+}
+
+TEST_F(EvalContextTest, WalkMatchesFullPassUnderAdversarialMoves) {
+  // 2000 moves of every kind the keep rule must survive (see
+  // walk_fuzz.h), each bit-identical to the full pass, with the log of
+  // every feasible one equal to a fresh context's.
+  constexpr int kMoves = 2000;
+  const ides::testing::WalkFuzzStats stats =
+      ides::testing::fuzzWalk(*evaluator_, initial_, kMoves, 2026);
+  ides::testing::expectWalkCoverage(stats, kMoves);
+  EXPECT_GT(stats.missed, 0);  // this instance also yields late schedules
 }
 
 TEST_F(EvalContextTest, SaIncrementalMatchesFullPass) {
@@ -406,6 +419,112 @@ TEST_F(EvalContextTest, PsaIncrementalMatchesFullPass) {
   if (fast.bestChain == 0) {
     EXPECT_TRUE(fast.solution == chain0.solution);
   }
+}
+
+// ---- keep-rule boundaries on hand-built instances --------------------------
+
+FutureProfile boundaryProfile() {
+  FutureProfile p;
+  p.tmin = 100;
+  p.tneed = 30;
+  p.bneedBytes = 8;
+  p.wcetDistribution = DiscreteDistribution({{10, 0.5}, {20, 0.5}});
+  p.messageSizeDistribution = DiscreteDistribution({{2, 0.5}, {4, 0.5}});
+  return p;
+}
+
+/// Evaluates `from`, then `to`, on one context; returns the jobs the second
+/// walk re-placed. The result must match the full pass and the log a fresh
+/// context's.
+std::size_t replacedByMove(const SolutionEvaluator& ev,
+                           const MappingSolution& from,
+                           const MappingSolution& to) {
+  EvalContext ctx(ev);
+  EXPECT_TRUE(ctx.evaluate(from).feasible);
+  const std::size_t before = ctx.jobsReplaced();
+  const EvalResult got = ctx.evaluate(to);
+  EvalContext fresh(ev);
+  ides::testing::expectSameEvalResult(got, fresh.evaluate(to));
+  ides::testing::expectSameEvalResult(got, ev.evaluate(to));
+  EXPECT_EQ(ctx.processes(), fresh.processes());
+  EXPECT_EQ(ctx.messages(), fresh.messages());
+  return ctx.jobsReplaced() - before;
+}
+
+TEST(EvalContextKeepRule, NodeWindowIsHalfOpen) {
+  // A (wcet 20) commits before B (wcet 10), both on node 0, no messages.
+  // Moving A re-places it; B keeps its record exactly when neither A's old
+  // nor its new interval overlaps [est, end) of B, est being B's hint.
+  SystemModel sys(ides::testing::twoNodeArch());
+  const ApplicationId app = sys.addApplication("new", AppKind::Current);
+  const GraphId g = sys.addGraph(app, 200);
+  const ProcessId a = sys.addProcess(g, "A", {20, 20});
+  const ProcessId b = sys.addProcess(g, "B", {10, 10});
+  sys.finalize();
+  const FrozenBase frozen = freezeExistingApplications(sys);
+  ASSERT_TRUE(frozen.feasible);
+  const SolutionEvaluator ev(sys, frozen.state, boundaryProfile(),
+                             MetricWeights{});
+  ASSERT_LT(ev.jobIndexOf(a, 0), ev.jobIndexOf(b, 0));
+
+  const auto mapping = [&sys, a, b](Time hintA, Time hintB) {
+    MappingSolution m(sys);
+    m.setNode(a, NodeId{0});
+    m.setNode(b, NodeId{0});
+    m.setStartHint(a, hintA);
+    m.setStartHint(b, hintB);
+    return m;
+  };
+  // A's old record [100, 120) ends exactly at B's est 120: B stays at
+  // [120, 130) and is kept.
+  EXPECT_EQ(replacedByMove(ev, mapping(100, 120), mapping(0, 120)), 1u);
+  // B's est 119 lies inside [100, 120): the first fit started there, so
+  // B is re-placed (to [119, 129)).
+  EXPECT_EQ(replacedByMove(ev, mapping(100, 119), mapping(0, 119)), 2u);
+  // The same for A's new record.
+  EXPECT_EQ(replacedByMove(ev, mapping(0, 120), mapping(100, 120)), 1u);
+  EXPECT_EQ(replacedByMove(ev, mapping(0, 119), mapping(100, 119)), 2u);
+}
+
+TEST(EvalContextKeepRule, BusScanCoversFirstToPlacedRound) {
+  // Three nodes, slot 0 (node 0's) at [30r, 30r + 10): one 8-byte message
+  // fills an occurrence. S1 -> D1 (m1) commits before S2 -> D2 (m2); S1
+  // and S2 run on node 0, D1 on node 1, D2 on node 2, so only the bus
+  // couples D1's move to D2.
+  SystemModel sys(makeUniformArchitecture(3, 10, 1));
+  const ApplicationId app = sys.addApplication("new", AppKind::Current);
+  const GraphId g = sys.addGraph(app, 300);
+  const ProcessId s1 = sys.addProcess(g, "S1", {10, 10, 10});
+  const ProcessId d1 = sys.addProcess(g, "D1", {30, 30, 30});
+  const ProcessId s2 = sys.addProcess(g, "S2", {10, 10, 10});
+  const ProcessId d2 = sys.addProcess(g, "D2", {10, 10, 10});
+  const MessageId m1 = sys.addMessage(g, s1, d1, 8);
+  sys.addMessage(g, s2, d2, 8);
+  sys.finalize();
+  const FrozenBase frozen = freezeExistingApplications(sys);
+  ASSERT_TRUE(frozen.feasible);
+  const SolutionEvaluator ev(sys, frozen.state, boundaryProfile(),
+                             MetricWeights{});
+  ASSERT_LT(ev.jobIndexOf(d1, 0), ev.jobIndexOf(d2, 0));
+  ASSERT_EQ(sys.architecture().bus().slotOfNode(NodeId{0}), 0u);
+
+  const auto mapping = [&](Time hintM1) {
+    MappingSolution m(sys);
+    m.setNode(s1, NodeId{0});
+    m.setNode(s2, NodeId{0});
+    m.setNode(d1, NodeId{1});
+    m.setNode(d2, NodeId{2});
+    m.setMessageHint(m1, hintM1);
+    return m;
+  };
+  // m1 in round 1 makes m2 (ready at 20) scan rounds 1..2. Moving m1 to
+  // round 2 empties round 1, inside that scan: D2 is re-placed (m2 moves
+  // to round 1).
+  EXPECT_EQ(replacedByMove(ev, mapping(0), mapping(40)), 2u);
+  // m1 in round 3 leaves m2 in round 1, scanning round 1 only. Moving m1
+  // from round 3 to round 5 changes occurrences outside that scan: D2
+  // keeps its records.
+  EXPECT_EQ(replacedByMove(ev, mapping(70), mapping(130)), 1u);
 }
 
 }  // namespace

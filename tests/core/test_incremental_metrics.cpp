@@ -1,7 +1,9 @@
 // IncrementalMetrics against the from-scratch metrics, step by step, on a
-// journaled PlatformState: random node and bus occupies, rollbacks to
-// earlier marks, and re-commits of the rolled-back records — including steps
-// that restore identical occupancy and steps that split or merge one gap.
+// PlatformState moved the way EvalContext moves it: random node and bus
+// occupies, releases of random committed records, and re-commits of the
+// released records — including steps that restore identical occupancy and
+// steps that split or merge one gap. Each sync names exactly the nodes and
+// slot occurrences the step touched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,8 +37,8 @@ std::size_t freeIntervalCount(const PlatformState& st) {
   return count;
 }
 
-/// The walk: one journaled state, the cache under test, and the records a
-/// rollback undid (re-committable while the state still sits at their mark).
+/// The walk: one state, the cache under test, the records committed on top
+/// of a floor, and the records the last release took off (re-committable).
 class Walk {
  public:
   explicit Walk(std::uint64_t seed)
@@ -44,21 +46,13 @@ class Walk {
         state_(arch_, 1200),
         rng_(seed) {
     for (std::size_t n = 0; n < state_.nodeCount(); ++n) {
-      // A pre-journal floor no rollback crosses.
+      // A floor no release names.
       const NodeId id{static_cast<std::int32_t>(n)};
       const Time offset = 40 * static_cast<Time>(n);
       state_.occupyNode(id, {offset, offset + 50});
       state_.occupyNode(id, {900, 960});
     }
     state_.occupyBus(0, 0, 4);
-    state_.setJournaling(true);
-    for (std::size_t n = 0; n < state_.nodeCount(); ++n) {
-      allNodes_.push_back(static_cast<std::uint32_t>(n));
-    }
-    const auto rounds = static_cast<std::uint64_t>(state_.roundCount());
-    for (std::uint64_t k = 0; k < state_.bus().slotCount() * rounds; ++k) {
-      allOccs_.push_back(k);
-    }
     cache_.rebuild(state_, profile_);
   }
 
@@ -70,23 +64,25 @@ class Walk {
     } else if (kind < 55) {
       occupyBus();
     } else if (kind < 70) {
-      rollback();
+      release();
     } else if (kind < 80) {
-      recommitPending();
+      recommitReleased();
     } else if (kind < 90) {
-      // Occupy, then undo it before the cache looks: identical occupancy.
-      const PlatformState::Mark m = state_.mark();
-      const std::size_t marksBefore = marks_.size();
+      // Occupy, then release it before the cache looks: identical
+      // occupancy, though the touched entries are still named dirty.
+      const std::size_t before = records_.size();
       occupyNode();
       occupyBus();
-      state_.rollbackTo(m);
-      marks_.resize(marksBefore);
-      pendingValid_ = false;
+      while (records_.size() > before) {
+        releaseRecord(records_.back());
+        records_.pop_back();
+      }
+      released_.clear();
     } else {
-      // Rewind and re-commit the same records at once, a re-schedule that
-      // comes back unchanged: identical occupancy again.
-      rollback();
-      recommitPending();
+      // Release and re-commit the same records at once, a re-placement
+      // that comes back unchanged: identical occupancy again.
+      release();
+      recommitReleased();
     }
     expectSynced();
   }
@@ -96,6 +92,14 @@ class Walk {
   int recommits = 0;
 
  private:
+  struct Record {
+    bool node = false;
+    std::size_t index = 0;  ///< node or slot
+    Interval iv;            ///< node record
+    std::int64_t round = 0;  ///< bus record
+    Time ticks = 0;
+  };
+
   void occupyNode() {
     const NodeId node{
         static_cast<std::int32_t>(rng_.index(state_.nodeCount()))};
@@ -112,9 +116,8 @@ class Walk {
       iv = rng_.chance(0.5) ? Interval{gap.start, gap.start + width}
                             : Interval{gap.end - width, gap.end};
     }
-    marks_.push_back(state_.mark());
-    state_.occupyNode(node, iv);
-    pendingValid_ = false;
+    commit({true, static_cast<std::size_t>(node.index()), iv});
+    released_.clear();
   }
 
   void occupyBus() {
@@ -122,41 +125,69 @@ class Walk {
     const std::int64_t round = rng_.uniformInt(0, state_.roundCount() - 1);
     const Time room = state_.slotFreeTicks(slot, round);
     if (room <= 0) return;
-    marks_.push_back(state_.mark());
-    state_.occupyBus(slot, round, rng_.uniformInt(1, room));
-    pendingValid_ = false;
+    commit({false, slot, Interval{}, round, rng_.uniformInt(1, room)});
+    released_.clear();
   }
 
-  void rollback() {
-    if (marks_.empty()) return;
-    const std::size_t k = rng_.index(marks_.size());
-    const std::vector<PlatformState::JournalEntry>& journal = state_.journal();
-    pending_.assign(journal.begin() + static_cast<std::ptrdiff_t>(marks_[k]),
-                    journal.end());
+  /// Takes one to three random committed records off, in random order.
+  void release() {
+    released_.clear();
     const std::size_t gapsBefore = freeIntervalCount(state_);
-    state_.rollbackTo(marks_[k]);
+    const std::size_t batch = static_cast<std::size_t>(rng_.uniformInt(1, 3));
+    for (std::size_t b = 0; b < batch && !records_.empty(); ++b) {
+      const std::size_t k = rng_.index(records_.size());
+      releaseRecord(records_[k]);
+      released_.push_back(records_[k]);
+      records_[k] = records_.back();
+      records_.pop_back();
+    }
     if (freeIntervalCount(state_) < gapsBefore) merges += 1;
-    marks_.resize(k);
-    pendingValid_ = true;
   }
 
-  /// Re-commits the records the last rollback undid, oldest first, through
-  /// the occupy paths: the journal grows back by the same records.
-  void recommitPending() {
-    if (!pendingValid_) return;
-    for (const PlatformState::JournalEntry& e : pending_) {
-      if (e.kind == PlatformState::JournalEntry::Kind::Node) {
-        state_.occupyNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
-      } else {
-        state_.occupyBus(e.index, e.round, e.txTicks);
-      }
-    }
-    pendingValid_ = false;
+  /// Re-commits the records the last release took off, through the occupy
+  /// paths.
+  void recommitReleased() {
+    if (released_.empty()) return;
+    for (const Record& r : released_) commit(r);
+    released_.clear();
     recommits += 1;
   }
 
+  void commit(const Record& r) {
+    if (r.node) {
+      state_.occupyNode(NodeId{static_cast<std::int32_t>(r.index)}, r.iv);
+    } else {
+      state_.occupyBus(r.index, r.round, r.ticks);
+    }
+    touch(r);
+    records_.push_back(r);
+  }
+
+  void releaseRecord(const Record& r) {
+    if (r.node) {
+      state_.releaseNode(NodeId{static_cast<std::int32_t>(r.index)}, r.iv);
+    } else {
+      state_.releaseBus(r.index, r.round, r.ticks);
+    }
+    touch(r);
+  }
+
+  /// Names the record's node or occurrence dirty (duplicates are fine).
+  void touch(const Record& r) {
+    if (r.node) {
+      dirtyNodes_.push_back(static_cast<std::uint32_t>(r.index));
+    } else {
+      dirtyOccs_.push_back(
+          static_cast<std::uint64_t>(r.index) *
+              static_cast<std::uint64_t>(state_.roundCount()) +
+          static_cast<std::uint64_t>(r.round));
+    }
+  }
+
   void expectSynced() {
-    cache_.update(state_, allNodes_, allOccs_);
+    cache_.update(state_, dirtyNodes_, dirtyOccs_);
+    dirtyNodes_.clear();
+    dirtyOccs_.clear();
     const DesignMetrics got = cache_.metrics(profile_);
     const DesignMetrics want = computeMetrics(extractSlack(state_), profile_);
     // Exact equality, doubles included: the cache is bit-identical.
@@ -171,11 +202,10 @@ class Walk {
   PlatformState state_;
   Rng rng_;
   IncrementalMetrics cache_;
-  std::vector<std::uint32_t> allNodes_;
-  std::vector<std::uint64_t> allOccs_;
-  std::vector<PlatformState::Mark> marks_;
-  std::vector<PlatformState::JournalEntry> pending_;
-  bool pendingValid_ = false;
+  std::vector<std::uint32_t> dirtyNodes_;
+  std::vector<std::uint64_t> dirtyOccs_;
+  std::vector<Record> records_;
+  std::vector<Record> released_;
 };
 
 TEST(IncrementalMetricsProperty, MatchesComputeMetricsUnderJournalChurn) {

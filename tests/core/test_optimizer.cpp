@@ -100,7 +100,7 @@ TEST_F(OptimizerTest, PsaThroughInterfaceIsBitIdenticalToDirectCall) {
 
 TEST_F(OptimizerTest, RepeatedRunsThroughSharedContextAreRepeatable) {
   // The designer's RunContext keeps one pool lease across runs; reusing
-  // warm checkpoints must not change any result.
+  // warm evaluation contexts must not change any result.
   const RunReport first = designer_->run("MH");
   const RunReport ah = designer_->run("AH");
   const RunReport second = designer_->run("MH");

@@ -256,8 +256,8 @@ TEST(SpeculativeSaTest, ContextPoolResyncAlignsEveryContext) {
   }
 
   // One evaluation of the committed move re-aligns each context, however
-  // stale: the hint names the move's graph, and each context verifies it
-  // against its own reference and restarts earlier where they disagree.
+  // stale: each context diffs it against its own reference and walks from
+  // the first position where they disagree.
   MappingSolution committed = inst->im.mapping;
   const ProcessId p = inst->suite.system.graph(graphs.back())
                           .processes.back();
@@ -271,12 +271,12 @@ TEST(SpeculativeSaTest, ContextPoolResyncAlignsEveryContext) {
   }
 
   // After that every context serves the committed solution from its
-  // checkpoints: re-reading it is pure reuse (no graph re-scheduled) and
+  // reference: re-reading it is pure reuse (no job re-placed) and
   // bit-identical to the full pass.
   for (std::size_t w = 0; w < pool.size(); ++w) {
-    const std::size_t before = pool[w].graphsScheduled();
+    const std::size_t before = pool[w].jobsReplaced();
     const EvalResult again = pool[w].evaluate(committed, nullptr, nullptr);
-    EXPECT_EQ(pool[w].graphsScheduled(), before) << "context " << w;
+    EXPECT_EQ(pool[w].jobsReplaced(), before) << "context " << w;
     EXPECT_EQ(again.cost, want.cost) << "context " << w;
     EXPECT_EQ(again.feasible, want.feasible) << "context " << w;
   }

@@ -1,6 +1,6 @@
 // The telemetry spine's hard guarantee: metrics and trace spans never feed
 // back into optimization. A PSA ensemble (the most instrumented path —
-// speculative evaluation, per-chain SA loops, EvalContext rewinds) must
+// speculative evaluation, per-chain SA loops, EvalContext walks) must
 // render byte-identical result JSON with telemetry off, on, and traced.
 #include <gtest/gtest.h>
 

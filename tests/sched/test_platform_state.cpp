@@ -175,25 +175,30 @@ TEST(PlatformState, CopyIsIndependent) {
   EXPECT_EQ(b.slotUsedTicks(0, 0), 5);
 }
 
+// ---- releases: the exact inverses of the occupies -----------------------
+// EvalContext moves its state from one schedule to the next record by
+// record. These tests carry the names of the undo journal they once drove;
+// the properties are the same: a release restores the occupancy exactly,
+// reopens gaps and rounds, and refuses what was never committed.
+
 TEST(PlatformStateJournal, RollbackRestoresNodeAndBusOccupancy) {
   PlatformState st = makeState();
-  st.occupyNode(NodeId{0}, {0, 15});  // pre-journal floor
-  st.setJournaling(true);
-
-  const PlatformState::Mark m0 = st.mark();
+  st.occupyNode(NodeId{0}, {0, 15});  // a floor no release names
   st.occupyNode(NodeId{0}, {15, 30});  // coalesces with [0,15)
   st.occupyNode(NodeId{1}, {40, 60});
   st.occupyBus(0, 2, 7);
-  const PlatformState::Mark m1 = st.mark();
   st.occupyNode(NodeId{0}, {100, 120});
   st.occupyBus(0, 2, 3);  // same occurrence, packs behind the 7
 
-  st.rollbackTo(m1);
+  st.releaseBus(0, 2, 3);
+  st.releaseNode(NodeId{0}, {100, 120});
   EXPECT_EQ(st.nodeBusy(NodeId{0}).intervals(),
             (std::vector<Interval>{{0, 30}}));
   EXPECT_EQ(st.slotUsedTicks(0, 2), 7);
 
-  st.rollbackTo(m0);
+  st.releaseNode(NodeId{0}, {15, 30});
+  st.releaseNode(NodeId{1}, {40, 60});
+  st.releaseBus(0, 2, 7);
   EXPECT_EQ(st.nodeBusy(NodeId{0}).intervals(),
             (std::vector<Interval>{{0, 15}}));
   EXPECT_EQ(st.nodeBusy(NodeId{1}).totalLength(), 0);
@@ -202,23 +207,29 @@ TEST(PlatformStateJournal, RollbackRestoresNodeAndBusOccupancy) {
 
 TEST(PlatformStateJournal, RollbackReopensGapsForEarliestFit) {
   PlatformState st = makeState();
-  st.setJournaling(true);
-  const PlatformState::Mark m = st.mark();
   st.occupyNode(NodeId{0}, {0, 50});
   EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 10), 50);
-  st.rollbackTo(m);
+  st.releaseNode(NodeId{0}, {0, 50});
   EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 10), 0);
+  // A release inside a coalesced run reopens just its own gap.
+  st.occupyNode(NodeId{0}, {0, 20});
+  st.occupyNode(NodeId{0}, {20, 30});
+  st.occupyNode(NodeId{0}, {30, 50});
+  st.releaseNode(NodeId{0}, {20, 30});
+  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 10), 20);
+  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 11), 50);
 }
 
 TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
   // Twin states: one commits through earliestFit + occupyNode, the other
-  // through occupyEarliest. Same starts, busy sets and journal records.
+  // through occupyEarliest. Same starts and busy sets; releasing every
+  // committed record, in any order, brings the fused one back to its floor.
   PlatformState fused = makeState(400);
   fused.occupyNode(NodeId{0}, {30, 60});
-  fused.setJournaling(true);
   PlatformState split = fused;
   Rng rng(17);
   int misses = 0;
+  std::vector<std::pair<NodeId, Interval>> records;
   for (int i = 0; i < 200; ++i) {
     const NodeId node{static_cast<std::int32_t>(rng.index(2))};
     const Time after = rng.uniformInt(-10, 399);
@@ -228,6 +239,7 @@ TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
       ++misses;
     } else {
       split.occupyNode(node, {start, start + duration});
+      records.emplace_back(node, Interval{start, start + duration});
     }
     ASSERT_EQ(fused.occupyEarliest(node, after, duration), start) << i;
   }
@@ -235,15 +247,11 @@ TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
   for (std::int32_t n = 0; n < 2; ++n) {
     EXPECT_EQ(fused.nodeBusy(NodeId{n}), split.nodeBusy(NodeId{n}));
   }
-  ASSERT_EQ(fused.journal().size(), split.journal().size());
-  for (std::size_t i = 0; i < fused.journal().size(); ++i) {
-    const PlatformState::JournalEntry& a = fused.journal()[i];
-    const PlatformState::JournalEntry& b = split.journal()[i];
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.iv, b.iv);
+  for (std::size_t i = records.size(); i > 0; --i) {
+    const std::size_t k = rng.index(i);  // a random survivor each time
+    std::swap(records[k], records[i - 1]);
+    fused.releaseNode(records[i - 1].first, records[i - 1].second);
   }
-  fused.rollbackTo(0);
   EXPECT_EQ(fused.nodeBusy(NodeId{0}), IntervalSet({{30, 60}}));
   EXPECT_TRUE(fused.nodeBusy(NodeId{1}).empty());
   EXPECT_THROW((void)fused.occupyEarliest(NodeId{0}, 0, 0),
@@ -251,29 +259,48 @@ TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
 }
 
 TEST(PlatformStateJournal, RollbackGuards) {
+  // Misuse throws std::logic_error, like the occupy guards, and leaves the
+  // state as it was.
   PlatformState st = makeState();
-  EXPECT_THROW(st.rollbackTo(0), std::logic_error);  // journaling off
-  st.setJournaling(true);
-  st.occupyNode(NodeId{0}, {0, 10});
-  EXPECT_THROW(st.rollbackTo(5), std::logic_error);  // ahead of journal
-  EXPECT_NO_THROW(st.rollbackTo(1));                 // no-op at the tip
+  st.occupyNode(NodeId{0}, {10, 20});
+  st.occupyBus(0, 1, 4);
+  const PlatformState before = st;
+  EXPECT_THROW(st.releaseNode(NodeId{0}, {0, 10}), std::logic_error);
+  EXPECT_THROW(st.releaseNode(NodeId{0}, {15, 25}), std::logic_error);
+  EXPECT_THROW(st.releaseNode(NodeId{1}, {10, 20}), std::logic_error);
+  EXPECT_THROW(st.releaseNode(NodeId{0}, {-5, 5}), std::logic_error);
+  EXPECT_THROW(st.releaseNode(NodeId{0}, {195, 205}), std::logic_error);
+  EXPECT_THROW(st.releaseNode(NodeId{0}, {12, 12}), std::logic_error);
+  EXPECT_THROW(st.releaseBus(0, 1, 5), std::logic_error);  // holds only 4
+  EXPECT_THROW(st.releaseBus(0, 0, 1), std::logic_error);  // holds nothing
+  EXPECT_THROW(st.releaseBus(0, 0, 0), std::logic_error);
+  EXPECT_THROW(st.releaseBus(0, st.roundCount(), 1), std::logic_error);
+  EXPECT_THROW(st.releaseBus(0, -1, 1), std::logic_error);
+  EXPECT_EQ(st.nodeBusy(NodeId{0}), before.nodeBusy(NodeId{0}));
+  EXPECT_EQ(st.nodeBusy(NodeId{1}), before.nodeBusy(NodeId{1}));
+  EXPECT_EQ(st.slotUsedTicks(0, 1), 4);
+  EXPECT_NO_THROW(st.releaseNode(NodeId{0}, {12, 18}));  // inside a record
+  EXPECT_NO_THROW(st.releaseBus(0, 1, 4));               // exactly empty
 }
 
 TEST(PlatformStateJournal, EnablingClearsHistory) {
+  // The state keeps no history: occupancy committed before a record stays
+  // busy whatever is released after it, even where the interval set
+  // coalesced the two.
   PlatformState st = makeState();
-  st.setJournaling(true);
   st.occupyNode(NodeId{0}, {0, 10});
-  EXPECT_EQ(st.mark(), 1u);
-  st.setJournaling(true);  // re-enable: committed work becomes the floor
-  EXPECT_EQ(st.mark(), 0u);
-  st.rollbackTo(0);
+  st.occupyNode(NodeId{0}, {10, 20});
+  EXPECT_EQ(st.nodeBusy(NodeId{0}).intervals(),
+            (std::vector<Interval>{{0, 20}}));
+  st.releaseNode(NodeId{0}, {10, 20});
   EXPECT_EQ(st.nodeBusy(NodeId{0}).totalLength(), 10);
+  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 5), 10);
 }
 
 // ---- first-free-round cursor ---------------------------------------------
 // findBusSlot keeps a per-slot cursor past the fully-booked round prefix.
 // These tests pin the invariant: placements are identical to a plain linear
-// scan, across saturation, partial fills, and journal rollbacks.
+// scan, across saturation, partial fills, and releases.
 
 /// Reference: what the pre-cursor linear scan would return.
 std::optional<PlatformState::BusPlacement> linearFindBusSlot(
@@ -310,22 +337,27 @@ TEST(PlatformStateCursor, SkipsSaturatedPrefix) {
 
 TEST(PlatformStateCursor, RollbackReopensRounds) {
   PlatformState st = makeState(400);
-  st.setJournaling(true);
-  for (std::int64_t r = 0; r < 5; ++r) st.occupyBus(0, r, 10);
-  const PlatformState::Mark m = st.mark();
-  for (std::int64_t r = 5; r < 10; ++r) st.occupyBus(0, r, 10);
+  for (std::int64_t r = 0; r < 10; ++r) st.occupyBus(0, r, 10);
   EXPECT_EQ(st.findBusSlot(0, 0, 1)->round, 10);
-  st.rollbackTo(m);
+  for (std::int64_t r = 9; r >= 5; --r) st.releaseBus(0, r, 10);
   // Rounds 5..9 reopened; the cursor must not skip them.
   EXPECT_EQ(st.findBusSlot(0, 0, 1)->round, 5);
   EXPECT_EQ(st.findBusSlot(0, 0, 10)->round, 5);
+  // A partial release below the cursor reopens that round alone.
+  st.releaseBus(0, 2, 3);
+  EXPECT_EQ(st.findBusSlot(0, 0, 3)->round, 2);
+  EXPECT_EQ(st.findBusSlot(0, 0, 4)->round, 5);
 }
 
 TEST(PlatformStateCursor, MatchesLinearScanUnderRandomChurn) {
   PlatformState st = makeState(800);  // 40 rounds, 2 slots
-  st.setJournaling(true);
   Rng rng(99);
-  std::vector<PlatformState::Mark> marks;
+  struct Use {
+    std::size_t slot;
+    std::int64_t round;
+    Time ticks;
+  };
+  std::vector<Use> committed;
   for (int step = 0; step < 400; ++step) {
     const std::size_t slot = rng.index(st.bus().slotCount());
     const Time ready = rng.uniformInt(0, st.horizon() - 1);
@@ -337,24 +369,25 @@ TEST(PlatformStateCursor, MatchesLinearScanUnderRandomChurn) {
       EXPECT_EQ(got->round, want->round) << "step " << step;
       EXPECT_EQ(got->start, want->start) << "step " << step;
     }
-    // Churn: mostly occupy (sometimes through the found placement),
-    // sometimes roll back to a random earlier mark.
-    if (!marks.empty() && rng.chance(0.15)) {
-      const std::size_t k = rng.index(marks.size());
-      st.rollbackTo(marks[k]);
-      marks.resize(k);
+    // Churn: mostly occupy (through the found placement), sometimes
+    // release a random committed transmission.
+    if (!committed.empty() && rng.chance(0.15)) {
+      const std::size_t k = rng.index(committed.size());
+      st.releaseBus(committed[k].slot, committed[k].round,
+                    committed[k].ticks);
+      committed[k] = committed.back();
+      committed.pop_back();
     } else if (got.has_value()) {
-      marks.push_back(st.mark());
       st.occupyBus(slot, got->round, tx);
+      committed.push_back({slot, got->round, tx});
     }
   }
 }
 
-// ---- exact-inverse rollback under node + bus churn -----------------------
-// rollbackTo undoes each record by its inverse, newest first. Whatever the
-// interleaving of coalescing node occupies, bus occupies and rollbacks, the
-// result must equal the floor with the surviving journal records
-// re-occupied onto it.
+// ---- exact-inverse releases under node + bus churn -----------------------
+// Whatever the interleaving of coalescing node occupies, bus occupies and
+// releases of random committed records, the result must equal the floor
+// with the surviving records re-occupied onto it.
 
 /// A free interval on `node` that touches a busy neighbour when possible
 /// (so the occupy coalesces), else a random free fit; nullopt if none.
@@ -391,16 +424,23 @@ std::optional<Interval> pickNodeInterval(Rng& rng, const PlatformState& st,
 
 TEST(PlatformStateJournal, RollbackMatchesReoccupiedSurvivorsUnderChurn) {
   PlatformState st = makeState(800);  // 40 rounds, 2 nodes, 2 slots
-  // A non-empty floor that rollbacks must leave alone.
+  // A non-empty floor that releases must leave alone.
   st.occupyNode(NodeId{0}, {0, 40});
   st.occupyNode(NodeId{1}, {100, 130});
   st.occupyBus(0, 0, 10);
   st.occupyBus(1, 3, 4);
   const PlatformState floor = st;
-  st.setJournaling(true);
 
+  struct Record {
+    bool node = false;
+    std::size_t index = 0;  ///< node or slot
+    Interval iv;
+    std::int64_t round = 0;
+    Time ticks = 0;
+  };
+  std::vector<Record> records;
   Rng rng(2024);
-  int rollbacks = 0;
+  int releases = 0;
   int coalescing = 0;
   for (int step = 0; step < 3000; ++step) {
     const double op = rng.uniform01();
@@ -410,30 +450,45 @@ TEST(PlatformStateJournal, RollbackMatchesReoccupiedSurvivorsUnderChurn) {
       if (!iv.has_value()) continue;
       const std::size_t before = st.nodeBusy(node).size();
       st.occupyNode(node, *iv);
+      records.push_back({true, static_cast<std::size_t>(node.index()), *iv});
       if (st.nodeBusy(node).size() <= before) ++coalescing;
       continue;
     }
     if (op < 0.85) {
       // Half the messages are ready at 0, so they fill rounds from the
-      // front and move the first-free-round cursor that rollbacks lower.
+      // front and move the first-free-round cursor that releases lower.
       const std::size_t slot = rng.index(st.bus().slotCount());
       const Time tx = rng.uniformInt(1, 10);
       const Time ready =
           rng.chance(0.5) ? 0 : rng.uniformInt(0, st.horizon() - 1);
       const auto hit = st.findBusSlot(slot, ready, tx);
-      if (hit.has_value()) st.occupyBus(slot, hit->round, tx);
+      if (hit.has_value()) {
+        st.occupyBus(slot, hit->round, tx);
+        records.push_back({false, slot, Interval{}, hit->round, tx});
+      }
       continue;
     }
-    st.rollbackTo(static_cast<PlatformState::Mark>(
-        rng.uniformInt(0, static_cast<std::int64_t>(st.mark()))));
-    ++rollbacks;
+    // Release a random batch of committed records, in random order.
+    const std::size_t batch = records.empty() ? 0 : rng.index(4) + 1;
+    for (std::size_t b = 0; b < batch && !records.empty(); ++b) {
+      const std::size_t k = rng.index(records.size());
+      const Record& e = records[k];
+      if (e.node) {
+        st.releaseNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
+      } else {
+        st.releaseBus(e.index, e.round, e.ticks);
+      }
+      records[k] = records.back();
+      records.pop_back();
+    }
+    ++releases;
 
     PlatformState ref = floor;
-    for (const PlatformState::JournalEntry& e : st.journal()) {
-      if (e.kind == PlatformState::JournalEntry::Kind::Node) {
+    for (const Record& e : records) {
+      if (e.node) {
         ref.occupyNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
       } else {
-        ref.occupyBus(e.index, e.round, e.txTicks);
+        ref.occupyBus(e.index, e.round, e.ticks);
       }
     }
     for (std::int32_t n = 0; n < 2; ++n) {
@@ -459,7 +514,7 @@ TEST(PlatformStateJournal, RollbackMatchesReoccupiedSurvivorsUnderChurn) {
     }
   }
   // The churn must exercise what it claims to.
-  EXPECT_GT(rollbacks, 100);
+  EXPECT_GT(releases, 100);
   EXPECT_GT(coalescing, 500);
 }
 
