@@ -201,10 +201,11 @@ struct EvalContext::View {
     if (txTicks <= 0) {
       throw std::invalid_argument("findBusSlot: txTicks <= 0");
     }
-    const TdmaBus& bus = ctx.state_.bus();
+    const PlatformState& baseline = ctx.ev_->baseline();
+    const TdmaBus& bus = baseline.bus();
     const Time length = bus.slot(slot).length;
     if (txTicks > length) return std::nullopt;
-    const std::int64_t rounds = ctx.state_.roundCount();
+    const std::int64_t rounds = baseline.roundCount();
     for (std::int64_t round =
              bus.firstRoundAtOrAfter(slot, std::max<Time>(ready, 0));
          round < rounds; ++round) {
@@ -239,13 +240,14 @@ struct EvalContext::View {
     }
     const auto n = static_cast<std::size_t>(node.index());
     const std::vector<NodeRecord>& records = ctx.nodeView_[n];
+    const Time horizon = ctx.ev_->baseline().horizon();
     Time s = std::max<Time>(after, 0);
     auto r = std::partition_point(
         records.begin(), records.end(),
         [s](const NodeRecord& rec) { return rec.end <= s; });
     for (;;) {
       const Time e = s + duration;
-      if (e > ctx.state_.horizon()) return kNoTime;
+      if (e > horizon) return kNoTime;
       while (r != records.end() && r->end <= s) ++r;
       Time blocked = s;
       for (auto it = r; it != records.end() && it->start < e; ++it) {
@@ -263,7 +265,7 @@ struct EvalContext::View {
 };
 
 EvalContext::EvalContext(const SolutionEvaluator& evaluator)
-    : ev_(&evaluator), sys_(&evaluator.system()), state_(evaluator.baseline()) {
+    : ev_(&evaluator), sys_(&evaluator.system()) {
   const SystemModel& sys = *sys_;
   const std::vector<GraphId>& graphs = ev_->currentGraphs();
   const std::size_t jobCount = ev_->jobBase(graphs.size());
@@ -308,20 +310,21 @@ EvalContext::EvalContext(const SolutionEvaluator& evaluator)
 
   mustReplace_.assign(jobCount, 0);
   replacedAt_.assign(jobCount, 0);
-  const std::size_t nodes = state_.nodeCount();
-  const std::size_t slots = state_.bus().slotCount();
-  const std::int64_t rounds = state_.roundCount();
+  const PlatformState& baseline = ev_->baseline();
+  const std::size_t nodes = baseline.nodeCount();
+  const std::size_t slots = baseline.bus().slotCount();
+  const std::int64_t rounds = baseline.roundCount();
   nodeView_.resize(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    for (const Interval& iv :
-         state_.nodeBusy(NodeId{static_cast<std::int32_t>(n)}).intervals()) {
+    const NodeId id{static_cast<std::int32_t>(n)};
+    for (const Interval& iv : baseline.nodeBusy(id).intervals()) {
       nodeView_[n].push_back({iv.start, iv.end, kFrozen});
     }
   }
   baseUsed_.resize(slots * static_cast<std::size_t>(rounds));
   for (std::size_t slot = 0; slot < slots; ++slot) {
     for (std::int64_t r = 0; r < rounds; ++r) {
-      baseUsed_[occurrence(slot, r)] = state_.slotUsedTicks(slot, r);
+      baseUsed_[occurrence(slot, r)] = baseline.slotUsedTicks(slot, r);
     }
   }
   busView_.resize(baseUsed_.size());
@@ -329,8 +332,7 @@ EvalContext::EvalContext(const SolutionEvaluator& evaluator)
   viewNodes_.resize(nodes);
   roundMoves_.resize(slots);
   viewBus_.resize(slots);
-  nodeStamp_.assign(nodes, 0);
-  occStamp_.assign(baseUsed_.size(), 0);
+  snapshot_.rebuild(baseline, ev_->profile());
 }
 
 const std::vector<ScheduledMessage>& EvalContext::messages() const {
@@ -356,10 +358,8 @@ void EvalContext::appendMessages(std::size_t count,
 
 void EvalContext::beginWalk() {
   if (++stamp_ == 0) {  // wrapped: reset the lazily-aged stamps
-    for (std::vector<std::uint32_t>* stamps :
-         {&mustReplace_, &replacedAt_, &nodeStamp_, &occStamp_}) {
-      std::fill(stamps->begin(), stamps->end(), 0u);
-    }
+    std::fill(mustReplace_.begin(), mustReplace_.end(), 0u);
+    std::fill(replacedAt_.begin(), replacedAt_.end(), 0u);
     stamp_ = 1;
   }
   replaced_.clear();
@@ -434,7 +434,7 @@ bool EvalContext::keeps(const MappingSolution& solution,
         const Time ready = messageReady(
             processes_[sourcePos_[i]].end,
             solution.messageHint(inputMessage_[i]), job.instance, job.period);
-        firstRound = state_.bus().firstRoundAtOrAfter(
+        firstRound = ev_->baseline().bus().firstRoundAtOrAfter(
             in.slot, std::max<Time>(ready, 0));
       }
       if (round >= firstRound) return false;
@@ -516,37 +516,20 @@ bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
   return true;
 }
 
-void EvalContext::touchNode(std::size_t node) {
-  if (nodeStamp_[node] == stamp_) return;
-  nodeStamp_[node] = stamp_;
-  dirtyNodes_.push_back(static_cast<std::uint32_t>(node));
-}
-
-void EvalContext::touchOccurrence(std::size_t slot, std::int64_t round) {
-  const std::size_t key = occurrence(slot, round);
-  if (occStamp_[key] == stamp_) return;
-  occStamp_[key] = stamp_;
-  dirtyOccs_.push_back(key);
-}
-
 void EvalContext::commit(const MappingSolution& solution) {
-  dirtyNodes_.clear();
-  dirtyOccs_.clear();
   messagesStale_ = true;
   const auto byStart = [](const NodeRecord& rec, Time start) {
     return rec.start < start;
   };
   const auto addNode = [this, &byStart](const ScheduledProcess& sp,
                                         std::size_t pos) {
-    state_.occupyNode(sp.node, {sp.start, sp.end});
-    touchNode(sp.node.index());
+    snapshot_.occupyNode(sp.node, {sp.start, sp.end});
     std::vector<NodeRecord>& recs = nodeView_[sp.node.index()];
     recs.insert(std::lower_bound(recs.begin(), recs.end(), sp.start, byStart),
                 {sp.start, sp.end, static_cast<std::uint32_t>(pos)});
   };
   const auto addBus = [this](const BusInput& in, std::size_t pos) {
-    state_.occupyBus(in.slot, in.round, in.end - in.start);
-    touchOccurrence(in.slot, in.round);
+    snapshot_.occupyBus(in.slot, in.round, in.end - in.start);
     busView_[occurrence(in.slot, in.round)].push_back(
         {static_cast<std::uint32_t>(pos), in.end - in.start});
   };
@@ -567,8 +550,7 @@ void EvalContext::commit(const MappingSolution& solution) {
   // old one of another job leaves.
   for (const Replaced& r : replaced_) {
     if (r.nodeMoved) {
-      state_.releaseNode(r.old.node, {r.old.start, r.old.end});
-      touchNode(r.old.node.index());
+      snapshot_.releaseNode(r.old.node, {r.old.start, r.old.end});
       std::vector<NodeRecord>& recs = nodeView_[r.old.node.index()];
       recs.erase(
           std::lower_bound(recs.begin(), recs.end(), r.old.start, byStart));
@@ -578,8 +560,8 @@ void EvalContext::commit(const MappingSolution& solution) {
          ++i, ++old) {
       const BusInput& before = *old;
       if (before.round < 0 || before.sameOccurrence(inputs_[i])) continue;
-      state_.releaseBus(before.slot, before.round, before.end - before.start);
-      touchOccurrence(before.slot, before.round);
+      snapshot_.releaseBus(before.slot, before.round,
+                           before.end - before.start);
       // A job's inputs can share an occurrence: match the ticks too.
       const BusRecord gone{r.pos, before.end - before.start};
       std::vector<BusRecord>& recs =
@@ -671,16 +653,13 @@ EvalResult EvalContext::run(const MappingSolution& solution,
   beginWalk();
   const std::size_t first = diff(solution);
   if (first == jobCount && hasReference_) {
-    // An exact re-read: the state, the log and the cached result all
+    // An exact re-read: the snapshot, the log and the cached result all
     // describe the solution verbatim.
     ++zeroDeltaServes_;
     tele.zeroDelta.add();
     lastRestartGraph_ = graphCount;
     lastRestartPos_ = 0;
-    if (slackOut != nullptr && result_.feasible) {
-      extractSlackInto(state_, slack_);
-      *slackOut = slack_;
-    }
+    if (slackOut != nullptr && result_.feasible) snapshot_.slackInto(*slackOut);
     if (outcomeOut != nullptr) {
       fillOutcome(*outcomeOut, solution, result_, processes_.size(),
                   messages());
@@ -759,23 +738,12 @@ EvalResult EvalContext::run(const MappingSolution& solution,
   misses_ = misses;
   lateness_ = lateness;
   EvalResult result = makeResult(true, misses, lateness);
-  // Keep the metrics snapshot aligned on every committed walk once it
-  // exists — including infeasible ones (only the dirty entries are read).
-  if (metricsCache_.valid()) {
-    metricsCache_.update(state_, dirtyNodes_, dirtyOccs_);
-  }
   if (result.feasible) {
-    if (!metricsCache_.valid()) {
-      metricsCache_.rebuild(state_, ev_->profile());
-    }
-    result.metrics = metricsCache_.metrics(ev_->profile());
+    result.metrics = snapshot_.metrics(ev_->profile());
     result.objective =
         objectiveValue(result.metrics, ev_->profile(), ev_->weights());
     result.cost = result.objective;
-    if (slackOut != nullptr) {
-      extractSlackInto(state_, slack_);
-      *slackOut = slack_;
-    }
+    if (slackOut != nullptr) snapshot_.slackInto(*slackOut);
   }
   result_ = result;
   hasReference_ = true;

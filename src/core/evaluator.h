@@ -83,7 +83,7 @@ class SolutionEvaluator {
   /// inner loops use EvalContext instead; this stays as the one-shot API
   /// and as the reference the EvalContext tests compare against. It places
   /// jobs with the same rules, so it checks the walk's keep rule, the
-  /// exact re-reads and the metrics cache, not the rules themselves (the
+  /// exact re-reads and the metrics snapshot, not the rules themselves (the
   /// scheduler suite checks those against a ready-heap reference).
   [[nodiscard]] EvalResult evaluate(const MappingSolution& solution) const;
 
@@ -153,9 +153,11 @@ class SolutionEvaluator {
   std::vector<std::int32_t> procLocal_;          // by ProcessId::index()
 };
 
-/// Reusable per-thread evaluation scratch: the platform state of the
-/// reference solution (the last evaluated solution that placed every job),
-/// its commit-order schedule log and a positioned view of that log.
+/// Reusable per-thread evaluation scratch for a reference solution (the
+/// last evaluated solution that placed every job): its commit-order
+/// schedule log, a positioned view of that log over the frozen baseline,
+/// and the free capacity it leaves (an IncrementalMetrics snapshot, from
+/// which the metrics and the slack output are read).
 ///
 /// evaluate() diffs the solution against the reference and walks the
 /// commit positions from the first job whose mapping entries differ. A job
@@ -178,12 +180,11 @@ class SolutionEvaluator {
 /// is re-placed by placeJob against the frozen baseline plus the records of
 /// earlier positions; the reference's later records are invisible to it.
 ///
-/// A walk that places every job moves the platform state to the new
-/// occupancy once (release every moved record, then occupy its
-/// replacement), refreshes the metrics cache on exactly the nodes and slot
-/// occurrences those records touched, and makes the solution the new
-/// reference. A walk that cannot place a job undoes its record changes and
-/// keeps the previous reference; the platform state was never touched.
+/// A walk that places every job applies its records to the snapshot once
+/// (release every moved record, then occupy its replacement) and makes the
+/// solution the new reference. A walk that cannot place a job, or throws,
+/// undoes its record changes and keeps the previous reference; the
+/// snapshot was never touched.
 /// Evaluating the reference again (MH re-reading its incumbent, a final
 /// evaluation) re-places nothing and returns the cached result. A move that
 /// leaves the schedule unchanged is walked like any other; proving that
@@ -327,8 +328,8 @@ class EvalContext {
   /// Re-places the job at `pos` against the positioned view; false if it
   /// finds no room.
   bool replace(const MappingSolution& solution, std::size_t pos);
-  /// Makes the walk's solution the reference: platform state, positioned
-  /// view, mapping entries and the metrics dirty lists.
+  /// Makes the walk's solution the reference: the free-capacity snapshot,
+  /// the positioned view and the mapping entries.
   void commit(const MappingSolution& solution);
   /// Restores the reference records an unplaced walk overwrote.
   void undo();
@@ -343,11 +344,9 @@ class EvalContext {
   }
   [[nodiscard]] std::size_t occurrence(std::size_t slot,
                                        std::int64_t round) const {
-    return slot * static_cast<std::size_t>(state_.roundCount()) +
+    return slot * static_cast<std::size_t>(ev_->baseline().roundCount()) +
            static_cast<std::size_t>(round);
   }
-  void touchNode(std::size_t node);
-  void touchOccurrence(std::size_t slot, std::int64_t round);
 
   /// The outcome of `result`: positions [0, processCount) of the log and
   /// `messages`.
@@ -357,7 +356,6 @@ class EvalContext {
 
   const SolutionEvaluator* ev_;
   const SystemModel* sys_;
-  PlatformState state_;  // baseline + the reference's records
 
   // ---- static layout --------------------------------------------------
   std::vector<Job> jobs_;  ///< per commit position
@@ -417,15 +415,9 @@ class EvalContext {
   std::vector<std::vector<Interval>> viewNodes_;
   std::vector<std::vector<BusUse>> viewBus_;
 
-  SlackInfo slack_;  // reusable snapshot buffer
-
-  /// Metrics snapshot of state_, refreshed on the nodes and occurrences the
-  /// committed walk named dirty.
-  IncrementalMetrics metricsCache_;
-  std::vector<std::uint32_t> dirtyNodes_;
-  std::vector<std::uint64_t> dirtyOccs_;
-  std::vector<std::uint32_t> nodeStamp_;  // per node, == stamp_ if dirty
-  std::vector<std::uint32_t> occStamp_;   // per slot occurrence
+  /// The free capacity the reference leaves: the baseline's, edited by
+  /// every committed walk's records.
+  IncrementalMetrics snapshot_;
 
   std::size_t evaluations_ = 0;
   std::size_t jobsVisited_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -301,166 +303,163 @@ DesignMetrics computeMetrics(const SlackInfo& slack,
 
 // ---- IncrementalMetrics ---------------------------------------------------
 
-void IncrementalMetrics::refreshNode(const PlatformState& state,
-                                     std::size_t n) {
-  const NodeId id{static_cast<std::int32_t>(n)};
-  // A node named dirty can come back with its exact occupancy (records that
-  // traded places, or a release undone before the sync); recompute the free
-  // set first and bail before touching the counts when nothing changed.
-  state.nodeBusy(id).complementWithinInto({0, horizon_}, scratchSet_);
-  IntervalSet& free = nodeFree_[n];
-  if (scratchSet_ == free) return;
-  // One sorted pass over both sets (each ordered by start, starts unique):
-  // an interval present in both keeps its container, so only the gaps the
-  // move split, merged, shrank or grew touch the counts. Members are
-  // non-empty, so every length is a valid capacity.
-  const auto remove = [this](const Interval& iv) {
-    c1pCounts_.remove(iv.length());
-    c1pTotal_ -= iv.length();
-  };
-  const auto add = [this](const Interval& iv) {
-    c1pCounts_.add(iv.length());
-    c1pTotal_ += iv.length();
-  };
-  const std::vector<Interval>& before = free.intervals();
-  const std::vector<Interval>& after = scratchSet_.intervals();
-  auto b = before.begin();
-  auto a = after.begin();
-  while (b != before.end() || a != after.end()) {
-    if (a == after.end() || (b != before.end() && b->start < a->start)) {
-      remove(*b++);
-    } else if (b == before.end() || a->start < b->start) {
-      add(*a++);
-    } else {
-      if (b->end != a->end) {
-        remove(*b);
-        add(*a);
-      }
-      ++b;
-      ++a;
+void IncrementalMetrics::rebuild(const PlatformState& state,
+                                 const FutureProfile& profile) {
+  bus_ = &state.bus();
+  horizon_ = state.horizon();
+  tmin_ = profile.tmin;
+  windows_ = horizon_ / tmin_;
+  bytesPerTick_ = bus_->bytesPerTick();
+  roundCount_ = state.roundCount();
+
+  // The empty platform (one free member per node, every occurrence free),
+  // then the state's occupancy through the edits.
+  const std::size_t nodes = state.nodeCount();
+  nodeFree_.assign(nodes, IntervalSet({{0, horizon_}}));
+  nodeWin_.assign(nodes * static_cast<std::size_t>(windows_), tmin_);
+  c1pCounts_.reset(horizon_);
+  c1pTotal_ = 0;
+  for (std::size_t n = 0; n < nodes; ++n) addFree(horizon_);
+
+  const std::size_t slots = bus_->slotCount();
+  slotUsed_.assign(slots * static_cast<std::size_t>(roundCount_), 0);
+  busWin_.assign(static_cast<std::size_t>(windows_), 0);
+  Time longestSlot = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
+    longestSlot = std::max(longestSlot, bus_->slot(s).length);
+  }
+  c1mCounts_.reset(longestSlot * bytesPerTick_);
+  c1mTotal_ = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
+    const Time len = bus_->slot(s).length;
+    c1mCounts_.add(len * bytesPerTick_, static_cast<std::int32_t>(roundCount_));
+    c1mTotal_ += len * bytesPerTick_ * roundCount_;
+    for (std::int64_t r = 0; r < roundCount_; ++r) {
+      const Time start = bus_->slotStart(r, s);
+      addToWindows(busWin_.data(), start, start + len, 1);
     }
   }
-  std::swap(free, scratchSet_);
-  if (windows_ > 0) {
-    Time rowMin = kTimeMax;
-    for (std::int64_t w = 0; w < windows_; ++w) {
-      rowMin =
-          std::min(rowMin, free.lengthWithin({w * tmin_, (w + 1) * tmin_}));
+
+  for (std::size_t n = 0; n < nodes; ++n) {
+    const NodeId id{static_cast<std::int32_t>(n)};
+    for (const Interval& iv : state.nodeBusy(id).intervals()) {
+      occupyNode(id, iv);
     }
-    nodeMin_[n] = rowMin;
+  }
+  for (std::size_t s = 0; s < slots; ++s) {
+    for (std::int64_t r = 0; r < roundCount_; ++r) {
+      const Time used = state.slotUsedTicks(s, r);
+      if (used > 0) occupyBus(s, r, used);
+    }
   }
 }
 
-void IncrementalMetrics::refreshOccurrence(const PlatformState& state,
-                                           std::size_t slot,
-                                           std::int64_t round) {
-  const std::size_t key =
-      slot * static_cast<std::size_t>(roundCount_) +
-      static_cast<std::size_t>(round);
-  const Time oldUsed = slotUsed_[key];
-  const Time newUsed = state.slotUsedTicks(slot, round);
-  if (oldUsed == newUsed) return;
-  const TdmaBus& bus = state.bus();
-  const Time len = bus.slot(slot).length;
-  const std::int64_t oldBytes = (len - oldUsed) * bytesPerTick_;
+void IncrementalMetrics::addToWindows(Time* row, Time lo, Time hi,
+                                      Time delta) const {
+  hi = std::min<Time>(hi, windows_ * tmin_);
+  for (std::int64_t w = lo / tmin_; w * tmin_ < hi; ++w) {
+    row[w] += delta * (std::min(hi, (w + 1) * tmin_) - std::max(lo, w * tmin_));
+  }
+}
+
+void IncrementalMetrics::occupyNode(NodeId node, Interval iv) {
+  if (iv.empty() || iv.start < 0 || iv.end > horizon_) {
+    throw std::logic_error("occupyNode: interval outside horizon");
+  }
+  const auto n = static_cast<std::size_t>(node.index());
+  IntervalSet& free = nodeFree_[n];
+  // The one free member that can hold the range: the last one starting at
+  // or before it. It splits into what is left on either side.
+  const std::vector<Interval>& members = free.intervals();
+  const auto next = std::upper_bound(
+      members.begin(), members.end(), iv.start,
+      [](Time t, const Interval& m) { return t < m.start; });
+  if (next == members.begin() || std::prev(next)->end < iv.end) {
+    throw std::logic_error("occupyNode: range is not free");
+  }
+  const Interval gap = *std::prev(next);
+  removeFree(gap.length());
+  if (iv.start > gap.start) addFree(iv.start - gap.start);
+  if (gap.end > iv.end) addFree(gap.end - iv.end);
+  free.subtract(iv);
+  addToWindows(nodeWin_.data() + n * static_cast<std::size_t>(windows_),
+               iv.start, iv.end, -1);
+}
+
+void IncrementalMetrics::releaseNode(NodeId node, Interval iv) {
+  if (iv.empty() || iv.start < 0 || iv.end > horizon_) {
+    throw std::logic_error("releaseNode: interval outside horizon");
+  }
+  const auto n = static_cast<std::size_t>(node.index());
+  IntervalSet& free = nodeFree_[n];
+  // The range must fall between two free members; it merges with the ones
+  // it touches.
+  const std::vector<Interval>& members = free.intervals();
+  const auto next = std::upper_bound(
+      members.begin(), members.end(), iv.start,
+      [](Time t, const Interval& m) { return t < m.start; });
+  const bool hasPrev = next != members.begin();
+  const bool hasNext = next != members.end();
+  if ((hasPrev && std::prev(next)->end > iv.start) ||
+      (hasNext && next->start < iv.end)) {
+    throw std::logic_error("releaseNode: range is not busy");
+  }
+  Interval merged = iv;
+  if (hasPrev && std::prev(next)->end == iv.start) {
+    merged.start = std::prev(next)->start;
+    removeFree(std::prev(next)->length());
+  }
+  if (hasNext && next->start == iv.end) {
+    merged.end = next->end;
+    removeFree(next->length());
+  }
+  addFree(merged.length());
+  free.add(iv);
+  addToWindows(nodeWin_.data() + n * static_cast<std::size_t>(windows_),
+               iv.start, iv.end, 1);
+}
+
+void IncrementalMetrics::occupyBus(std::size_t slotIndex, std::int64_t round,
+                                   Time txTicks) {
+  if (round < 0 || round >= roundCount_) {
+    throw std::logic_error("occupyBus: round outside horizon");
+  }
+  if (txTicks <= 0) throw std::logic_error("occupyBus: txTicks <= 0");
+  const Time used = slotUsed_[occurrence(slotIndex, round)];
+  if (used + txTicks > bus_->slot(slotIndex).length) {
+    throw std::logic_error("occupyBus: slot overflow");
+  }
+  setUsed(slotIndex, round, used + txTicks);
+}
+
+void IncrementalMetrics::releaseBus(std::size_t slotIndex, std::int64_t round,
+                                    Time txTicks) {
+  if (round < 0 || round >= roundCount_) {
+    throw std::logic_error("releaseBus: round outside horizon");
+  }
+  const Time used = slotUsed_[occurrence(slotIndex, round)];
+  if (txTicks <= 0 || txTicks > used) {
+    throw std::logic_error("releaseBus: more ticks than the occurrence holds");
+  }
+  setUsed(slotIndex, round, used - txTicks);
+}
+
+void IncrementalMetrics::setUsed(std::size_t slotIndex, std::int64_t round,
+                                 Time newUsed) {
+  Time& used = slotUsed_[occurrence(slotIndex, round)];
+  const Time len = bus_->slot(slotIndex).length;
+  const std::int64_t oldBytes = (len - used) * bytesPerTick_;
   const std::int64_t newBytes = (len - newUsed) * bytesPerTick_;
   if (oldBytes > 0) c1mCounts_.remove(oldBytes);
   if (newBytes > 0) c1mCounts_.add(newBytes);
   c1mTotal_ += newBytes - oldBytes;
-  if (windows_ > 0) {
-    // The occurrence's free chunk is [slotStart + used, slotStart + len);
-    // only the span between the two used marks flips state.
-    const Time slotStart = bus.slotStart(round, slot);
-    const Time lo = slotStart + std::min(oldUsed, newUsed);
-    const Time hi = std::min<Time>(slotStart + std::max(oldUsed, newUsed),
-                                   windows_ * tmin_);
-    const Time delta = newUsed > oldUsed ? -1 : 1;  // grew => free lost
-    for (std::int64_t w = lo / tmin_; w < windows_ && w * tmin_ < hi; ++w) {
-      const Time s = std::max(lo, w * tmin_);
-      const Time e = std::min(hi, (w + 1) * tmin_);
-      if (e > s) busWin_[static_cast<std::size_t>(w)] += delta * (e - s);
-    }
-  }
-  slotUsed_[key] = newUsed;
-}
-
-void IncrementalMetrics::rebuild(const PlatformState& state,
-                                 const FutureProfile& profile) {
-  const TdmaBus& bus = state.bus();
-  horizon_ = state.horizon();
-  tmin_ = profile.tmin;
-  windows_ = horizon_ / tmin_;
-  bytesPerTick_ = bus.bytesPerTick();
-  roundCount_ = state.roundCount();
-
-  const std::size_t nodes = state.nodeCount();
-  nodeFree_.resize(nodes);
-  nodeMin_.assign(nodes, 0);
-  c1pCounts_.reset(horizon_);
-  c1pTotal_ = 0;
-  for (std::size_t n = 0; n < nodes; ++n) {
-    const NodeId id{static_cast<std::int32_t>(n)};
-    state.nodeBusy(id).complementWithinInto({0, horizon_}, nodeFree_[n]);
-    for (const Interval& iv : nodeFree_[n].intervals()) {
-      c1pCounts_.add(iv.length());
-      c1pTotal_ += iv.length();
-    }
-    if (windows_ > 0) {
-      Time rowMin = kTimeMax;
-      for (std::int64_t w = 0; w < windows_; ++w) {
-        rowMin = std::min(rowMin, nodeFree_[n].lengthWithin(
-                                      {w * tmin_, (w + 1) * tmin_}));
-      }
-      nodeMin_[n] = rowMin;
-    }
-  }
-
-  slotUsed_.assign(bus.slotCount() * static_cast<std::size_t>(roundCount_),
-                   0);
-  busWin_.assign(static_cast<std::size_t>(windows_), 0);
-  Time longestSlot = 0;
-  for (std::size_t s = 0; s < bus.slotCount(); ++s) {
-    longestSlot = std::max(longestSlot, bus.slot(s).length);
-  }
-  c1mCounts_.reset(longestSlot * bytesPerTick_);
-  c1mTotal_ = 0;
-  for (std::size_t s = 0; s < bus.slotCount(); ++s) {
-    const Time len = bus.slot(s).length;
-    for (std::int64_t r = 0; r < roundCount_; ++r) {
-      const Time used = state.slotUsedTicks(s, r);
-      slotUsed_[s * static_cast<std::size_t>(roundCount_) +
-                static_cast<std::size_t>(r)] = used;
-      const Time freeTicks = len - used;
-      if (freeTicks <= 0) continue;
-      c1mCounts_.add(freeTicks * bytesPerTick_);
-      c1mTotal_ += freeTicks * bytesPerTick_;
-      if (windows_ > 0) {
-        const Time lo = bus.slotStart(r, s) + used;
-        const Time hi =
-            std::min<Time>(bus.slotStart(r, s) + len, windows_ * tmin_);
-        for (std::int64_t w = lo / tmin_; w < windows_ && w * tmin_ < hi;
-             ++w) {
-          const Time ws = std::max(lo, w * tmin_);
-          const Time we = std::min(hi, (w + 1) * tmin_);
-          if (we > ws) busWin_[static_cast<std::size_t>(w)] += we - ws;
-        }
-      }
-    }
-  }
-  valid_ = true;
-}
-
-void IncrementalMetrics::update(
-    const PlatformState& state, const std::vector<std::uint32_t>& dirtyNodes,
-    const std::vector<std::uint64_t>& dirtyOccurrences) {
-  for (const std::uint32_t n : dirtyNodes) refreshNode(state, n);
-  for (const std::uint64_t key : dirtyOccurrences) {
-    refreshOccurrence(state,
-                      static_cast<std::size_t>(
-                          key / static_cast<std::uint64_t>(roundCount_)),
-                      static_cast<std::int64_t>(
-                          key % static_cast<std::uint64_t>(roundCount_)));
-  }
+  // The occurrence's free chunk is [slotStart + used, slotStart + len);
+  // only the span between the two used marks flips state.
+  const Time slotStart = bus_->slotStart(round, slotIndex);
+  addToWindows(busWin_.data(), slotStart + std::min(used, newUsed),
+               slotStart + std::max(used, newUsed),
+               newUsed > used ? -1 : 1);
+  used = newUsed;
 }
 
 DesignMetrics IncrementalMetrics::metrics(const FutureProfile& profile) {
@@ -473,13 +472,30 @@ DesignMetrics IncrementalMetrics::metrics(const FutureProfile& profile) {
                               profile.messageSizeDistribution);
   if (windows_ > 0) {
     Time sumOfMins = 0;
-    for (const Time v : nodeMin_) sumOfMins += v;
+    for (auto row = nodeWin_.begin(); row != nodeWin_.end();
+         row += windows_) {
+      sumOfMins += *std::min_element(row, row + windows_);
+    }
     m.c2p = sumOfMins;
-    Time busMin = kTimeMax;
-    for (const Time v : busWin_) busMin = std::min(busMin, v);
-    m.c2mBytes = busMin * bytesPerTick_;
+    m.c2mBytes = *std::min_element(busWin_.begin(), busWin_.end()) *
+                 bytesPerTick_;
   }
   return m;
+}
+
+void IncrementalMetrics::slackInto(SlackInfo& info) const {
+  info.horizon = horizon_;
+  info.busBytesPerTick = bytesPerTick_;
+  info.nodeFree = nodeFree_;
+  info.busChunks.clear();
+  for (std::int64_t r = 0; r < roundCount_; ++r) {
+    for (std::size_t s = 0; s < bus_->slotCount(); ++s) {
+      const Time used = slotUsed_[occurrence(s, r)];
+      const Time freeTicks = bus_->slot(s).length - used;
+      if (freeTicks <= 0) continue;
+      info.busChunks.push_back({s, r, bus_->slotStart(r, s) + used, freeTicks});
+    }
+  }
 }
 
 double objectiveValue(const DesignMetrics& metrics,

@@ -113,48 +113,77 @@ class CapacityCounts {
   std::vector<std::uint64_t> summary_;  ///< bit w: words_[w] != 0
 };
 
-/// Incrementally maintained DesignMetrics over a PlatformState.
+/// The free capacity of a platform occupancy, kept current record by
+/// record: what DesignMetrics and SlackInfo are computed from.
 ///
-/// Keeps a snapshot of every occupancy-derived quantity the metrics read —
-/// per-node free IntervalSets, the C1 capacity counts with their totals,
-/// per-node per-window free ticks with row minima, and per-window bus free
-/// ticks — and re-derives only the nodes / slot occurrences the caller
-/// names dirty since the last sync (EvalContext names the ones its walk's
-/// released and occupied records touched). Within a dirty node, only the
-/// free intervals that differ from the snapshot enter or leave the C1
-/// counts, one O(1) counter update each.
+/// It holds per-node free IntervalSets, the C1 capacity counts with their
+/// totals, free ticks per (node, Tmin window) and per bus window, and the
+/// used ticks of every slot occurrence. Four edits move it one record at a
+/// time, with PlatformState's occupy semantics and guards plus the exact
+/// inverses: a node edit moves in the C1 counts only the free members it
+/// splits, shrinks, grows or merges, and a bus edit only the occurrence's
+/// free chunk; both add or subtract their overlap with each window.
+/// rebuild() starts from the empty platform and applies a PlatformState's
+/// occupancy through the same edits. EvalContext keeps its reference
+/// schedule's free capacity here and nowhere else.
 /// Every maintained quantity is integral and order-independent (a multiset
-/// or a sum), so metrics() is bit-identical to
-/// computeMetrics(extractSlack(state), profile) by construction; the
-/// property suites assert exactly that equality.
+/// or a sum), so after any sequence of edits metrics() and slackInto() are
+/// bit-identical to computeMetrics(extractSlack(state), profile) and
+/// extractSlack(state) for the PlatformState the same records describe;
+/// the property suites assert exactly that equality.
 class IncrementalMetrics {
  public:
-  [[nodiscard]] bool valid() const { return valid_; }
-  void invalidate() { valid_ = false; }
-
-  /// Full snapshot rebuild from `state` (first use, or whenever the dirty
-  /// set since the last sync is unknown).
+  /// Snapshot of `state`'s free capacity under `profile`'s Tmin windows;
+  /// the edits start from here. Keeps a pointer to `state`'s TDMA bus, so
+  /// the architecture must outlive the snapshot (as it must the state).
   void rebuild(const PlatformState& state, const FutureProfile& profile);
 
-  /// Re-derive the named nodes and slot occurrences (occurrence key:
-  /// slotIndex * roundCount + round) from `state`. Duplicates are fine; an
-  /// entry whose occupancy is unchanged costs one comparison. Requires
-  /// valid().
-  void update(const PlatformState& state,
-              const std::vector<std::uint32_t>& dirtyNodes,
-              const std::vector<std::uint64_t>& dirtyOccurrences);
+  /// Marks [iv.start, iv.end) busy on the node. Throws std::logic_error,
+  /// leaving the snapshot unchanged, when the range is empty, leaves the
+  /// horizon or is not free.
+  void occupyNode(NodeId node, Interval iv);
+  /// Frees [iv.start, iv.end) on the node, the exact inverse of
+  /// occupyNode. Throws std::logic_error, leaving the snapshot unchanged,
+  /// when the range is empty, leaves the horizon or is not busy.
+  void releaseNode(NodeId node, Interval iv);
+  /// Consumes `txTicks` of slot `slotIndex` in `round`. Throws
+  /// std::logic_error, leaving the snapshot unchanged, for a round outside
+  /// the horizon, txTicks <= 0 or an occupancy past the slot length.
+  void occupyBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
+  /// Hands `txTicks` of the occurrence back, the exact inverse of
+  /// occupyBus. Throws std::logic_error, leaving the snapshot unchanged,
+  /// for a round outside the horizon, txTicks <= 0 or more ticks than the
+  /// occurrence holds.
+  void releaseBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
 
-  /// Metrics of the snapshot occupancy. Requires valid(). Non-const: the
-  /// C1 packing edits the capacity counts in place and undoes its edits
-  /// before it returns.
+  /// Metrics of the snapshot occupancy. Non-const: the C1 packing edits
+  /// the capacity counts in place and undoes its edits before it returns.
   [[nodiscard]] DesignMetrics metrics(const FutureProfile& profile);
 
- private:
-  void refreshNode(const PlatformState& state, std::size_t n);
-  void refreshOccurrence(const PlatformState& state, std::size_t slot,
-                         std::int64_t round);
+  /// Writes the snapshot's slack into `info`, reusing its buffers.
+  void slackInto(SlackInfo& info) const;
 
-  bool valid_ = false;
+ private:
+  /// Adds `delta` times the overlap of [lo, hi) with each Tmin window to
+  /// `row` (one counter per window).
+  void addToWindows(Time* row, Time lo, Time hi, Time delta) const;
+  [[nodiscard]] std::size_t occurrence(std::size_t slotIndex,
+                                       std::int64_t round) const {
+    return slotIndex * static_cast<std::size_t>(roundCount_) +
+           static_cast<std::size_t>(round);
+  }
+  /// The occurrence's used ticks become `newUsed`.
+  void setUsed(std::size_t slotIndex, std::int64_t round, Time newUsed);
+  void addFree(Time length) {
+    c1pCounts_.add(length);
+    c1pTotal_ += length;
+  }
+  void removeFree(Time length) {
+    c1pCounts_.remove(length);
+    c1pTotal_ -= length;
+  }
+
+  const TdmaBus* bus_ = nullptr;
   Time horizon_ = 0;
   Time tmin_ = 0;
   std::int64_t windows_ = 0;
@@ -162,10 +191,9 @@ class IncrementalMetrics {
   std::int64_t roundCount_ = 0;
 
   std::vector<IntervalSet> nodeFree_;  ///< per node
-  std::vector<Time> nodeMin_;          ///< per node: min in-window slack
+  std::vector<Time> nodeWin_;          ///< [node * windows_ + window]
   std::vector<Time> slotUsed_;         ///< [slot * roundCount_ + round]
   std::vector<Time> busWin_;           ///< per window: bus free ticks
-  IntervalSet scratchSet_;             ///< a node's new free set, to diff
 
   CapacityCounts c1pCounts_;  ///< node free interval lengths, [0, horizon]
   std::int64_t c1pTotal_ = 0;

@@ -40,17 +40,6 @@ Time PlatformState::occupyEarliest(NodeId node, Time after, Time duration) {
                                                 duration, horizon_);
 }
 
-void PlatformState::releaseNode(NodeId node, Interval iv) {
-  if (iv.empty() || iv.start < 0 || iv.end > horizon_) {
-    throw std::logic_error("releaseNode: interval outside horizon");
-  }
-  IntervalSet& busy = nodeBusy_[node.index()];
-  if (!busy.covers(iv)) {
-    throw std::logic_error("releaseNode: range is not busy");
-  }
-  busy.subtract(iv);
-}
-
 std::optional<PlatformState::BusPlacement> PlatformState::findBusSlot(
     std::size_t slotIndex, Time ready, Time txTicks,
     std::int64_t minRound) const {
@@ -81,8 +70,7 @@ void PlatformState::occupyBus(std::size_t slotIndex, std::int64_t round,
   }
   used += txTicks;
   // Advance the first-free-round cursor past every round this occupy just
-  // sealed (amortized O(1): each round is crossed once until a release
-  // reopens it).
+  // sealed (amortized O(1): each round is crossed once).
   std::int64_t& cursor = slotCursor_[slotIndex];
   if (round == cursor) {
     const Time length = bus_->slot(slotIndex).length;
@@ -91,21 +79,6 @@ void PlatformState::occupyBus(std::size_t slotIndex, std::int64_t round,
       ++cursor;
     }
   }
-}
-
-void PlatformState::releaseBus(std::size_t slotIndex, std::int64_t round,
-                               Time txTicks) {
-  if (round < 0 || round >= roundCount_) {
-    throw std::logic_error("releaseBus: round outside horizon");
-  }
-  Time& used = slotUsed_[slotIndex][static_cast<std::size_t>(round)];
-  if (txTicks <= 0 || txTicks > used) {
-    throw std::logic_error("releaseBus: more ticks than the occurrence holds");
-  }
-  used -= txTicks;
-  // The freed ticks reopen this round: lower the cursor so findBusSlot sees
-  // it again (rounds below it stay full, keeping the invariant).
-  slotCursor_[slotIndex] = std::min(slotCursor_[slotIndex], round);
 }
 
 Time PlatformState::totalNodeSlack() const {

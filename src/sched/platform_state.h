@@ -3,12 +3,11 @@
 //
 // The frozen existing applications are baked into a baseline state once;
 // each candidate mapping of the current application is then scheduled on
-// top. The one-shot paths copy the baseline and schedule into the copy.
-// EvalContext keeps ONE state per thread holding its reference schedule and
-// moves it to each new schedule record by record: releaseNode and
-// releaseBus are the exact inverses of the occupies (the node interval is
-// subtracted, the bus ticks are handed back), so an update costs what it
-// changes, not what the state holds.
+// top. The one-shot paths (scheduleGraphs, HCP, the Initial Mapping, the
+// full-pass evaluation) copy the baseline and schedule into the copy; the
+// state only ever gains occupancy. EvalContext keeps no state of its own:
+// its reference schedule's free capacity lives in IncrementalMetrics
+// (core/metrics.h), which it moves record by record.
 #pragma once
 
 #include <cstdint>
@@ -68,33 +67,15 @@ class PlatformState {
   /// `ready` and still has `txTicks` of room. Transmissions are packed
   /// back-to-back, so the placement begins after the ticks already used in
   /// that occurrence. Returns nullopt if nothing fits before the horizon.
-  /// A per-slot first-free-round cursor (maintained by occupyBus and
-  /// releaseBus) skips the fully-booked prefix, so the common append —
-  /// packing messages behind a saturated base — is O(1) instead of a scan
-  /// over every full round.
+  /// A per-slot first-free-round cursor (advanced by occupyBus) skips the
+  /// fully-booked prefix, so the common append — packing messages behind a
+  /// saturated base — is O(1) instead of a scan over every full round.
   [[nodiscard]] std::optional<BusPlacement> findBusSlot(
       std::size_t slotIndex, Time ready, Time txTicks,
       std::int64_t minRound = 0) const;
 
   /// Consume `txTicks` of slot `slotIndex` in `round`.
   void occupyBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
-
-  // ---- release: the exact inverses of the occupies ------------------------
-
-  /// Free [iv.start, iv.end) on the node. The range must be busy and within
-  /// the horizon (throws std::logic_error otherwise). Records never overlap
-  /// each other or the baseline, so releasing a committed record removes
-  /// exactly the ticks its occupy added and reopens the gap for
-  /// earliestFit.
-  void releaseNode(NodeId node, Interval iv);
-
-  /// Hand `txTicks` of slot `slotIndex` in `round` back and lower the slot's
-  /// first-free-round cursor to that round if it was above it. Throws
-  /// std::logic_error for a round outside the horizon or more ticks than
-  /// the occurrence holds. An occurrence keeps a tick count, not positions
-  /// (a message packs behind the ticks already used), so the freed ticks
-  /// are room findBusSlot hands out again.
-  void releaseBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
 
   [[nodiscard]] std::int64_t roundCount() const { return roundCount_; }
   [[nodiscard]] Time slotUsedTicks(std::size_t slotIndex,
@@ -122,8 +103,8 @@ class PlatformState {
   std::vector<std::vector<Time>> slotUsed_;       // [slot][round] ticks
   /// Per slot: the lowest round that still has free ticks. Invariant —
   /// every round below the cursor is completely full, so findBusSlot may
-  /// start its scan at the cursor. occupyBus advances it (amortized O(1)),
-  /// releaseBus lowers it when freed ticks reopen an earlier round.
+  /// start its scan at the cursor. occupyBus advances it (amortized O(1));
+  /// nothing frees ticks, so it never moves back.
   std::vector<std::int64_t> slotCursor_;
 };
 

@@ -33,23 +33,16 @@ Time SlackInfo::busSlackInWindow(Time winStart, Time winEnd) const {
 
 SlackInfo extractSlack(const PlatformState& state) {
   SlackInfo info;
-  extractSlackInto(state, info);
-  return info;
-}
-
-void extractSlackInto(const PlatformState& state, SlackInfo& info) {
   info.horizon = state.horizon();
   const TdmaBus& bus = state.bus();
   info.busBytesPerTick = bus.bytesPerTick();
 
-  info.nodeFree.resize(state.nodeCount());
+  info.nodeFree.reserve(state.nodeCount());
   for (std::size_t n = 0; n < state.nodeCount(); ++n) {
     const NodeId id{static_cast<std::int32_t>(n)};
-    state.nodeBusy(id).complementWithinInto({0, info.horizon},
-                                            info.nodeFree[n]);
+    info.nodeFree.push_back(state.nodeFree(id));
   }
 
-  info.busChunks.clear();
   for (std::int64_t r = 0; r < state.roundCount(); ++r) {
     for (std::size_t s = 0; s < bus.slotCount(); ++s) {
       const Time freeTicks = state.slotFreeTicks(s, r);
@@ -61,6 +54,7 @@ void extractSlackInto(const PlatformState& state, SlackInfo& info) {
   }
   // Rounds iterate outermost, slots in round order, so chunks are already
   // sorted by start time.
+  return info;
 }
 
 }  // namespace ides

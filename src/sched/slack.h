@@ -46,12 +46,9 @@ struct SlackInfo {
   [[nodiscard]] Time busSlackInWindow(Time winStart, Time winEnd) const;
 };
 
-/// Snapshot the slack of a platform state.
+/// Snapshot the slack of a platform state. The one-shot paths call this;
+/// EvalContext keeps its reference's slack current in IncrementalMetrics
+/// (core/metrics.h), whose slackInto gives the same snapshot.
 SlackInfo extractSlack(const PlatformState& state);
-
-/// Snapshot into `info`, reusing its buffers (node interval sets, bus chunk
-/// list). The evaluation hot path extracts slack once per candidate; this
-/// variant keeps it allocation-free after warm-up (see EvalContext).
-void extractSlackInto(const PlatformState& state, SlackInfo& info);
 
 }  // namespace ides

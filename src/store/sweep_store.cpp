@@ -10,6 +10,7 @@
 
 #include "core/batch_suites.h"
 #include "obs/telemetry.h"
+#include "util/durable_file.h"
 #include "util/json_reader.h"
 #include "util/provenance.h"
 
@@ -202,37 +203,23 @@ bool SweepStore::outcomeIsComplete(const InstanceOutcome& outcome) {
 
 namespace {
 
-/// tmp+rename publish of a rendered record document; first writer wins.
+/// Durable tmp+rename publish of a rendered record document; first writer
+/// wins.
 bool publishRecordText(const std::string& finalPath,
                        const std::string& text) {
   std::error_code ec;
   if (fs::exists(finalPath, ec)) return false;
-
-  const std::string tmpPath = finalPath + ".tmp." + uniqueSuffix();
-  {
-    std::ofstream out(tmpPath, std::ios::binary);
-    if (!out) {
-      throw std::runtime_error("SweepStore: cannot write " + tmpPath);
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("SweepStore: short write to " + tmpPath);
-    }
-  }
-  // First writer wins: a record that appeared while we were rendering is
+  // First writer wins: a record that appeared while ours was written is
   // equivalent (only wall-clock differs), keep it and drop ours. The
   // exists/rename race window leaves at worst the concurrent writer's
   // equally valid record in place — rename is atomic either way.
-  if (fs::exists(finalPath, ec)) {
-    fs::remove(tmpPath, ec);
-    return false;
-  }
-  fs::rename(tmpPath, finalPath, ec);
-  if (ec) {
-    fs::remove(tmpPath, ec);
-    throw std::runtime_error("SweepStore: cannot rename into " + finalPath);
-  }
+  const bool published = publishFileDurably(
+      finalPath + ".tmp." + uniqueSuffix(), finalPath, text, "SweepStore",
+      [&finalPath] {
+        std::error_code existsEc;
+        return !fs::exists(finalPath, existsEc);
+      });
+  if (!published) return false;
   telemetry()
       .counter("ides_store_records_written_total",
                "Sweep records published into the store")

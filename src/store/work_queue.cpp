@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "obs/telemetry.h"
+#include "util/durable_file.h"
 #include "util/fault_injection.h"
 #include "util/json_reader.h"
 #include "util/provenance.h"
@@ -135,23 +136,7 @@ void writeManifest(const std::string& dir, const SweepManifest& manifest) {
   tmpPath += '.';
   tmpPath += std::to_string(static_cast<long>(getpid()));
 #endif
-  {
-    std::ofstream file(tmpPath, std::ios::binary);
-    if (!file) {
-      throw std::runtime_error("work queue: cannot write " + tmpPath);
-    }
-    file << out;
-    file.flush();
-    if (!file) {
-      throw std::runtime_error("work queue: short write to " + tmpPath);
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmpPath, finalPath, ec);
-  if (ec) {
-    throw std::runtime_error("work queue: cannot publish " + finalPath +
-                             ": " + ec.message());
-  }
+  publishFileDurably(tmpPath, finalPath, out, "work queue");
 }
 
 SweepManifest parseManifestJson(const std::string& text) {

@@ -19,10 +19,14 @@
 //     stall[:SEC]  sleep SEC seconds (default 1.0) every time the point is
 //                  hit — a worker slower than its lease
 //
-// Named points live on the sweep participant path (store/work_queue.cpp):
+// Named points on the sweep participant path (store/work_queue.cpp):
 //   post-claim     after a claim is won, before the instance runs
 //   pre-complete   after the instance ran, before its record is published
 //   mid-renewal    inside the lease renewal heartbeat, before each renew
+// and in the durable writer every store record and work manifest goes
+// through (util/durable_file.cpp):
+//   pre-rename     after the tmp file is written and synced, before the
+//                  rename that publishes it
 //
 // The spec is parsed once, on the first faultPoint() call; a malformed
 // spec aborts loudly at that moment rather than silently disabling the

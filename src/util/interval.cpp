@@ -41,8 +41,7 @@ void IntervalSet::add(Interval iv) {
 void IntervalSet::subtract(Interval iv) {
   if (iv.empty() || intervals_.empty()) return;
   // Locate the overlapping run with binary search and rewrite only it:
-  // PlatformState::releaseNode subtracts one record at a time from large
-  // sets.
+  // IncrementalMetrics subtracts one record at a time from large sets.
   const auto first = std::lower_bound(
       intervals_.begin(), intervals_.end(), iv,
       [](const Interval& a, const Interval& b) { return a.end <= b.start; });
@@ -150,14 +149,7 @@ Time IntervalSet::insertFirstFit(Time after, Time duration, Time limit) {
 
 IntervalSet IntervalSet::complementWithin(Interval horizon) const {
   IntervalSet out;
-  complementWithinInto(horizon, out);
-  return out;
-}
-
-void IntervalSet::complementWithinInto(Interval horizon,
-                                       IntervalSet& out) const {
-  out.intervals_.clear();
-  if (horizon.empty()) return;
+  if (horizon.empty()) return out;
   Time cursor = horizon.start;
   for (const Interval& iv : intervals_) {
     if (iv.end <= horizon.start) continue;
@@ -172,6 +164,7 @@ void IntervalSet::complementWithinInto(Interval horizon,
     out.intervals_.push_back({cursor, horizon.end});
   }
   out.checkInvariant();
+  return out;
 }
 
 IntervalSet IntervalSet::intersectWith(Interval window) const {

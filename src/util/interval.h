@@ -54,9 +54,9 @@ class IntervalSet {
 
   /// Remove [iv.start, iv.end) from the set, splitting members as needed.
   /// The surviving edges are written into the slots of the members they
-  /// come from. Subtracting an interval that add() just coalesced in is
-  /// therefore a shrink, one erase or one insert (a split):
-  /// PlatformState::releaseNode undoes node occupies this way.
+  /// come from, so taking one interval out of one member is a shrink, one
+  /// erase or one insert (a split): IncrementalMetrics occupies free
+  /// capacity this way.
   void subtract(Interval iv);
 
   /// Total covered length.
@@ -83,11 +83,6 @@ class IntervalSet {
 
   /// Complement of this set within [horizon.start, horizon.end).
   [[nodiscard]] IntervalSet complementWithin(Interval horizon) const;
-
-  /// Complement written into `out`, reusing its capacity. The hot
-  /// evaluation loop extracts slack thousands of times per optimization
-  /// run; this variant keeps that loop allocation-free.
-  void complementWithinInto(Interval horizon, IntervalSet& out) const;
 
   /// Intersection with a single window (used by the C2 metric).
   [[nodiscard]] IntervalSet intersectWith(Interval window) const;

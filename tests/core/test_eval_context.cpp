@@ -21,6 +21,8 @@
 namespace ides {
 namespace {
 
+using ides::testing::expectSameSlack;
+
 /// A loaded instance whose current application spans several graphs, so
 /// walks start inside and between graphs.
 Suite multiGraphSuite(std::uint64_t seed = 7) {
@@ -150,18 +152,6 @@ class EvalContextTest : public ::testing::Test {
     expectSameSlack(cs, es);
   }
 
-  /// Slack snapshots agree: node gaps and every bus-chunk field.
-  static void expectSameSlack(const SlackInfo& cs, const SlackInfo& es) {
-    EXPECT_EQ(cs.nodeFree, es.nodeFree);
-    ASSERT_EQ(cs.busChunks.size(), es.busChunks.size());
-    for (std::size_t i = 0; i < es.busChunks.size(); ++i) {
-      EXPECT_EQ(cs.busChunks[i].slotIndex, es.busChunks[i].slotIndex);
-      EXPECT_EQ(cs.busChunks[i].round, es.busChunks[i].round);
-      EXPECT_EQ(cs.busChunks[i].start, es.busChunks[i].start);
-      EXPECT_EQ(cs.busChunks[i].freeTicks, es.busChunks[i].freeTicks);
-    }
-  }
-
   std::unique_ptr<Suite> suite_;
   std::unique_ptr<FrozenBase> frozen_;
   std::unique_ptr<SolutionEvaluator> evaluator_;
@@ -229,7 +219,7 @@ TEST_F(EvalContextTest, ArrivalShadowedHintMoveIsBitIdentical) {
   expectBitIdentical(ctx.evaluate(trial, hint), evaluator_->evaluate(trial));
 
   // The context must keep serving exact results for follow-up moves (the
-  // walk left the reference, its positioned view and the metrics cache
+  // walk left the reference, its positioned view and the metrics snapshot
   // whole).
   Rng rng(17);
   MappingSolution current = trial;
@@ -368,6 +358,56 @@ TEST_F(EvalContextTest, StaleHintIsCorrectedNotTrusted) {
   lyingHint.graph = lastGraph;
   expectBitIdentical(ctx.evaluate(trial, lyingHint),
                      evaluator_->evaluate(trial));
+}
+
+TEST_F(EvalContextTest, ThrowingEvaluationLeavesTheContextUsable) {
+  // A walk that re-places jobs and then meets a mapping entry with no
+  // valid node throws like the full pass, after undoing its record
+  // changes: the reference, its log and the free-capacity snapshot stay
+  // those of the last placed solution.
+  const SystemModel& sys = suite_->system;
+  EvalContext ctx(*evaluator_);
+  SlackInfo before;
+  ASSERT_TRUE(ctx.evaluate(initial_, nullptr, &before).feasible);
+
+  // Re-map the first graph's first process to a node where the full pass
+  // still places the first graph, so the walk re-places jobs first.
+  const ProcessId first =
+      sys.graph(evaluator_->currentGraphs().front()).processes.front();
+  MappingSolution bad = initial_;
+  bool remapped = false;
+  for (const NodeId n : sys.process(first).allowedNodes()) {
+    if (n == initial_.nodeOf(first)) continue;
+    bad.setNode(first, n);
+    if (evaluator_->evaluate(bad).placed) {
+      remapped = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(remapped) << "no alternative node places the first graph";
+  const ProcessId last =
+      sys.graph(evaluator_->currentGraphs().back()).processes.back();
+  bad.setNode(last, NodeId{});
+  EXPECT_THROW((void)evaluator_->evaluate(bad), std::invalid_argument);
+  EXPECT_THROW((void)ctx.evaluate(bad), std::invalid_argument);
+
+  SlackInfo after;
+  expectBitIdentical(ctx.evaluate(initial_, nullptr, &after),
+                     evaluator_->evaluate(initial_));
+  expectSameSlack(after, before);
+  EvalContext fresh(*evaluator_);
+  (void)fresh.evaluate(initial_);
+  EXPECT_EQ(ctx.processes(), fresh.processes());
+  EXPECT_EQ(ctx.messages(), fresh.messages());
+
+  Rng rng(61);
+  MappingSolution current = initial_;
+  for (int step = 0; step < 60; ++step) {
+    MappingSolution next = current;
+    const MoveHint hint = randomMove(next, rng);
+    expectBitIdentical(ctx.evaluate(next, hint), evaluator_->evaluate(next));
+    if (rng.chance(0.5)) current = std::move(next);
+  }
 }
 
 TEST_F(EvalContextTest, WalkMatchesFullPassUnderAdversarialMoves) {

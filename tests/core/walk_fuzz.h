@@ -7,7 +7,9 @@
 // trials, trials the scheduler cannot place, exact re-reads, rejected
 // moves (the reference drifts away from the accepted solution), hints
 // that name the wrong graph, and an EvalContextPool context that falls at
-// least five accepted moves behind before it evaluates again.
+// least five accepted moves behind before it evaluates again. Every other
+// move and every other catch-up also read the slack output, which the
+// context writes from the free-capacity snapshot its walks edit.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -35,6 +37,20 @@ inline void expectSameEvalResult(const EvalResult& a, const EvalResult& b) {
   EXPECT_EQ(a.metrics.c2mBytes, b.metrics.c2mBytes);
 }
 
+/// Slack snapshots agree: node gaps and every bus-chunk field.
+inline void expectSameSlack(const SlackInfo& a, const SlackInfo& b) {
+  EXPECT_EQ(a.horizon, b.horizon);
+  EXPECT_EQ(a.busBytesPerTick, b.busBytesPerTick);
+  EXPECT_EQ(a.nodeFree, b.nodeFree);
+  ASSERT_EQ(a.busChunks.size(), b.busChunks.size());
+  for (std::size_t i = 0; i < b.busChunks.size(); ++i) {
+    EXPECT_EQ(a.busChunks[i].slotIndex, b.busChunks[i].slotIndex);
+    EXPECT_EQ(a.busChunks[i].round, b.busChunks[i].round);
+    EXPECT_EQ(a.busChunks[i].start, b.busChunks[i].start);
+    EXPECT_EQ(a.busChunks[i].freeTicks, b.busChunks[i].freeTicks);
+  }
+}
+
 /// What a fuzzWalk run exercised, so a test can require coverage.
 struct WalkFuzzStats {
   int moves = 0;
@@ -45,12 +61,15 @@ struct WalkFuzzStats {
   int rejected = 0;
   int lyingHints = 0;
   int staleCatchUps = 0;  ///< lagging context, >= 5 accepted moves behind
+  int slackChecks = 0;    ///< feasible results whose slack output was read
 };
 
 /// Runs `moves` random moves from `initial` (which must evaluate placed).
 /// After every evaluation the result must equal SolutionEvaluator::
 /// evaluate bit for bit; after every feasible one the context's log must
-/// equal a fresh context's full pass.
+/// equal a fresh context's full pass and, on odd moves and even catch-ups
+/// (chosen by index, so the move sequence draws nothing extra), its slack
+/// output the full pass's.
 inline WalkFuzzStats fuzzWalk(const SolutionEvaluator& ev,
                               const MappingSolution& initial, int moves,
                               std::uint64_t seed) {
@@ -137,8 +156,13 @@ inline WalkFuzzStats fuzzWalk(const SolutionEvaluator& ev,
       ++stats.lyingHints;
     }
 
-    const EvalResult got = ctx.evaluate(trial, hint);
-    const EvalResult want = ev.evaluate(trial);
+    const bool readSlack = i % 2 == 1;
+    SlackInfo gotSlack;
+    SlackInfo wantSlack;
+    const EvalResult got = readSlack ? ctx.evaluate(trial, nullptr, &gotSlack)
+                                     : ctx.evaluate(trial, hint);
+    const EvalResult want =
+        ev.evaluate(trial, nullptr, readSlack ? &wantSlack : nullptr);
     expectSameEvalResult(got, want);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first mismatch at move " << i << " (seed " << seed
@@ -153,6 +177,10 @@ inline WalkFuzzStats fuzzWalk(const SolutionEvaluator& ev,
     } else {
       ++stats.feasible;
       checkLog(ctx, trial);
+      if (readSlack) {
+        expectSameSlack(gotSlack, wantSlack);
+        ++stats.slackChecks;
+      }
     }
 
     if (want.placed && rng.chance(0.5)) {
@@ -162,10 +190,22 @@ inline WalkFuzzStats fuzzWalk(const SolutionEvaluator& ev,
       ++stats.rejected;
     }
     if (behind >= 5 && rng.chance(0.3)) {
-      const EvalResult late = lagging.evaluate(current, MoveHint{});
-      const EvalResult full = ev.evaluate(current);
+      const bool lateSlack = stats.staleCatchUps % 2 == 0;
+      SlackInfo lateGot;
+      SlackInfo lateWant;
+      const EvalResult late =
+          lateSlack ? lagging.evaluate(current, nullptr, &lateGot)
+                    : lagging.evaluate(current, MoveHint{});
+      const EvalResult full =
+          ev.evaluate(current, nullptr, lateSlack ? &lateWant : nullptr);
       expectSameEvalResult(late, full);
-      if (full.feasible) checkLog(lagging, current);
+      if (full.feasible) {
+        checkLog(lagging, current);
+        if (lateSlack) {
+          expectSameSlack(lateGot, lateWant);
+          ++stats.slackChecks;
+        }
+      }
       ++stats.staleCatchUps;
       behind = 0;
     }
@@ -189,6 +229,7 @@ inline void expectWalkCoverage(const WalkFuzzStats& stats, int moves) {
   EXPECT_GT(stats.rejected, 0);
   EXPECT_GT(stats.lyingHints, 0);
   EXPECT_GT(stats.staleCatchUps, 0);
+  EXPECT_GT(stats.slackChecks, 0);
 }
 
 }  // namespace ides::testing

@@ -175,61 +175,16 @@ TEST(PlatformState, CopyIsIndependent) {
   EXPECT_EQ(b.slotUsedTicks(0, 0), 5);
 }
 
-// ---- releases: the exact inverses of the occupies -----------------------
-// EvalContext moves its state from one schedule to the next record by
-// record. These tests carry the names of the undo journal they once drove;
-// the properties are the same: a release restores the occupancy exactly,
-// reopens gaps and rounds, and refuses what was never committed.
-
-TEST(PlatformStateJournal, RollbackRestoresNodeAndBusOccupancy) {
-  PlatformState st = makeState();
-  st.occupyNode(NodeId{0}, {0, 15});  // a floor no release names
-  st.occupyNode(NodeId{0}, {15, 30});  // coalesces with [0,15)
-  st.occupyNode(NodeId{1}, {40, 60});
-  st.occupyBus(0, 2, 7);
-  st.occupyNode(NodeId{0}, {100, 120});
-  st.occupyBus(0, 2, 3);  // same occurrence, packs behind the 7
-
-  st.releaseBus(0, 2, 3);
-  st.releaseNode(NodeId{0}, {100, 120});
-  EXPECT_EQ(st.nodeBusy(NodeId{0}).intervals(),
-            (std::vector<Interval>{{0, 30}}));
-  EXPECT_EQ(st.slotUsedTicks(0, 2), 7);
-
-  st.releaseNode(NodeId{0}, {15, 30});
-  st.releaseNode(NodeId{1}, {40, 60});
-  st.releaseBus(0, 2, 7);
-  EXPECT_EQ(st.nodeBusy(NodeId{0}).intervals(),
-            (std::vector<Interval>{{0, 15}}));
-  EXPECT_EQ(st.nodeBusy(NodeId{1}).totalLength(), 0);
-  EXPECT_EQ(st.slotUsedTicks(0, 2), 0);
-}
-
-TEST(PlatformStateJournal, RollbackReopensGapsForEarliestFit) {
-  PlatformState st = makeState();
-  st.occupyNode(NodeId{0}, {0, 50});
-  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 10), 50);
-  st.releaseNode(NodeId{0}, {0, 50});
-  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 10), 0);
-  // A release inside a coalesced run reopens just its own gap.
-  st.occupyNode(NodeId{0}, {0, 20});
-  st.occupyNode(NodeId{0}, {20, 30});
-  st.occupyNode(NodeId{0}, {30, 50});
-  st.releaseNode(NodeId{0}, {20, 30});
-  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 10), 20);
-  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 11), 50);
-}
+// ---- occupyEarliest: the scheduling loop's fused commit -----------------
 
 TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
   // Twin states: one commits through earliestFit + occupyNode, the other
-  // through occupyEarliest. Same starts and busy sets; releasing every
-  // committed record, in any order, brings the fused one back to its floor.
+  // through occupyEarliest. Same starts and busy sets.
   PlatformState fused = makeState(400);
   fused.occupyNode(NodeId{0}, {30, 60});
   PlatformState split = fused;
   Rng rng(17);
   int misses = 0;
-  std::vector<std::pair<NodeId, Interval>> records;
   for (int i = 0; i < 200; ++i) {
     const NodeId node{static_cast<std::int32_t>(rng.index(2))};
     const Time after = rng.uniformInt(-10, 399);
@@ -239,7 +194,6 @@ TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
       ++misses;
     } else {
       split.occupyNode(node, {start, start + duration});
-      records.emplace_back(node, Interval{start, start + duration});
     }
     ASSERT_EQ(fused.occupyEarliest(node, after, duration), start) << i;
   }
@@ -247,60 +201,14 @@ TEST(PlatformStateJournal, OccupyEarliestCommitsAndJournalsLikeOccupyNode) {
   for (std::int32_t n = 0; n < 2; ++n) {
     EXPECT_EQ(fused.nodeBusy(NodeId{n}), split.nodeBusy(NodeId{n}));
   }
-  for (std::size_t i = records.size(); i > 0; --i) {
-    const std::size_t k = rng.index(i);  // a random survivor each time
-    std::swap(records[k], records[i - 1]);
-    fused.releaseNode(records[i - 1].first, records[i - 1].second);
-  }
-  EXPECT_EQ(fused.nodeBusy(NodeId{0}), IntervalSet({{30, 60}}));
-  EXPECT_TRUE(fused.nodeBusy(NodeId{1}).empty());
   EXPECT_THROW((void)fused.occupyEarliest(NodeId{0}, 0, 0),
                std::invalid_argument);
-}
-
-TEST(PlatformStateJournal, RollbackGuards) {
-  // Misuse throws std::logic_error, like the occupy guards, and leaves the
-  // state as it was.
-  PlatformState st = makeState();
-  st.occupyNode(NodeId{0}, {10, 20});
-  st.occupyBus(0, 1, 4);
-  const PlatformState before = st;
-  EXPECT_THROW(st.releaseNode(NodeId{0}, {0, 10}), std::logic_error);
-  EXPECT_THROW(st.releaseNode(NodeId{0}, {15, 25}), std::logic_error);
-  EXPECT_THROW(st.releaseNode(NodeId{1}, {10, 20}), std::logic_error);
-  EXPECT_THROW(st.releaseNode(NodeId{0}, {-5, 5}), std::logic_error);
-  EXPECT_THROW(st.releaseNode(NodeId{0}, {195, 205}), std::logic_error);
-  EXPECT_THROW(st.releaseNode(NodeId{0}, {12, 12}), std::logic_error);
-  EXPECT_THROW(st.releaseBus(0, 1, 5), std::logic_error);  // holds only 4
-  EXPECT_THROW(st.releaseBus(0, 0, 1), std::logic_error);  // holds nothing
-  EXPECT_THROW(st.releaseBus(0, 0, 0), std::logic_error);
-  EXPECT_THROW(st.releaseBus(0, st.roundCount(), 1), std::logic_error);
-  EXPECT_THROW(st.releaseBus(0, -1, 1), std::logic_error);
-  EXPECT_EQ(st.nodeBusy(NodeId{0}), before.nodeBusy(NodeId{0}));
-  EXPECT_EQ(st.nodeBusy(NodeId{1}), before.nodeBusy(NodeId{1}));
-  EXPECT_EQ(st.slotUsedTicks(0, 1), 4);
-  EXPECT_NO_THROW(st.releaseNode(NodeId{0}, {12, 18}));  // inside a record
-  EXPECT_NO_THROW(st.releaseBus(0, 1, 4));               // exactly empty
-}
-
-TEST(PlatformStateJournal, EnablingClearsHistory) {
-  // The state keeps no history: occupancy committed before a record stays
-  // busy whatever is released after it, even where the interval set
-  // coalesced the two.
-  PlatformState st = makeState();
-  st.occupyNode(NodeId{0}, {0, 10});
-  st.occupyNode(NodeId{0}, {10, 20});
-  EXPECT_EQ(st.nodeBusy(NodeId{0}).intervals(),
-            (std::vector<Interval>{{0, 20}}));
-  st.releaseNode(NodeId{0}, {10, 20});
-  EXPECT_EQ(st.nodeBusy(NodeId{0}).totalLength(), 10);
-  EXPECT_EQ(st.earliestFit(NodeId{0}, 0, 5), 10);
 }
 
 // ---- first-free-round cursor ---------------------------------------------
 // findBusSlot keeps a per-slot cursor past the fully-booked round prefix.
 // These tests pin the invariant: placements are identical to a plain linear
-// scan, across saturation, partial fills, and releases.
+// scan, across saturation and partial fills.
 
 /// Reference: what the pre-cursor linear scan would return.
 std::optional<PlatformState::BusPlacement> linearFindBusSlot(
@@ -335,29 +243,9 @@ TEST(PlatformStateCursor, SkipsSaturatedPrefix) {
   EXPECT_EQ(st.findBusSlot(0, 0, 4)->round, 13);
 }
 
-TEST(PlatformStateCursor, RollbackReopensRounds) {
-  PlatformState st = makeState(400);
-  for (std::int64_t r = 0; r < 10; ++r) st.occupyBus(0, r, 10);
-  EXPECT_EQ(st.findBusSlot(0, 0, 1)->round, 10);
-  for (std::int64_t r = 9; r >= 5; --r) st.releaseBus(0, r, 10);
-  // Rounds 5..9 reopened; the cursor must not skip them.
-  EXPECT_EQ(st.findBusSlot(0, 0, 1)->round, 5);
-  EXPECT_EQ(st.findBusSlot(0, 0, 10)->round, 5);
-  // A partial release below the cursor reopens that round alone.
-  st.releaseBus(0, 2, 3);
-  EXPECT_EQ(st.findBusSlot(0, 0, 3)->round, 2);
-  EXPECT_EQ(st.findBusSlot(0, 0, 4)->round, 5);
-}
-
 TEST(PlatformStateCursor, MatchesLinearScanUnderRandomChurn) {
   PlatformState st = makeState(800);  // 40 rounds, 2 slots
   Rng rng(99);
-  struct Use {
-    std::size_t slot;
-    std::int64_t round;
-    Time ticks;
-  };
-  std::vector<Use> committed;
   for (int step = 0; step < 400; ++step) {
     const std::size_t slot = rng.index(st.bus().slotCount());
     const Time ready = rng.uniformInt(0, st.horizon() - 1);
@@ -369,153 +257,16 @@ TEST(PlatformStateCursor, MatchesLinearScanUnderRandomChurn) {
       EXPECT_EQ(got->round, want->round) << "step " << step;
       EXPECT_EQ(got->start, want->start) << "step " << step;
     }
-    // Churn: mostly occupy (through the found placement), sometimes
-    // release a random committed transmission.
-    if (!committed.empty() && rng.chance(0.15)) {
-      const std::size_t k = rng.index(committed.size());
-      st.releaseBus(committed[k].slot, committed[k].round,
-                    committed[k].ticks);
-      committed[k] = committed.back();
-      committed.pop_back();
+    // Churn: mostly occupy through the found placement, sometimes part
+    // of a random round's room, out of scan order.
+    if (rng.chance(0.15)) {
+      const std::int64_t round = rng.uniformInt(0, st.roundCount() - 1);
+      const Time room = st.slotFreeTicks(slot, round);
+      if (room > 0) st.occupyBus(slot, round, rng.uniformInt(1, room));
     } else if (got.has_value()) {
       st.occupyBus(slot, got->round, tx);
-      committed.push_back({slot, got->round, tx});
     }
   }
-}
-
-// ---- exact-inverse releases under node + bus churn -----------------------
-// Whatever the interleaving of coalescing node occupies, bus occupies and
-// releases of random committed records, the result must equal the floor
-// with the surviving records re-occupied onto it.
-
-/// A free interval on `node` that touches a busy neighbour when possible
-/// (so the occupy coalesces), else a random free fit; nullopt if none.
-std::optional<Interval> pickNodeInterval(Rng& rng, const PlatformState& st,
-                                         NodeId node) {
-  const std::vector<Interval>& busy = st.nodeBusy(node).intervals();
-  if (!busy.empty() && rng.chance(0.75)) {
-    const std::size_t k = rng.index(busy.size());
-    if (rng.chance(0.5)) {
-      // Grow member k to the right, up to (and sometimes onto) the next.
-      const Time gapEnd =
-          k + 1 < busy.size() ? busy[k + 1].start : st.horizon();
-      const Time gap = gapEnd - busy[k].end;
-      if (gap > 0) {
-        const Time len = rng.chance(0.3) ? gap : rng.uniformInt(1, gap);
-        return Interval{busy[k].end, busy[k].end + len};
-      }
-    } else {
-      // Grow member k to the left, down to (and sometimes onto) the last.
-      const Time gapStart = k > 0 ? busy[k - 1].end : 0;
-      const Time gap = busy[k].start - gapStart;
-      if (gap > 0) {
-        const Time len = rng.chance(0.3) ? gap : rng.uniformInt(1, gap);
-        return Interval{busy[k].start - len, busy[k].start};
-      }
-    }
-  }
-  const Time duration = rng.uniformInt(1, 12);
-  const Time start =
-      st.earliestFit(node, rng.uniformInt(0, st.horizon() - 1), duration);
-  if (start == kNoTime) return std::nullopt;
-  return Interval{start, start + duration};
-}
-
-TEST(PlatformStateJournal, RollbackMatchesReoccupiedSurvivorsUnderChurn) {
-  PlatformState st = makeState(800);  // 40 rounds, 2 nodes, 2 slots
-  // A non-empty floor that releases must leave alone.
-  st.occupyNode(NodeId{0}, {0, 40});
-  st.occupyNode(NodeId{1}, {100, 130});
-  st.occupyBus(0, 0, 10);
-  st.occupyBus(1, 3, 4);
-  const PlatformState floor = st;
-
-  struct Record {
-    bool node = false;
-    std::size_t index = 0;  ///< node or slot
-    Interval iv;
-    std::int64_t round = 0;
-    Time ticks = 0;
-  };
-  std::vector<Record> records;
-  Rng rng(2024);
-  int releases = 0;
-  int coalescing = 0;
-  for (int step = 0; step < 3000; ++step) {
-    const double op = rng.uniform01();
-    if (op < 0.55) {
-      const NodeId node{static_cast<std::int32_t>(rng.index(2))};
-      const auto iv = pickNodeInterval(rng, st, node);
-      if (!iv.has_value()) continue;
-      const std::size_t before = st.nodeBusy(node).size();
-      st.occupyNode(node, *iv);
-      records.push_back({true, static_cast<std::size_t>(node.index()), *iv});
-      if (st.nodeBusy(node).size() <= before) ++coalescing;
-      continue;
-    }
-    if (op < 0.85) {
-      // Half the messages are ready at 0, so they fill rounds from the
-      // front and move the first-free-round cursor that releases lower.
-      const std::size_t slot = rng.index(st.bus().slotCount());
-      const Time tx = rng.uniformInt(1, 10);
-      const Time ready =
-          rng.chance(0.5) ? 0 : rng.uniformInt(0, st.horizon() - 1);
-      const auto hit = st.findBusSlot(slot, ready, tx);
-      if (hit.has_value()) {
-        st.occupyBus(slot, hit->round, tx);
-        records.push_back({false, slot, Interval{}, hit->round, tx});
-      }
-      continue;
-    }
-    // Release a random batch of committed records, in random order.
-    const std::size_t batch = records.empty() ? 0 : rng.index(4) + 1;
-    for (std::size_t b = 0; b < batch && !records.empty(); ++b) {
-      const std::size_t k = rng.index(records.size());
-      const Record& e = records[k];
-      if (e.node) {
-        st.releaseNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
-      } else {
-        st.releaseBus(e.index, e.round, e.ticks);
-      }
-      records[k] = records.back();
-      records.pop_back();
-    }
-    ++releases;
-
-    PlatformState ref = floor;
-    for (const Record& e : records) {
-      if (e.node) {
-        ref.occupyNode(NodeId{static_cast<std::int32_t>(e.index)}, e.iv);
-      } else {
-        ref.occupyBus(e.index, e.round, e.ticks);
-      }
-    }
-    for (std::int32_t n = 0; n < 2; ++n) {
-      ASSERT_EQ(st.nodeBusy(NodeId{n}), ref.nodeBusy(NodeId{n}))
-          << "step " << step << ", node " << n;
-    }
-    for (std::size_t slot = 0; slot < st.bus().slotCount(); ++slot) {
-      for (std::int64_t r = 0; r < st.roundCount(); ++r) {
-        ASSERT_EQ(st.slotUsedTicks(slot, r), ref.slotUsedTicks(slot, r))
-            << "step " << step << ", slot " << slot << ", round " << r;
-      }
-      for (Time ready = 0; ready < st.horizon(); ready += 170) {
-        for (Time tx = 1; tx <= 10; tx += 3) {
-          const auto got = st.findBusSlot(slot, ready, tx);
-          const auto want = ref.findBusSlot(slot, ready, tx);
-          ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
-          if (got.has_value()) {
-            EXPECT_EQ(got->round, want->round) << "step " << step;
-            EXPECT_EQ(got->start, want->start) << "step " << step;
-          }
-        }
-      }
-    }
-  }
-  // The churn must exercise what it claims to.
-  EXPECT_GT(releases, 100);
-  EXPECT_GT(coalescing, 500);
 }
 
 }  // namespace
