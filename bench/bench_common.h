@@ -1,18 +1,19 @@
-// Shared infrastructure for the figure benches.
+// Shared infrastructure for the bench programs.
 //
-// Every figure bench sweeps the same axis as the paper (number of processes
-// in the current application, on a base of 400 existing processes) and
-// prints a numeric table, a CSV block, and an ASCII rendition of the
-// figure. The IDES_BENCH_SCALE environment variable selects the effort:
+// The paper's figures are named sweeps that `ides_cli sweep` runs and
+// prints (core/batch_suites.h). The bench programs here measure what the
+// sweeps do not: layer speedups, ablation A1, extension E-MOD and the
+// lifecycle gate. Each prints a numeric table and a CSV block and writes
+// BENCH_<name>.json. The IDES_BENCH_SCALE environment variable selects the
+// effort:
 //   smoke   — 1 seed, short SA, coarse axis (CI-friendly, ~tens of seconds)
-//   default — 3 seeds, medium SA (a few minutes per figure)
+//   default — 3 seeds, medium SA (a few minutes per bench)
 //   full    — 5 seeds, long SA (paper-style patience)
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,22 +22,25 @@
 #include "core/batch_suites.h"
 #include "core/incremental_designer.h"
 #include "obs/telemetry.h"
-#include "store/sweep_store.h"
 #include "tgen/benchmark_suite.h"
-#include "util/ascii_chart.h"
 #include "util/csv.h"
 #include "util/json_reader.h"
 #include "util/provenance.h"
 
 namespace ides::bench {
 
-/// The scale knob and the paper-scale instance definitions moved into the
-/// library (core/batch_suites.h) when the figure drivers were ported onto
-/// the BatchRunner; these aliases keep the remaining hand-rolled benches
-/// (ablation A1, the modification extension, the micro benches) unchanged.
+/// The paper-scale instance definitions live in the library
+/// (core/batch_suites.h); these aliases keep the bench programs short.
 using BenchScale = SweepScale;
 
-inline BenchScale benchScale() { return sweepScale(); }
+/// Scale selected by IDES_BENCH_SCALE. Lenient: anything but smoke or full
+/// runs the default scale.
+inline BenchScale benchScale() {
+  const char* env = std::getenv("IDES_BENCH_SCALE");
+  const std::string name = env == nullptr ? "" : env;
+  return sweepScaleNamed(name == "smoke" || name == "full" ? name
+                                                           : "default");
+}
 
 inline SuiteConfig paperConfig(std::size_t current,
                                std::size_t futureApps = 0) {
@@ -46,19 +50,6 @@ inline SuiteConfig paperConfig(std::size_t current,
 inline DesignerOptions designerOptions(const BenchScale& scale,
                                        std::uint64_t saSeed = 1) {
   return sweepDesignerOptions(scale, saSeed);
-}
-
-/// Shards for the BatchRunner-backed drivers: IDES_BENCH_SHARDS, default 0
-/// (= all cores). Aggregated results are bit-identical for every value.
-inline int benchShards() {
-  const char* env = std::getenv("IDES_BENCH_SHARDS");
-  return env == nullptr || *env == '\0' ? 0 : std::atoi(env);
-}
-
-/// Signed percent deviation of `cost` from a positive reference cost (the
-/// best any strategy found on the instance): no clamp, no floor.
-inline double deviationPercent(double cost, double reference) {
-  return (cost - reference) / reference * 100.0;
 }
 
 inline void printHeader(const char* figure, const char* question,
@@ -76,9 +67,8 @@ inline void printTableAndCsv(const CsvTable& table) {
   table.writeCsv(std::cout);
 }
 
-/// Writes a pre-rendered BENCH_<name>.json payload (e.g. from
-/// batchReportJson) via the library's shared publishing helper; reports
-/// the path (or the failure) on stdout.
+/// Writes a pre-rendered BENCH_<name>.json payload via the library's
+/// shared publishing helper; reports the path (or the failure) on stdout.
 inline void writeBenchJsonString(const std::string& name,
                                  const std::string& payload) {
   const std::string path = benchJsonPath(name);
@@ -87,62 +77,6 @@ inline void writeBenchJsonString(const std::string& name,
   } else {
     std::printf("(could not write %s)\n", path.c_str());
   }
-}
-
-/// Convenience for the BatchRunner-backed drivers: run the sweep with the
-/// env-selected shard count, echo per-instance completions, and write the
-/// canonical JSON (timing included — the deterministic prefix of each
-/// record is still byte-stable; the determinism tests compare with timing
-/// off).
-///
-/// Sweep-store opt-in: when IDES_SWEEP_STORE names a directory, completed
-/// instances persist there and already-stored ones are reused, so
-/// regenerating a figure after a code-irrelevant change (or re-rendering
-/// another axis of the same sweep) is near-instant. Delete the store — or
-/// bump kSweepFingerprintEpoch in a result-changing PR — to force fresh
-/// runs.
-inline BatchReport runAndPublish(const InstanceSuite& suite,
-                                 const std::string& benchName,
-                                 const BenchScale& scale) {
-  BatchOptions options;
-  options.shards = benchShards();
-  options.onInstanceDone = [](const InstanceResult& r) {
-    if (r.cached) {
-      std::printf("  [%s] from store\n", r.id.c_str());
-    } else if (r.outcome.hasReport) {
-      std::printf("  [%s] C=%.2f (%.3fs)\n", r.id.c_str(),
-                  r.outcome.report.objective, r.outcome.report.seconds);
-    } else {
-      std::printf("  [%s] done\n", r.id.c_str());
-    }
-  };
-
-  std::optional<SweepStore> store;
-  std::optional<SweepStoreCache> cache;
-  const char* storeDir = std::getenv("IDES_SWEEP_STORE");
-  if (storeDir != nullptr && *storeDir != '\0') {
-    store.emplace(storeDir);
-    cache.emplace(*store, suite.name(), /*reuse=*/true);
-    options.cache = &*cache;
-  }
-
-  const BatchReport report = runBatch(suite, options);
-  if (cache.has_value()) {
-    std::printf("sweep store %s: %zu reused, %zu newly stored\n", storeDir,
-                cache->hits(), cache->stored());
-  }
-  BatchJsonOptions json;
-  json.scale = scale.name;
-  writeBenchJsonString(benchName, batchReportJson(benchName, report, json));
-  return report;
-}
-
-inline double extraValue(const InstanceResult& r, const std::string& key,
-                         double fallback = 0.0) {
-  for (const auto& [k, v] : r.outcome.extras.fields) {
-    if (k == key) return v;
-  }
-  return fallback;
 }
 
 /// Machine-readable bench results: BENCH_<name>.json, one flat record per

@@ -12,14 +12,17 @@
 //            emit the current application's process graphs as Graphviz DOT
 //   sweep    --suite NAME [--shards N] [--deadline S] [--scale SCALE]
 //            [--store-dir DIR [--resume]] [--no-timing] [--cancel-after N]
-//            run a paper sweep through the sharded BatchRunner and write
-//            BENCH_sweep_<NAME>.json (IDES_BENCH_JSON_DIR). With a store
-//            dir, completed instances persist as content-addressed records;
-//            --resume skips instances whose records already exist.
+//            run a paper sweep through the sharded BatchRunner, write
+//            BENCH_sweep_<NAME>.json (IDES_BENCH_JSON_DIR) and print the
+//            sweep's figure: table, CSV block, ASCII chart, shape check.
+//            With a store dir, completed instances persist as
+//            content-addressed records; --resume skips instances whose
+//            records already exist.
 //   sweep --serve DIR  --suite NAME [--scale SCALE] [--lease-seconds S]
 //            coordinate a cross-process sweep over a shared directory:
 //            publish the work manifest, participate in running instances,
-//            and merge the records into the canonical BENCH json
+//            merge the records into the canonical BENCH json and print the
+//            figure
 //   sweep --worker DIR [--lease-seconds S]
 //            join a served sweep: claim instances through file leases, run
 //            them, write records; exits when the sweep is complete
@@ -32,12 +35,13 @@
 //            read-only audit of a sweep store: ls lists records
 //            (fingerprint, suite, instance, strategy, age), verify checks
 //            schema + fingerprint per record and reports the quarantine;
-//            verify exits 1 when anything is bad
+//            both count tmp files; verify exits 1 when a record is bad
 //   store gc --store-dir DIR [--epoch N] [--older-than AGE] [--apply]
-//            reap quarantined records (always) plus records superseded by
-//            an epoch bump or older than AGE (s/m/h/d suffix); dry run
-//            unless --apply; never touches records named by a live
-//            manifest.json in the store
+//            reap quarantined records and orphaned tmp writes over an
+//            hour old (always) plus records superseded by an epoch bump
+//            or older than AGE (s/m/h/d suffix); dry run unless --apply;
+//            never touches records named by a live manifest.json in the
+//            store
 //   lifecycle (--scenario FILE | --gen [--seed N] [--steps K])
 //            [--policy warm|cold] [--strategy NAME] [--sa-iters N]
 //            [--step-deadline S] [--scenario-out FILE] [--json]
@@ -112,7 +116,7 @@ struct CliArgs {
   int specWorkers = 0;   // SA: speculative eval workers (0 = off; PSA: auto)
   bool listStrategies = false;
   std::string suiteName;   // sweep: which paper sweep to run
-  std::string scaleName;   // sweep: explicit scale (else IDES_BENCH_SCALE)
+  std::string scaleName;   // sweep: scale name (empty = "default")
   int shards = 0;          // sweep: 0 = all cores
   double deadlineSeconds = 0.0;  // 0 = no deadline
   std::string storeDir;    // sweep: persistent record store (write-through)
@@ -166,7 +170,7 @@ void usage() {
       "                 at most 256; results are bit-identical for every\n"
       "                 value\n"
       "  --scale NAME   sweep scale smoke | default | full\n"
-      "                 (default: IDES_BENCH_SCALE)\n"
+      "                 (default: default)\n"
       "  --store-dir D  persist completed sweep instances as records in D\n"
       "                 (also: the directory store ls/verify audits)\n"
       "  --resume       with --store-dir: skip instances whose records\n"
@@ -666,9 +670,15 @@ void printInstanceDone(const InstanceResult& r) {
   }
 }
 
-/// Renders and publishes BENCH_sweep_<suite>.json; 0 on success.
-int publishSweepJson(const std::string& suiteArg, const BatchReport& report,
-                     const SweepScale& scale, bool noTiming) {
+/// The sweep's scale: --scale, or the default scale.
+SweepScale sweepScaleOf(const CliArgs& args) {
+  return sweepScaleNamed(args.scaleName.empty() ? "default" : args.scaleName);
+}
+
+/// Renders and publishes BENCH_sweep_<suite>.json, then prints the sweep's
+/// figure; 0 on success.
+int publishSweep(const std::string& suiteArg, const BatchReport& report,
+                 const SweepScale& scale, bool noTiming) {
   BatchJsonOptions json;
   json.scale = scale.name;
   json.timing = !noTiming;
@@ -679,6 +689,7 @@ int publishSweepJson(const std::string& suiteArg, const BatchReport& report,
   }
   std::printf("machine-readable results: %s\n",
               benchJsonPath(name).c_str());
+  std::fputs(sweepFigure(suiteArg, report).c_str(), stdout);
   return 0;
 }
 
@@ -697,9 +708,7 @@ int cmdSweep(const CliArgs& args) {
     std::fprintf(stderr, "--resume needs --store-dir DIR\n");
     return 2;
   }
-  const SweepScale scale = args.scaleName.empty()
-                               ? sweepScale()
-                               : sweepScaleNamed(args.scaleName);
+  const SweepScale scale = sweepScaleOf(args);
   const InstanceSuite suite = namedSweep(args.suiteName, scale);
   std::printf("sweep %s: %zu instances, scale=%s, shards=%s\n",
               suite.name().c_str(), suite.size(), scale.name.c_str(),
@@ -741,7 +750,7 @@ int cmdSweep(const CliArgs& args) {
   }
   std::printf("%s\n", report.stopped ? " (stopped)" : "");
 
-  return publishSweepJson(args.suiteName, report, scale, args.noTiming);
+  return publishSweep(args.suiteName, report, scale, args.noTiming);
 }
 
 /// Flags of the single-process path that the serve/worker modes do not
@@ -776,9 +785,7 @@ int cmdSweepServe(const CliArgs& args) {
     std::fprintf(stderr, "sweep --serve needs --suite NAME\n");
     return 2;
   }
-  const SweepScale scale = args.scaleName.empty()
-                               ? sweepScale()
-                               : sweepScaleNamed(args.scaleName);
+  const SweepScale scale = sweepScaleOf(args);
   const InstanceSuite suite = namedSweep(args.suiteName, scale);
   SweepStore store(args.serveDir);
   WorkQueue queue(args.serveDir, workerName(), args.leaseSeconds);
@@ -816,13 +823,47 @@ int cmdSweepServe(const CliArgs& args) {
   std::printf("merged %zu/%zu records from %s%s\n", report.completed,
               report.results.size(), args.serveDir.c_str(),
               report.stopped ? " (stopped)" : "");
-  return publishSweepJson(args.suiteName, report, scale, args.noTiming);
+  return publishSweep(args.suiteName, report, scale, args.noTiming);
 }
 
-/// HTTP worker: join a sweep coordinated by ides_serve. Same loop shape
-/// as the directory worker, but claims/renewals/records travel the
-/// network and a vanished coordinator ends the worker nonzero with a
-/// printed reason instead of hanging.
+/// The worker loop of both transports: claim and run instances until the
+/// sweep is complete (exit 0), a stop lands (exit 0) or the transport
+/// fails (exit 1 with the reason).
+int runSweepWorker(const InstanceSuite& suite, SweepParticipant& participant,
+                   const StopToken& stop) {
+  std::size_t executed = 0;
+  const auto onDone = [&](const WorkItem& item, const InstanceOutcome&) {
+    std::printf("  [%s] done\n", item.id.c_str());
+    ++executed;
+  };
+  while (true) {
+    const QueueRunStats stats =
+        runSweepParticipant(suite, participant, &stop, onDone);
+    if (stats.failed) {
+      std::fprintf(stderr, "worker giving up: %s\n", stats.error.c_str());
+      return 1;
+    }
+    if (stats.stopped || stop.stopRequested() ||
+        participant.stopRequested()) {
+      std::printf("worker stopping (%zu instances executed)\n", executed);
+      return 0;
+    }
+    if (participant.allDone()) break;
+    if (participant.failed()) {
+      std::fprintf(stderr, "worker giving up: %s\n",
+                   participant.failureReason().c_str());
+      return 1;
+    }
+    // Peers hold live leases; poll until their records land.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  std::printf("sweep complete (%zu instances executed here)\n", executed);
+  return 0;
+}
+
+/// HTTP worker: join a sweep coordinated by ides_serve. Claims, renewals
+/// and records travel the network, and a vanished coordinator ends the
+/// worker nonzero with a printed reason instead of hanging.
 int cmdSweepWorkerHttp(const CliArgs& args) {
   if (const int rc = rejectUnsupportedQueueFlags(args, "--worker")) return rc;
   if (!args.suiteName.empty() || !args.scaleName.empty()) {
@@ -847,34 +888,7 @@ int cmdSweepWorkerHttp(const CliArgs& args) {
   std::printf("worker %s joined sweep %s at %s (%zu instances)\n",
               remote.workerId().c_str(), suite.name().c_str(),
               args.workerDir.c_str(), suite.size());
-
-  std::size_t executed = 0;
-  const auto onDone = [&](const WorkItem& item, const InstanceOutcome&) {
-    std::printf("  [%s] done\n", item.id.c_str());
-    ++executed;
-  };
-  while (true) {
-    const QueueRunStats stats =
-        runSweepParticipant(suite, remote, &stop, onDone);
-    if (stats.failed) {
-      std::fprintf(stderr, "worker giving up: %s\n", stats.error.c_str());
-      return 1;
-    }
-    if (stats.stopped || stop.stopRequested()) {
-      std::printf("worker stopping (%zu instances executed)\n", executed);
-      return 0;
-    }
-    if (remote.allDone()) break;
-    if (remote.failed()) {
-      std::fprintf(stderr, "worker giving up: %s\n",
-                   remote.failureReason().c_str());
-      return 1;
-    }
-    // Peers hold live leases; poll until their records land.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  std::printf("sweep complete (%zu instances executed here)\n", executed);
-  return 0;
+  return runSweepWorker(suite, remote, stop);
 }
 
 /// Worker: wait for the manifest, rebuild + verify the suite, then claim
@@ -907,24 +921,8 @@ int cmdSweepWorker(const CliArgs& args) {
 
   StopToken stop;
   if (args.deadlineSeconds > 0.0) stop.setTimeout(args.deadlineSeconds);
-
-  std::size_t executed = 0;
-  const auto onDone = [&](const WorkItem& item, const InstanceOutcome&) {
-    std::printf("  [%s] done\n", item.id.c_str());
-    ++executed;
-  };
-  while (true) {
-    const QueueRunStats stats =
-        runQueuedInstances(suite, *manifest, store, queue, &stop, onDone);
-    if (stats.stopped || stop.stopRequested() || queue.stopRequested()) {
-      std::printf("worker stopping (%zu instances executed)\n", executed);
-      return 0;
-    }
-    if (queue.allDone(store, *manifest)) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  std::printf("sweep complete (%zu instances executed here)\n", executed);
-  return 0;
+  FileSweepParticipant participant(suite, *manifest, store, queue);
+  return runSweepWorker(suite, participant, stop);
 }
 
 }  // namespace

@@ -80,7 +80,28 @@ StoreRecordInfo auditRecord(const fs::path& path) {
   return info;
 }
 
+/// A durable publish's tmp file: "<name>.json.tmp.<suffix>". The error
+/// code overload: a live writer may rename the file away mid-scan.
+bool isTmpWrite(const fs::directory_entry& entry) {
+  std::error_code ec;
+  return entry.is_regular_file(ec) &&
+         entry.path().filename().string().find(".json.tmp.") !=
+             std::string::npos;
+}
+
 }  // namespace
+
+std::vector<std::string> storeTmpFiles(const std::string& dir) {
+  std::vector<std::string> paths;
+  std::error_code ec;
+  for (const fs::path& where : {fs::path(dir), fs::path(dir) / "records"}) {
+    for (const auto& entry : fs::directory_iterator(where, ec)) {
+      if (isTmpWrite(entry)) paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
 
 StoreAuditReport auditSweepStore(const std::string& dir) {
   const fs::path records = fs::path(dir) / "records";
@@ -108,6 +129,7 @@ StoreAuditReport auditSweepStore(const std::string& dir) {
     report.quarantined.push_back(entry.path().filename().string());
   }
   std::sort(report.quarantined.begin(), report.quarantined.end());
+  report.tmpFiles = storeTmpFiles(dir).size();
   return report;
 }
 
@@ -123,7 +145,8 @@ std::string storeLsText(const StoreAuditReport& report) {
     out += line;
   }
   out += std::to_string(report.records.size()) + " record(s), " +
-         std::to_string(report.quarantined.size()) + " quarantined\n";
+         std::to_string(report.quarantined.size()) + " quarantined, " +
+         std::to_string(report.tmpFiles) + " tmp file(s)\n";
   return out;
 }
 
@@ -138,7 +161,8 @@ std::string storeVerifyText(const StoreAuditReport& report) {
   }
   out += "verify: " + std::to_string(report.okCount) + " ok, " +
          std::to_string(report.badCount) + " bad, " +
-         std::to_string(report.quarantined.size()) + " quarantined\n";
+         std::to_string(report.quarantined.size()) + " quarantined, " +
+         std::to_string(report.tmpFiles) + " tmp file(s)\n";
   return out;
 }
 

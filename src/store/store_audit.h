@@ -32,18 +32,29 @@ struct StoreAuditReport {
   std::vector<std::string> quarantined;
   std::size_t okCount = 0;
   std::size_t badCount = 0;
+  /// Tmp files of durable publishes (storeTmpFiles): not records, and not
+  /// corruption either.
+  std::size_t tmpFiles = 0;
 };
+
+/// The tmp files that durable publishes (util/durable_file.h) left in
+/// `dir`, a SweepStore root, sorted: record writes
+/// `records/<fp>.json.tmp.<host>.<pid>.<n>` and manifest writes
+/// `manifest.json.tmp.<host>.<pid>`. A live writer holds one only for the
+/// publish itself; one that stays belongs to a writer that died before its
+/// rename.
+std::vector<std::string> storeTmpFiles(const std::string& dir);
 
 /// Scans `dir` (a SweepStore root). Throws std::runtime_error when the
 /// directory does not look like a store (no records/ subdirectory).
 StoreAuditReport auditSweepStore(const std::string& dir);
 
 /// `store ls` rendering: one line per record (fingerprint, suite, id,
-/// strategy, age) plus a summary.
+/// strategy, age) plus a summary with the quarantine and tmp file counts.
 std::string storeLsText(const StoreAuditReport& report);
 
 /// `store verify` rendering: per-record failures with reasons, quarantine
-/// contents, ok/bad summary.
+/// contents, ok/bad/quarantined/tmp summary.
 std::string storeVerifyText(const StoreAuditReport& report);
 
 }  // namespace ides

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "store/store_audit.h"
 #include "store/work_queue.h"
 #include "util/json_reader.h"
 
@@ -73,10 +74,21 @@ StoreGcReport gcSweepStore(const std::string& dir,
         {entry.path().string(), std::string(), "quarantined"});
   }
 
+  // Orphaned writes: always candidates once old enough. A tmp file is
+  // never loaded, so the manifest protection does not apply to it.
+  for (const std::string& path : storeTmpFiles(dir)) {
+    double age = 0.0;
+    if (fileAge(path, age) && age > kOrphanedWriteSeconds) {
+      report.remove.push_back({path, std::string(), "orphaned write"});
+    } else {
+      ++report.freshTmpFiles;
+    }
+  }
+
   for (const auto& entry : fs::directory_iterator(records, ec)) {
     if (!entry.is_regular_file()) continue;
     const fs::path& path = entry.path();
-    if (path.extension() != ".json") continue;  // in-flight .tmp.* writes
+    if (path.extension() != ".json") continue;  // tmp files: see above
     const std::string fingerprint = path.stem().string();
 
     std::string reason;
@@ -154,6 +166,12 @@ std::string storeGcText(const StoreGcReport& report,
   if (report.protectedByManifest > 0) {
     out += " (" + std::to_string(report.protectedByManifest) +
            " matched but protected by a live manifest)";
+  }
+  if (report.freshTmpFiles > 0) {
+    out += ", " + std::to_string(report.freshTmpFiles) +
+           " tmp file(s) younger than " +
+           std::to_string(static_cast<long long>(kOrphanedWriteSeconds)) +
+           "s kept";
   }
   out += "\n";
   if (!report.applied && !report.remove.empty()) {

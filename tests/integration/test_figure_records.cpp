@@ -1,8 +1,12 @@
-// The reproduced paper figures F1 (quality) and F3 (future fit), committed
-// as default-scale sweep records under figures/, against a fresh run of
-// the same sweeps, and the paper's shapes that hold on them today:
+// The reproduced paper figures F1 (quality), F2 (runtime) and F3 (future
+// fit), committed as default-scale sweep records under figures/, against a
+// fresh run of the same sweeps, and the paper's shapes that hold on them
+// today:
 //   - F1: MH's cost is at most AH's on every instance from 160 processes
 //     up;
+//   - F2: AH < MH < SA in evaluations on every instance, the deterministic
+//     side of "runtime(SA) >> runtime(MH) >> runtime(AH)" (the record
+//     holds no wall-clock);
 //   - F3: MH fits at least as many future applications as AH at every
 //     size, and strictly more at 240 processes.
 // The records are the BENCH json of `ides_cli sweep --no-timing`, compared
@@ -25,8 +29,8 @@ namespace ides {
 namespace {
 
 constexpr const char* kRegenerate =
-    "for s in quality future; do ./build/examples/ides_cli sweep --suite $s "
-    "--scale default --no-timing && mv BENCH_sweep_$s.json "
+    "for s in quality runtime future; do ./build/examples/ides_cli sweep "
+    "--suite $s --scale default --no-timing && mv BENCH_sweep_$s.json "
     "figures/fig_${s}_default.json; done";
 
 std::string recordPath(const std::string& suite) {
@@ -92,6 +96,10 @@ TEST(FigureRecords, QualityRecordIsCurrent) {
   expectRecordIsCurrent("quality");
 }
 
+TEST(FigureRecords, RuntimeRecordIsCurrent) {
+  expectRecordIsCurrent("runtime");
+}
+
 TEST(FigureRecords, FutureRecordIsCurrent) {
   expectRecordIsCurrent("future");
 }
@@ -109,6 +117,19 @@ TEST(FigureRecords, QualityMhNoWorseThanAhFrom160Processes) {
     ++compared;
   }
   EXPECT_EQ(compared, 9);  // 160, 240 and 320 processes x 3 seeds
+}
+
+TEST(FigureRecords, RuntimeEvaluationsGrowAhMhSa) {
+  int compared = 0;
+  for (const auto& [key, byStrategy] : resultsOf("runtime")) {
+    const std::int64_t ah = byStrategy.at("AH").intAt("evaluations");
+    const std::int64_t mh = byStrategy.at("MH").intAt("evaluations");
+    const std::int64_t sa = byStrategy.at("SA").intAt("evaluations");
+    EXPECT_LT(ah, mh) << key.first << " processes, seed " << key.second;
+    EXPECT_LT(mh, sa) << key.first << " processes, seed " << key.second;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 15);  // 5 sizes x 3 seeds
 }
 
 TEST(FigureRecords, FutureMhFitsAtLeastAsManyAsAh) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -171,6 +172,36 @@ TEST(StoreAuditTest, IgnoresTmpFiles) {
   ASSERT_EQ(report.records.size(), 1u);
   EXPECT_EQ(report.records[0].fingerprint, "real");
   EXPECT_EQ(report.badCount, 0u);
+}
+
+TEST(StoreAuditTest, CountsTmpFilesInRecordsAndAtTheRoot) {
+  const std::string dir = freshDir("tmpcount");
+  SweepStore store(dir);
+  ASSERT_TRUE(store.store("real", "fig-quality", "n40/s0/AH",
+                          outcomeFor("AH")));
+  const fs::path root(dir);
+  const fs::path aged[] = {root / "records" / "real.json.tmp.host.1.0",
+                           root / "manifest.json.tmp.host.1"};
+  const fs::path fresh[] = {root / "records" / "other.json.tmp.host.2.0",
+                            root / "manifest.json.tmp.host.2"};
+  for (const fs::path& path : {aged[0], aged[1], fresh[0], fresh[1]}) {
+    std::ofstream(path) << "{";
+  }
+  for (const fs::path& path : aged) {
+    fs::last_write_time(path, fs::file_time_type::clock::now() -
+                                  std::chrono::hours(2));
+  }
+
+  const StoreAuditReport report = auditSweepStore(dir);
+  EXPECT_EQ(report.tmpFiles, 4u);
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(report.badCount, 0u);  // a tmp file is not corruption
+  EXPECT_NE(storeLsText(report).find(
+                "1 record(s), 0 quarantined, 4 tmp file(s)"),
+            std::string::npos);
+  EXPECT_NE(storeVerifyText(report).find(
+                "verify: 1 ok, 0 bad, 0 quarantined, 4 tmp file(s)"),
+            std::string::npos);
 }
 
 }  // namespace

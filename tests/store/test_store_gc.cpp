@@ -153,6 +153,45 @@ TEST(StoreGcTest, MalformedManifestProtectsEverything) {
   EXPECT_EQ(report.kept, 1u);
 }
 
+TEST(StoreGcTest, OrphanedWritesAreReapedAfterAnHour) {
+  const std::string dir = freshStore("orphans");
+  const fs::path root(dir);
+  const fs::path records = root / "records";
+  const fs::path agedRecord = records / "aaaa.json.tmp.host.1.0";
+  const fs::path agedManifest = root / "manifest.json.tmp.host.1";
+  const fs::path freshRecord = records / "bbbb.json.tmp.host.2.0";
+  const fs::path freshManifest = root / "manifest.json.tmp.host.2";
+  for (const fs::path& path :
+       {agedRecord, agedManifest, freshRecord, freshManifest}) {
+    writeFile(path, "{");
+  }
+  for (const fs::path& path : {agedRecord, agedManifest}) {
+    fs::last_write_time(path, fs::file_time_type::clock::now() -
+                                  std::chrono::hours(2));
+  }
+
+  const StoreGcReport dry = gcSweepStore(dir, {});
+  ASSERT_EQ(dry.remove.size(), 2u);
+  EXPECT_TRUE(listsPath(dry, agedRecord));
+  EXPECT_TRUE(listsPath(dry, agedManifest));
+  for (const StoreGcAction& action : dry.remove) {
+    EXPECT_EQ(action.reason, "orphaned write");
+  }
+  EXPECT_EQ(dry.freshTmpFiles, 2u);
+  EXPECT_NE(storeGcText(dry, {}).find("2 tmp file(s) younger than 3600s"),
+            std::string::npos);
+  EXPECT_TRUE(fs::exists(agedRecord));
+
+  StoreGcOptions apply;
+  apply.apply = true;
+  const StoreGcReport applied = gcSweepStore(dir, apply);
+  EXPECT_EQ(applied.remove.size(), 2u);
+  EXPECT_FALSE(fs::exists(agedRecord));
+  EXPECT_FALSE(fs::exists(agedManifest));
+  EXPECT_TRUE(fs::exists(freshRecord));
+  EXPECT_TRUE(fs::exists(freshManifest));
+}
+
 TEST(StoreGcTest, TextReportsDryRunAndAppliedPhrasing) {
   const std::string dir = freshStore("text");
   writeFile(fs::path(dir) / "quarantine" / "bad.json", "junk");
