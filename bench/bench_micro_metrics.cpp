@@ -1,6 +1,7 @@
 // Micro-benchmarks of the design metrics (ablation A4 in DESIGN.md):
 // C1 best-fit packing and C2 window scans, at realistic slack-fragment
-// counts.
+// counts, through the full pass and through an IncrementalMetrics
+// snapshot.
 #include <benchmark/benchmark.h>
 
 #include "core/evaluator.h"
@@ -13,7 +14,8 @@ namespace {
 
 using namespace ides;
 
-SlackInfo realisticSlack() {
+/// The 160-process instance after its Initial Mapping.
+const PlatformState& realisticState() {
   SuiteConfig cfg;
   cfg.nodeCount = 10;
   cfg.existingProcesses = 400;
@@ -26,8 +28,10 @@ SlackInfo realisticSlack() {
     initialMapping(suite.system, s);
     return s;
   }();
-  return extractSlack(state);
+  return state;
 }
+
+SlackInfo realisticSlack() { return extractSlack(realisticState()); }
 
 void BM_ComputeAllMetrics(benchmark::State& state) {
   const SlackInfo slack = realisticSlack();
@@ -38,6 +42,29 @@ void BM_ComputeAllMetrics(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeAllMetrics);
+
+/// IncrementalMetrics::metrics() on the same occupancy: the C1 packing on
+/// the snapshot's counts plus the C2 window minima, what every feasible
+/// evaluation pays after its walk. The paper profile counts in units of
+/// 10 ticks and 2 bytes; the unit-1 profile has the same shape with values
+/// that share no factor, so it counts in ticks and bytes.
+void BM_SnapshotMetrics(benchmark::State& state, bool unitOne) {
+  FutureProfile profile = paperFutureProfile(4000, 5520, 450);
+  if (unitOne) {
+    profile.wcetDistribution =
+        DiscreteDistribution({{21, 0.2}, {50, 0.4}, {100, 0.3}, {151, 0.1}});
+    profile.messageSizeDistribution =
+        DiscreteDistribution({{3, 0.2}, {4, 0.4}, {6, 0.3}, {8, 0.1}});
+  }
+  IncrementalMetrics snapshot;
+  snapshot.rebuild(realisticState(), profile);
+  for (auto _ : state) {
+    DesignMetrics m = snapshot.metrics();
+    benchmark::DoNotOptimize(m.c1p);
+  }
+}
+BENCHMARK_CAPTURE(BM_SnapshotMetrics, paper, false);
+BENCHMARK_CAPTURE(BM_SnapshotMetrics, unit1, true);
 
 /// Args: container count, distinct capacities. 200 distinct values is the
 /// spread of processor gaps; a few values with many copies each is the

@@ -444,13 +444,15 @@ std::string qualityFigure(const BatchReport& report) {
       for (int i = 0; i < 3; ++i) dev[i].add(deviationPercent(c[i], best));
     }
     // A size with no rated seed has no deviation: n/a, and no chart point.
+    // A size none of whose seeds ran has no cost either.
     const bool rated = dev[0].count() > 0;
+    const bool ran = cost[0].count() > 0;
     std::vector<std::string> row = {integer(size), integer(dev[0].count())};
     for (const StatAccumulator& d : dev) {
       row.push_back(rated ? CsvTable::num(d.mean()) : "n/a");
     }
     for (const StatAccumulator& c : cost) {
-      row.push_back(CsvTable::num(c.mean()));
+      row.push_back(ran ? CsvTable::num(c.mean()) : "n/a");
     }
     table.addRow(std::move(row));
     if (!rated) continue;
@@ -484,6 +486,12 @@ std::string runtimeFigure(const BatchReport& report) {
         seconds[i].add(runs[i]->outcome.report.seconds);
         evals[i].add(static_cast<double>(runs[i]->outcome.report.evaluations));
       }
+    }
+    // A size none of whose seeds ran has no runtime: n/a, no summary line
+    // and no chart point.
+    if (seconds[0].count() == 0) {
+      table.addRow({integer(size), "n/a", "n/a", "n/a", "n/a", "n/a"});
+      continue;
     }
     table.addRow({integer(size), CsvTable::num(seconds[0].mean(), 4),
                   CsvTable::num(seconds[1].mean(), 3),

@@ -739,7 +739,7 @@ EvalResult EvalContext::run(const MappingSolution& solution,
   lateness_ = lateness;
   EvalResult result = makeResult(true, misses, lateness);
   if (result.feasible) {
-    result.metrics = snapshot_.metrics(ev_->profile());
+    result.metrics = snapshot_.metrics();
     result.objective =
         objectiveValue(result.metrics, ev_->profile(), ev_->weights());
     result.cost = result.objective;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -62,7 +63,11 @@ struct CountEdit {
   std::int32_t copies = 0;
 };
 
-/// Best-fit-decreasing over run-length-encoded items and capacity counts.
+/// Best-fit-decreasing over run-length-encoded items and capacity counts
+/// kept in units of `unit`, which divides every item: a container of
+/// capacity c holds exactly the items a container of unit * floor(c / unit)
+/// holds, so the counts hold floor(c / unit) and the packing runs on
+/// value / unit. The unpacked total comes back in the items' own units.
 /// Equivalent to placing the items one by one into the fullest container
 /// that still takes them: after placing v into the smallest capacity
 /// c >= v, the remainder c - v is strictly smaller than every other
@@ -75,7 +80,7 @@ struct CountEdit {
 /// below the walk, so they are written into the same counts as it goes:
 /// no copy of the multiset, no sort, no merge. Every edit is logged and the
 /// log is undone before returning, so `counts` comes back unchanged.
-std::int64_t bestFitUnpackedRuns(const DemandRuns& runs,
+std::int64_t bestFitUnpackedRuns(const DemandRuns& runs, std::int64_t unit,
                                  CapacityCounts& counts,
                                  std::vector<CountEdit>& log) {
   log.clear();
@@ -89,8 +94,9 @@ std::int64_t bestFitUnpackedRuns(const DemandRuns& runs,
     log.push_back({value, n});
   };
   std::int64_t unpacked = 0;
-  for (const auto& [item, runLength] : runs) {
-    if (item <= 0) continue;
+  for (const auto& [value, runLength] : runs) {
+    if (value <= 0) continue;
+    const std::int64_t item = value / unit;
     std::int64_t remaining = runLength;
     for (std::int64_t capacity = counts.firstAtLeast(item);
          capacity >= 0 && remaining > 0;
@@ -114,7 +120,7 @@ std::int64_t bestFitUnpackedRuns(const DemandRuns& runs,
       remaining = 0;
       break;
     }
-    unpacked += item * remaining;
+    unpacked += value * remaining;
   }
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
     if (it->copies > 0) {
@@ -188,7 +194,7 @@ std::int64_t bestFitUnpacked(const std::vector<std::int64_t>& itemsDesc,
     if (c > 0) counts.add(c);
   }
   std::vector<CountEdit> log;
-  return bestFitUnpackedRuns(runs, counts, log);
+  return bestFitUnpackedRuns(runs, 1, counts, log);
 }
 
 namespace {
@@ -210,12 +216,15 @@ C1Scratch& c1Scratch() {
   return scratch;
 }
 
-/// C1 for one resource class from its capacity counts and their total.
-/// Only the multiset enters the packing, so any producer that maintains
-/// the same multiset (notably IncrementalMetrics) gets the exact same
-/// doubles as a fresh extraction. `counts` comes back unchanged.
+/// C1 for one resource class from its capacity counts, kept in units of
+/// `unit` (a divisor of every value of `dist`), and their total in ticks
+/// or bytes. Only the multiset enters the packing, and the demand and the
+/// unpacked total stay in ticks or bytes, so any producer that maintains
+/// the same multiset (notably IncrementalMetrics, in item units) gets the
+/// exact same doubles as a fresh extraction in ticks. `counts` comes back
+/// unchanged.
 double c1PercentFromCounts(C1Scratch& scratch, CapacityCounts& counts,
-                           std::int64_t total,
+                           std::int64_t unit, std::int64_t total,
                            const DiscreteDistribution& dist) {
   demandRunsInto(dist, total, scratch.runs, scratch.quotas);
   std::int64_t demand = 0;
@@ -226,7 +235,7 @@ double c1PercentFromCounts(C1Scratch& scratch, CapacityCounts& counts,
     return total > 0 ? 0.0 : 100.0;
   }
   const std::int64_t unpacked =
-      bestFitUnpackedRuns(scratch.runs, counts, scratch.log);
+      bestFitUnpackedRuns(scratch.runs, unit, counts, scratch.log);
   return 100.0 * static_cast<double>(unpacked) / static_cast<double>(demand);
 }
 
@@ -245,7 +254,7 @@ double c1Percent(C1Scratch& scratch, const DiscreteDistribution& dist) {
   for (const std::int64_t c : scratch.containers) {
     if (c > 0) counts.add(c);
   }
-  const double percent = c1PercentFromCounts(scratch, counts, total, dist);
+  const double percent = c1PercentFromCounts(scratch, counts, 1, total, dist);
   for (const std::int64_t c : scratch.containers) {
     if (c > 0) counts.remove(c);
   }
@@ -303,8 +312,26 @@ DesignMetrics computeMetrics(const SlackInfo& slack,
 
 // ---- IncrementalMetrics ---------------------------------------------------
 
+namespace {
+
+/// The C1 counting unit of a resource class: the gcd of its item values,
+/// at least 1. Every item of the demand stream is a multiple of it.
+std::int64_t itemUnit(const DiscreteDistribution& dist) {
+  std::int64_t unit = 0;
+  for (const DiscreteDistribution::Entry& e : dist.entries()) {
+    unit = std::gcd(unit, e.value);
+  }
+  return std::max<std::int64_t>(unit, 1);
+}
+
+}  // namespace
+
 void IncrementalMetrics::rebuild(const PlatformState& state,
                                  const FutureProfile& profile) {
+  profile.validate();
+  profile_ = profile;
+  c1pUnit_ = itemUnit(profile.wcetDistribution);
+  c1mUnit_ = itemUnit(profile.messageSizeDistribution);
   bus_ = &state.bus();
   horizon_ = state.horizon();
   tmin_ = profile.tmin;
@@ -317,7 +344,7 @@ void IncrementalMetrics::rebuild(const PlatformState& state,
   const std::size_t nodes = state.nodeCount();
   nodeFree_.assign(nodes, IntervalSet({{0, horizon_}}));
   nodeWin_.assign(nodes * static_cast<std::size_t>(windows_), tmin_);
-  c1pCounts_.reset(horizon_);
+  c1pCounts_.reset(horizon_ / c1pUnit_);
   c1pTotal_ = 0;
   for (std::size_t n = 0; n < nodes; ++n) addFree(horizon_);
 
@@ -328,11 +355,14 @@ void IncrementalMetrics::rebuild(const PlatformState& state,
   for (std::size_t s = 0; s < slots; ++s) {
     longestSlot = std::max(longestSlot, bus_->slot(s).length);
   }
-  c1mCounts_.reset(longestSlot * bytesPerTick_);
+  c1mCounts_.reset(longestSlot * bytesPerTick_ / c1mUnit_);
   c1mTotal_ = 0;
   for (std::size_t s = 0; s < slots; ++s) {
     const Time len = bus_->slot(s).length;
-    c1mCounts_.add(len * bytesPerTick_, static_cast<std::int32_t>(roundCount_));
+    const std::int64_t units = len * bytesPerTick_ / c1mUnit_;
+    if (units > 0 && roundCount_ > 0) {
+      c1mCounts_.add(units, static_cast<std::int32_t>(roundCount_));
+    }
     c1mTotal_ += len * bytesPerTick_ * roundCount_;
     for (std::int64_t r = 0; r < roundCount_; ++r) {
       const Time start = bus_->slotStart(r, s);
@@ -450,8 +480,8 @@ void IncrementalMetrics::setUsed(std::size_t slotIndex, std::int64_t round,
   const Time len = bus_->slot(slotIndex).length;
   const std::int64_t oldBytes = (len - used) * bytesPerTick_;
   const std::int64_t newBytes = (len - newUsed) * bytesPerTick_;
-  if (oldBytes > 0) c1mCounts_.remove(oldBytes);
-  if (newBytes > 0) c1mCounts_.add(newBytes);
+  if (oldBytes / c1mUnit_ > 0) c1mCounts_.remove(oldBytes / c1mUnit_);
+  if (newBytes / c1mUnit_ > 0) c1mCounts_.add(newBytes / c1mUnit_);
   c1mTotal_ += newBytes - oldBytes;
   // The occurrence's free chunk is [slotStart + used, slotStart + len);
   // only the span between the two used marks flips state.
@@ -462,14 +492,13 @@ void IncrementalMetrics::setUsed(std::size_t slotIndex, std::int64_t round,
   used = newUsed;
 }
 
-DesignMetrics IncrementalMetrics::metrics(const FutureProfile& profile) {
-  profile.validate();
+DesignMetrics IncrementalMetrics::metrics() {
   DesignMetrics m;
   C1Scratch& scratch = c1Scratch();
-  m.c1p = c1PercentFromCounts(scratch, c1pCounts_, c1pTotal_,
-                              profile.wcetDistribution);
-  m.c1m = c1PercentFromCounts(scratch, c1mCounts_, c1mTotal_,
-                              profile.messageSizeDistribution);
+  m.c1p = c1PercentFromCounts(scratch, c1pCounts_, c1pUnit_, c1pTotal_,
+                              profile_.wcetDistribution);
+  m.c1m = c1PercentFromCounts(scratch, c1mCounts_, c1mUnit_, c1mTotal_,
+                              profile_.messageSizeDistribution);
   if (windows_ > 0) {
     Time sumOfMins = 0;
     for (auto row = nodeWin_.begin(); row != nodeWin_.end();

@@ -69,8 +69,9 @@ std::vector<std::int64_t> largestFutureDemand(const DiscreteDistribution& dist,
 /// int32 count per capacity, plus a presence bitmap with a summary bit per
 /// 64-value word. Adding or removing one container is O(1), and
 /// firstAtLeast reads one word per 64 absent values, one summary word per
-/// 4096. Memory is 4 bytes per value: 64 KB at the paper's 16 000-tick
-/// horizon.
+/// 4096. Memory is 4 bytes per value. IncrementalMetrics counts in item
+/// units (10 ticks for the paper's WCETs), so its processor counts take
+/// 6.4 KB at the paper's 16 000-tick horizon instead of 64 KB in ticks.
 class CapacityCounts {
  public:
   /// Empty multiset over [0, maxValue].
@@ -118,11 +119,17 @@ class CapacityCounts {
 ///
 /// It holds per-node free IntervalSets, the C1 capacity counts with their
 /// totals, free ticks per (node, Tmin window) and per bus window, and the
-/// used ticks of every slot occurrence. Four edits move it one record at a
-/// time, with PlatformState's occupy semantics and guards plus the exact
-/// inverses: a node edit moves in the C1 counts only the free members it
-/// splits, shrinks, grows or merges, and a bus edit only the occurrence's
-/// free chunk; both add or subtract their overlap with each window.
+/// used ticks of every slot occurrence. The C1 counts are kept in item
+/// units: the gcd of the profile's WCETs for processor gaps, of its
+/// message sizes for bus occurrences. Every item is a multiple of its
+/// unit, so a container of capacity c holds exactly what one of
+/// unit * floor(c / unit) holds and the packing gives the same unpacked
+/// total on floor(c / unit); the totals and the demand stay in ticks and
+/// bytes. Four edits move it one record at a time, with PlatformState's
+/// occupy semantics and guards plus the exact inverses: a node edit moves
+/// in the C1 counts only the free members it splits, shrinks, grows or
+/// merges, and a bus edit only the occurrence's free chunk; both add or
+/// subtract their overlap with each window.
 /// rebuild() starts from the empty platform and applies a PlatformState's
 /// occupancy through the same edits. EvalContext keeps its reference
 /// schedule's free capacity here and nowhere else.
@@ -133,9 +140,11 @@ class CapacityCounts {
 /// the property suites assert exactly that equality.
 class IncrementalMetrics {
  public:
-  /// Snapshot of `state`'s free capacity under `profile`'s Tmin windows;
-  /// the edits start from here. Keeps a pointer to `state`'s TDMA bus, so
-  /// the architecture must outlive the snapshot (as it must the state).
+  /// Snapshot of `state`'s free capacity under `profile`'s Tmin windows
+  /// and item units; the edits start from here. Keeps a copy of `profile`
+  /// for metrics() and a pointer to `state`'s TDMA bus, so the
+  /// architecture must outlive the snapshot (as it must the state).
+  /// Throws std::invalid_argument for an invalid profile.
   void rebuild(const PlatformState& state, const FutureProfile& profile);
 
   /// Marks [iv.start, iv.end) busy on the node. Throws std::logic_error,
@@ -156,9 +165,11 @@ class IncrementalMetrics {
   /// occurrence holds.
   void releaseBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
 
-  /// Metrics of the snapshot occupancy. Non-const: the C1 packing edits
-  /// the capacity counts in place and undoes its edits before it returns.
-  [[nodiscard]] DesignMetrics metrics(const FutureProfile& profile);
+  /// Metrics of the snapshot occupancy under the profile given to
+  /// rebuild(): bit-identical to computeMetrics(extractSlack(state),
+  /// profile), which packs in ticks. Non-const: the C1 packing edits the
+  /// capacity counts in place and undoes its edits before it returns.
+  [[nodiscard]] DesignMetrics metrics();
 
   /// Writes the snapshot's slack into `info`, reusing its buffers.
   void slackInto(SlackInfo& info) const;
@@ -174,15 +185,20 @@ class IncrementalMetrics {
   }
   /// The occurrence's used ticks become `newUsed`.
   void setUsed(std::size_t slotIndex, std::int64_t round, Time newUsed);
+  /// A free node member of `length` ticks enters (leaves) the C1 counts,
+  /// as floor(length / c1pUnit_) units, and their total, in ticks.
   void addFree(Time length) {
-    c1pCounts_.add(length);
+    if (const Time units = length / c1pUnit_; units > 0) c1pCounts_.add(units);
     c1pTotal_ += length;
   }
   void removeFree(Time length) {
-    c1pCounts_.remove(length);
+    if (const Time units = length / c1pUnit_; units > 0) {
+      c1pCounts_.remove(units);
+    }
     c1pTotal_ -= length;
   }
 
+  FutureProfile profile_;
   const TdmaBus* bus_ = nullptr;
   Time horizon_ = 0;
   Time tmin_ = 0;
@@ -195,10 +211,14 @@ class IncrementalMetrics {
   std::vector<Time> slotUsed_;         ///< [slot * roundCount_ + round]
   std::vector<Time> busWin_;           ///< per window: bus free ticks
 
-  CapacityCounts c1pCounts_;  ///< node free interval lengths, [0, horizon]
-  std::int64_t c1pTotal_ = 0;
-  CapacityCounts c1mCounts_;  ///< occurrence free bytes, [0, longest slot]
-  std::int64_t c1mTotal_ = 0;
+  std::int64_t c1pUnit_ = 1;  ///< gcd of the profile's WCETs (ticks)
+  std::int64_t c1mUnit_ = 1;  ///< gcd of the profile's message sizes (bytes)
+  /// Node free interval lengths in c1pUnit_, [0, horizon / c1pUnit_].
+  CapacityCounts c1pCounts_;
+  std::int64_t c1pTotal_ = 0;  ///< ticks
+  /// Occurrence free bytes in c1mUnit_, [0, longest slot / c1mUnit_].
+  CapacityCounts c1mCounts_;
+  std::int64_t c1mTotal_ = 0;  ///< bytes
 };
 
 }  // namespace ides

@@ -161,6 +161,24 @@ SaMove SaMoveProposer::propose(const MappingSolution& current,
   return move;  // Kind::None when the message branch found nothing to move
 }
 
+void SaMoveProposer::restore(const SaMove& move, const MappingSolution& from,
+                             MappingSolution& to) {
+  switch (move.kind) {
+    case SaMove::Kind::None:
+      break;
+    case SaMove::Kind::Remap:
+      to.setNode(move.process, from.nodeOf(move.process));
+      to.setStartHint(move.process, from.startHint(move.process));
+      break;
+    case SaMove::Kind::ProcessHint:
+      to.setStartHint(move.process, from.startHint(move.process));
+      break;
+    case SaMove::Kind::MessageHint:
+      to.setMessageHint(move.message, from.messageHint(move.message));
+      break;
+  }
+}
+
 void SaMoveProposer::apply(const SaMove& move, MappingSolution& solution) {
   switch (move.kind) {
     case SaMove::Kind::None:
@@ -315,10 +333,14 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
   AcceptanceWindow window;
   int depth = workers;
 
-  // Per-batch scratch, reused across batches.
+  // Per-batch scratch, reused across batches. trials[0] is the reused
+  // trial: equal to `current` between batches, it takes the batch's first
+  // move and is re-aligned after the replay, so an inline iteration copies
+  // no solution. The later trials of a speculation batch are copies of
+  // `current`.
   std::vector<SaMove> moves;
   std::vector<Rng> proposalAfter;  // stream state after each proposal
-  std::vector<MappingSolution> trials;
+  std::vector<MappingSolution> trials(1, current);
   std::vector<SpeculativeEvalPool::Item> items;
 
   int it = 0;
@@ -354,7 +376,7 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
         skipIndex = j;
         break;
       }
-      trials[idx] = current;
+      if (idx > 0) trials[idx] = current;
       SaMoveProposer::apply(move, trials[idx]);
       items[idx].trial = &trials[idx];
       items[idx].hint = move.evalHint;
@@ -401,7 +423,7 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
             metropolisAccept(r.cost - currentCost, temp, acceptanceRng);
         window.push(acceptedInBatch);
         if (acceptedInBatch) {
-          current = std::move(trials[idx]);
+          SaMoveProposer::apply(move, current);
           currentCost = r.cost;
           ++result.accepted;
           if (r.feasible && r.cost < result.eval.cost) {
@@ -435,9 +457,15 @@ SaResult runSimulatedAnnealing(const SolutionEvaluator& evaluator,
         proposalRng = proposalAfter[idx];
       }
     }
+    // Re-align the reused trial with `current`: a speculation batch copies
+    // once; an inline iteration, whatever its outcome, differs only in the
+    // entries of its move.
     if (speculate) {
+      trials[0] = current;
       depth = acceptedInBatch ? std::max(workers, depth / 2)
                               : std::min(depth * 2, maxDepth);
+    } else {
+      SaMoveProposer::restore(moves[0], current, trials[0]);
     }
   }
   return result;

@@ -153,6 +153,13 @@ class SaMoveProposer {
   /// Applies a drawn move to a solution.
   static void apply(const SaMove& move, MappingSolution& solution);
 
+  /// Copies the entries `move` touches from `from` into `to`: when the two
+  /// were equal before apply(move, ...) on either of them, they are equal
+  /// again. Lets a search keep one trial beside its current solution
+  /// instead of copying the whole solution for every move.
+  static void restore(const SaMove& move, const MappingSolution& from,
+                      MappingSolution& to);
+
  private:
   const SystemModel* sys_;
   double probRemap_;
@@ -243,7 +250,10 @@ struct SaSchedule {
 /// Requires `initial` to be feasible; throws otherwise. With
 /// options.speculation.workers > 1, batches of moves are evaluated in
 /// parallel while the windowed acceptance rate is low (bit-identical
-/// result).
+/// result). An inline iteration copies no solution: it applies its move
+/// to one trial kept equal to the current solution, evaluates it, then
+/// applies the move to the current solution too (accepted) or restores
+/// the trial's entries from it (rejected).
 ///
 /// `scratch`, when given, is a caller-owned EvalContext bound to the same
 /// evaluator (e.g. a RunContext's evaluation context) that worker 0 uses

@@ -82,7 +82,9 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
   };
 
   Rng proposalRng(rngStreamSeed(options.seed, kSaProposalStream));
-  MappingSolution candidate;
+  // One trial, equal to `current` between candidates: each candidate is
+  // applied to it, evaluated and restored, so no draw copies a solution.
+  MappingSolution candidate = current;
 
   for (int iter = 0; iter < options.iterations; ++iter) {
     if (options.stop != nullptr && options.stop->stopRequested()) {
@@ -103,9 +105,9 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
       const SaMove move = proposer.propose(current, proposalRng);
       ++result.proposals;
       if (move.kind == SaMove::Kind::None) continue;
-      candidate = current;
       SaMoveProposer::apply(move, candidate);
       const EvalResult eval = ctx.evaluate(candidate, move.evalHint);
+      SaMoveProposer::restore(move, current, candidate);
       ++result.evaluations;
       // Aspiration: a tabu move that beats the incumbent is admissible.
       const bool admissible = !isTabu(move, iter) ||
@@ -143,6 +145,7 @@ TabuResult runTabuSearch(const SolutionEvaluator& evaluator,
         break;
     }
     SaMoveProposer::apply(choiceMove, current);
+    SaMoveProposer::apply(choiceMove, candidate);
     curEval = choiceEval;
     ++result.accepted;
 

@@ -3,9 +3,11 @@
 // guards), and step by step under the churn EvalContext's commits put it
 // through — random node and bus occupies, releases of random committed
 // records and re-commits of the released records, including steps that
-// restore identical occupancy and steps that split or merge one gap. The
-// reference for every comparison is a PlatformState rebuilt from the floor
-// plus the surviving records.
+// restore identical occupancy and steps that split or merge one gap, under
+// histograms whose C1 units are 1, the paper's 10 ticks and 2 bytes, and a
+// whole item. The reference for every comparison is a PlatformState
+// rebuilt from the floor plus the surviving records, and computeMetrics,
+// which packs in ticks and bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include "core/metrics.h"
 #include "sched/platform_state.h"
 #include "sched/slack.h"
+#include "tgen/profile_presets.h"
 #include "util/rng.h"
 
 namespace ides {
@@ -52,7 +55,7 @@ void expectDescribes(IncrementalMetrics& snapshot, const PlatformState& state,
                      const FutureProfile& profile) {
   const SlackInfo want = extractSlack(state);
   const DesignMetrics wantMetrics = computeMetrics(want, profile);
-  const DesignMetrics got = snapshot.metrics(profile);
+  const DesignMetrics got = snapshot.metrics();
   ASSERT_EQ(got.c1p, wantMetrics.c1p);
   ASSERT_EQ(got.c1m, wantMetrics.c1m);
   ASSERT_EQ(got.c2p, wantMetrics.c2p);
@@ -193,11 +196,23 @@ TEST(IncrementalMetricsEdits, GuardsThrowAndLeaveTheSnapshotUnchanged) {
 
 // ---- churn ----------------------------------------------------------------
 
+/// smallProfile's windows and needs with the given histograms: the
+/// snapshot counts C1 in the gcd of each histogram's values, the full pass
+/// in ticks and bytes.
+FutureProfile profileWith(const DiscreteDistribution& wcets,
+                          const DiscreteDistribution& messageSizes) {
+  FutureProfile p = smallProfile();
+  p.wcetDistribution = wcets;
+  p.messageSizeDistribution = messageSizes;
+  return p;
+}
+
 /// The churn: the snapshot under test, the records committed on top of a
 /// floor, and the records the last release took off (re-committable).
 class Churn {
  public:
-  explicit Churn(std::uint64_t seed) : floor_(smallArch(), 1200), rng_(seed) {
+  Churn(std::uint64_t seed, const FutureProfile& profile)
+      : profile_(profile), floor_(smallArch(), 1200), rng_(seed) {
     for (std::size_t n = 0; n < floor_.nodeCount(); ++n) {
       // A floor no release names.
       const NodeId id{static_cast<std::int32_t>(n)};
@@ -337,7 +352,7 @@ class Churn {
     }
   }
 
-  const FutureProfile profile_ = smallProfile();
+  const FutureProfile profile_;
   PlatformState floor_;
   Rng rng_;
   IncrementalMetrics snapshot_;
@@ -345,9 +360,11 @@ class Churn {
   std::vector<Record> released_;
 };
 
-TEST(IncrementalMetricsProperty, MatchesComputeMetricsUnderJournalChurn) {
+/// Four seeds of churn under `profile`; the snapshot must match the full
+/// pass after every step.
+void expectChurnMatches(const FutureProfile& profile) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    Churn churn(seed);
+    Churn churn(seed, profile);
     for (int i = 0; i < 400; ++i) {
       churn.step();
       if (::testing::Test::HasFatalFailure()) {
@@ -358,6 +375,28 @@ TEST(IncrementalMetricsProperty, MatchesComputeMetricsUnderJournalChurn) {
     EXPECT_GT(churn.merges, 10) << "seed " << seed;
     EXPECT_GT(churn.recommits, 10) << "seed " << seed;
   }
+}
+
+TEST(IncrementalMetricsProperty, MatchesComputeMetricsUnderJournalChurn) {
+  // The paper's histograms: units of 10 ticks and 2 bytes.
+  const DiscreteDistribution wcets = paperWcetDistribution();
+  const DiscreteDistribution messageSizes = paperMessageSizeDistribution();
+  expectChurnMatches(profileWith(wcets, messageSizes));
+}
+
+TEST(IncrementalMetricsProperty, CoprimeItemValuesCountInTicksAndBytes) {
+  // Values sharing no factor: the units are 1 tick and 1 byte.
+  const DiscreteDistribution wcets({{7, 0.3}, {20, 0.5}, {33, 0.2}});
+  const DiscreteDistribution messageSizes({{3, 0.6}, {5, 0.4}});
+  expectChurnMatches(profileWith(wcets, messageSizes));
+}
+
+TEST(IncrementalMetricsProperty, SingleEntryHistogramsCountWholeItems) {
+  // One value each: the unit is the item itself, 70 ticks and 6 bytes, so
+  // most gaps and every 20-byte slot occurrence leave a remainder.
+  const DiscreteDistribution wcets({{70, 1.0}});
+  const DiscreteDistribution messageSizes({{6, 1.0}});
+  expectChurnMatches(profileWith(wcets, messageSizes));
 }
 
 }  // namespace

@@ -105,5 +105,33 @@ TEST_F(SaTest, ThrowsOnInfeasibleInitial) {
   }
 }
 
+TEST_F(SaTest, RestoreUndoesApplyForEveryMoveKind) {
+  // Every kind of move the proposer draws, applied to a copy of the
+  // current solution and restored from it, leaves the copy equal to the
+  // current solution again; applied to the current solution instead,
+  // restoring the copy from it leaves them equal too.
+  const SaMoveProposer proposer(*eval_, fastOptions());
+  Rng rng(7);
+  MappingSolution current = im_.mapping;
+  MappingSolution trial = current;
+  int seen[4] = {0, 0, 0, 0};
+  for (int i = 0; i < 300; ++i) {
+    const SaMove move = proposer.propose(current, rng);
+    ++seen[static_cast<int>(move.kind)];
+    SaMoveProposer::apply(move, trial);
+    SaMoveProposer::restore(move, current, trial);
+    ASSERT_EQ(trial, current) << "draw " << i;
+    if (i % 3 == 0) {
+      SaMoveProposer::apply(move, current);
+      SaMoveProposer::restore(move, current, trial);
+      ASSERT_EQ(trial, current) << "draw " << i;
+    }
+  }
+  EXPECT_GT(seen[static_cast<int>(SaMove::Kind::Remap)], 0);
+  EXPECT_GT(seen[static_cast<int>(SaMove::Kind::ProcessHint)], 0);
+  EXPECT_GT(seen[static_cast<int>(SaMove::Kind::MessageHint)], 0);
+  EXPECT_NE(current, im_.mapping);
+}
+
 }  // namespace
 }  // namespace ides

@@ -1,7 +1,7 @@
 // sweepFigure: every named sweep's smoke run renders its figure with the
 // sweep's CSV header and one CSV row per point (size, weight case or
-// policy); a point whose instances did not run stays in F1's table as n/a;
-// an unknown name throws like namedSweep.
+// policy); a point whose instances did not run stays in F1's and F2's
+// tables with every value n/a; an unknown name throws like namedSweep.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -92,7 +92,23 @@ TEST(SweepFigure, QualityPointThatDidNotRunReadsNotAvailable) {
       csvBlock(sweepFigure("quality", partial));
   ASSERT_EQ(csv.size(), 4u);
   EXPECT_EQ(csv[1].rfind("40,1,", 0), 0u);
-  EXPECT_EQ(csv[3], "320,0,n/a,n/a,n/a,0.00,0.00,0.00");
+  EXPECT_EQ(csv[3], "320,0,n/a,n/a,n/a,n/a,n/a,n/a");
+}
+
+TEST(SweepFigure, RuntimePointThatDidNotRunReadsNotAvailable) {
+  BatchReport partial = smokeReport("runtime");
+  for (InstanceResult& r : partial.results) {
+    if (r.group == "n320") r.ran = false;
+  }
+  const std::string figure = sweepFigure("runtime", partial);
+  const std::vector<std::string> csv = csvBlock(figure);
+  ASSERT_EQ(csv.size(), 4u);
+  EXPECT_EQ(csv[1].find("n/a"), std::string::npos);
+  EXPECT_EQ(csv[3], "320,n/a,n/a,n/a,n/a,n/a");
+  // No summary line for the point, and the chart plots only the two sizes
+  // that ran.
+  EXPECT_NE(figure.find("  [n=160] avg seconds:"), std::string::npos);
+  EXPECT_EQ(figure.find("  [n=320]"), std::string::npos);
 }
 
 TEST(SweepFigure, UnknownNameThrowsListingTheSweeps) {
