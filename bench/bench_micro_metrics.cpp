@@ -1,7 +1,7 @@
 // Micro-benchmarks of the design metrics (ablation A4 in DESIGN.md):
 // C1 best-fit packing and C2 window scans, at realistic slack-fragment
 // counts, through the full pass and through an IncrementalMetrics
-// snapshot.
+// snapshot, and one edit of that snapshot.
 #include <benchmark/benchmark.h>
 
 #include "core/evaluator.h"
@@ -14,21 +14,32 @@ namespace {
 
 using namespace ides;
 
-/// The 160-process instance after its Initial Mapping.
-const PlatformState& realisticState() {
+SuiteConfig configFor(std::size_t currentProcesses) {
   SuiteConfig cfg;
   cfg.nodeCount = 10;
   cfg.existingProcesses = 400;
-  cfg.currentProcesses = 160;
+  cfg.currentProcesses = currentProcesses;
   cfg.futureAppCount = 0;
-  static Suite suite = buildSuite(cfg, 2);
-  static FrozenBase frozen = freezeExistingApplications(suite.system);
-  static PlatformState state = [] {
-    PlatformState s = frozen.state;
-    initialMapping(suite.system, s);
-    return s;
-  }();
-  return state;
+  return cfg;
+}
+
+/// A paper instance (10 nodes, 400 existing processes) after its Initial
+/// Mapping. The state points into the suite's architecture, so the two
+/// live together, in static storage.
+struct MappedInstance {
+  MappedInstance(std::size_t current, std::uint64_t seed)
+      : suite(buildSuite(configFor(current), seed)),
+        state(freezeExistingApplications(suite.system).state) {
+    initialMapping(suite.system, state);
+  }
+  Suite suite;
+  PlatformState state;
+};
+
+/// The 160-process instance after its Initial Mapping.
+const PlatformState& realisticState() {
+  static const MappedInstance instance(160, 2);
+  return instance.state;
 }
 
 SlackInfo realisticSlack() { return extractSlack(realisticState()); }
@@ -65,6 +76,37 @@ void BM_SnapshotMetrics(benchmark::State& state, bool unitOne) {
 }
 BENCHMARK_CAPTURE(BM_SnapshotMetrics, paper, false);
 BENCHMARK_CAPTURE(BM_SnapshotMetrics, unit1, true);
+
+/// One edit pair of a walk's commit on the 320-process instance's snapshot:
+/// occupy a 10-tick range (one WCET unit) in the middle of node 0's middle
+/// free gap, splitting it, and release it again, merging it back. The C1
+/// counts and the Tmin windows move with each edit.
+void BM_SnapshotEdit(benchmark::State& state) {
+  static const MappedInstance instance(320, 1);
+  const PlatformState& mapped = instance.state;
+  const FutureProfile profile = paperFutureProfile(4000, 5520, 450);
+  IncrementalMetrics snapshot;
+  snapshot.rebuild(mapped, profile);
+  const NodeId node{0};
+  const std::vector<Interval> gaps = mapped.nodeFree(node).intervals();
+  std::vector<Interval> wide;
+  for (const Interval& gap : gaps) {
+    if (gap.length() >= 30) wide.push_back(gap);
+  }
+  if (wide.empty()) {
+    state.SkipWithError("node 0 has no free gap of 30 ticks");
+    return;
+  }
+  const Interval gap = wide[wide.size() / 2];
+  const Time mid = gap.start + gap.length() / 2;
+  const Interval range{mid - 5, mid + 5};
+  for (auto _ : state) {
+    snapshot.occupyNode(node, range);
+    snapshot.releaseNode(node, range);
+  }
+  state.counters["gaps"] = static_cast<double>(gaps.size());
+}
+BENCHMARK(BM_SnapshotEdit);
 
 /// Args: container count, distinct capacities. 200 distinct values is the
 /// spread of processor gaps; a few values with many copies each is the

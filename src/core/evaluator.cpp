@@ -1,7 +1,6 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -51,10 +50,6 @@ EvalTelemetry& evalTelemetry() {
   };
   return handles;
 }
-
-/// Tag of the baseline's intervals in EvalContext's node view: visible to
-/// every position.
-constexpr std::uint32_t kFrozen = std::numeric_limits<std::uint32_t>::max();
 
 /// Shared result assembly: the penalty ladder of the paper's objective.
 EvalResult makeResult(bool placed, int deadlineMisses, Time lateness) {
@@ -187,17 +182,21 @@ PlatformState SolutionEvaluator::stateWith(
 /// The occupancy a job re-placed at commit position `pos` sees: the frozen
 /// baseline, the reference records of earlier positions the walk kept, and
 /// the records it re-placed so far. Reference records at `pos` and later,
-/// and the old records of re-placed jobs, are invisible.
+/// and the old records of re-placed jobs, are invisible. The baseline's and
+/// the reference's records are the snapshot's, told apart by their tags.
 struct EvalContext::View {
   EvalContext& ctx;
   std::size_t pos;
+  /// The first round the last findBusSlot scan read.
+  std::int64_t scanFirst = 0;
 
-  [[nodiscard]] bool visible(std::uint32_t p) const {
-    return p == kFrozen || (p < pos && !ctx.replacedInWalk(p));
+  [[nodiscard]] bool visible(std::uint32_t tag) const {
+    return tag == IncrementalMetrics::kUntagged ||
+           (tag < pos && !ctx.replacedInWalk(tag));
   }
 
   [[nodiscard]] std::optional<PlatformState::BusPlacement> findBusSlot(
-      std::size_t slot, Time ready, Time txTicks) const {
+      std::size_t slot, Time ready, Time txTicks) {
     if (txTicks <= 0) {
       throw std::invalid_argument("findBusSlot: txTicks <= 0");
     }
@@ -205,20 +204,19 @@ struct EvalContext::View {
     const TdmaBus& bus = baseline.bus();
     const Time length = bus.slot(slot).length;
     if (txTicks > length) return std::nullopt;
+    const IncrementalMetrics& snapshot = ctx.snapshot_;
     const std::int64_t rounds = baseline.roundCount();
-    for (std::int64_t round =
-             bus.firstRoundAtOrAfter(slot, std::max<Time>(ready, 0));
-         round < rounds; ++round) {
-      const std::size_t key = ctx.occurrence(slot, round);
+    scanFirst = bus.firstRoundAtOrAfter(slot, std::max<Time>(ready, 0));
+    for (std::int64_t round = scanFirst; round < rounds; ++round) {
+      const std::size_t occ = snapshot.occurrence(slot, round);
       // The current application only adds ticks to the baseline's.
-      Time used = ctx.baseUsed_[key];
+      Time used = snapshot.untaggedTicks(occ);
       if (used + txTicks > length) continue;
-      for (const BusRecord& rec : ctx.busView_[key]) {
-        if (visible(rec.pos)) used += rec.ticks;
+      for (const IncrementalMetrics::BusRecord& rec :
+           snapshot.busRecords(occ)) {
+        if (visible(rec.tag)) used += rec.ticks;
       }
-      for (const BusUse& use : ctx.viewBus_[slot]) {
-        if (use.round == round) used += use.ticks;
-      }
+      used += ctx.viewBusTicks_[occ];
       if (used + txTicks <= length) {
         const Time start = bus.slotStart(round, slot) + used;
         return PlatformState::BusPlacement{round, start, start + txTicks};
@@ -227,39 +225,50 @@ struct EvalContext::View {
     return std::nullopt;
   }
 
+  /// Follows a successful findBusSlot: the ticks join the walk's, and the
+  /// scan's first round goes with the placed message.
   void occupyBus(std::size_t slot, std::int64_t round, Time txTicks) {
-    ctx.viewBus_[slot].push_back({round, txTicks});
+    const std::size_t occ = ctx.snapshot_.occurrence(slot, round);
+    if (ctx.viewBusTicks_[occ] == 0) ctx.viewBusOccs_.push_back(occ);
+    ctx.viewBusTicks_[occ] += txTicks;
+    ctx.placedFirst_.push_back(scanFirst);
   }
 
-  /// PlatformState::occupyEarliest over the visible intervals: a candidate
-  /// [s, s + duration) that overlaps one cannot start before its end, so s
-  /// jumps there until nothing overlaps.
+  /// PlatformState::occupyEarliest over the visible records and the walk's
+  /// own intervals, both sorted by start: a candidate [s, s + duration)
+  /// that overlaps one cannot start before its end, so s jumps there until
+  /// nothing overlaps. The new interval goes where the walk's scan stopped.
   Time occupyEarliest(NodeId node, Time after, Time duration) {
     if (duration <= 0) {
       throw std::invalid_argument("occupyEarliest: duration must be > 0");
     }
-    const auto n = static_cast<std::size_t>(node.index());
-    const std::vector<NodeRecord>& records = ctx.nodeView_[n];
+    using NodeRecord = IncrementalMetrics::NodeRecord;
+    const std::vector<NodeRecord>& records = ctx.snapshot_.nodeRecords(node);
+    std::vector<Interval>& own = ctx.viewNodes_[node.index()];
     const Time horizon = ctx.ev_->baseline().horizon();
     Time s = std::max<Time>(after, 0);
     auto r = std::partition_point(
         records.begin(), records.end(),
         [s](const NodeRecord& rec) { return rec.end <= s; });
+    auto w = std::partition_point(
+        own.begin(), own.end(),
+        [s](const Interval& iv) { return iv.end <= s; });
     for (;;) {
       const Time e = s + duration;
       if (e > horizon) return kNoTime;
       while (r != records.end() && r->end <= s) ++r;
+      while (w != own.end() && w->end <= s) ++w;
       Time blocked = s;
       for (auto it = r; it != records.end() && it->start < e; ++it) {
-        if (visible(it->pos)) blocked = std::max(blocked, it->end);
+        if (visible(it->tag)) blocked = std::max(blocked, it->end);
       }
-      for (const Interval& iv : ctx.viewNodes_[n]) {
-        if (iv.start < e && s < iv.end) blocked = std::max(blocked, iv.end);
+      for (auto it = w; it != own.end() && it->start < e; ++it) {
+        blocked = std::max(blocked, it->end);
       }
       if (blocked == s) break;
       s = blocked;
     }
-    ctx.viewNodes_[n].push_back({s, s + duration});
+    own.insert(w, {s, s + duration});
     return s;
   }
 };
@@ -313,25 +322,12 @@ EvalContext::EvalContext(const SolutionEvaluator& evaluator)
   const PlatformState& baseline = ev_->baseline();
   const std::size_t nodes = baseline.nodeCount();
   const std::size_t slots = baseline.bus().slotCount();
-  const std::int64_t rounds = baseline.roundCount();
-  nodeView_.resize(nodes);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    const NodeId id{static_cast<std::int32_t>(n)};
-    for (const Interval& iv : baseline.nodeBusy(id).intervals()) {
-      nodeView_[n].push_back({iv.start, iv.end, kFrozen});
-    }
-  }
-  baseUsed_.resize(slots * static_cast<std::size_t>(rounds));
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    for (std::int64_t r = 0; r < rounds; ++r) {
-      baseUsed_[occurrence(slot, r)] = baseline.slotUsedTicks(slot, r);
-    }
-  }
-  busView_.resize(baseUsed_.size());
+  const std::size_t occurrences =
+      slots * static_cast<std::size_t>(baseline.roundCount());
   nodeMoves_.resize(nodes);
+  occChanged_.assign(occurrences, 0);
   viewNodes_.resize(nodes);
-  roundMoves_.resize(slots);
-  viewBus_.resize(slots);
+  viewBusTicks_.assign(occurrences, 0);
   snapshot_.rebuild(baseline, ev_->profile());
 }
 
@@ -360,6 +356,7 @@ void EvalContext::beginWalk() {
   if (++stamp_ == 0) {  // wrapped: reset the lazily-aged stamps
     std::fill(mustReplace_.begin(), mustReplace_.end(), 0u);
     std::fill(replacedAt_.begin(), replacedAt_.end(), 0u);
+    std::fill(occChanged_.begin(), occChanged_.end(), 0u);
     stamp_ = 1;
   }
   replaced_.clear();
@@ -369,10 +366,10 @@ void EvalContext::beginWalk() {
   firstDirty_ = jobs_.size();
   lastDirty_ = 0;
   anyMoved_ = false;
-  for (std::vector<Interval>& v : nodeMoves_) v.clear();
-  for (std::vector<Interval>& v : viewNodes_) v.clear();
-  for (std::vector<std::int64_t>& v : roundMoves_) v.clear();
-  for (std::vector<BusUse>& v : viewBus_) v.clear();
+  for (IntervalSet& moves : nodeMoves_) moves.clear();
+  for (std::vector<Interval>& own : viewNodes_) own.clear();
+  for (const std::size_t occ : viewBusOccs_) viewBusTicks_[occ] = 0;
+  viewBusOccs_.clear();
 }
 
 void EvalContext::markDirty(ProcessId p) {
@@ -413,34 +410,31 @@ std::size_t EvalContext::diff(const MappingSolution& solution) {
   return firstDirty_;
 }
 
-bool EvalContext::keeps(const MappingSolution& solution,
-                        std::size_t pos) const {
+bool EvalContext::keeps(std::size_t pos) const {
   // Rule 3: nothing moved inside the node window its first fit scanned.
   const ScheduledProcess& rec = processes_[pos];
-  for (const Interval& iv : nodeMoves_[rec.node.index()]) {
-    if (iv.start < rec.end && ests_[pos] < iv.end) return false;
+  if (nodeMoves_[rec.node.index()].intersects({ests_[pos], rec.end})) {
+    return false;
   }
   // Rule 4: no occurrence changed in the rounds each input's scan read,
-  // from the first at or after its ready time (worked out only when a
-  // changed round lies at or before the placed one) to the placed one.
+  // from the first one (stored when the input was placed) to the placed
+  // one.
   for (std::size_t i = inputBegin(pos); i < inputBegin(pos + 1); ++i) {
     const BusInput& in = inputs_[i];
     if (in.round < 0) continue;
-    std::int64_t firstRound = -1;
-    for (const std::int64_t round : roundMoves_[in.slot]) {
-      if (round > in.round) continue;
-      if (firstRound < 0) {
-        const Job& job = jobs_[pos];
-        const Time ready = messageReady(
-            processes_[sourcePos_[i]].end,
-            solution.messageHint(inputMessage_[i]), job.instance, job.period);
-        firstRound = ev_->baseline().bus().firstRoundAtOrAfter(
-            in.slot, std::max<Time>(ready, 0));
+    for (std::int64_t round = in.firstRound; round <= in.round; ++round) {
+      if (occChanged_[snapshot_.occurrence(in.slot, round)] == stamp_) {
+        return false;
       }
-      if (round >= firstRound) return false;
     }
   }
   return true;
+}
+
+void EvalContext::markChanged(const BusInput& in) {
+  if (in.round >= 0) {
+    occChanged_[snapshot_.occurrence(in.slot, in.round)] = stamp_;
+  }
 }
 
 bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
@@ -463,6 +457,7 @@ bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
                     inputs_.begin() + in1);
 
   placedMessages_.clear();
+  placedFirst_.clear();
   View view{*this, pos};
   const JobPlacement placed = placeJob(
       *sys_, view, job.pid, job.instance, job.release, job.period, node,
@@ -480,9 +475,10 @@ bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
   for (std::size_t i = in0; i < in1; ++i) {
     if (k < placedMessages_.size() &&
         placedMessages_[k].mid == inputMessage_[i]) {
-      const ScheduledMessage& sm = placedMessages_[k++];
+      const ScheduledMessage& sm = placedMessages_[k];
       inputs_[i] = {sm.round, sm.start, sm.end,
-                    static_cast<std::uint32_t>(sm.slotIndex)};
+                    static_cast<std::uint32_t>(sm.slotIndex), placedFirst_[k]};
+      ++k;
     } else {
       inputs_[i] = BusInput{};
     }
@@ -495,8 +491,8 @@ bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
   // none of them.
   r.nodeMoved = r.old.node != node || r.old.start != placed.start;
   if (r.nodeMoved) {
-    nodeMoves_[r.old.node.index()].push_back({r.old.start, r.old.end});
-    nodeMoves_[node.index()].push_back({placed.start, placed.end});
+    nodeMoves_[r.old.node.index()].add({r.old.start, r.old.end});
+    nodeMoves_[node.index()].add({placed.start, placed.end});
     anyMoved_ = true;
   }
   if (r.old.end != placed.end) {
@@ -509,8 +505,8 @@ bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
     const BusInput& before = oldInputs_[r.oldInputs + (i - in0)];
     const BusInput& now = inputs_[i];
     if (before.sameOccurrence(now)) continue;
-    if (before.round >= 0) roundMoves_[before.slot].push_back(before.round);
-    if (now.round >= 0) roundMoves_[now.slot].push_back(now.round);
+    markChanged(before);
+    markChanged(now);
     anyMoved_ = true;
   }
   return true;
@@ -518,20 +514,13 @@ bool EvalContext::replace(const MappingSolution& solution, std::size_t pos) {
 
 void EvalContext::commit(const MappingSolution& solution) {
   messagesStale_ = true;
-  const auto byStart = [](const NodeRecord& rec, Time start) {
-    return rec.start < start;
-  };
-  const auto addNode = [this, &byStart](const ScheduledProcess& sp,
-                                        std::size_t pos) {
-    snapshot_.occupyNode(sp.node, {sp.start, sp.end});
-    std::vector<NodeRecord>& recs = nodeView_[sp.node.index()];
-    recs.insert(std::lower_bound(recs.begin(), recs.end(), sp.start, byStart),
-                {sp.start, sp.end, static_cast<std::uint32_t>(pos)});
+  const auto addNode = [this](const ScheduledProcess& sp, std::size_t pos) {
+    snapshot_.occupyNode(sp.node, {sp.start, sp.end},
+                         static_cast<std::uint32_t>(pos));
   };
   const auto addBus = [this](const BusInput& in, std::size_t pos) {
-    snapshot_.occupyBus(in.slot, in.round, in.end - in.start);
-    busView_[occurrence(in.slot, in.round)].push_back(
-        {static_cast<std::uint32_t>(pos), in.end - in.start});
+    snapshot_.occupyBus(in.slot, in.round, in.end - in.start,
+                        static_cast<std::uint32_t>(pos));
   };
   if (!hasReference_) {
     // The first complete walk re-placed every job.
@@ -545,15 +534,11 @@ void EvalContext::commit(const MappingSolution& solution) {
     return;
   }
 
-  // Release every moved record (and drop it from the positioned view)
-  // before occupying any replacement: a new record may take the place an
-  // old one of another job leaves.
+  // Release every moved record before occupying any replacement: a new
+  // record may take the place an old one of another job leaves.
   for (const Replaced& r : replaced_) {
     if (r.nodeMoved) {
       snapshot_.releaseNode(r.old.node, {r.old.start, r.old.end});
-      std::vector<NodeRecord>& recs = nodeView_[r.old.node.index()];
-      recs.erase(
-          std::lower_bound(recs.begin(), recs.end(), r.old.start, byStart));
     }
     const BusInput* old = oldInputs_.data() + r.oldInputs;
     for (std::size_t i = inputBegin(r.pos); i < inputBegin(r.pos + 1);
@@ -561,16 +546,7 @@ void EvalContext::commit(const MappingSolution& solution) {
       const BusInput& before = *old;
       if (before.round < 0 || before.sameOccurrence(inputs_[i])) continue;
       snapshot_.releaseBus(before.slot, before.round,
-                           before.end - before.start);
-      // A job's inputs can share an occurrence: match the ticks too.
-      const BusRecord gone{r.pos, before.end - before.start};
-      std::vector<BusRecord>& recs =
-          busView_[occurrence(before.slot, before.round)];
-      recs.erase(std::find_if(recs.begin(), recs.end(),
-                              [&gone](const BusRecord& rec) {
-                                return rec.pos == gone.pos &&
-                                       rec.ticks == gone.ticks;
-                              }));
+                           before.end - before.start, r.pos);
     }
   }
   for (const Replaced& r : replaced_) {
@@ -686,8 +662,7 @@ EvalResult EvalContext::run(const MappingSolution& solution,
       // Past the last dirty job, with nothing moved, every job keeps.
       if (pos > lastDirty_ && !anyMoved_) break;
       ++visited;
-      if (hasReference_ && mustReplace_[pos] != stamp_ &&
-          keeps(solution, pos)) {
+      if (hasReference_ && mustReplace_[pos] != stamp_ && keeps(pos)) {
         continue;
       }
       const Time deadline = jobs_[pos].deadline;

@@ -155,9 +155,10 @@ class SolutionEvaluator {
 
 /// Reusable per-thread evaluation scratch for a reference solution (the
 /// last evaluated solution that placed every job): its commit-order
-/// schedule log, a positioned view of that log over the frozen baseline,
-/// and the free capacity it leaves (an IncrementalMetrics snapshot, from
-/// which the metrics and the slack output are read).
+/// schedule log and one IncrementalMetrics snapshot that holds the frozen
+/// baseline's records and the reference's, each tagged with its commit
+/// position. The walk's positioned view reads those records, and the
+/// metrics and the slack output are read from the same snapshot.
 ///
 /// evaluate() diffs the solution against the reference and walks the
 /// commit positions from the first job whose mapping entries differ. A job
@@ -179,12 +180,18 @@ class SolutionEvaluator {
 /// Harper, "Adaptive Functional Programming", POPL 2002). Every other job
 /// is re-placed by placeJob against the frozen baseline plus the records of
 /// earlier positions; the reference's later records are invisible to it.
+/// The change lists are indexed: rule 3 is one binary search in the moved
+/// intervals, coalesced per node; rule 4 reads the walk's stamps on slots
+/// and occurrences over the rounds from the first one, stored with the
+/// input when its scan placed it, to the placed one. The stored round stays
+/// valid while the job keeps, since a new source end or hint re-places it
+/// (rules 1 and 2).
 ///
 /// A walk that places every job applies its records to the snapshot once
-/// (release every moved record, then occupy its replacement) and makes the
-/// solution the new reference. A walk that cannot place a job, or throws,
-/// undoes its record changes and keeps the previous reference; the
-/// snapshot was never touched.
+/// (release every moved record, then occupy its replacement, so each moved
+/// record is edited once) and makes the solution the new reference. A walk
+/// that cannot place a job, or throws, undoes its record changes and keeps
+/// the previous reference; the snapshot was never touched.
 /// Evaluating the reference again (MH re-reading its incumbent, a final
 /// evaluation) re-places nothing and returns the cached result. A move that
 /// leaves the schedule unchanged is walked like any other; proving that
@@ -269,36 +276,22 @@ class EvalContext {
     Time period = 0;
     std::uint32_t graph = 0;  ///< index into currentGraphs()
   };
-  /// Where one input message of a job crossed the bus: slot occurrence and
-  /// transmission; round < 0 when the source ran on the same node.
+  /// Where one input message of a job crossed the bus: slot occurrence,
+  /// transmission and the first round its scan read (rule 4's range runs
+  /// from there to `round`); round < 0 when the source ran on the same
+  /// node.
   struct BusInput {
     std::int64_t round = -1;
     Time start = 0;
     Time end = 0;
     std::uint32_t slot = 0;
+    std::int64_t firstRound = 0;
 
     /// Same occupancy: same occurrence (or both local). The start may
     /// differ, the ticks cannot (same message).
     [[nodiscard]] bool sameOccurrence(const BusInput& o) const {
       return round == o.round && slot == o.slot;
     }
-  };
-  /// A busy interval of the positioned view on one node, tagged with the
-  /// commit position of its record (kFrozen for the baseline's).
-  struct NodeRecord {
-    Time start = 0;
-    Time end = 0;
-    std::uint32_t pos = 0;
-  };
-  /// A reference message's ticks in one slot occurrence.
-  struct BusRecord {
-    std::uint32_t pos = 0;
-    Time ticks = 0;
-  };
-  /// Ticks the walk's re-placed messages use in one occurrence of a slot.
-  struct BusUse {
-    std::int64_t round = 0;
-    Time ticks = 0;
   };
   /// A job the walk re-placed, with its reference records (to undo or
   /// release): the process record here, its inputs in oldInputs_.
@@ -323,13 +316,15 @@ class EvalContext {
   void markDirty(ProcessId p);
   /// Rules 3 and 4 for the reference job at `pos` (rules 1 and 2 are the
   /// mustReplace_ mark).
-  [[nodiscard]] bool keeps(const MappingSolution& solution,
-                           std::size_t pos) const;
+  [[nodiscard]] bool keeps(std::size_t pos) const;
+  /// Stamps the occurrence of a bus input (none for a local one) as
+  /// changed in this walk, for rule 4.
+  void markChanged(const BusInput& in);
   /// Re-places the job at `pos` against the positioned view; false if it
   /// finds no room.
   bool replace(const MappingSolution& solution, std::size_t pos);
-  /// Makes the walk's solution the reference: the free-capacity snapshot,
-  /// the positioned view and the mapping entries.
+  /// Makes the walk's solution the reference: the snapshot's records and
+  /// the mapping entries.
   void commit(const MappingSolution& solution);
   /// Restores the reference records an unplaced walk overwrote.
   void undo();
@@ -341,11 +336,6 @@ class EvalContext {
   }
   [[nodiscard]] std::size_t inputBegin(std::size_t pos) const {
     return inputBegin_[pos];
-  }
-  [[nodiscard]] std::size_t occurrence(std::size_t slot,
-                                       std::int64_t round) const {
-    return slot * static_cast<std::size_t>(ev_->baseline().roundCount()) +
-           static_cast<std::size_t>(round);
   }
 
   /// The outcome of `result`: positions [0, processCount) of the log and
@@ -369,7 +359,6 @@ class EvalContext {
   std::vector<std::uint32_t> destPos_;
   std::vector<ProcessId> procs_;  ///< current graphs' processes
   std::vector<MessageId> msgs_;   ///< current graphs' messages
-  std::vector<Time> baseUsed_;  ///< baseline ticks per slot occurrence
 
   // ---- the reference ----------------------------------------------------
   MappingSolution reference_;
@@ -387,10 +376,6 @@ class EvalContext {
   Time lateness_ = 0;   ///< total lateness of the reference
   /// Cached result of the reference; served verbatim by an exact re-read.
   EvalResult result_;
-  /// Positioned view: per node the baseline's intervals and the reference's
-  /// records sorted by start; per slot occurrence the reference's messages.
-  std::vector<std::vector<NodeRecord>> nodeView_;
-  std::vector<std::vector<BusRecord>> busView_;
 
   // ---- one walk's scratch -----------------------------------------------
   std::uint32_t stamp_ = 0;
@@ -405,18 +390,25 @@ class EvalContext {
   std::size_t firstDirty_ = 0;
   std::size_t lastDirty_ = 0;
   bool anyMoved_ = false;
-  /// Rule 3: per node, the old and new intervals of moved records.
-  std::vector<std::vector<Interval>> nodeMoves_;
-  /// Rule 4: per slot, the rounds of occurrences that gained or lost a
-  /// message.
-  std::vector<std::vector<std::int64_t>> roundMoves_;
+  /// Rule 3: per node, the old and new intervals of moved records,
+  /// coalesced, so a keep test is one binary search.
+  std::vector<IntervalSet> nodeMoves_;
+  /// Rule 4: the walk's stamp on every slot occurrence that gained or lost
+  /// a message.
+  std::vector<std::uint32_t> occChanged_;
   /// What the view adds on top of the visible reference records: per node
-  /// the re-placed intervals, per slot the re-placed messages' ticks.
+  /// the re-placed intervals sorted by start, per occurrence the re-placed
+  /// messages' ticks (the occurrences holding any are listed for the
+  /// reset).
   std::vector<std::vector<Interval>> viewNodes_;
-  std::vector<std::vector<BusUse>> viewBus_;
+  std::vector<Time> viewBusTicks_;
+  std::vector<std::size_t> viewBusOccs_;
+  /// The first round of each scan that placed one of placedMessages_.
+  std::vector<std::int64_t> placedFirst_;
 
-  /// The free capacity the reference leaves: the baseline's, edited by
-  /// every committed walk's records.
+  /// The reference schedule: the baseline's records (untagged) and the
+  /// reference's (tagged with their commit positions), and the free
+  /// capacity they leave. Every committed walk edits its records.
   IncrementalMetrics snapshot_;
 
   std::size_t evaluations_ = 0;

@@ -339,17 +339,22 @@ void IncrementalMetrics::rebuild(const PlatformState& state,
   bytesPerTick_ = bus_->bytesPerTick();
   roundCount_ = state.roundCount();
 
-  // The empty platform (one free member per node, every occurrence free),
-  // then the state's occupancy through the edits.
+  // The empty platform (no record, one free gap per node, every
+  // occurrence free), then the state's occupancy through the edits.
   const std::size_t nodes = state.nodeCount();
-  nodeFree_.assign(nodes, IntervalSet({{0, horizon_}}));
+  nodeRecords_.resize(nodes);
+  for (std::vector<NodeRecord>& records : nodeRecords_) records.clear();
   nodeWin_.assign(nodes * static_cast<std::size_t>(windows_), tmin_);
   c1pCounts_.reset(horizon_ / c1pUnit_);
   c1pTotal_ = 0;
   for (std::size_t n = 0; n < nodes; ++n) addFree(horizon_);
 
   const std::size_t slots = bus_->slotCount();
-  slotUsed_.assign(slots * static_cast<std::size_t>(roundCount_), 0);
+  const std::size_t occurrences = slots * static_cast<std::size_t>(roundCount_);
+  slotUsed_.assign(occurrences, 0);
+  untaggedUsed_.assign(occurrences, 0);
+  busRecords_.resize(occurrences);
+  for (std::vector<BusRecord>& records : busRecords_) records.clear();
   busWin_.assign(static_cast<std::size_t>(windows_), 0);
   Time longestSlot = 0;
   for (std::size_t s = 0; s < slots; ++s) {
@@ -392,26 +397,35 @@ void IncrementalMetrics::addToWindows(Time* row, Time lo, Time hi,
   }
 }
 
-void IncrementalMetrics::occupyNode(NodeId node, Interval iv) {
+namespace {
+
+/// Orders node records by start, for the binary searches of the edits.
+bool startsBefore(const IncrementalMetrics::NodeRecord& rec, Time start) {
+  return rec.start < start;
+}
+
+}  // namespace
+
+void IncrementalMetrics::occupyNode(NodeId node, Interval iv,
+                                    std::uint32_t tag) {
   if (iv.empty() || iv.start < 0 || iv.end > horizon_) {
     throw std::logic_error("occupyNode: interval outside horizon");
   }
   const auto n = static_cast<std::size_t>(node.index());
-  IntervalSet& free = nodeFree_[n];
-  // The one free member that can hold the range: the last one starting at
-  // or before it. It splits into what is left on either side.
-  const std::vector<Interval>& members = free.intervals();
-  const auto next = std::upper_bound(
-      members.begin(), members.end(), iv.start,
-      [](Time t, const Interval& m) { return t < m.start; });
-  if (next == members.begin() || std::prev(next)->end < iv.end) {
+  std::vector<NodeRecord>& records = nodeRecords_[n];
+  // The gap the range must lie in runs from the end of the last record
+  // starting before it to the start of the next one.
+  const auto next =
+      std::lower_bound(records.begin(), records.end(), iv.start, startsBefore);
+  const Time gapStart = next == records.begin() ? 0 : std::prev(next)->end;
+  const Time gapEnd = next == records.end() ? horizon_ : next->start;
+  if (gapStart > iv.start || gapEnd < iv.end) {
     throw std::logic_error("occupyNode: range is not free");
   }
-  const Interval gap = *std::prev(next);
-  removeFree(gap.length());
-  if (iv.start > gap.start) addFree(iv.start - gap.start);
-  if (gap.end > iv.end) addFree(gap.end - iv.end);
-  free.subtract(iv);
+  removeFree(gapEnd - gapStart);
+  addFree(iv.start - gapStart);
+  addFree(gapEnd - iv.end);
+  records.insert(next, {iv.start, iv.end, tag});
   addToWindows(nodeWin_.data() + n * static_cast<std::size_t>(windows_),
                iv.start, iv.end, -1);
 }
@@ -421,57 +435,69 @@ void IncrementalMetrics::releaseNode(NodeId node, Interval iv) {
     throw std::logic_error("releaseNode: interval outside horizon");
   }
   const auto n = static_cast<std::size_t>(node.index());
-  IntervalSet& free = nodeFree_[n];
-  // The range must fall between two free members; it merges with the ones
-  // it touches.
-  const std::vector<Interval>& members = free.intervals();
-  const auto next = std::upper_bound(
-      members.begin(), members.end(), iv.start,
-      [](Time t, const Interval& m) { return t < m.start; });
-  const bool hasPrev = next != members.begin();
-  const bool hasNext = next != members.end();
-  if ((hasPrev && std::prev(next)->end > iv.start) ||
-      (hasNext && next->start < iv.end)) {
-    throw std::logic_error("releaseNode: range is not busy");
+  std::vector<NodeRecord>& records = nodeRecords_[n];
+  const auto rec =
+      std::lower_bound(records.begin(), records.end(), iv.start, startsBefore);
+  if (rec == records.end() || rec->start != iv.start || rec->end != iv.end) {
+    throw std::logic_error("releaseNode: range is not one record");
   }
-  Interval merged = iv;
-  if (hasPrev && std::prev(next)->end == iv.start) {
-    merged.start = std::prev(next)->start;
-    removeFree(std::prev(next)->length());
-  }
-  if (hasNext && next->start == iv.end) {
-    merged.end = next->end;
-    removeFree(next->length());
-  }
-  addFree(merged.length());
-  free.add(iv);
+  // The gaps on both sides merge into the one between the neighbours.
+  const Time gapStart = rec == records.begin() ? 0 : std::prev(rec)->end;
+  const Time gapEnd =
+      std::next(rec) == records.end() ? horizon_ : std::next(rec)->start;
+  removeFree(iv.start - gapStart);
+  removeFree(gapEnd - iv.end);
+  addFree(gapEnd - gapStart);
+  records.erase(rec);
   addToWindows(nodeWin_.data() + n * static_cast<std::size_t>(windows_),
                iv.start, iv.end, 1);
 }
 
 void IncrementalMetrics::occupyBus(std::size_t slotIndex, std::int64_t round,
-                                   Time txTicks) {
+                                   Time txTicks, std::uint32_t tag) {
   if (round < 0 || round >= roundCount_) {
     throw std::logic_error("occupyBus: round outside horizon");
   }
   if (txTicks <= 0) throw std::logic_error("occupyBus: txTicks <= 0");
-  const Time used = slotUsed_[occurrence(slotIndex, round)];
+  const std::size_t occ = occurrence(slotIndex, round);
+  const Time used = slotUsed_[occ];
   if (used + txTicks > bus_->slot(slotIndex).length) {
     throw std::logic_error("occupyBus: slot overflow");
+  }
+  if (tag == kUntagged) {
+    untaggedUsed_[occ] += txTicks;
+  } else {
+    busRecords_[occ].push_back({tag, txTicks});
   }
   setUsed(slotIndex, round, used + txTicks);
 }
 
 void IncrementalMetrics::releaseBus(std::size_t slotIndex, std::int64_t round,
-                                    Time txTicks) {
+                                    Time txTicks, std::uint32_t tag) {
   if (round < 0 || round >= roundCount_) {
     throw std::logic_error("releaseBus: round outside horizon");
   }
-  const Time used = slotUsed_[occurrence(slotIndex, round)];
-  if (txTicks <= 0 || txTicks > used) {
-    throw std::logic_error("releaseBus: more ticks than the occurrence holds");
+  if (txTicks <= 0) throw std::logic_error("releaseBus: txTicks <= 0");
+  const std::size_t occ = occurrence(slotIndex, round);
+  if (tag == kUntagged) {
+    if (txTicks > untaggedUsed_[occ]) {
+      throw std::logic_error(
+          "releaseBus: more ticks than the occurrence holds");
+    }
+    untaggedUsed_[occ] -= txTicks;
+  } else {
+    // A job's inputs can share an occurrence: match the ticks too.
+    std::vector<BusRecord>& records = busRecords_[occ];
+    const auto rec = std::find_if(
+        records.begin(), records.end(), [tag, txTicks](const BusRecord& r) {
+          return r.tag == tag && r.ticks == txTicks;
+        });
+    if (rec == records.end()) {
+      throw std::logic_error("releaseBus: no such record");
+    }
+    records.erase(rec);
   }
-  setUsed(slotIndex, round, used - txTicks);
+  setUsed(slotIndex, round, slotUsed_[occ] - txTicks);
 }
 
 void IncrementalMetrics::setUsed(std::size_t slotIndex, std::int64_t round,
@@ -515,7 +541,17 @@ DesignMetrics IncrementalMetrics::metrics() {
 void IncrementalMetrics::slackInto(SlackInfo& info) const {
   info.horizon = horizon_;
   info.busBytesPerTick = bytesPerTick_;
-  info.nodeFree = nodeFree_;
+  info.nodeFree.resize(nodeRecords_.size());
+  for (std::size_t n = 0; n < nodeRecords_.size(); ++n) {
+    IntervalSet& free = info.nodeFree[n];
+    free.clear();
+    Time cursor = 0;
+    for (const NodeRecord& rec : nodeRecords_[n]) {
+      free.append({cursor, rec.start});
+      cursor = rec.end;
+    }
+    free.append({cursor, horizon_});
+  }
   info.busChunks.clear();
   for (std::int64_t r = 0; r < roundCount_; ++r) {
     for (std::size_t s = 0; s < bus_->slotCount(); ++s) {

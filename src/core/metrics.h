@@ -114,25 +114,30 @@ class CapacityCounts {
   std::vector<std::uint64_t> summary_;  ///< bit w: words_[w] != 0
 };
 
-/// The free capacity of a platform occupancy, kept current record by
-/// record: what DesignMetrics and SlackInfo are computed from.
+/// A platform occupancy kept record by record, with the free capacity it
+/// leaves: what DesignMetrics and SlackInfo are computed from.
 ///
-/// It holds per-node free IntervalSets, the C1 capacity counts with their
+/// Per node it holds the busy records sorted by start, each tagged with
+/// its owner (kUntagged for a baseline interval); records never overlap
+/// but may touch, and the free gaps are the spaces between neighbours. Per
+/// slot occurrence it holds the untagged used ticks and the tagged message
+/// records. On top of those it keeps the C1 capacity counts with their
 /// totals, free ticks per (node, Tmin window) and per bus window, and the
-/// used ticks of every slot occurrence. The C1 counts are kept in item
-/// units: the gcd of the profile's WCETs for processor gaps, of its
-/// message sizes for bus occurrences. Every item is a multiple of its
-/// unit, so a container of capacity c holds exactly what one of
-/// unit * floor(c / unit) holds and the packing gives the same unpacked
-/// total on floor(c / unit); the totals and the demand stay in ticks and
-/// bytes. Four edits move it one record at a time, with PlatformState's
-/// occupy semantics and guards plus the exact inverses: a node edit moves
-/// in the C1 counts only the free members it splits, shrinks, grows or
-/// merges, and a bus edit only the occurrence's free chunk; both add or
-/// subtract their overlap with each window.
+/// used ticks of every occurrence. The C1 counts are kept in item units:
+/// the gcd of the profile's WCETs for processor gaps, of its message sizes
+/// for bus occurrences. Every item is a multiple of its unit, so a
+/// container of capacity c holds exactly what one of unit * floor(c / unit)
+/// holds and the packing gives the same unpacked total on floor(c / unit);
+/// the totals and the demand stay in ticks and bytes. Four edits move it
+/// one record at a time, with PlatformState's occupy guards plus the exact
+/// inverses: a node edit moves in the C1 counts only the gap between the
+/// record's neighbours, which the record splits or merges, and a bus edit
+/// only the occurrence's free chunk; both add or subtract their overlap
+/// with each window.
 /// rebuild() starts from the empty platform and applies a PlatformState's
-/// occupancy through the same edits. EvalContext keeps its reference
-/// schedule's free capacity here and nowhere else.
+/// occupancy through the same edits, untagged. EvalContext keeps its
+/// reference schedule here and nowhere else: its positioned view reads the
+/// records, and its commits edit them.
 /// Every maintained quantity is integral and order-independent (a multiset
 /// or a sum), so after any sequence of edits metrics() and slackInto() are
 /// bit-identical to computeMetrics(extractSlack(state), profile) and
@@ -140,30 +145,71 @@ class CapacityCounts {
 /// the property suites assert exactly that equality.
 class IncrementalMetrics {
  public:
-  /// Snapshot of `state`'s free capacity under `profile`'s Tmin windows
-  /// and item units; the edits start from here. Keeps a copy of `profile`
-  /// for metrics() and a pointer to `state`'s TDMA bus, so the
-  /// architecture must outlive the snapshot (as it must the state).
+  /// Owner tag of a record that belongs to no one: the baseline's.
+  static constexpr std::uint32_t kUntagged = 0xffffffffu;
+
+  /// A busy interval [start, end) on one node and its owner.
+  struct NodeRecord {
+    Time start = 0;
+    Time end = 0;
+    std::uint32_t tag = kUntagged;
+  };
+  /// A message's ticks in one slot occurrence and its owner.
+  struct BusRecord {
+    std::uint32_t tag = 0;
+    Time ticks = 0;
+  };
+
+  /// Snapshot of `state`'s occupancy under `profile`'s Tmin windows and
+  /// item units, as untagged records; the edits start from here. Keeps a
+  /// copy of `profile` for metrics() and a pointer to `state`'s TDMA bus,
+  /// so the architecture must outlive the snapshot (as it must the state).
   /// Throws std::invalid_argument for an invalid profile.
   void rebuild(const PlatformState& state, const FutureProfile& profile);
 
-  /// Marks [iv.start, iv.end) busy on the node. Throws std::logic_error,
-  /// leaving the snapshot unchanged, when the range is empty, leaves the
-  /// horizon or is not free.
-  void occupyNode(NodeId node, Interval iv);
-  /// Frees [iv.start, iv.end) on the node, the exact inverse of
-  /// occupyNode. Throws std::logic_error, leaving the snapshot unchanged,
-  /// when the range is empty, leaves the horizon or is not busy.
+  /// Records [iv.start, iv.end) busy on the node under `tag`. Throws
+  /// std::logic_error, leaving the snapshot unchanged, when the range is
+  /// empty, leaves the horizon or overlaps a record.
+  void occupyNode(NodeId node, Interval iv, std::uint32_t tag = kUntagged);
+  /// Erases the node's record of exactly [iv.start, iv.end), the inverse of
+  /// the occupyNode that made it, whatever its tag. Release is
+  /// record-granular: a range that is not one record (part of one, or a
+  /// span of touching ones) throws std::logic_error and leaves the
+  /// snapshot unchanged.
   void releaseNode(NodeId node, Interval iv);
-  /// Consumes `txTicks` of slot `slotIndex` in `round`. Throws
-  /// std::logic_error, leaving the snapshot unchanged, for a round outside
-  /// the horizon, txTicks <= 0 or an occupancy past the slot length.
-  void occupyBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
-  /// Hands `txTicks` of the occurrence back, the exact inverse of
-  /// occupyBus. Throws std::logic_error, leaving the snapshot unchanged,
-  /// for a round outside the horizon, txTicks <= 0 or more ticks than the
-  /// occurrence holds.
-  void releaseBus(std::size_t slotIndex, std::int64_t round, Time txTicks);
+  /// Consumes `txTicks` of slot `slotIndex` in `round`: untagged ticks, or a
+  /// message record under `tag`. Throws std::logic_error, leaving the
+  /// snapshot unchanged, for a round outside the horizon, txTicks <= 0 or
+  /// an occupancy past the slot length.
+  void occupyBus(std::size_t slotIndex, std::int64_t round, Time txTicks,
+                 std::uint32_t tag = kUntagged);
+  /// The exact inverse of occupyBus: hands back `txTicks` of the
+  /// occurrence's untagged ticks, or erases a record of `txTicks` under
+  /// `tag`. Throws std::logic_error, leaving the snapshot unchanged, for a
+  /// round outside the horizon, txTicks <= 0, more untagged ticks than the
+  /// occurrence holds or no such record.
+  void releaseBus(std::size_t slotIndex, std::int64_t round, Time txTicks,
+                  std::uint32_t tag = kUntagged);
+
+  /// The node's records, sorted by start.
+  [[nodiscard]] const std::vector<NodeRecord>& nodeRecords(NodeId node) const {
+    return nodeRecords_[static_cast<std::size_t>(node.index())];
+  }
+  /// Dense index of a slot occurrence, for the two reads below.
+  [[nodiscard]] std::size_t occurrence(std::size_t slotIndex,
+                                       std::int64_t round) const {
+    return slotIndex * static_cast<std::size_t>(roundCount_) +
+           static_cast<std::size_t>(round);
+  }
+  /// Untagged ticks of an occurrence.
+  [[nodiscard]] Time untaggedTicks(std::size_t occ) const {
+    return untaggedUsed_[occ];
+  }
+  /// Message records of an occurrence, in the order they were occupied.
+  [[nodiscard]] const std::vector<BusRecord>& busRecords(
+      std::size_t occ) const {
+    return busRecords_[occ];
+  }
 
   /// Metrics of the snapshot occupancy under the profile given to
   /// rebuild(): bit-identical to computeMetrics(extractSlack(state),
@@ -171,22 +217,19 @@ class IncrementalMetrics {
   /// capacity counts in place and undoes its edits before it returns.
   [[nodiscard]] DesignMetrics metrics();
 
-  /// Writes the snapshot's slack into `info`, reusing its buffers.
+  /// Writes the snapshot's slack into `info`, reusing its buffers: per
+  /// node the complement of its records.
   void slackInto(SlackInfo& info) const;
 
  private:
   /// Adds `delta` times the overlap of [lo, hi) with each Tmin window to
   /// `row` (one counter per window).
   void addToWindows(Time* row, Time lo, Time hi, Time delta) const;
-  [[nodiscard]] std::size_t occurrence(std::size_t slotIndex,
-                                       std::int64_t round) const {
-    return slotIndex * static_cast<std::size_t>(roundCount_) +
-           static_cast<std::size_t>(round);
-  }
   /// The occurrence's used ticks become `newUsed`.
   void setUsed(std::size_t slotIndex, std::int64_t round, Time newUsed);
-  /// A free node member of `length` ticks enters (leaves) the C1 counts,
-  /// as floor(length / c1pUnit_) units, and their total, in ticks.
+  /// A free node gap of `length` ticks enters (leaves) the C1 counts, as
+  /// floor(length / c1pUnit_) units, and their total, in ticks. A gap of
+  /// length 0 (two records touching) is no container.
   void addFree(Time length) {
     if (const Time units = length / c1pUnit_; units > 0) c1pCounts_.add(units);
     c1pTotal_ += length;
@@ -206,14 +249,18 @@ class IncrementalMetrics {
   std::int64_t bytesPerTick_ = 1;
   std::int64_t roundCount_ = 0;
 
-  std::vector<IntervalSet> nodeFree_;  ///< per node
-  std::vector<Time> nodeWin_;          ///< [node * windows_ + window]
-  std::vector<Time> slotUsed_;         ///< [slot * roundCount_ + round]
-  std::vector<Time> busWin_;           ///< per window: bus free ticks
+  std::vector<std::vector<NodeRecord>> nodeRecords_;  ///< per node
+  std::vector<Time> nodeWin_;  ///< [node * windows_ + window]
+  /// Per occurrence ([slot * roundCount_ + round]): every used tick, the
+  /// untagged ones, and the message records.
+  std::vector<Time> slotUsed_;
+  std::vector<Time> untaggedUsed_;
+  std::vector<std::vector<BusRecord>> busRecords_;
+  std::vector<Time> busWin_;  ///< per window: bus free ticks
 
   std::int64_t c1pUnit_ = 1;  ///< gcd of the profile's WCETs (ticks)
   std::int64_t c1mUnit_ = 1;  ///< gcd of the profile's message sizes (bytes)
-  /// Node free interval lengths in c1pUnit_, [0, horizon / c1pUnit_].
+  /// Node free gap lengths in c1pUnit_, [0, horizon / c1pUnit_].
   CapacityCounts c1pCounts_;
   std::int64_t c1pTotal_ = 0;  ///< ticks
   /// Occurrence free bytes in c1mUnit_, [0, longest slot / c1mUnit_].

@@ -6,8 +6,8 @@
 // top. The one-shot paths (scheduleGraphs, HCP, the Initial Mapping, the
 // full-pass evaluation) copy the baseline and schedule into the copy; the
 // state only ever gains occupancy. EvalContext keeps no state of its own:
-// its reference schedule's free capacity lives in IncrementalMetrics
-// (core/metrics.h), which it moves record by record.
+// its reference schedule lives in IncrementalMetrics (core/metrics.h) as
+// busy records tagged with their owners, which it edits record by record.
 #pragma once
 
 #include <cstdint>

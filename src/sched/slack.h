@@ -47,8 +47,9 @@ struct SlackInfo {
 };
 
 /// Snapshot the slack of a platform state. The one-shot paths call this;
-/// EvalContext keeps its reference's slack current in IncrementalMetrics
-/// (core/metrics.h), whose slackInto gives the same snapshot.
+/// EvalContext keeps its reference's busy records in IncrementalMetrics
+/// (core/metrics.h), whose slackInto writes their complement: the same
+/// snapshot.
 SlackInfo extractSlack(const PlatformState& state);
 
 }  // namespace ides

@@ -38,34 +38,19 @@ void IntervalSet::add(Interval iv) {
   checkInvariant();
 }
 
-void IntervalSet::subtract(Interval iv) {
-  if (iv.empty() || intervals_.empty()) return;
-  // Locate the overlapping run with binary search and rewrite only it:
-  // IncrementalMetrics subtracts one record at a time from large sets.
-  const auto first = std::lower_bound(
-      intervals_.begin(), intervals_.end(), iv,
-      [](const Interval& a, const Interval& b) { return a.end <= b.start; });
-  auto last = first;
-  while (last != intervals_.end() && last->start < iv.end) ++last;
-  if (first == last) return;  // no overlap
-
-  // Clipped edges of the outermost overlapped members survive; they are
-  // written into the run's own slots, so only a split (one member, both
-  // edges left) inserts, and only a run wider than its survivors erases.
-  const Interval head{first->start, iv.start};
-  const Interval tail{iv.end, std::prev(last)->end};
-  auto out = first;
-  if (!head.empty()) *out++ = head;
-  if (!tail.empty()) {
-    if (out == last) {
-      intervals_.insert(out, tail);
-      checkInvariant();
+void IntervalSet::append(Interval iv) {
+  if (iv.empty()) return;
+  if (!intervals_.empty()) {
+    Interval& last = intervals_.back();
+    if (iv.start < last.end) {
+      throw std::invalid_argument("IntervalSet::append: out of order");
+    }
+    if (iv.start == last.end) {
+      last.end = iv.end;
       return;
     }
-    *out++ = tail;
   }
-  intervals_.erase(out, last);
-  checkInvariant();
+  intervals_.push_back(iv);
 }
 
 Time IntervalSet::totalLength() const {

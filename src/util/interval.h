@@ -52,12 +52,15 @@ class IntervalSet {
   /// members (one erase).
   void add(Interval iv);
 
-  /// Remove [iv.start, iv.end) from the set, splitting members as needed.
-  /// The surviving edges are written into the slots of the members they
-  /// come from, so taking one interval out of one member is a shrink, one
-  /// erase or one insert (a split): IncrementalMetrics occupies free
-  /// capacity this way.
-  void subtract(Interval iv);
+  /// Appends [iv.start, iv.end) behind every member, extending the last
+  /// one when the two touch; an empty interval is ignored. Builds a set
+  /// from sorted input in linear time, in the buffer clear() kept:
+  /// IncrementalMetrics writes each node's free intervals this way. Throws
+  /// std::invalid_argument if iv starts before the last member ends.
+  void append(Interval iv);
+
+  /// Removes every member, keeping the buffer.
+  void clear() { intervals_.clear(); }
 
   /// Total covered length.
   [[nodiscard]] Time totalLength() const;

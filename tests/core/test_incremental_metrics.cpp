@@ -1,7 +1,8 @@
 // IncrementalMetrics against the from-scratch metrics and slack: the
-// snapshot's edits one by one (exact inverses, coalesced neighbours,
-// guards), and step by step under the churn EvalContext's commits put it
-// through — random node and bus occupies, releases of random committed
+// snapshot's edits one by one (exact inverses, touching records, the gaps a
+// record splits or merges, record-granular releases, guards), and step by
+// step under the churn EvalContext's commits put it through — random node
+// and bus occupies, tagged or untagged, releases of random committed
 // records and re-commits of the released records, including steps that
 // restore identical occupancy and steps that split or merge one gap, under
 // histograms whose C1 units are 1, the paper's 10 ticks and 2 bytes, and a
@@ -158,10 +159,12 @@ TEST(IncrementalMetricsEdits, GuardsThrowAndLeaveTheSnapshotUnchanged) {
   EXPECT_THROW(snapshot.occupyNode(NodeId{0}, {-5, 5}), std::logic_error);
   EXPECT_THROW(snapshot.occupyNode(NodeId{1}, {1195, 1205}), std::logic_error);
   EXPECT_THROW(snapshot.occupyNode(NodeId{1}, {12, 12}), std::logic_error);
-  // Node releases: not busy, partly busy, outside the horizon, empty.
+  // Node releases: not busy, partly busy, part of a record, outside the
+  // horizon, empty.
   EXPECT_THROW(snapshot.releaseNode(NodeId{0}, {0, 10}), std::logic_error);
   EXPECT_THROW(snapshot.releaseNode(NodeId{0}, {15, 25}), std::logic_error);
   EXPECT_THROW(snapshot.releaseNode(NodeId{0}, {5, 15}), std::logic_error);
+  EXPECT_THROW(snapshot.releaseNode(NodeId{0}, {12, 18}), std::logic_error);
   EXPECT_THROW(snapshot.releaseNode(NodeId{1}, {10, 20}), std::logic_error);
   EXPECT_THROW(snapshot.releaseNode(NodeId{0}, {-5, 5}), std::logic_error);
   EXPECT_THROW(snapshot.releaseNode(NodeId{0}, {1195, 1205}), std::logic_error);
@@ -184,14 +187,139 @@ TEST(IncrementalMetricsEdits, GuardsThrowAndLeaveTheSnapshotUnchanged) {
   EXPECT_NO_THROW(snapshot.occupyNode(NodeId{0}, {20, 30}));  // touches
   EXPECT_NO_THROW(snapshot.occupyNode(NodeId{1}, {1190, 1200}));
   EXPECT_NO_THROW(snapshot.occupyBus(0, 1, slotLength - 4));  // exactly full
-  EXPECT_NO_THROW(snapshot.releaseNode(NodeId{0}, {12, 18}));  // inside
+  // Two touching records are two records: their span is none.
+  EXPECT_THROW(snapshot.releaseNode(NodeId{0}, {10, 30}), std::logic_error);
+  EXPECT_NO_THROW(snapshot.releaseNode(NodeId{0}, {10, 20}));  // the floor's
   PlatformState want(smallArch(), 1200);
-  want.occupyNode(NodeId{0}, {10, 12});
-  want.occupyNode(NodeId{0}, {18, 30});
+  want.occupyNode(NodeId{0}, {20, 30});
   want.occupyNode(NodeId{1}, {1190, 1200});
   want.occupyBus(0, 1, slotLength);
   expectDescribes(snapshot, want, profile);
   EXPECT_NO_THROW(snapshot.releaseBus(0, 1, slotLength));  // exactly empty
+}
+
+// ---- the record form --------------------------------------------------------
+
+TEST(IncrementalMetricsEdits, TouchingRecordsLeaveNoZeroLengthGap) {
+  // A tagged record between an untagged and a tagged one, touching both:
+  // the gaps on either side have length 0 and must count as no container.
+  const FutureProfile profile = smallProfile();
+  PlatformState state(smallArch(), 1200);
+  state.occupyNode(NodeId{0}, {100, 150});  // untagged, from rebuild
+  IncrementalMetrics snapshot;
+  snapshot.rebuild(state, profile);
+
+  snapshot.occupyNode(NodeId{0}, {200, 250}, 1);
+  state.occupyNode(NodeId{0}, {200, 250});
+  expectDescribes(snapshot, state, profile);
+  snapshot.occupyNode(NodeId{0}, {150, 200}, 2);  // touches both sides
+  state.occupyNode(NodeId{0}, {150, 200});
+  expectDescribes(snapshot, state, profile);
+  ASSERT_EQ(snapshot.nodeRecords(NodeId{0}).size(), 3u);
+  EXPECT_EQ(snapshot.nodeRecords(NodeId{0})[0].tag,
+            IncrementalMetrics::kUntagged);
+  EXPECT_EQ(snapshot.nodeRecords(NodeId{0})[1].tag, 2u);
+  EXPECT_EQ(snapshot.nodeRecords(NodeId{0})[2].tag, 1u);
+  SlackInfo slack;
+  snapshot.slackInto(slack);
+  EXPECT_EQ(slack.nodeFree[0], IntervalSet({{0, 100}, {250, 1200}}));
+
+  // Releasing the middle one reopens exactly its own range.
+  snapshot.releaseNode(NodeId{0}, {150, 200});
+  PlatformState reopened(smallArch(), 1200);
+  reopened.occupyNode(NodeId{0}, {100, 150});
+  reopened.occupyNode(NodeId{0}, {200, 250});
+  expectDescribes(snapshot, reopened, profile);
+}
+
+TEST(IncrementalMetricsEdits, ReleaseMergesBothGapsAndOccupySplitsThemBack) {
+  // [100, 150) untagged, A = [170, 200) and B = [230, 260) tagged: A's
+  // release merges [150, 170) and [200, 230) into [150, 230), and C =
+  // [180, 190) splits that gap again.
+  const FutureProfile profile = smallProfile();
+  PlatformState floor(smallArch(), 1200);
+  floor.occupyNode(NodeId{1}, {100, 150});
+  IncrementalMetrics snapshot;
+  snapshot.rebuild(floor, profile);
+  snapshot.occupyNode(NodeId{1}, {170, 200}, 4);
+  snapshot.occupyNode(NodeId{1}, {230, 260}, 5);
+  PlatformState withA = floor;
+  withA.occupyNode(NodeId{1}, {170, 200});
+  withA.occupyNode(NodeId{1}, {230, 260});
+  expectDescribes(snapshot, withA, profile);
+
+  snapshot.releaseNode(NodeId{1}, {170, 200});
+  PlatformState merged = floor;
+  merged.occupyNode(NodeId{1}, {230, 260});
+  expectDescribes(snapshot, merged, profile);
+  SlackInfo slack;
+  snapshot.slackInto(slack);
+  EXPECT_EQ(slack.nodeFree[1],
+            IntervalSet({{0, 100}, {150, 230}, {260, 1200}}));
+
+  snapshot.occupyNode(NodeId{1}, {180, 190}, 6);
+  PlatformState split = merged;
+  split.occupyNode(NodeId{1}, {180, 190});
+  expectDescribes(snapshot, split, profile);
+  snapshot.slackInto(slack);
+  EXPECT_EQ(slack.nodeFree[1],
+            IntervalSet({{0, 100}, {150, 180}, {190, 230}, {260, 1200}}));
+}
+
+TEST(IncrementalMetricsEdits, ReleasingPartOfARecordThrowsAndChangesNothing) {
+  const FutureProfile profile = smallProfile();
+  PlatformState state(smallArch(), 1200);
+  state.occupyNode(NodeId{2}, {300, 340});  // untagged
+  IncrementalMetrics snapshot;
+  snapshot.rebuild(state, profile);
+  snapshot.occupyNode(NodeId{2}, {400, 460}, 3);
+  snapshot.occupyNode(NodeId{2}, {460, 470}, 4);  // touches the record
+  state.occupyNode(NodeId{2}, {400, 460});
+  state.occupyNode(NodeId{2}, {460, 470});
+  expectDescribes(snapshot, state, profile);
+
+  for (const Interval iv : {Interval{400, 430}, Interval{430, 460},
+                            Interval{410, 450}, Interval{390, 460},
+                            Interval{400, 470}, Interval{300, 320},
+                            Interval{320, 340}, Interval{300, 341}}) {
+    EXPECT_THROW(snapshot.releaseNode(NodeId{2}, iv), std::logic_error) << iv;
+    expectDescribes(snapshot, state, profile);
+  }
+  ASSERT_EQ(snapshot.nodeRecords(NodeId{2}).size(), 3u);
+  snapshot.releaseNode(NodeId{2}, {400, 460});
+  snapshot.releaseNode(NodeId{2}, {460, 470});
+  snapshot.releaseNode(NodeId{2}, {300, 340});
+  expectDescribes(snapshot, PlatformState(smallArch(), 1200), profile);
+}
+
+TEST(IncrementalMetricsEdits, TaggedBusRecordsReleaseByTagAndTicks) {
+  // Untagged ticks come back by count, a message record only under its own
+  // tag and ticks; a record of the same ticks under another tag stays.
+  const FutureProfile profile = smallProfile();
+  PlatformState state(smallArch(), 1200);
+  state.occupyBus(1, 3, 2);  // untagged, from rebuild
+  IncrementalMetrics snapshot;
+  snapshot.rebuild(state, profile);
+  snapshot.occupyBus(1, 3, 3, 7);
+  snapshot.occupyBus(1, 3, 3, 8);
+  const std::size_t occ = snapshot.occurrence(1, 3);
+  EXPECT_EQ(snapshot.untaggedTicks(occ), 2);
+  ASSERT_EQ(snapshot.busRecords(occ).size(), 2u);
+  state.occupyBus(1, 3, 6);
+  expectDescribes(snapshot, state, profile);
+
+  EXPECT_THROW(snapshot.releaseBus(1, 3, 3, 9), std::logic_error);
+  EXPECT_THROW(snapshot.releaseBus(1, 3, 2, 7), std::logic_error);
+  EXPECT_THROW(snapshot.releaseBus(1, 3, 3), std::logic_error);  // untagged 2
+  expectDescribes(snapshot, state, profile);
+
+  snapshot.releaseBus(1, 3, 3, 7);
+  ASSERT_EQ(snapshot.busRecords(occ).size(), 1u);
+  EXPECT_EQ(snapshot.busRecords(occ)[0].tag, 8u);
+  snapshot.releaseBus(1, 3, 2);
+  PlatformState left(smallArch(), 1200);
+  left.occupyBus(1, 3, 3);
+  expectDescribes(snapshot, left, profile);
 }
 
 // ---- churn ----------------------------------------------------------------
@@ -266,7 +394,16 @@ class Churn {
     Interval iv;            ///< node record
     std::int64_t round = 0;  ///< bus record
     Time ticks = 0;
+    std::uint32_t tag = IncrementalMetrics::kUntagged;
   };
+
+  /// Half the records are untagged, like the baseline's; the others carry
+  /// one of a few owners, so tagged bus records of one owner can share an
+  /// occurrence, as a job's inputs can.
+  std::uint32_t randomTag() {
+    return rng_.chance(0.5) ? IncrementalMetrics::kUntagged
+                            : static_cast<std::uint32_t>(rng_.uniformInt(0, 3));
+  }
 
   /// The floor with every surviving record occupied onto it.
   [[nodiscard]] PlatformState reference() const {
@@ -297,7 +434,9 @@ class Churn {
       iv = rng_.chance(0.5) ? Interval{gap.start, gap.start + width}
                             : Interval{gap.end - width, gap.end};
     }
-    commit({true, static_cast<std::size_t>(node.index()), iv});
+    Record r{true, static_cast<std::size_t>(node.index()), iv};
+    r.tag = randomTag();
+    commit(r);
     released_.clear();
   }
 
@@ -307,7 +446,9 @@ class Churn {
     const std::int64_t round = rng_.uniformInt(0, st.roundCount() - 1);
     const Time room = st.slotFreeTicks(slot, round);
     if (room <= 0) return;
-    commit({false, slot, Interval{}, round, rng_.uniformInt(1, room)});
+    Record r{false, slot, Interval{}, round, rng_.uniformInt(1, room)};
+    r.tag = randomTag();
+    commit(r);
     released_.clear();
   }
 
@@ -337,9 +478,10 @@ class Churn {
 
   void commit(const Record& r) {
     if (r.node) {
-      snapshot_.occupyNode(NodeId{static_cast<std::int32_t>(r.index)}, r.iv);
+      snapshot_.occupyNode(NodeId{static_cast<std::int32_t>(r.index)}, r.iv,
+                           r.tag);
     } else {
-      snapshot_.occupyBus(r.index, r.round, r.ticks);
+      snapshot_.occupyBus(r.index, r.round, r.ticks, r.tag);
     }
     records_.push_back(r);
   }
@@ -348,7 +490,7 @@ class Churn {
     if (r.node) {
       snapshot_.releaseNode(NodeId{static_cast<std::int32_t>(r.index)}, r.iv);
     } else {
-      snapshot_.releaseBus(r.index, r.round, r.ticks);
+      snapshot_.releaseBus(r.index, r.round, r.ticks, r.tag);
     }
   }
 

@@ -9,16 +9,18 @@
 // that name the wrong graph, and an EvalContextPool context that falls at
 // least five accepted moves behind before it evaluates again. Every other
 // move and every other catch-up also read the slack output, which the
-// context writes from the free-capacity snapshot its walks edit.
+// context writes from the record snapshot its walks edit.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/evaluator.h"
 #include "model/system_model.h"
+#include "sched/list_scheduler.h"
 #include "util/rng.h"
 
 namespace ides::testing {
@@ -62,7 +64,84 @@ struct WalkFuzzStats {
   int lyingHints = 0;
   int staleCatchUps = 0;  ///< lagging context, >= 5 accepted moves behind
   int slackChecks = 0;    ///< feasible results whose slack output was read
+  /// Placed walks in which a re-placed job's new interval overlaps another
+  /// re-placed job's old one on the same node: the commit must release
+  /// before it occupies, and the gap the new record splits is the one the
+  /// old record's release merged.
+  int crossedMoves = 0;
+  /// Jobs a placed walk kept after an earlier job changed, with a bus input
+  /// in a later round than the first its scan read: rule 4's stored range
+  /// spans more than one round.
+  int multiRoundKeeps = 0;
 };
+
+/// Each commit position's input messages in `messages`, in input order.
+inline std::vector<std::vector<ScheduledMessage>> inputsByJob(
+    const SolutionEvaluator& ev, const std::vector<ScheduledMessage>& messages,
+    std::size_t jobCount) {
+  std::vector<std::vector<ScheduledMessage>> inputs(jobCount);
+  for (const ScheduledMessage& sm : messages) {
+    const ProcessId dst = ev.system().message(sm.mid).dst;
+    inputs[ev.jobIndexOf(dst, sm.instance)].push_back(sm);
+  }
+  return inputs;
+}
+
+/// Counts the two walk shapes of WalkFuzzStats in the placed walk that
+/// turned the log (`oldProcs`, `oldMsgs`) into `c`'s log for `solution`.
+/// A job whose record and inputs are unchanged counts as kept, and the
+/// first round its scan read is worked out from the messages' sources.
+inline void countWalkShapes(const SolutionEvaluator& ev,
+                            const std::vector<ScheduledProcess>& oldProcs,
+                            const std::vector<ScheduledMessage>& oldMsgs,
+                            const EvalContext& c,
+                            const MappingSolution& solution,
+                            WalkFuzzStats& stats) {
+  const std::vector<ScheduledProcess>& procs = c.processes();
+  const std::size_t jobs = procs.size();
+  const auto oldIn = inputsByJob(ev, oldMsgs, jobs);
+  const auto newIn = inputsByJob(ev, c.messages(), jobs);
+
+  std::vector<std::size_t> moved;
+  for (std::size_t pos = 0; pos < jobs; ++pos) {
+    if (procs[pos].node != oldProcs[pos].node ||
+        procs[pos].start != oldProcs[pos].start) {
+      moved.push_back(pos);
+    }
+  }
+  bool crossed = false;
+  for (const std::size_t a : moved) {
+    for (const std::size_t b : moved) {
+      crossed = crossed || (a != b && procs[a].node == oldProcs[b].node &&
+                            procs[a].start < oldProcs[b].end &&
+                            oldProcs[b].start < procs[a].end);
+    }
+  }
+  if (crossed) ++stats.crossedMoves;
+
+  const auto unchanged = [&](std::size_t pos) {
+    return procs[pos] == oldProcs[pos] && newIn[pos] == oldIn[pos];
+  };
+  std::size_t pos = 0;
+  while (pos < jobs && unchanged(pos)) ++pos;
+  const SystemModel& sys = ev.system();
+  const TdmaBus& bus = ev.baseline().bus();
+  for (++pos; pos < jobs; ++pos) {
+    if (!unchanged(pos)) continue;
+    for (const ScheduledMessage& sm : newIn[pos]) {
+      const Message& msg = sys.message(sm.mid);
+      const Time srcEnd = procs[ev.jobIndexOf(msg.src, sm.instance)].end;
+      const Time ready = messageReady(srcEnd, solution.messageHint(sm.mid),
+                                      sm.instance, sys.graph(msg.graph).period);
+      const std::int64_t firstRound =
+          bus.firstRoundAtOrAfter(sm.slotIndex, std::max<Time>(ready, 0));
+      if (sm.round > firstRound) {
+        ++stats.multiRoundKeeps;
+        break;
+      }
+    }
+  }
+}
 
 /// Runs `moves` random moves from `initial` (which must evaluate placed).
 /// After every evaluation the result must equal SolutionEvaluator::
@@ -159,6 +238,8 @@ inline WalkFuzzStats fuzzWalk(const SolutionEvaluator& ev,
     const bool readSlack = i % 2 == 1;
     SlackInfo gotSlack;
     SlackInfo wantSlack;
+    const std::vector<ScheduledProcess> oldProcs = ctx.processes();
+    const std::vector<ScheduledMessage> oldMsgs = ctx.messages();
     const EvalResult got = readSlack ? ctx.evaluate(trial, nullptr, &gotSlack)
                                      : ctx.evaluate(trial, hint);
     const EvalResult want =
@@ -170,6 +251,7 @@ inline WalkFuzzStats fuzzWalk(const SolutionEvaluator& ev,
       return stats;
     }
     ++stats.moves;
+    if (want.placed) countWalkShapes(ev, oldProcs, oldMsgs, ctx, trial, stats);
     if (!want.placed) {
       ++stats.unplaced;
     } else if (!want.feasible) {
@@ -193,12 +275,17 @@ inline WalkFuzzStats fuzzWalk(const SolutionEvaluator& ev,
       const bool lateSlack = stats.staleCatchUps % 2 == 0;
       SlackInfo lateGot;
       SlackInfo lateWant;
+      const std::vector<ScheduledProcess> lateProcs = lagging.processes();
+      const std::vector<ScheduledMessage> lateMsgs = lagging.messages();
       const EvalResult late =
           lateSlack ? lagging.evaluate(current, nullptr, &lateGot)
                     : lagging.evaluate(current, MoveHint{});
       const EvalResult full =
           ev.evaluate(current, nullptr, lateSlack ? &lateWant : nullptr);
       expectSameEvalResult(late, full);
+      if (full.placed) {
+        countWalkShapes(ev, lateProcs, lateMsgs, lagging, current, stats);
+      }
       if (full.feasible) {
         checkLog(lagging, current);
         if (lateSlack) {
@@ -230,6 +317,8 @@ inline void expectWalkCoverage(const WalkFuzzStats& stats, int moves) {
   EXPECT_GT(stats.lyingHints, 0);
   EXPECT_GT(stats.staleCatchUps, 0);
   EXPECT_GT(stats.slackChecks, 0);
+  EXPECT_GT(stats.crossedMoves, 0);
+  EXPECT_GT(stats.multiRoundKeeps, 0);
 }
 
 }  // namespace ides::testing

@@ -89,28 +89,19 @@ TEST(IntervalSet, AddEmptyIsNoop) {
   EXPECT_TRUE(set.empty());
 }
 
-TEST(IntervalSet, SubtractSplitsMember) {
-  IntervalSet set;
-  set.add({0, 100});
-  set.subtract({40, 60});
-  ASSERT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{0, 40}));
-  EXPECT_EQ(set.intervals()[1], (Interval{60, 100}));
-}
-
-TEST(IntervalSet, SubtractRemovesCoveredMembers) {
-  IntervalSet set({{0, 10}, {20, 30}, {40, 50}});
-  set.subtract({5, 45});
-  ASSERT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{0, 5}));
-  EXPECT_EQ(set.intervals()[1], (Interval{45, 50}));
-}
-
-TEST(IntervalSet, SubtractDisjointIsNoop) {
-  IntervalSet set({{10, 20}});
-  set.subtract({30, 40});
-  ASSERT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.totalLength(), 10);
+TEST(IntervalSet, AppendExtendsTheLastMemberItTouches) {
+  IntervalSet set({{0, 10}});
+  set.append({10, 15});  // touches: extends
+  set.append({20, 20});  // empty: ignored
+  set.append({20, 30});  // after a gap: a new member
+  EXPECT_EQ(set, IntervalSet({{0, 15}, {20, 30}}));
+  EXPECT_THROW(set.append({25, 40}), std::invalid_argument);
+  EXPECT_THROW(set.append({0, 5}), std::invalid_argument);
+  EXPECT_EQ(set, IntervalSet({{0, 15}, {20, 30}}));
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  set.append({0, 5});  // anything goes after a clear
+  EXPECT_EQ(set, IntervalSet({{0, 5}}));
 }
 
 TEST(IntervalSet, CoversRequiresContainment) {
@@ -221,11 +212,11 @@ TEST_P(IntervalSetProperty, ComplementRoundTripsAndPartitions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty, ::testing::Range(0, 25));
 
-// ---- in-place add/subtract against a per-tick reference -------------------
-// add() coalesces into the first absorbed member and subtract() writes the
-// surviving edges into the slots it overlapped. These checks pin both
-// against a boolean per-tick model after every step, and count the shapes
-// the in-place paths tell apart so a generator drift cannot hide one.
+// ---- in-place add and append against a per-tick reference ----------------
+// add() coalesces into the first absorbed member and append() extends the
+// last member it touches. These checks pin both against a boolean per-tick
+// model after every step, and count the shapes the in-place paths tell
+// apart so a generator drift cannot hide one.
 
 /// Maximal runs of set ticks: the only valid IntervalSet for `ticks`.
 std::vector<Interval> runsOf(const std::vector<bool>& ticks) {
@@ -260,18 +251,19 @@ std::string addShape(const std::vector<Interval>& members, Interval iv) {
   return touched.size() >= 3 ? "add: bridges several" : "add: joins two";
 }
 
-/// Shape of subtract(iv) against the members before it.
-std::string subtractShape(const std::vector<Interval>& members, Interval iv) {
-  std::vector<Interval> hit;
-  for (const Interval& m : members) {
-    if (m.overlaps(iv)) hit.push_back(m);
+/// Rebuilds `set` from `ticks` through clear() and append(), each run cut
+/// in one or two pieces at a random tick, so appends that touch the last
+/// member and appends after a gap both come up; counts them in `shapes`.
+void rebuildByAppend(IntervalSet& set, const std::vector<bool>& ticks,
+                     Rng& rng, std::map<std::string, int>& shapes) {
+  set.clear();
+  for (const Interval& run : runsOf(ticks)) {
+    const Time cut = rng.uniformInt(run.start, run.end);
+    ++shapes[set.empty() ? "append: first" : "append: after a gap"];
+    set.append({run.start, cut});
+    if (cut > run.start && cut < run.end) ++shapes["append: extends last"];
+    set.append({cut, run.end});
   }
-  if (hit.empty()) return "subtract: misses";
-  if (hit.size() > 1) return "subtract: spans members";
-  const bool head = hit[0].start < iv.start;
-  const bool tail = iv.end < hit[0].end;
-  if (head && tail) return "subtract: splits";
-  return head || tail ? "subtract: shrinks" : "subtract: erases";
 }
 
 /// Random interval in [0, horizon). Most are drawn against a member: ending
@@ -310,7 +302,7 @@ Interval randomInterval(Rng& rng, const IntervalSet& set, Time horizon) {
   return {a, b};
 }
 
-TEST(IntervalSetInPlace, AddAndSubtractMatchPerTickReference) {
+TEST(IntervalSetInPlace, AddAndAppendMatchPerTickReference) {
   constexpr Time kHorizon = 300;
   std::map<std::string, int> shapes;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -319,18 +311,15 @@ TEST(IntervalSetInPlace, AddAndSubtractMatchPerTickReference) {
     std::vector<bool> ticks(kHorizon, false);
     for (int step = 0; step < 400; ++step) {
       const Interval iv = randomInterval(rng, set, kHorizon);
-      // Lean towards adds so the set stays populated.
+      // Lean towards adds so the set stays populated; the other steps
+      // clear the range in the model and rebuild the set from it.
       const bool isAdd = rng.chance(0.55);
-      if (isAdd) {
-        ++shapes[addShape(set.intervals(), iv)];
-        set.add(iv);
-      } else {
-        ++shapes[subtractShape(set.intervals(), iv)];
-        set.subtract(iv);
-      }
+      if (isAdd) ++shapes[addShape(set.intervals(), iv)];
+      if (isAdd) set.add(iv);
       for (Time t = iv.start; t < iv.end; ++t) {
         ticks[static_cast<std::size_t>(t)] = isAdd;
       }
+      if (!isAdd) rebuildByAppend(set, ticks, rng, shapes);
       ASSERT_EQ(set.intervals(), runsOf(ticks))
           << "seed " << seed << ", step " << step << ", " << iv;
     }
@@ -339,10 +328,9 @@ TEST(IntervalSetInPlace, AddAndSubtractMatchPerTickReference) {
   EXPECT_GT(shapes["add: touches right"], 0);
   EXPECT_GT(shapes["add: touches both sides"], 0);
   EXPECT_GT(shapes["add: bridges several"], 0);
-  EXPECT_GT(shapes["subtract: erases"], 0);
-  EXPECT_GT(shapes["subtract: shrinks"], 0);
-  EXPECT_GT(shapes["subtract: splits"], 0);
-  EXPECT_GT(shapes["subtract: spans members"], 0);
+  EXPECT_GT(shapes["append: first"], 0);
+  EXPECT_GT(shapes["append: after a gap"], 0);
+  EXPECT_GT(shapes["append: extends last"], 0);
 }
 
 // ---- fused first-fit insert against scan + add ------------------------------
@@ -373,10 +361,10 @@ TEST(IntervalSetFirstFit, InsertMatchesScanThenAddOnACopy) {
       if (!set.empty() && rng.chance(0.3)) {
         // Free a range now and then so the set keeps gaps of every size.
         const Interval iv = randomInterval(rng, set, kHorizon);
-        set.subtract(iv);
         for (Time t = iv.start; t < iv.end; ++t) {
           ticks[static_cast<std::size_t>(t)] = false;
         }
+        set = IntervalSet(runsOf(ticks));
         continue;
       }
       const Time after = rng.uniformInt(0, kHorizon - 1);
